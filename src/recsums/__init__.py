@@ -9,7 +9,7 @@ from .polyrat import (EvalPoleError, Polynomial, PowerSeries, RationalFunction,
 from .seq import (SequenceHandle, companion, fibonacci, generalized_pell,
                   lucas, pell, pell_q, power_term, preset, term, term_fast,
                   terms)
-from .gfpow import gf_oracle, gf_power, gf_power_claimed
+from .gfpow import SelfCheckError, gf_oracle, gf_power
 from .partsum import (PartialSumQuery, horadam_direct, horadam_sums,
                       partial_sum_closed, partial_sum_direct,
                       partial_sum_general_b)

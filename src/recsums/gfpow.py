@@ -1,18 +1,26 @@
 """Closed-form generating functions for r-th powers of recurrence terms.
 
-``gf_power`` is the ground truth: it sums the r+1 simple-pole terms
+``gf_power`` is the ground truth, built over Z and Q only.  Its denominator is
+Theorem 1's product of conjugate-pole pairs,
 
-    C(r,k) A^k (-B)^{r-k} / (1 - alpha^k beta^{r-k} x),   k = 0..r
+    prod_k (1 - (-b)^k V_{r-2k} x + (-b)^r x^2),   0 <= k < r/2,
 
-over Q(sqrt(D)) (plain Q when D is a square) and descends the total to Q.
-The sum is Galois-stable by construction, so descent cannot fail on a correct
-build; a failure here signals an internal bug and raises.
+times 1 - (-b)^{r/2} x for even r: degree r+1, constant term 1, and each pair
+is (1 - alpha^k beta^{r-k} x)(1 - alpha^{r-k} beta^k x).  Its numerator is
+that denominator times the brute-force series U_0^r, U_1^r, ... truncated
+below x^{r+1}.  Coefficients r+1 .. 2r+1 of the same product must vanish; a
+nonzero one raises ``SelfCheckError``.  Two fractions with numerators of
+degree <= r and denominators of degree <= r+1 are equal once they agree mod
+x^{2r+2}, so the check proves the result equals the series, and the truth
+stays derived from brute force rather than from the Binet closed form.
 
-``gf_power_claimed`` evaluates the paired-term closed form (quadratic
-denominators 1 - (-b)^k V_{r-2k} x + (-b)^r x^2, plus the k = r/2 pole
-1/(1 - (-b)^{r/2} x) for even r).  The audit registry also builds the
-less-corrected readings of that form to document exactly which printings hold
-and under what hypotheses; see :mod:`recsums.audit`.
+``paired_form`` evaluates the paired-term closed form itself from the Binet
+coefficients over Q(sqrt(D)): quadratic denominators
+1 - (-b)^k V_{r-2k} x + (-b)^r x^2, plus the k = r/2 pole
+1/(1 - (-b)^{r/2} x) for even r.  Its "general" style is the exact form; the
+audit registry also builds the less-corrected readings of that form to
+document exactly which printings hold and under what hypotheses; see
+:mod:`recsums.audit`.
 """
 
 from __future__ import annotations
@@ -25,18 +33,38 @@ from .polyrat import Polynomial, PowerSeries, RationalFunction, descend
 from .qfield import RecurrenceSpec, binet_coeffs, roots
 
 
+class SelfCheckError(ArithmeticError):
+    """A built generating function disagrees with the brute-force series."""
+
+
+def _theorem1_denominator(spec: RecurrenceSpec, r: int) -> Polynomial:
+    """Product of Theorem 1's pole pairs (and the middle pole for even r)."""
+    b = spec.b
+    v = seq.terms(seq.companion(spec), r + 1)
+    den = Polynomial([1])
+    for k in range((r + 1) // 2):
+        den = den * Polynomial([1, -(-b) ** k * v[r - 2 * k], (-b) ** r])
+    if r % 2 == 0:
+        den = den * Polynomial([1, -((-b) ** (r // 2))])
+    return den
+
+
 def gf_power(spec: RecurrenceSpec, r: int) -> RationalFunction:
     """Rational function over Q whose Maclaurin coefficients are U_n^r."""
     if r < 1:
         raise ValueError("power must be >= 1")
-    alpha, beta = roots(spec)
-    a_coef, b_coef = binet_coeffs(spec)
-    total = RationalFunction.zero()
-    for k in range(r + 1):
-        c = comb(r, k) * a_coef**k * (-b_coef) ** (r - k)
-        pole = alpha**k * beta ** (r - k)
-        total = total + RationalFunction(Polynomial([c]), Polynomial([1, -pole]))
-    return descend(total)
+    den = _theorem1_denominator(spec, r)
+    series = gf_oracle(spec, r, 2 * r + 2).coefficients
+    d = den.coeffs
+    # coefficients 0 .. 2r+1 of den * series; a full product would also form
+    # the costliest, unneeded ones above x^{2r+1}
+    prod = [sum(d[j] * series[i - j] for j in range(min(i + 1, len(d))))
+            for i in range(2 * r + 2)]
+    if any(prod[r + 1:]):
+        raise SelfCheckError(
+            f"gf_power({spec}, r={r}): denominator times the series is not a "
+            f"polynomial of degree <= {r}")
+    return RationalFunction(Polynomial(prod[:r + 1]), den)
 
 
 def gf_oracle(spec: RecurrenceSpec, r: int, order: int) -> PowerSeries:
@@ -102,16 +130,6 @@ def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
         pole = (-1) ** (r // 2) if style == "printed" else (-b) ** (r // 2)
         total = total + RationalFunction(Polynomial([mid]), Polynomial([1, -pole]))
     return descend(total)
-
-
-def gf_power_claimed(spec: RecurrenceSpec, r: int) -> RationalFunction:
-    """Paired-term form with the exact pair-product denominators.
-
-    Used as audit input only; ``gf_power`` stays the ground truth.
-    """
-    if r < 1:
-        raise ValueError("power must be >= 1")
-    return paired_form(spec, r, "general")
 
 
 # --- the three displayed first-power/square/cube forms (U_0 = 0, b = 1) -----

@@ -19,6 +19,12 @@ class EvalPoleError(ValueError):
     """Evaluation or expansion hit a zero of the denominator."""
 
 
+def _hash_key(c):
+    if isinstance(c, QuadElem):
+        return (c.rat, c.coef, c.disc) if c.coef else c.rat
+    return c
+
+
 class Polynomial:
     """Dense univariate polynomial; index = degree; no trailing zeros."""
 
@@ -48,7 +54,12 @@ class Polynomial:
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash(tuple(str(c) for c in self.coeffs))
+        # __eq__ matches a QuadElem with no sqrt part to its rational value and
+        # a constant polynomial to its coefficient; the hash must do the same
+        keys = tuple(_hash_key(c) for c in self.coeffs)
+        if len(keys) > 1:
+            return hash(keys)
+        return hash(keys[0] if keys else 0)
 
     def coeff(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -137,11 +148,65 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Euclidean gcd over the coefficient field, returned monic."""
+# Modulus of the coprimality fast path in poly_gcd.  A pair whose leading
+# coefficient it divides is rare and goes straight to Euclid.
+GCD_PRIME = 2**61 - 1
+
+
+def _coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
+    """True when p and q are proven coprime over Q by Euclid mod GCD_PRIME.
+
+    Clearing the denominators of f gives an integer polynomial F = L f.  If
+    the prime divides neither leading coefficient, the gcd over Q (a
+    primitive integer divisor of both) keeps its degree mod the prime, so a
+    constant gcd mod the prime proves a constant gcd over Q.  F mod the prime
+    is L times f with each n/d read as n * d^-1; as L is a unit there, f is
+    reduced directly, without forming L.  A prime that divides a denominator
+    or a leading coefficient leaves the pair unproven.  False means "not
+    proven", never "not coprime".
+    """
+    polys = []
+    for f in (p, q):
+        if not f or not all(isinstance(c, Fraction) for c in f.coeffs):
+            return False
+        if any(c.denominator % GCD_PRIME == 0 for c in f.coeffs):
+            return False
+        residues = [c.numerator * pow(c.denominator, -1, GCD_PRIME) % GCD_PRIME
+                    for c in f.coeffs]
+        if not residues[-1]:
+            return False
+        polys.append(residues)
+    u, v = polys
+    while len(v) > 1:
+        inv = pow(v[-1], -1, GCD_PRIME)
+        while len(u) >= len(v):
+            c = u[-1] * inv % GCD_PRIME
+            k = len(u) - len(v)
+            for i, vc in enumerate(v):
+                u[k + i] = (u[k + i] - c * vc) % GCD_PRIME
+            while u and not u[-1]:
+                u.pop()
+        if not u:
+            return False
+        u, v = v, u
+    return True
+
+
+def _euclid_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     while q:
         p, q = q, p % q
     return p.monic() if p else p
+
+
+def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Gcd over the coefficient field, returned monic.
+
+    Rational pairs proven coprime mod a large prime return 1 at once; every
+    other pair runs Euclid over the coefficient field.
+    """
+    if _coprime_mod_prime(p, q):
+        return Polynomial([1])
+    return _euclid_gcd(p, q)
 
 
 @dataclass(frozen=True)

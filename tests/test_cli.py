@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from recsums.cli import main, parse_polynomial, parse_rational_function
+from recsums import gfpow
+from recsums.cli import (GF_POWER_LIMIT, main, parse_polynomial,
+                         parse_rational_function)
 from recsums.gfpow import gf_power
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
@@ -73,6 +75,29 @@ def test_gf_structured_output(capsys):
     cell = doc["claims"][0]["cells"][0]
     assert cell["witness"]["text"] == "x/(1 - x - x^2)"
     assert cell["witness"]["oracle_terms"] == "8"
+
+
+def test_gf_power_beyond_the_limit_exits_two(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gf_power ran past the limit")
+
+    monkeypatch.setattr(gfpow, "gf_power", refuse)
+    limit = str(GF_POWER_LIMIT + 1)
+    code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci",
+                             "--power", limit)
+    assert (code, out) == (2, "")
+    assert str(GF_POWER_LIMIT) in err
+
+
+def test_gf_self_check_failure_exits_three(capsys, monkeypatch):
+    def fail(spec, r):
+        raise gfpow.SelfCheckError("series does not fit")
+
+    monkeypatch.setattr(gfpow, "gf_power", fail)
+    code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci",
+                             "--power", "2")
+    assert (code, out) == (3, "")
+    assert "series does not fit" in err
 
 
 def test_sum_both_match(capsys):

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from recsums import seq
-from recsums.gfpow import (display_r1, display_r2, display_r3, gf_oracle,
-                           gf_power, gf_power_claimed, paired_form)
+from recsums import gfpow
+from recsums.gfpow import (SelfCheckError, display_r1, display_r2, display_r3,
+                           gf_oracle, gf_power, paired_form)
 from recsums.polyrat import Polynomial, PowerSeries, RationalFunction
 from recsums.qfield import RecurrenceSpec
 
@@ -53,6 +54,37 @@ def test_expansion_matches_oracle(spec, r):
     assert gf_power(spec, r).expand(32) == gf_oracle(spec, r, 32)
 
 
+# root ratio a root of unity, so poles coincide and the Theorem 1
+# denominator shares a factor with its numerator
+ROOT_OF_UNITY_SPECS = [RecurrenceSpec(a, b, 0, 1)
+                       for a, b in ((1, -1), (0, 2), (3, -3))]
+
+
+@pytest.mark.parametrize("spec", ROOT_OF_UNITY_SPECS)
+@pytest.mark.parametrize("r", range(1, 11))
+def test_expansion_matches_oracle_when_poles_coincide(spec, r):
+    assert gf_power(spec, r).expand(3 * r) == gf_oracle(spec, r, 3 * r)
+
+
+def test_large_power_matches_oracle():
+    r = 48
+    f = gf_power(FIB, r)
+    assert f.den.degree == r + 1
+    assert f.expand(3 * r) == gf_oracle(FIB, r, 3 * r)
+
+
+@pytest.mark.parametrize("wrong", (
+    lambda den: den // Polynomial([1, -3, 1]),   # a pole pair dropped
+    lambda den: den * Polynomial([1, 1]),        # degree r + 2
+))
+def test_wrong_denominator_fails_the_self_check(monkeypatch, wrong):
+    right = gfpow._theorem1_denominator
+    monkeypatch.setattr(gfpow, "_theorem1_denominator",
+                        lambda spec, r: wrong(right(spec, r)))
+    with pytest.raises(SelfCheckError):
+        gf_power(FIB, 2)
+
+
 @pytest.mark.parametrize("spec", GRID_SPECS)
 @pytest.mark.parametrize("r", range(1, 7))
 def test_denominator_divides_the_pole_product(spec, r):
@@ -71,13 +103,13 @@ def test_denominator_divides_the_pole_product(spec, r):
 @pytest.mark.parametrize("spec", (FIB, PELL))
 @pytest.mark.parametrize("r", range(1, 7))
 def test_claimed_equals_ground_truth_for_b1(spec, r):
-    assert gf_power_claimed(spec, r) == gf_power(spec, r)
+    assert paired_form(spec, r, "general") == gf_power(spec, r)
 
 
 @pytest.mark.parametrize("spec", GRID_SPECS + GRID_SPECS_SHIFTED)
 @pytest.mark.parametrize("r", range(1, 7))
 def test_general_paired_form_is_exact_for_all_b(spec, r):
-    assert gf_power_claimed(spec, r) == gf_power(spec, r)
+    assert paired_form(spec, r, "general") == gf_power(spec, r)
 
 
 def test_printed_odd_denominator_only_holds_with_x_restored_b1():

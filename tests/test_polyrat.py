@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from recsums.polyrat import (EvalPoleError, Polynomial, PowerSeries,
-                             RationalFunction, descend, lift, poly_gcd,
+from recsums.polyrat import (GCD_PRIME, EvalPoleError, Polynomial,
+                             PowerSeries, RationalFunction, _coprime_mod_prime,
+                             _euclid_gcd, descend, lift, poly_gcd,
                              poly_to_text, rf_to_latex, rf_to_text)
 from recsums.qfield import NotRationalError, QuadElem, RecurrenceSpec, roots
 
@@ -108,6 +109,40 @@ def _random_poly(rng, max_deg=4):
         [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
          for _ in range(rng.randint(0, max_deg + 1))]
     )
+
+
+def test_equal_polynomials_hash_equal():
+    p = Polynomial([1, 2, 3])
+    assert p == lift(p, 5) and hash(p) == hash(lift(p, 5))
+    assert Polynomial([3]) == 3 and hash(Polynomial([3])) == hash(3)
+    assert Polynomial() == 0 and hash(Polynomial()) == hash(0)
+    f = RationalFunction(p, Polynomial([1, -2]))
+    assert len({f, lift(f, 5), lift(f, 13)}) == 1
+
+
+def test_gcd_fast_path_equals_euclid():
+    rng = random.Random(17)
+    proven = 0
+    for _ in range(60):
+        p, q = _random_poly(rng), _random_poly(rng)
+        common = _random_poly(rng, max_deg=2) if rng.random() < 0.5 else 1
+        p, q = p * common, q * common
+        proven += _coprime_mod_prime(p, q)
+        assert poly_gcd(p, q) == _euclid_gcd(p, q)
+    assert proven > 10
+
+
+def test_prime_dividing_a_leading_coefficient_takes_euclid():
+    # mod the prime, shared = 1, so the reduced pair looks coprime there
+    shared = Polynomial([1, GCD_PRIME])
+    p = shared * Polynomial([1, 1])
+    q = shared * Polynomial([2, 1])
+    assert not _coprime_mod_prime(p, q)
+    assert poly_gcd(p, q) == shared.monic()
+    # a denominator the prime divides has no residue there: Euclid again
+    r = Polynomial([1, Fraction(1, GCD_PRIME)])
+    assert not _coprime_mod_prime(r, q)
+    assert poly_gcd(r, q) == _euclid_gcd(r, q) == Polynomial([1])
 
 
 def test_expand_of_product_is_cauchy_product():
