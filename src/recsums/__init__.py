@@ -6,16 +6,16 @@ from .qfield import (DegenerateSpecError, NotRationalError, QuadElem, Rational,
 from .polyrat import (EvalPoleError, Polynomial, PowerSeries, RationalFunction,
                       descend, lift, poly_gcd, poly_to_text, rf_to_latex,
                       rf_to_text)
-from .seq import (SequenceHandle, companion, fibonacci, generalized_pell,
-                  lucas, pell, pell_q, power_term, preset, term, term_fast,
-                  terms)
+from .seq import (PrefixStore, SequenceHandle, companion, fibonacci,
+                  generalized_pell, lucas, pell, pell_q, preset, store, term,
+                  term_fast, terms)
 from .gfpow import SelfCheckError, gf_oracle, gf_power
 from .partsum import (PartialSumQuery, horadam_direct, horadam_sums,
                       partial_sum_closed, partial_sum_direct,
                       partial_sum_general_b)
-from .binsum import (binom_sum_closed, binom_sum_direct, binomial,
-                     congruence_check, corollary_identity, fib_weighted_closed,
-                     padic_valuation, root_power_collapse)
+from .binsum import (binom_sum_closed, binom_sum_direct, congruence_check,
+                     corollary_identity, fib_weighted_closed, padic_valuation,
+                     root_power_collapse)
 from .audit import (AuditResult, Claim, REGISTRY, UnknownClaimError, report,
                     run_audit)
 

@@ -28,6 +28,19 @@ class UnknownClaimError(ValueError):
     pass
 
 
+class AuditCellError(RuntimeError):
+    """A claim's check raised on one cell; names the claim and the cell.
+
+    Not a ValueError, so the CLI reports it as an internal-consistency error
+    (exit 3) rather than as a usage error."""
+
+    def __init__(self, claim_id: str, params: dict, cause: Exception):
+        super().__init__(f"claim {claim_id} at {_params_json(params)}: "
+                         f"{type(cause).__name__}: {cause}")
+        self.claim_id = claim_id
+        self.params = params
+
+
 @dataclass(frozen=True)
 class Claim:
     id: str
@@ -500,7 +513,10 @@ def run_audit(selection="all", max_n: int | None = None) -> list[AuditResult]:
     for cid in ids:
         claim = REGISTRY[cid]
         for params in sorted(claim.grid(max_n), key=_cell_key):
-            verdict, variant, witness = claim.check(params)
+            try:
+                verdict, variant, witness = claim.check(params)
+            except Exception as exc:
+                raise AuditCellError(cid, params, exc) from exc
             results.append(AuditResult(cid, params, verdict, variant, witness))
     return results
 

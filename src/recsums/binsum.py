@@ -15,34 +15,36 @@ subscript or coefficient fails the oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from . import seq
 from .qfield import QuadElem, RecurrenceSpec, binet_coeffs, rationalize, roots
 
-binomial = comb  # exact big-integer binomials straight from the stdlib
-
-
-@lru_cache(maxsize=None)
-def _term_prefix(handle: seq.SequenceHandle, count: int) -> tuple:
-    return tuple(seq.terms(handle, count))
+# The store accessor under its old cache's name: bench/worker.py reads
+# binsum._term_prefix.cache_info() for the benchmark's term_prefix metrics.
+_term_prefix = seq.store
 
 
 def binom_sum_direct(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
-    """sum_{i=0}^n C(n,i) U_i^r x^i by direct exact summation."""
+    """sum_{i=0}^n C(n,i) U_i^r x^i by direct exact summation.
+
+    With U_i = N_i / d from the prefix store and x = p / q, the sum is
+    sum_i C(n,i) N_i^r p^i q^(n-i) over d^r q^n: integers until one division.
+    """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
     x = Fraction(x)
-    ts = _term_prefix(seq.SequenceHandle(spec), n + 1)
-    total = Fraction(0)
+    st = seq.store(seq.SequenceHandle(spec))
+    p, q = x.numerator, x.denominator
+    total = 0
     c = 1
-    xp = Fraction(1)
-    for i in range(n + 1):
-        total += c * ts[i] ** r * xp
+    pp = 1
+    for i, num in enumerate(st.numerators(n + 1)):
+        # Horner in q: after step i, total = sum_{j<=i} C(n,j) N_j^r p^j q^(i-j)
+        total = total * q + c * num**r * pp
         c = c * (n - i) // (i + 1)
-        xp *= x
-    return total
+        pp *= p
+    return Fraction(total, st.den**r * q**n)
 
 
 def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
@@ -62,16 +64,16 @@ def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
 # --- Fibonacci/Lucas scalar helpers -----------------------------------------
 
 
-@lru_cache(maxsize=None)
+_FIB = seq.fibonacci()
+_LUC = seq.companion(_FIB.spec)
+
+
 def _fib(n: int) -> int:
-    v = seq.term_fast(seq.fibonacci(), n)
-    return v.numerator
+    return seq.store(_FIB).term(n).numerator
 
 
-@lru_cache(maxsize=None)
 def _luc(n: int) -> int:
-    v = seq.term_fast(seq.companion(RecurrenceSpec(1, 1, 0, 1)), n)
-    return v.numerator
+    return seq.store(_LUC).term(n).numerator
 
 
 def root_power_collapse(s: int, sign: int) -> tuple[bool, QuadElem]:

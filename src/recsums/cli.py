@@ -30,6 +30,11 @@ from .qfield import DegenerateSpecError, RecurrenceSpec
 # CPython 3.11, a build takes 1-3 s and a `--check-terms 3r` pass up to 7 s
 # more; both grow about as r^4.
 GF_POWER_LIMIT = 128
+# Largest `gf --check-terms` served: the 3r-term check at the largest power.
+GF_CHECK_TERMS_LIMIT = 3 * GF_POWER_LIMIT
+# Largest |n| served by the term-by-term `seq` walk, which takes about 4 s
+# there; `seq --fast` serves any n >= 0 in log time.
+SEQ_WALK_LIMIT = 10**5
 
 
 def _fraction(text: str) -> Fraction:
@@ -170,6 +175,10 @@ def _cmd_seq(args) -> int:
             print("--fast requires a nonnegative index", file=sys.stderr)
             return 2
         value = seq.term_fast(handle, args.n)
+    elif abs(args.n) > SEQ_WALK_LIMIT:
+        print(f"|--n| {abs(args.n)} exceeds the walk limit of {SEQ_WALK_LIMIT}; "
+              f"use --fast for n >= 0", file=sys.stderr)
+        return 2
     else:
         value = seq.term(handle, args.n)
     print(value)
@@ -180,6 +189,10 @@ def _cmd_gf(args) -> int:
     if args.power > GF_POWER_LIMIT:
         print(f"--power {args.power} exceeds the limit of {GF_POWER_LIMIT}",
               file=sys.stderr)
+        return 2
+    if args.check_terms > GF_CHECK_TERMS_LIMIT:
+        print(f"--check-terms {args.check_terms} exceeds the limit of "
+              f"{GF_CHECK_TERMS_LIMIT}", file=sys.stderr)
         return 2
     spec = _spec_from_args(args)
     f = gfpow.gf_power(spec, args.power)
@@ -373,6 +386,9 @@ def main(argv=None) -> int:
     except audit.UnknownClaimError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except audit.AuditCellError as exc:
+        print(f"audit error: {exc}", file=sys.stderr)
+        return 3
     except EvalPoleError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 4

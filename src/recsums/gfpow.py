@@ -90,7 +90,7 @@ def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
     alpha, beta = roots(spec)
     a_coef, b_coef = binet_coeffs(spec)
     b = spec.b
-    vhandle = seq.companion(spec)
+    v = seq.store(seq.companion(spec)).term
     total = RationalFunction.zero()
     if r % 2 == 1:
         if style not in ODD_STYLES:
@@ -100,7 +100,7 @@ def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
             m = r - 2 * k
             num0 = a_coef**m - b_coef**m
             num1 = Fraction((-b) ** k) * (b_coef**m * alpha**m - a_coef**m * beta**m)
-            vm = (-b) ** k * seq.term(vhandle, m)
+            vm = (-b) ** k * v(m)
             if style == "printed":
                 den = Polynomial([1 - vm, 0, -1])
             elif style == "b1":
@@ -118,7 +118,7 @@ def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
             m = r - 2 * k
             num0 = b_coef**m + a_coef**m
             num1 = -Fraction((-b) ** k) * (b_coef**m * alpha**m + a_coef**m * beta**m)
-            vm = (-b) ** k * seq.term(vhandle, m)
+            vm = (-b) ** k * v(m)
             if style == "printed":
                 den = Polynomial([1, -vm, 1])
             else:
@@ -159,7 +159,7 @@ def display_r1(spec: RecurrenceSpec, variant: str = "printed") -> RationalFuncti
 def display_r2(spec: RecurrenceSpec) -> RationalFunction:
     """Square display: -A^2 (V_2 + 2) x (x - 1) / ((x + 1)(x^2 - V_2 x + 1))."""
     _require_u0_zero(spec)
-    v2 = seq.term(seq.companion(spec), 2)
+    v2 = seq.store(seq.companion(spec)).term(2)
     c = _a_squared(spec) * (v2 + 2)
     num = Polynomial([0, -c]) * Polynomial([-1, 1])
     den = Polynomial([1, 1]) * Polynomial([1, -v2, 1])
@@ -175,8 +175,8 @@ def display_r3(spec: RecurrenceSpec, variant: str = "printed") -> RationalFuncti
     """
     _require_u0_zero(spec)
     a, b, u1 = spec.a, spec.b, spec.u1
-    vh = seq.companion(spec)
-    v1, v3 = seq.term(vh, 1), seq.term(vh, 3)
+    v = seq.store(seq.companion(spec)).term
+    v1, v3 = v(1), v(3)
     den = Polynomial([1, -v3, -1]) * Polynomial([1, b * v1, -1])
     if variant == "printed":
         a4 = _a_squared(spec) ** 2

@@ -69,8 +69,8 @@ def _sum_pieces(spec: RecurrenceSpec, n: int, r: int, style: str):
     """Numerator/denominator pairs of the b = 1 closed form, plus the middle
     geometric piece for even r, as (prefactor, list[(num_poly, den_poly)],
     middle_poly).  style: "corrected" or "printed"."""
-    uh = seq.SequenceHandle(spec)
-    vh = seq.companion(spec)
+    u = seq.store(seq.SequenceHandle(spec)).term
+    v = seq.store(seq.companion(spec)).term
     a2 = spec.u1 * spec.u1 / Fraction(spec.discriminant)
     pieces = []
     if r % 2 == 1:
@@ -78,7 +78,6 @@ def _sum_pieces(spec: RecurrenceSpec, n: int, r: int, style: str):
         for k in range((r - 1) // 2 + 1):
             s = (-1) ** k
             m = r - 2 * k
-            u = lambda j: seq.term(uh, j)
             num = Polynomial(
                 [0, comb(r, k) * u(m)]
             ) - Polynomial([comb(r, k) * (-1) ** (k * n) * u(m * (n + 1))]).shift(
@@ -86,14 +85,13 @@ def _sum_pieces(spec: RecurrenceSpec, n: int, r: int, style: str):
             ) - Polynomial(
                 [comb(r, k) * (-1) ** (k * (n + 1)) * u(m * n)]
             ).shift(n + 2)
-            den = Polynomial([1, -s * seq.term(vh, m), -1])
+            den = Polynomial([1, -s * v(m), -1])
             pieces.append((num, den))
         return pref, pieces, None
     pref = a2 ** (r // 2)
     for k in range(r // 2):
         s = (-1) ** k
         m = r - 2 * k
-        v = lambda j: seq.term(vh, j)
         if style == "corrected":
             num = (
                 Polynomial([2 * s, -v(m)])
@@ -107,7 +105,7 @@ def _sum_pieces(spec: RecurrenceSpec, n: int, r: int, style: str):
                 - Polynomial([(-1) ** (k * (n + 1)) * v(m * n)]).shift(n + 2)
             )
         num = num.scale(comb(r, k))
-        den = Polynomial([1, -s * seq.term(vh, m), 1])
+        den = Polynomial([1, -s * v(m), 1])
         pieces.append((num, den))
     eps = (-1) ** (r // 2)
     middle = Polynomial([eps**i for i in range(n + 1)])
@@ -179,12 +177,12 @@ def corollary_r1(spec: RecurrenceSpec, n: int, variant: str = "printed") -> Rati
     """
     if variant not in ("printed", "shifted-exponent"):
         raise ValueError(f"unknown variant {variant!r}")
-    uh = seq.SequenceHandle(spec)
+    u = seq.store(seq.SequenceHandle(spec)).term
     last = n + 2 if variant == "printed" else n + 1
     inner = (
         Polynomial([spec.u1])
-        - Polynomial([seq.term(uh, n + 1)]).shift(n)
-        - Polynomial([seq.term(uh, n)]).shift(last)
+        - Polynomial([u(n + 1)]).shift(n)
+        - Polynomial([u(n)]).shift(last)
     )
     return RationalFunction(inner.shift(1), Polynomial([1, -spec.a, -1]))
 
@@ -252,8 +250,7 @@ def horadam_sums(p, q, variant: str, n: int, corrected: bool = False) -> Fractio
     if variant not in HORADAM_VARIANTS:
         raise ValueError(f"unknown table entry {variant!r}")
     p, q = Fraction(p), Fraction(q)
-    qh = seq.pell_q()
-    qq = lambda j: seq.term(qh, j)
+    qq = seq.store(seq.pell_q()).term
     if variant == "S4n":
         return qq(2 * n) * (p * qq(2 * n - 1) + q * qq(2 * n)) + p - q
     if variant == "S4n-2":
@@ -274,11 +271,4 @@ def horadam_sums(p, q, variant: str, n: int, corrected: bool = False) -> Fractio
 
 def horadam_direct(p, q, idx: int) -> Fraction:
     """sum_{i=1}^{idx} P_i for idx > 0, sum_{i=1}^{|idx|} P_{-i} for idx < 0."""
-    handle = seq.generalized_pell(p, q)
-    if idx >= 0:
-        return sum(
-            (seq.term(handle, i) for i in range(1, idx + 1)), Fraction(0)
-        )
-    return sum(
-        (seq.term(handle, -i) for i in range(1, -idx + 1)), Fraction(0)
-    )
+    return seq.store(seq.generalized_pell(p, q)).prefix_sum(idx)

@@ -1,12 +1,15 @@
 """Tests for the claim registry, grid runner, and report formats."""
 
+import dataclasses
 import json
 
 import pytest
 
-from recsums.audit import (REGISTRY, UnknownClaimError, has_unexplained_failure,
-                           report, run_audit, structured_report,
-                           structured_report_text, text_report)
+from recsums.audit import (REGISTRY, AuditCellError, UnknownClaimError,
+                           has_unexplained_failure, report, run_audit,
+                           structured_report, structured_report_text,
+                           text_report)
+from recsums.qfield import NotRationalError
 
 
 def test_every_claim_has_a_nonempty_default_grid():
@@ -54,6 +57,30 @@ def test_eq1_finding_recorded_with_witness():
 def test_unknown_claim_rejected():
     with pytest.raises(UnknownClaimError):
         run_audit(["cor99-x"])
+
+
+def _break_cell(monkeypatch, cid, n):
+    """Make claim `cid` raise NotRationalError on its cell with params n."""
+    claim = REGISTRY[cid]
+
+    def check(params):
+        if params["n"] == n:
+            raise NotRationalError("sqrt(5) part left over")
+        return claim.check(params)
+
+    monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(claim, check=check))
+
+
+def test_check_error_names_claim_and_cell(monkeypatch):
+    _break_cell(monkeypatch, "cor7-1", 2)
+    with pytest.raises(AuditCellError) as info:
+        run_audit(["cor7-1"], max_n=4)
+    err = info.value
+    assert not isinstance(err, ValueError)
+    assert (err.claim_id, err.params) == ("cor7-1", {"n": 2})
+    assert isinstance(err.__cause__, NotRationalError)
+    assert "cor7-1" in str(err) and "'n': 2" in str(err)
+    assert "sqrt(5) part left over" in str(err)
 
 
 def test_empty_results_report():

@@ -1,10 +1,12 @@
 """Tests for binomial-weighted sums, collapses, corollaries, and congruences."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from recsums.binsum import (binom_sum_closed, binom_sum_direct, binomial,
+from recsums import seq
+from recsums.binsum import (binom_sum_closed, binom_sum_direct,
                             congruence_check, congruence_exponents,
                             congruence_lhs, corollary_identity,
                             divisible_by_5_pow, fib_weighted_closed,
@@ -42,9 +44,19 @@ def test_closed_equals_direct_small_grid(spec, r):
             assert binom_sum_closed(spec, r, n, x) == binom_sum_direct(spec, r, n, x)
 
 
-def test_binomial_is_exact():
-    assert binomial(10, 3) == 120
-    assert binomial(0, 0) == 1
+@pytest.mark.parametrize("spec", (
+    RecurrenceSpec(1, 1, Fraction(1, 2), Fraction(1, 3)),
+    RecurrenceSpec(3, -2, Fraction(-2, 5), Fraction(7, 4)),
+    RecurrenceSpec(0, -3, 1, Fraction(-1, 6)),
+))
+def test_direct_equals_fraction_sum_over_walked_terms(spec):
+    handle = seq.SequenceHandle(spec)
+    for x in (Fraction(2, 3), Fraction(-5, 4), Fraction(0), Fraction(3)):
+        for r in (1, 2, 3):
+            for n in (0, 1, 7, 30):
+                plain = sum((comb(n, i) * seq.term(handle, i) ** r * x**i
+                             for i in range(n + 1)), Fraction(0))
+                assert binom_sum_direct(spec, r, n, x) == plain
 
 
 def test_root_power_collapse_examples():

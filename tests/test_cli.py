@@ -1,12 +1,13 @@
 """Tests for the command-line interface: outputs, exit codes, round-trips."""
 
+import dataclasses
 import json
 
 import pytest
 
-from recsums import gfpow
-from recsums.cli import (GF_POWER_LIMIT, main, parse_polynomial,
-                         parse_rational_function)
+from recsums import audit, gfpow, seq
+from recsums.cli import (GF_CHECK_TERMS_LIMIT, GF_POWER_LIMIT, SEQ_WALK_LIMIT,
+                         main, parse_polynomial, parse_rational_function)
 from recsums.gfpow import gf_power
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
@@ -26,6 +27,25 @@ def test_seq_fibonacci(capsys):
 def test_seq_lucas_initial_term(capsys):
     code, out, _ = run_cli(capsys, "seq", "--preset", "lucas", "--n", "0")
     assert (code, out.strip()) == (0, "2")
+
+
+def test_seq_walk_fills_no_store(capsys):
+    before = seq.store.cache_info()
+    code, out, _ = run_cli(capsys, "seq", "--a", "1", "--b", "1", "--u0", "0",
+                           "--u1", "7", "--n", "300")
+    assert code == 0 and out.strip() == str(7 * seq.term_fast(seq.fibonacci(), 300))
+    assert seq.store.cache_info() == before
+
+
+@pytest.mark.parametrize("n", (SEQ_WALK_LIMIT + 1, -SEQ_WALK_LIMIT - 1))
+def test_seq_walk_beyond_the_limit_exits_two(capsys, monkeypatch, n):
+    def refuse(*args):
+        raise AssertionError("the walk ran past the limit")
+
+    monkeypatch.setattr(seq, "term", refuse)
+    code, out, err = run_cli(capsys, "seq", "--preset", "fibonacci", "--n", str(n))
+    assert (code, out) == (2, "")
+    assert str(SEQ_WALK_LIMIT) in err and "--fast" in err
 
 
 def test_seq_negative_index_and_fast(capsys):
@@ -87,6 +107,30 @@ def test_gf_power_beyond_the_limit_exits_two(capsys, monkeypatch):
                              "--power", limit)
     assert (code, out) == (2, "")
     assert str(GF_POWER_LIMIT) in err
+
+
+def test_gf_check_terms_beyond_the_limit_exits_two(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gf_power ran past the limit")
+
+    monkeypatch.setattr(gfpow, "gf_power", refuse)
+    code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci", "--power", "2",
+                             "--check-terms", str(GF_CHECK_TERMS_LIMIT + 1))
+    assert (code, out) == (2, "")
+    assert str(GF_CHECK_TERMS_LIMIT) in err
+
+
+def test_audit_cell_error_exits_three(capsys, monkeypatch):
+    claim = audit.REGISTRY["cor7-1"]
+
+    def check(params):
+        raise ValueError("a check that breaks")
+
+    monkeypatch.setitem(audit.REGISTRY, "cor7-1",
+                        dataclasses.replace(claim, check=check))
+    code, out, err = run_cli(capsys, "audit", "--claims", "cor7-1", "--max-n", "2")
+    assert (code, out) == (3, "")
+    assert "cor7-1" in err and "a check that breaks" in err
 
 
 def test_gf_self_check_failure_exits_three(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from recsums import seq
 from recsums.partsum import (HORADAM_VARIANTS, PartialSumQuery, corollary_r1,
                              horadam_direct, horadam_index, horadam_sums,
                              partial_sum_closed, partial_sum_direct,
@@ -139,6 +140,16 @@ def test_horadam_table_printed_and_corrected():
                     assert horadam_sums(p, q, name, n, corrected=True) == direct
                 else:
                     assert printed == direct
+
+
+@pytest.mark.parametrize("pq", ((1, 2), (2, 5), (Fraction(1, 3), Fraction(-5, 2))))
+def test_horadam_direct_equals_summed_walk(pq):
+    handle = seq.generalized_pell(*pq)
+    for idx in range(0, 42):
+        for sign in (1, -1):
+            plain = sum((seq.term(handle, sign * i) for i in range(1, idx + 1)),
+                        Fraction(0))
+            assert horadam_direct(*pq, sign * idx) == plain
 
 
 def test_horadam_rejects_bad_input():
