@@ -4,12 +4,16 @@
 
     sum_{k=0}^r C(r,k) A^k (-B)^{r-k} (1 + alpha^k beta^{r-k} x)^n
 
-in exact field arithmetic and rationalizes; it carries no b = 1 caveat.  The
-Fibonacci specializations at x = +/-1 (Lucas/Fibonacci collapses, the ten
-displayed identities, and the 5-adic congruences) are evaluated side by side
-with the direct sums; every printed right-hand side is a claim object, and the
-nearest derivation-consistent variant is evaluated wherever a printed
-subscript or coefficient fails the oracle.
+over Q, one Galois-conjugate pair of terms at a time: each pair is a
+rational second-order sequence in n (:func:`recsums.seq.binet_pairs`), read
+off by the doubling kernel ``seq.lucas_term``.  It carries no b = 1 caveat.
+Only ``root_power_collapse``, a statement about Q(sqrt(5)) itself, computes
+with ``QuadElem``.  The Fibonacci specializations at x = +/-1
+(Lucas/Fibonacci collapses, the ten displayed identities, and the 5-adic
+congruences) are evaluated side by side with the direct sums; every printed
+right-hand side is a claim object, and the nearest derivation-consistent
+variant is evaluated wherever a printed subscript or coefficient fails the
+oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from math import comb
 
 from . import seq
-from .qfield import QuadElem, RecurrenceSpec, binet_coeffs, rationalize, roots
+from .qfield import QuadElem, RecurrenceSpec, roots
 
 # The store accessor under its old cache's name: bench/worker.py reads
 # binsum._term_prefix.cache_info() for the benchmark's term_prefix metrics.
@@ -26,39 +30,28 @@ _term_prefix = seq.store
 
 
 def binom_sum_direct(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
-    """sum_{i=0}^n C(n,i) U_i^r x^i by direct exact summation.
-
-    With U_i = N_i / d from the prefix store and x = p / q, the sum is
-    sum_i C(n,i) N_i^r p^i q^(n-i) over d^r q^n: integers until one division.
-    """
+    """sum_{i=0}^n C(n,i) U_i^r x^i by direct exact summation over the store."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    x = Fraction(x)
-    st = seq.store(seq.SequenceHandle(spec))
-    p, q = x.numerator, x.denominator
-    total = 0
-    c = 1
-    pp = 1
-    for i, num in enumerate(st.numerators(n + 1)):
-        # Horner in q: after step i, total = sum_{j<=i} C(n,j) N_j^r p^j q^(i-j)
-        total = total * q + c * num**r * pp
-        c = c * (n - i) // (i + 1)
-        pp *= p
-    return Fraction(total, st.den**r * q**n)
+    return seq.store(seq.SequenceHandle(spec)).power_sum(r, n, x, binomial=True)
 
 
 def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
-    """Closed-form value; equals binom_sum_direct exactly for every spec."""
+    """Closed-form value; equals binom_sum_direct exactly for every spec.
+
+    Pair k of ``seq.binet_pairs`` contributes c_k (1 + t_k)^n plus its
+    conjugate: a rational sequence with roots 1 + t_k, 1 + t_{r-k}, so
+    P' = 2 + P, Q' = 1 + P + Q, and initial values w0, w0 + w1.
+    """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    x = Fraction(x)
-    alpha, beta = roots(spec)
-    a_coef, b_coef = binet_coeffs(spec)
-    total = 0
-    for k in range(r + 1):
-        base = 1 + alpha**k * beta ** (r - k) * x
-        total = total + comb(r, k) * a_coef**k * (-b_coef) ** (r - k) * base**n
-    return rationalize(total)
+    pairs, middle = seq.binet_pairs(spec, r, x)
+    total = sum((seq.lucas_term(2 + p, 1 + p + q, w0, w0 + w1, n)
+                 for w0, w1, p, q in pairs), Fraction(0))
+    if middle is not None:
+        c, t = middle
+        total += c * (1 + t) ** n
+    return total
 
 
 # --- Fibonacci/Lucas scalar helpers -----------------------------------------
@@ -108,6 +101,32 @@ WEIGHTED_FAMILIES = (
 )
 
 
+def _t6_4r_sum(r: int, n: int) -> int:
+    """The integer bracket of T6-4r (and the cor8-v sum)."""
+    return sum(
+        (-1) ** (k * (n + 1)) * comb(4 * r, k) * _luc(2 * r - k) ** n
+        * _luc((2 * r - k) * n)
+        for k in range(2 * r)
+    ) + comb(4 * r, 2 * r) * 2**n
+
+
+def _t6_4r2_odd_sum(r: int, n: int) -> int:
+    """The integer sum of T6-4r2-odd (and cor8-iii)."""
+    return sum(
+        comb(4 * r + 2, k) * _fib(2 * r + 1 - k) ** n * _fib(n * (2 * r + 1 - k))
+        for k in range(2 * r + 1)
+    )
+
+
+def _t6_4r2_even_sum(r: int, n: int) -> int:
+    """The integer sum of T6-4r2-even (and cor8-iv)."""
+    return sum(
+        (-1) ** k * comb(4 * r + 2, k) * _fib(2 * r + 1 - k) ** n
+        * _luc(n * (2 * r + 1 - k))
+        for k in range(2 * r + 1)
+    )
+
+
 def fib_weighted_closed(family: str, r: int, n: int, variant: str = "printed") -> Fraction:
     """Printed right-hand side of one closed-form family, exact in Q.
 
@@ -118,29 +137,15 @@ def fib_weighted_closed(family: str, r: int, n: int, variant: str = "printed") -
         raise ValueError(f"unknown family {family!r}")
     five = Fraction(5)
     if family == "T6-4r":
-        acc = sum(
-            (-1) ** (k * (n + 1)) * comb(4 * r, k) * _luc(2 * r - k) ** n
-            * _luc((2 * r - k) * n)
-            for k in range(2 * r)
-        )
-        return five ** (-2 * r) * (acc + comb(4 * r, 2 * r) * 2**n)
+        return five ** (-2 * r) * _t6_4r_sum(r, n)
     if family == "T6-4r2-odd":
         if n % 2 == 0:
             raise ValueError("this family needs odd n")
-        acc = sum(
-            comb(4 * r + 2, k) * _fib(2 * r + 1 - k) ** n * _fib(n * (2 * r + 1 - k))
-            for k in range(2 * r + 1)
-        )
-        return five ** ((n + 1) // 2 - (2 * r + 1)) * acc
+        return five ** ((n + 1) // 2 - (2 * r + 1)) * _t6_4r2_odd_sum(r, n)
     if family == "T6-4r2-even":
         if n % 2 == 1:
             raise ValueError("this family needs even n")
-        acc = sum(
-            (-1) ** k * comb(4 * r + 2, k) * _fib(2 * r + 1 - k) ** n
-            * _luc(n * (2 * r + 1 - k))
-            for k in range(2 * r + 1)
-        )
-        return five ** (n // 2 - (2 * r + 1)) * acc
+        return five ** (n // 2 - (2 * r + 1)) * _t6_4r2_even_sum(r, n)
     if family in ("T9-4r-even", "T9-4r-odd"):
         sub = (lambda k: (4 * r - 2 * k) * n) if variant == "printed" else (
             lambda k: (2 * r - k) * n
@@ -260,22 +265,11 @@ def congruence_lhs(claim: str, n: int, r: int = 0) -> int:
     if claim == "cor8-ii":
         return 3**n * _luc(2 * n) - 4 * (-1) ** n * _luc(n) + 6 * 2**n
     if claim == "cor8-iii":
-        return sum(
-            comb(4 * r + 2, k) * _fib(2 * r + 1 - k) ** n * _fib(n * (2 * r + 1 - k))
-            for k in range(2 * r + 1)
-        )
+        return _t6_4r2_odd_sum(r, n)
     if claim == "cor8-iv":
-        return sum(
-            (-1) ** k * comb(4 * r + 2, k) * _fib(2 * r + 1 - k) ** n
-            * _luc(n * (2 * r + 1 - k))
-            for k in range(2 * r + 1)
-        )
+        return _t6_4r2_even_sum(r, n)
     if claim == "cor8-v":
-        return sum(
-            (-1) ** (k * (n + 1)) * comb(4 * r, k) * _luc(2 * r - k) ** n
-            * _luc((2 * r - k) * n)
-            for k in range(2 * r)
-        ) + comb(4 * r, 2 * r) * 2**n
+        return _t6_4r_sum(r, n)
     if claim == "cor11-i":
         return (-1) ** n * _luc(n) - 2 ** (n + 1)
     if claim == "cor11-ii":
@@ -307,21 +301,3 @@ def divisible_by_5_pow(value: int, exponent: int) -> bool:
         return True
     v = padic_valuation(value)
     return v is not None and v >= exponent
-
-
-def congruence_check(claim: str, cells) -> list[dict]:
-    """Per-cell divisibility verdicts over an iterable of (r, n) pairs.
-
-    Each row records the exact sum, its 5-adic valuation, and a verdict for
-    every required exponent registered for the claim.
-    """
-    rows = []
-    for r, n in cells:
-        lhs = congruence_lhs(claim, n, r)
-        exps = congruence_exponents(claim, n, r)
-        row = {"r": r, "n": n, "lhs": lhs, "valuation": padic_valuation(lhs)}
-        for name, e in exps.items():
-            row[f"{name}_exponent"] = e
-            row[f"{name}_ok"] = divisible_by_5_pow(lhs, e)
-        rows.append(row)
-    return rows

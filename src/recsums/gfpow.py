@@ -14,10 +14,11 @@ degree <= r and denominators of degree <= r+1 are equal once they agree mod
 x^{2r+2}, so the check proves the result equals the series, and the truth
 stays derived from brute force rather than from the Binet closed form.
 
-``paired_form`` evaluates the paired-term closed form itself from the Binet
-coefficients over Q(sqrt(D)): quadratic denominators
-1 - (-b)^k V_{r-2k} x + (-b)^r x^2, plus the k = r/2 pole
-1/(1 - (-b)^{r/2} x) for even r.  Its "general" style is the exact form; the
+``paired_form`` evaluates the paired-term closed form itself, over Q: each
+Galois-conjugate pair of Binet terms is one rational second-order sequence
+(:func:`recsums.seq.binet_pairs`), whose generating function has the quadratic
+denominator 1 - (-b)^k V_{r-2k} x + (-b)^r x^2; even r adds the k = r/2 pole
+1/(1 - (-b)^{r/2} x).  Its "general" style is the exact form; the
 audit registry also builds the less-corrected readings of that form to
 document exactly which printings hold and under what hypotheses; see
 :mod:`recsums.audit`.
@@ -26,11 +27,10 @@ document exactly which printings hold and under what hypotheses; see
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from . import seq
-from .polyrat import Polynomial, PowerSeries, RationalFunction, descend
-from .qfield import RecurrenceSpec, binet_coeffs, roots
+from .polyrat import Polynomial, PowerSeries, RationalFunction
+from .qfield import RecurrenceSpec
 
 
 class SelfCheckError(ArithmeticError):
@@ -86,50 +86,34 @@ EVEN_STYLES = ("printed", "general")
 
 
 def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
-    """Paired-term closed form for the power generating function, descended to Q."""
-    alpha, beta = roots(spec)
-    a_coef, b_coef = binet_coeffs(spec)
-    b = spec.b
-    v = seq.store(seq.companion(spec)).term
+    """Paired-term closed form for the power generating function, over Q.
+
+    Pair k contributes sum_i w_i x^i = (w0 + (w1 - P w0) x) / (1 - P x + Q x^2)
+    with (w0, w1, P, Q) from ``seq.binet_pairs`` at x = 1; the styles change
+    only that denominator and the middle pole.
+    """
+    if style not in (ODD_STYLES if r % 2 else EVEN_STYLES):
+        case = "odd" if r % 2 else "even"
+        raise ValueError(f"unknown {case}-case style {style!r}")
+    pairs, middle = seq.binet_pairs(spec, r, 1)
     total = RationalFunction.zero()
-    if r % 2 == 1:
-        if style not in ODD_STYLES:
-            raise ValueError(f"unknown odd-case style {style!r}")
-        for k in range((r - 1) // 2 + 1):
-            pref = (-1) ** k * (a_coef * b_coef) ** k * comb(r, k)
-            m = r - 2 * k
-            num0 = a_coef**m - b_coef**m
-            num1 = Fraction((-b) ** k) * (b_coef**m * alpha**m - a_coef**m * beta**m)
-            vm = (-b) ** k * v(m)
-            if style == "printed":
-                den = Polynomial([1 - vm, 0, -1])
-            elif style == "b1":
-                den = Polynomial([1, -vm, -1])
-            else:
-                den = Polynomial([1, -vm, (-b) ** r])
-            total = total + RationalFunction(
-                Polynomial([pref * num0, pref * num1]), den
-            )
-    else:
-        if style not in EVEN_STYLES:
-            raise ValueError(f"unknown even-case style {style!r}")
-        for k in range(r // 2):
-            pref = (-1) ** k * (a_coef * b_coef) ** k * comb(r, k)
-            m = r - 2 * k
-            num0 = b_coef**m + a_coef**m
-            num1 = -Fraction((-b) ** k) * (b_coef**m * alpha**m + a_coef**m * beta**m)
-            vm = (-b) ** k * v(m)
-            if style == "printed":
-                den = Polynomial([1, -vm, 1])
-            else:
-                den = Polynomial([1, -vm, (-b) ** r])
-            total = total + RationalFunction(
-                Polynomial([pref * num0, pref * num1]), den
-            )
-        mid = comb(r, r // 2) * a_coef ** (r // 2) * (-b_coef) ** (r // 2)
-        pole = (-1) ** (r // 2) if style == "printed" else (-b) ** (r // 2)
-        total = total + RationalFunction(Polynomial([mid]), Polynomial([1, -pole]))
-    return descend(total)
+    for w0, w1, p, q in pairs:
+        if style == "general":
+            den = [1, -p, q]
+        elif r % 2 == 0:
+            den = [1, -p, 1]
+        elif style == "b1":
+            den = [1, -p, -1]
+        else:
+            den = [1 - p, 0, -1]
+        total = total + RationalFunction(Polynomial([w0, w1 - p * w0]),
+                                         Polynomial(den))
+    if middle is not None:
+        c, pole = middle
+        if style == "printed":
+            pole = (-1) ** (r // 2)
+        total = total + RationalFunction(Polynomial([c]), Polynomial([1, -pole]))
+    return total
 
 
 # --- the three displayed first-power/square/cube forms (U_0 = 0, b = 1) -----

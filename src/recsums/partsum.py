@@ -3,10 +3,11 @@
 The closed forms here assume U_0 = 0 and are stated for b = 1 (both classical
 exemplar sequences, the Fibonacci and Pell families, have b = 1); the general-b
 evaluator ``partial_sum_general_b`` comes straight from the geometric-sum
-identity and is exact for every nonzero b.  The published even-power closed
-form is garbled (sign flips and a dropped constant term); ``partial_sum_closed``
-uses the corrected form, and the audit registry keeps the printed one as a
-failing claim with the corrected variant attached.
+identity, summed over Q one Binet pair at a time
+(:func:`recsums.seq.binet_pairs`), and is exact for every nonzero b.  The
+published even-power closed form is garbled (sign flips and a dropped constant
+term); ``partial_sum_closed`` uses the corrected form, and the audit registry
+keeps the printed one as a failing claim with the corrected variant attached.
 
 Also here: the eight closed-form partial sums for the generalized Pell
 sequence P_1 = p, P_2 = q, P_{n+1} = 2 P_n + P_{n-1}, expressed through the
@@ -22,7 +23,7 @@ from math import comb
 
 from . import seq
 from .polyrat import EvalPoleError, Polynomial, RationalFunction, poly_to_text
-from .qfield import RecurrenceSpec, binet_coeffs, rationalize, roots
+from .qfield import RecurrenceSpec
 
 SYMBOLIC_LIMIT = 32
 
@@ -59,10 +60,9 @@ def _require_closed(q: PartialSumQuery):
 def partial_sum_direct(q: PartialSumQuery):
     """Exact finite sum by direct evaluation; works for any initial values."""
     handle = seq.SequenceHandle(q.spec)
-    powers = [t**q.r for t in seq.terms(handle, q.n + 1)]
     if q.x is None:
-        return Polynomial(powers)
-    return sum((p * q.x**i for i, p in enumerate(powers)), Fraction(0))
+        return Polynomial([t**q.r for t in seq.terms(handle, q.n + 1)])
+    return seq.store(handle).power_sum(q.r, q.n, q.x, binomial=False)
 
 
 def _sum_pieces(spec: RecurrenceSpec, n: int, r: int, style: str):
@@ -187,39 +187,48 @@ def corollary_r1(spec: RecurrenceSpec, n: int, variant: str = "printed") -> Rati
     return RationalFunction(inner.shift(1), Polynomial([1, -spec.a, -1]))
 
 
-def partial_sum_general_b(q: PartialSumQuery, strict: bool = False) -> Fraction:
+def _geometric_pair_sum(w0, w1, p, q, n: int) -> Fraction:
+    """sum_{i=0}^n w_i for w_{i+1} = p w_i - q w_{i-1} (a geometric sum if q = 0).
+
+    Summing the recurrence gives
+    (1 - p + q) S = w0 + w1 - p w0 - w_{n+1} + q w_n.
+    When 1 - p + q = 0, one root is 1 and the other is q, so
+    w_i = (w0 - e) + e q^i with e = (w1 - w0) / (q - 1); when q = 1 as well,
+    the root 1 is double and w_i = w0 + (w1 - w0) i.
+    """
+    f = 1 - p + q
+    if f:
+        w_n, w_next = (seq.lucas_term(p, q, w0, w1, i) for i in (n, n + 1))
+        return (w0 + w1 - p * w0 - w_next + q * w_n) / f
+    if q != 1:
+        e = (w1 - w0) / (q - 1)
+        return (n + 1) * (w0 - e) + e * (q ** (n + 1) - 1) / (q - 1)
+    return (n + 1) * w0 + (w1 - w0) * Fraction(n * (n + 1), 2)
+
+
+def partial_sum_general_b(q: PartialSumQuery) -> Fraction:
     """Exact partial sum for any nonzero b, from the geometric-sum identity
 
-        S = A^r sum_k (-1)^{r-k} C(r,k) ((t_k)^{n+1} - 1) / (t_k - 1),
+        S = sum_k C(r,k) A^k (-B)^{r-k} sum_{i=0}^n t_k^i,
         t_k = alpha^k beta^{r-k} x,
 
-    evaluated in Q(sqrt(D)) and rationalized.  Requires u0 = 0.
+    summed over Q one Galois-conjugate pair (k, r-k) at a time, as the
+    rational sequence of ``seq.binet_pairs``.  Requires u0 = 0.
 
-    t_k = 1 is a removable case, not a pole: the finite geometric sum is then
-    simply n + 1 (specs with a rational root of unit modulus hit it, e.g.
-    beta = -1 for a = 1, b = 2).  strict=True reports the offending k instead
-    of evaluating it.
+    t_k = 1 is a removable case, not a pole: the pair then has the root 1
+    (specs with a rational root of unit modulus hit it, e.g. beta = -1 for
+    a = 1, b = 2), and its sum is taken from the closed form for that root.
     """
     if q.spec.u0 != 0:
         raise ValueError("closed forms require u0 = 0")
     if q.x is None:
         raise ValueError("general-b evaluator is pointwise; pass x")
-    alpha, beta = roots(q.spec)
-    a_coef, _ = binet_coeffs(q.spec)
-    total = 0
-    for k in range(q.r + 1):
-        t = alpha**k * beta ** (q.r - k) * q.x
-        if t == 1:
-            if strict:
-                raise EvalPoleError(
-                    f"geometric-sum singularity at k = {k}: "
-                    "alpha^k beta^(r-k) x = 1"
-                )
-            piece = Fraction(q.n + 1)
-        else:
-            piece = (t ** (q.n + 1) - 1) / (t - 1)
-        total = total + (-1) ** (q.r - k) * comb(q.r, k) * piece
-    return rationalize(a_coef**q.r * total)
+    pairs, middle = seq.binet_pairs(q.spec, q.r, q.x)
+    total = sum((_geometric_pair_sum(*pair, q.n) for pair in pairs), Fraction(0))
+    if middle is not None:
+        c, t = middle
+        total += _geometric_pair_sum(c, c * t, t, 0, q.n)
+    return total
 
 
 # --- generalized Pell partial-sum table -------------------------------------

@@ -1,10 +1,11 @@
-"""Field-generic polynomials, canonical rational functions, truncated series.
+"""Polynomials over Q, canonical rational functions, truncated series.
 
-Coefficients are Fractions or QuadElems (anything honoring the shared scalar
-protocol of :mod:`recsums.qfield`).  Rational functions are kept in a canonical
-reduced form: gcd(num, den) is a unit, and the denominator is scaled so its
-constant term is 1 when possible (monic otherwise), so generating-function
-denominators print in the familiar ``1 - x - x^2`` shape.
+Every coefficient is a Fraction: the closed forms reach their rational
+functions through rational Binet pairs (:func:`recsums.seq.binet_pairs`), so
+nothing here is generic over a field.  Rational functions are kept in a
+canonical reduced form: gcd(num, den) is a unit, and the denominator is scaled
+so its constant term is 1 when possible (monic otherwise), so
+generating-function denominators print in the familiar ``1 - x - x^2`` shape.
 """
 
 from __future__ import annotations
@@ -12,17 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qfield import NotRationalError, QuadElem, Scalar, rationalize
-
 
 class EvalPoleError(ValueError):
     """Evaluation or expansion hit a zero of the denominator."""
-
-
-def _hash_key(c):
-    if isinstance(c, QuadElem):
-        return (c.rat, c.coef, c.disc) if c.coef else c.rat
-    return c
 
 
 class Polynomial:
@@ -31,7 +24,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, QuadElem) else Fraction(c) for c in coeffs]
+        cs = [Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -45,7 +38,7 @@ class Polynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -54,18 +47,17 @@ class Polynomial:
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        # __eq__ matches a QuadElem with no sqrt part to its rational value and
-        # a constant polynomial to its coefficient; the hash must do the same
-        keys = tuple(_hash_key(c) for c in self.coeffs)
-        if len(keys) > 1:
-            return hash(keys)
-        return hash(keys[0] if keys else 0)
+        # __eq__ matches a constant polynomial to its coefficient; the hash
+        # must do the same
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0] if self.coeffs else 0)
 
     def coeff(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial([self.coeff(i) + other.coeff(i) for i in range(n)])
@@ -76,7 +68,7 @@ class Polynomial:
         return Polynomial([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             other = Polynomial([other])
         return self + (-other)
 
@@ -84,7 +76,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not self.coeffs or not other.coeffs:
             return Polynomial()
@@ -167,7 +159,7 @@ def _coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
     """
     polys = []
     for f in (p, q):
-        if not f or not all(isinstance(c, Fraction) for c in f.coeffs):
+        if not f:
             return False
         if any(c.denominator % GCD_PRIME == 0 for c in f.coeffs):
             return False
@@ -199,10 +191,10 @@ def _euclid_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Gcd over the coefficient field, returned monic.
+    """Gcd over Q, returned monic.
 
-    Rational pairs proven coprime mod a large prime return 1 at once; every
-    other pair runs Euclid over the coefficient field.
+    Pairs proven coprime mod a large prime return 1 at once; every other pair
+    runs Euclid.
     """
     if _coprime_mod_prime(p, q):
         return Polynomial([1])
@@ -226,17 +218,6 @@ class PowerSeries:
         coeffs = tuple(coeffs)
         return cls(coeffs, len(coeffs))
 
-    def convolve(self, other: PowerSeries) -> PowerSeries:
-        """Truncated Cauchy product, to the shorter of the two orders."""
-        n = min(self.order, other.order)
-        out = []
-        for i in range(n):
-            acc = Fraction(0)
-            for j in range(i + 1):
-                acc = acc + self.coefficients[j] * other.coefficients[i - j]
-            out.append(acc)
-        return PowerSeries.of(out)
-
 
 class RationalFunction:
     """num/den in canonical form: gcd-reduced, den(0) = 1 when den(0) != 0."""
@@ -256,7 +237,7 @@ class RationalFunction:
         c0 = den.coeff(0)
         scale = c0 if c0 else den.coeffs[-1]
         if scale != 1:
-            inv = 1 / scale if isinstance(scale, Fraction) else scale.invert()
+            inv = 1 / scale
             num = num.scale(inv)
             den = den.scale(inv)
         if not num:
@@ -295,7 +276,7 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, QuadElem)):
+        if isinstance(other, (int, Fraction)):
             return RationalFunction(self.num.scale(other), self.den)
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -335,26 +316,6 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
-def descend(f: RationalFunction | Polynomial):
-    """Re-type a Q(sqrt(D)) object over Q; every coefficient must be rational.
-
-    A non-rational coefficient raises NotRationalError carrying the offender;
-    callers treat that as an audit failure signal, not a crash.
-    """
-    if isinstance(f, Polynomial):
-        return Polynomial([rationalize(c) for c in f.coeffs])
-    return RationalFunction(descend(f.num), descend(f.den))
-
-
-def lift(f: RationalFunction | Polynomial, disc: int):
-    """Embed a rational-coefficient object into Q(sqrt(disc))."""
-    if isinstance(f, Polynomial):
-        return Polynomial(
-            [QuadElem(rationalize(c), Fraction(0), disc) for c in f.coeffs]
-        )
-    return RationalFunction(lift(f.num, disc), lift(f.den, disc))
-
-
 # --- plain-text / LaTeX rendering (ascending degree, explicit signs) -------
 
 
@@ -380,7 +341,6 @@ def _poly_terms(p: Polynomial, latex: bool) -> list[tuple[bool, str]]:
     for k, c in enumerate(p.coeffs):
         if not c:
             continue
-        c = rationalize(c)
         terms.append((c < 0, _term_body(c, k, latex)))
     return terms
 

@@ -1,14 +1,17 @@
-"""Exact arithmetic over Q and over quadratic extensions Q(sqrt(D)).
+"""Recurrence specs, and exact arithmetic in quadratic extensions Q(sqrt(D)).
 
-Two scalar carriers share one operator protocol: ``fractions.Fraction`` for
-rational values and ``QuadElem`` for values p + q*sqrt(D) with D a non-square
-integer.  All downstream code (polynomials, generating functions, sums) is
-written against that shared protocol and never needs to know which carrier it
-received.
+``RecurrenceSpec`` holds the parameters every other module works from.
+``QuadElem`` holds values p + q*sqrt(D) with D a non-square integer, and
+``roots``/``binet_coeffs`` give the Binet data alpha, beta, A and B in it.
+The closed forms do not compute here: with rational initial values, Binet
+terms come in Galois-conjugate pairs whose sums are rational, and
+:func:`recsums.seq.binet_pairs` evaluates them over Q.  QuadElem remains for
+statements that are themselves about Q(sqrt(5)) (``binsum.root_power_collapse``)
+and as the independent Binet reference the tests compare the pairs against.
 
 Square discriminants never construct a QuadElem: Q[t]/(t^2 - D) has zero
 divisors when D is a perfect square, so inversion would fail there.  Specs
-with a square discriminant get rational roots and run over plain Fractions.
+with a square discriminant get rational roots as plain Fractions.
 Negative discriminants are allowed; the arithmetic is formally identical and
 every sequence value still rationalizes.
 """
@@ -167,25 +170,7 @@ class QuadElem:
         return f"QuadElem({self.rat!r}, {self.coef!r}, {self.disc})"
 
 
-Scalar = Fraction | QuadElem
-
-
-def conjugate(x: Scalar) -> Scalar:
-    """Galois conjugation sqrt(D) -> -sqrt(D); identity on rationals."""
-    if isinstance(x, QuadElem):
-        return x.conjugate()
-    return Fraction(x)
-
-
-def invert(x: Scalar) -> Scalar:
-    if isinstance(x, QuadElem):
-        return x.invert()
-    if not x:
-        raise ZeroDivisionError("inversion of zero element")
-    return 1 / Fraction(x)
-
-
-def rationalize(x: Scalar | int) -> Fraction:
+def rationalize(x: Fraction | QuadElem | int) -> Fraction:
     """Return x as a Fraction; raise NotRationalError if the sqrt part is nonzero."""
     if isinstance(x, QuadElem):
         if x.coef:
@@ -226,7 +211,7 @@ class RecurrenceSpec:
         return f"a={self.a},b={self.b},u0={self.u0},u1={self.u1}"
 
 
-def roots(spec: RecurrenceSpec) -> tuple[Scalar, Scalar]:
+def roots(spec: RecurrenceSpec) -> tuple[Fraction | QuadElem, Fraction | QuadElem]:
     """Characteristic roots (alpha, beta) of x^2 - a x - b.
 
     alpha carries the +sqrt(D) branch.  For a square discriminant both roots
@@ -244,7 +229,7 @@ def roots(spec: RecurrenceSpec) -> tuple[Scalar, Scalar]:
     return alpha, beta
 
 
-def binet_coeffs(spec: RecurrenceSpec) -> tuple[Scalar, Scalar]:
+def binet_coeffs(spec: RecurrenceSpec) -> tuple[Fraction | QuadElem, Fraction | QuadElem]:
     """Coefficients (A, B) with U_n = A*alpha^n - B*beta^n; A = B when U_0 = 0."""
     alpha, beta = roots(spec)
     delta = alpha - beta

@@ -1,4 +1,4 @@
-"""Direct evaluation of recurrence sequences: prefix stores, fast doubling, the reference walk.
+"""Recurrence sequences: prefix stores, the reference walk, fast doubling, Binet pairs.
 
 A ``SequenceHandle`` pairs a :class:`RecurrenceSpec` with a kind tag: ``U`` for
 the general sequence with the spec's initial values, ``V`` for the companion
@@ -14,8 +14,13 @@ bounded in a long-lived process.
 
 ``term`` is the plain walk in exact rational arithmetic: the trusted reference
 the store is tested against, and the CLI's walk for a single term, which fills
-no store.  ``term_fast`` is the log-time doubling path and is validated
-against ``term``, never trusted alone.
+no store.  ``lucas_term`` is the one log-time doubling kernel, for any
+rational second-order recurrence and initial values; ``term_fast`` is that
+kernel on a handle and is validated against ``term``, never trusted alone.
+
+``binet_pairs`` is the table every closed form is evaluated from, over Q: the
+Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
+rational second-order sequence given by its initial values and recurrence.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 
 from .qfield import RecurrenceSpec
 
@@ -58,14 +63,6 @@ def preset(name: str) -> SequenceHandle:
 
 def fibonacci() -> SequenceHandle:
     return SequenceHandle(RecurrenceSpec(1, 1, 0, 1))
-
-
-def lucas() -> SequenceHandle:
-    return SequenceHandle(RecurrenceSpec(1, 1, 2, 1))
-
-
-def pell() -> SequenceHandle:
-    return SequenceHandle(RecurrenceSpec(2, 1, 0, 1))
 
 
 def pell_q() -> SequenceHandle:
@@ -156,6 +153,25 @@ class PrefixStore:
         d = self.den
         return [Fraction(v, d) for v in self.numerators(count)]
 
+    def power_sum(self, r: int, n: int, x, binomial: bool) -> Fraction:
+        """sum_{i=0}^n w_i U_i^r x^i, with w_i = C(n,i) if binomial, else 1.
+
+        With x = p / q the sum is sum_i w_i N_i^r p^i q^(n-i) over
+        den^r q^n: integers until one division.
+        """
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        total = 0
+        c = 1
+        pp = 1
+        for i, num in enumerate(self.numerators(n + 1)):
+            # Horner in q: after step i, total = sum_{j<=i} w_j N_j^r p^j q^(i-j)
+            total = total * q + c * num**r * pp
+            if binomial:
+                c = c * (n - i) // (i + 1)
+            pp *= p
+        return Fraction(total, self.den**r * q**n)
+
     def prefix_sum(self, idx: int) -> Fraction:
         """sum_{i=1}^{idx} U_i for idx >= 0, sum_{i=1}^{|idx|} U_{-i} for idx < 0."""
         k = abs(idx)
@@ -190,17 +206,61 @@ def _fundamental_pair(a: int, b: int, n: int) -> tuple[int, int]:
     return even, odd
 
 
-def term_fast(h: SequenceHandle, n: int) -> Fraction:
-    """Log-time evaluation for n >= 0; identical value to term(h, n).
+def lucas_term(p, q, w0, w1, n: int) -> Fraction:
+    """w_n for w_{j+1} = p w_j - q w_{j-1}, with p, q, w0, w1 rational and n >= 0.
 
-    General initial values decompose over the fundamental pair:
-    U_n = u1 * F_n + u0 * b * F_{n-1}, with b * F_{n-1} = F_{n+1} - a F_n.
+    v_j = s^j w_j, with s = lcm(den p, den q), runs on the integer recurrence
+    v_{j+1} = (s p) v_j - (s^2 q) v_{j-1}, so the doubling stays in integers:
+    v_n = v_1 F_n + v_0 (F_{n+1} - s p F_n).  Nothing here needs distinct or
+    nonzero roots.
     """
     if n < 0:
-        raise ValueError("term_fast requires n >= 0")
-    a, b = h.spec.a, h.spec.b
-    fn, fnext = _fundamental_pair(a, b, n)
-    if h.kind == "V":
-        return Fraction(2 * fnext - a * fn)
-    u0, u1 = h.spec.u0, h.spec.u1
-    return u1 * fn + u0 * (fnext - a * fn)
+        raise ValueError(f"index must be >= 0, got {n}")
+    p, q = Fraction(p), Fraction(q)
+    s = lcm(p.denominator, q.denominator)
+    a = int(s * p)
+    fn, fnext = _fundamental_pair(a, -int(s * s * q), n)
+    return Fraction(s * w1 * fn + w0 * (fnext - a * fn)) / s**n
+
+
+def term_fast(h: SequenceHandle, n: int) -> Fraction:
+    """Log-time evaluation for n >= 0; identical value to term(h, n)."""
+    u0, u1 = _initial(h)
+    return lucas_term(h.spec.a, -h.spec.b, u0, u1, n)
+
+
+def binet_pairs(spec: RecurrenceSpec, r: int, x):
+    """The Binet expansion of U_i^r x^i, summed over Galois-conjugate pairs.
+
+    U_i^r x^i = sum_k c_k t_k^i with c_k = C(r,k) A^k (-B)^{r-k} and
+    t_k = alpha^k beta^{r-k} x.  Conjugation swaps term k and term r-k, so
+    w_i = c_k t_k^i + c_{r-k} t_{r-k}^i is rational, with
+    w_{i+1} = P w_i - Q w_{i-1}.  Returns (pairs, middle): pairs lists
+    (w0, w1, P, Q) for 0 <= k < r/2, and middle is (c_{r/2}, t_{r/2}) for
+    even r, None for odd r.  With N = -AB and m = r - 2k:
+
+        w0 = C(r,k) N^k L0_m,   w1 = C(r,k) (-b N)^k L1_m x,
+        P = (-b)^k V_m x,       Q = (-b)^r x^2,
+
+    where V_m = alpha^m + beta^m, L0_m = A^m + (-B)^m and
+    L1_m = (A alpha)^m + (-B beta)^m are rational Lucas sequences in m, with
+    (P, Q) = (a, -b), (U_0, N) and (U_1, -b N).  No value leaves Q, and no
+    store is filled.
+    """
+    a, b, u0, u1 = spec.a, spec.b, spec.u0, spec.u1
+    x = Fraction(x)
+    n_ab = -(u1 * u1 - a * u0 * u1 - b * u0 * u0) / spec.discriminant
+    pairs = []
+    for k in range((r + 1) // 2):
+        m = r - 2 * k
+        c = comb(r, k)
+        pairs.append((
+            c * n_ab**k * lucas_term(u0, n_ab, 2, u0, m),
+            c * (-b * n_ab) ** k * lucas_term(u1, -b * n_ab, 2, u1, m) * x,
+            (-b) ** k * lucas_term(a, -b, 2, a, m) * x,
+            (-b) ** r * x * x,
+        ))
+    middle = None
+    if r % 2 == 0:
+        middle = (comb(r, r // 2) * n_ab ** (r // 2), (-b) ** (r // 2) * x)
+    return pairs, middle

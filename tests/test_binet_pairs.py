@@ -1,0 +1,96 @@
+"""The rational Binet-pair table and the doubling kernel behind the closed forms.
+
+``seq.binet_pairs`` is checked against the Q(sqrt(D)) Binet expansion built
+from ``roots``/``binet_coeffs``, ``seq.lucas_term`` against a plain Fraction
+walk, and the removable t_k = 1 cases of the sums against their oracles.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from recsums import seq
+from recsums.binsum import binom_sum_closed, binom_sum_direct
+from recsums.partsum import (PartialSumQuery, _geometric_pair_sum,
+                             partial_sum_direct, partial_sum_general_b)
+from recsums.qfield import RecurrenceSpec, binet_coeffs, rationalize, roots
+
+F = Fraction
+
+# square D (1, 2), negative D (1, -1), a = 0, root ratios of finite order
+# (1, -1) and (3, -3), and rational initial values
+SPECS = [
+    RecurrenceSpec(1, 1, 0, 1), RecurrenceSpec(1, 2, 0, 1),
+    RecurrenceSpec(1, -1, 1, 2), RecurrenceSpec(0, 2, F(1, 3), 1),
+    RecurrenceSpec(0, -3, 0, 1), RecurrenceSpec(3, -3, 2, -1),
+    RecurrenceSpec(2, 3, F(1, 2), F(-2, 3)), RecurrenceSpec(-2, 1, F(5, 4), 0),
+]
+XS = (F(0), F(1), F(-1), F(1, 2), F(-2, 3))
+
+
+def _walk(p, q, w0, w1, count):
+    out = [F(w0), F(w1)]
+    while len(out) < count:
+        out.append(p * out[-1] - q * out[-2])
+    return out[:count]
+
+
+@pytest.mark.parametrize("p, q", (
+    (3, 2), (1, -1), (F(1, 3), F(-5, 7)), (F(7, 3), F(2, 5)),
+    (F(5, 2), 0), (0, 0),                      # q = 0: a root at 0
+    (2, 1), (F(3, 2), F(9, 16)), (-4, 4),      # p^2 = 4q: a double root
+))
+def test_lucas_term_equals_the_walk(p, q):
+    for w0, w1 in ((F(2), F(p)), (F(-1, 3), F(4, 5)), (F(0), F(1))):
+        walked = _walk(p, q, w0, w1, 41)
+        for n in range(41):
+            assert seq.lucas_term(p, q, w0, w1, n) == walked[n]
+    with pytest.raises(ValueError):
+        seq.lucas_term(p, q, 0, 1, -1)
+
+
+@pytest.mark.parametrize("p, q", (
+    (3, 2), (F(1, 2), F(-3, 4)),
+    (F(5, 2), F(3, 2)), (1, 0),     # 1 - p + q = 0: roots 1 and q
+    (2, 1),                         # a double root 1
+))
+def test_pair_sum_equals_the_summed_walk(p, q):
+    for w0, w1 in ((F(2), F(p)), (F(-1, 3), F(4, 5))):
+        walked = _walk(p, q, w0, w1, 21)
+        for n in range(20):
+            assert _geometric_pair_sum(w0, w1, p, q, n) == sum(walked[:n + 1])
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("r", range(1, 6))
+def test_binet_pairs_equal_the_quadratic_field_expansion(spec, r):
+    alpha, beta = roots(spec)
+    a_coef, b_coef = binet_coeffs(spec)
+    for x in XS:
+        c = [comb(r, k) * a_coef**k * (-b_coef) ** (r - k) for k in range(r + 1)]
+        t = [alpha**k * beta ** (r - k) * x for k in range(r + 1)]
+        pairs, middle = seq.binet_pairs(spec, r, x)
+        assert len(pairs) == (r + 1) // 2
+        for k, (w0, w1, p, q) in enumerate(pairs):
+            j = r - k
+            assert p == rationalize(t[k] + t[j]) and q == rationalize(t[k] * t[j])
+            for i in range(7):
+                assert seq.lucas_term(p, q, w0, w1, i) == rationalize(
+                    c[k] * t[k] ** i + c[j] * t[j] ** i)
+        if r % 2:
+            assert middle is None
+        else:
+            assert middle == (rationalize(c[r // 2]), rationalize(t[r // 2]))
+
+
+@pytest.mark.parametrize("spec, r, x", (
+    (RecurrenceSpec(1, 2, 0, 1), 1, F(1, 2)),   # alpha x = 1: one root is 1
+    (RecurrenceSpec(0, 1, 0, 1), 2, F(1)),      # alpha^2 x = beta^2 x = 1: double
+    (RecurrenceSpec(0, 1, 0, 1), 2, F(-1)),     # the even-r middle term t = 1
+))
+def test_removable_cases_equal_the_direct_sums(spec, r, x):
+    for n in range(12):
+        q = PartialSumQuery(spec, n, r, x)
+        assert partial_sum_general_b(q) == partial_sum_direct(q)
+        assert binom_sum_closed(spec, r, n, x) == binom_sum_direct(spec, r, n, x)

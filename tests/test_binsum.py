@@ -6,12 +6,12 @@ from math import comb
 import pytest
 
 from recsums import seq
+from recsums.audit import run_audit
 from recsums.binsum import (binom_sum_closed, binom_sum_direct,
-                            congruence_check, congruence_exponents,
-                            congruence_lhs, corollary_identity,
-                            divisible_by_5_pow, fib_weighted_closed,
-                            padic_valuation, root_power_collapse,
-                            weighted_family_lhs)
+                            congruence_exponents, congruence_lhs,
+                            corollary_identity, divisible_by_5_pow,
+                            fib_weighted_closed, padic_valuation,
+                            root_power_collapse, weighted_family_lhs)
 from recsums.qfield import QuadElem, RecurrenceSpec, roots
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
@@ -168,10 +168,12 @@ def test_congruence_examples():
     assert divisible_by_5_pow(70, 1)
     assert congruence_lhs("cor8-ii", 2) == 75
     assert divisible_by_5_pow(75, 2)
-    rows = congruence_check("cor8-iii", [(0, 1)])
-    assert rows[0]["lhs"] == 1
-    assert rows[0]["printed_exponent"] == 2 and not rows[0]["printed_ok"]
-    assert rows[0]["implied_exponent"] == 0 and rows[0]["implied_ok"]
+    cell = next(c for c in run_audit(["cor8-iii"]) if c.params == {"r": 0, "n": 1})
+    assert cell.witness["lhs"] == "1"
+    assert cell.witness["printed_exponent"] == "2"
+    assert cell.witness["implied_exponent"] == "0"
+    # printed exponent fails, the implied one holds
+    assert (cell.verdict, cell.variant) == ("variant-pass", "implied-exponent")
 
 
 def test_congruence_sweeps():

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from recsums import audit, gfpow, seq
+from recsums import audit, binsum, gfpow, partsum, seq
 from recsums.cli import (GF_CHECK_TERMS_LIMIT, GF_POWER_LIMIT, SEQ_WALK_LIMIT,
-                         main, parse_polynomial, parse_rational_function)
+                         SUM_SIZE_LIMIT, main, parse_polynomial,
+                         parse_rational_function)
 from recsums.gfpow import gf_power
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
@@ -46,6 +47,41 @@ def test_seq_walk_beyond_the_limit_exits_two(capsys, monkeypatch, n):
     code, out, err = run_cli(capsys, "seq", "--preset", "fibonacci", "--n", str(n))
     assert (code, out) == (2, "")
     assert str(SEQ_WALK_LIMIT) in err and "--fast" in err
+
+
+def _refuse(*args):
+    raise AssertionError("a sum ran past the size limit")
+
+
+@pytest.mark.parametrize("command", ("sum", "binom-sum"))
+@pytest.mark.parametrize("mode", ((), ("--both",), ("--direct",)))
+@pytest.mark.parametrize("n, power", ((SUM_SIZE_LIMIT + 1, 1), (6667, 3)))
+def test_direct_sum_beyond_the_limit_exits_two(capsys, monkeypatch, command,
+                                               mode, n, power):
+    assert n * power == SUM_SIZE_LIMIT + 1
+    for module, name in (
+            (partsum, "partial_sum_direct"), (partsum, "partial_sum_closed"),
+            (binsum, "binom_sum_direct"), (binsum, "binom_sum_closed")):
+        monkeypatch.setattr(module, name, _refuse)
+    code, out, err = run_cli(capsys, command, "--preset", "fibonacci", "--n",
+                             str(n), "--power", str(power), "--x", "1", *mode)
+    assert (code, out) == (2, "")
+    assert str(SUM_SIZE_LIMIT) in err and "--closed" in err
+
+
+def test_direct_sum_at_the_limit_and_closed_beyond_it_are_served(capsys,
+                                                                monkeypatch):
+    monkeypatch.setattr(binsum, "binom_sum_direct", lambda *args: 7)
+    code, out, _ = run_cli(capsys, "binom-sum", "--preset", "fibonacci", "--n",
+                           str(SUM_SIZE_LIMIT), "--power", "1", "--x", "1",
+                           "--direct")
+    assert (code, out.strip()) == (0, "7")
+    monkeypatch.setattr(binsum, "binom_sum_direct", _refuse)
+    n = SUM_SIZE_LIMIT + 1
+    code, out, _ = run_cli(capsys, "binom-sum", "--preset", "fibonacci", "--n",
+                           str(n), "--power", "1", "--x", "1", "--closed")
+    # sum_i C(n,i) F_i = F_{2n}
+    assert (code, out.strip()) == (0, str(seq.term_fast(seq.fibonacci(), 2 * n)))
 
 
 def test_seq_negative_index_and_fast(capsys):

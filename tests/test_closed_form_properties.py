@@ -1,0 +1,49 @@
+"""Property test: every closed form read from the Binet-pair table equals its oracle.
+
+Specs are drawn non-degenerate, with square and negative discriminants,
+a = 0, |b| = 1 and rational initial values among them.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from recsums import seq  # noqa: E402
+from recsums.binsum import binom_sum_closed, binom_sum_direct  # noqa: E402
+from recsums.gfpow import gf_power, paired_form  # noqa: E402
+from recsums.partsum import (PartialSumQuery, partial_sum_direct,  # noqa: E402
+                             partial_sum_general_b)
+from recsums.qfield import RecurrenceSpec  # noqa: E402
+
+F = Fraction
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def specs(draw):
+    """Non-degenerate (a, b, u0, u1); u0 = 0 in about half of the draws."""
+    a = draw(st.integers(-4, 4))
+    b = draw(st.integers(-4, 4).filter(lambda b: b != 0 and a * a + 4 * b != 0))
+    u0 = draw(st.one_of(st.just(F(0)), rationals))
+    return RecurrenceSpec(a, b, u0, draw(rationals))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(spec=specs(), r=st.integers(1, 5), n=st.integers(0, 12), x=rationals)
+@example(spec=RecurrenceSpec(1, 2, 0, 1), r=3, n=9, x=F(1, 2))        # square D
+@example(spec=RecurrenceSpec(1, -1, 0, F(1, 3)), r=4, n=7, x=F(2))   # negative D
+@example(spec=RecurrenceSpec(0, 3, F(1, 2), -1), r=5, n=8, x=F(-1))  # a = 0
+@example(spec=RecurrenceSpec(1, -1, 2, 1), r=2, n=12, x=F(1))        # |b| = 1
+def test_closed_forms_equal_their_oracles(spec, r, n, x):
+    assert binom_sum_closed(spec, r, n, x) == binom_sum_direct(spec, r, n, x)
+    q = PartialSumQuery(spec, n, r, x)
+    walked = [seq.term(seq.SequenceHandle(spec), i) for i in range(n + 1)]
+    assert partial_sum_direct(q) == sum((u**r * x**i for i, u in enumerate(walked)), F(0))
+    if spec.u0 == 0:
+        assert partial_sum_general_b(q) == partial_sum_direct(q)
+    assert paired_form(spec, r, "general") == gf_power(spec, r)

@@ -1,0 +1,35 @@
+"""Design guard: closed forms compute over Q; QuadElem stays where Q(sqrt(D)) is the subject.
+
+QuadElem is the arithmetic of ``lemma5`` (``binsum.root_power_collapse``, a
+statement about Q(sqrt(5))) and the tests' Binet reference.  Every closed form
+reaches Q through ``seq.binet_pairs``, so polynomials and rational functions
+hold Fractions only.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from recsums.polyrat import Polynomial
+from recsums.qfield import QuadElem
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "recsums"
+
+
+def test_quadelem_is_named_only_where_it_is_the_subject():
+    naming = {p.name for p in SRC.glob("*.py")
+              if "QuadElem" in p.read_text(encoding="utf-8")}
+    assert naming <= {"qfield.py", "binsum.py", "__init__.py"}
+
+
+@pytest.mark.parametrize("module", ("gfpow.py", "partsum.py"))
+def test_closed_form_modules_take_only_the_spec_from_qfield(module):
+    text = (SRC / module).read_text(encoding="utf-8")
+    assert re.findall(r"from \.qfield import ([^\n]*)", text) == ["RecurrenceSpec"]
+
+
+def test_polynomials_are_rational_only():
+    assert "qfield" not in (SRC / "polyrat.py").read_text(encoding="utf-8")
+    with pytest.raises(TypeError):
+        Polynomial([QuadElem(1, 1, 5)])

@@ -88,16 +88,17 @@ def test_wrong_denominator_fails_the_self_check(monkeypatch, wrong):
 @pytest.mark.parametrize("spec", GRID_SPECS)
 @pytest.mark.parametrize("r", range(1, 7))
 def test_denominator_divides_the_pole_product(spec, r):
-    from recsums.polyrat import descend
-    from recsums.qfield import roots
+    from recsums.qfield import rationalize, roots
 
     f = gf_power(spec, r)
     assert f.den.degree <= r + 1
     alpha, beta = roots(spec)
-    product = Polynomial([1])
+    # prod_k (1 - alpha^k beta^(r-k) x) as a coefficient list over Q(sqrt(D))
+    product = [1]
     for k in range(r + 1):
-        product = product * Polynomial([1, -(alpha**k * beta ** (r - k))])
-    assert descend(product) % f.den == Polynomial()
+        t = alpha**k * beta ** (r - k)
+        product = [c - t * prev for c, prev in zip(product + [0], [0] + product)]
+    assert Polynomial([rationalize(c) for c in product]) % f.den == Polynomial()
 
 
 @pytest.mark.parametrize("spec", (FIB, PELL))

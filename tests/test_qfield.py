@@ -7,8 +7,8 @@ import pytest
 
 from recsums import seq
 from recsums.qfield import (DegenerateSpecError, NotRationalError, QuadElem,
-                            RecurrenceSpec, binet_coeffs, conjugate, invert,
-                            is_perfect_square, rationalize, roots)
+                            RecurrenceSpec, binet_coeffs, is_perfect_square,
+                            rationalize, roots)
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
 PELL = RecurrenceSpec(2, 1, 0, 1)
@@ -88,7 +88,7 @@ def test_product_of_roots_is_minus_b():
 
 def test_conjugate_swaps_roots():
     alpha, beta = roots(FIB)
-    assert conjugate(alpha) == beta
+    assert alpha.conjugate() == beta
 
 
 def test_invert_one_plus_sqrt2():
@@ -108,8 +108,6 @@ def test_perfect_square_decisions():
 def test_invert_zero_raises():
     with pytest.raises(ZeroDivisionError):
         QuadElem(0, 0, 5).invert()
-    with pytest.raises(ZeroDivisionError):
-        invert(Fraction(0))
 
 
 def test_disc_mismatch_raises():
@@ -155,8 +153,8 @@ def test_field_axioms_on_random_sample():
             assert x * (y + z) == x * y + x * z
             if x:
                 assert x * x.invert() == 1
-            assert conjugate(x * y) == conjugate(x) * conjugate(y)
-            assert conjugate(x + y) == conjugate(x) + conjugate(y)
+            assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+            assert (x + y).conjugate() == x.conjugate() + y.conjugate()
 
 
 def test_powers_match_repeated_multiplication():

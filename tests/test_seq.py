@@ -13,7 +13,7 @@ def test_fibonacci_term():
 
 
 def test_lucas_preset_initial_terms():
-    lucas = seq.lucas()
+    lucas = seq.preset("lucas")
     assert [seq.term(lucas, n) for n in range(5)] == [2, 1, 3, 4, 7]
 
 
@@ -31,7 +31,7 @@ def test_negative_index_backward_recurrence():
 
 
 def test_pell_terms():
-    pell = seq.pell()
+    pell = seq.preset("pell")
     assert [seq.term(pell, n) for n in range(1, 6)] == [1, 2, 5, 12, 29]
 
 
@@ -55,7 +55,7 @@ def test_term_fast_examples():
     assert seq.term_fast(fib, 0) == 0
     f16 = seq.term_fast(fib, 16)
     assert f16 == 987
-    assert f16 == seq.term_fast(fib, 8) * seq.term_fast(seq.lucas(), 8)
+    assert f16 == seq.term_fast(fib, 8) * seq.term_fast(seq.preset("lucas"), 8)
 
 
 def test_term_fast_rejects_negative():
