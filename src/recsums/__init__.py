@@ -1,6 +1,6 @@
 """Exact closed forms and brute-force audits for powers of second-order recurrences."""
 
-from .qfield import (DegenerateSpecError, NotRationalError, QuadElem, Rational,
+from .qfield import (DegenerateSpecError, NotRationalError, QuadElem,
                      RecurrenceSpec, binet_coeffs, is_perfect_square,
                      rationalize, roots)
 from .polyrat import (EvalPoleError, Polynomial, PowerSeries, RationalFunction,

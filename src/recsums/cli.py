@@ -10,7 +10,9 @@ Exit codes (stable contract):
   1  audit run contained a cell that failed without a passing variant
   2  invalid spec / unknown claim id / usage error
   3  internal-consistency (oracle) mismatch
-  4  evaluation hit a denominator zero
+  4  evaluation hit a denominator zero (kept in the contract; no command
+     currently reaches it, since every closed value is evaluated over Q from
+     the Binet pairs, removable points included)
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ SEQ_WALK_LIMIT = 10**5
 # 3.11, `binom_sum_direct` takes about 3 s at n = 20,000 with power 1, and
 # the cost grows as n^2.  `--closed` is not capped.
 SUM_SIZE_LIMIT = 20_000
+# Largest `audit --max-n` served, from the flag or a --config file.  On a
+# 2-core Xeon host with CPython 3.11, `audit --claims all` takes about 3 s at
+# 60, 6 s at 120 and 11 s at 240, `thm4` growing fastest.
+AUDIT_MAX_N_LIMIT = 120
 
 
 def _fraction(text: str) -> Fraction:
@@ -291,6 +297,10 @@ def _cmd_binom_sum(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.max_n is not None and args.max_n > AUDIT_MAX_N_LIMIT:
+        print(f"--max-n {args.max_n} exceeds the limit of {AUDIT_MAX_N_LIMIT}",
+              file=sys.stderr)
+        return 2
     selection = "all" if args.claims == "all" else [
         c.strip() for c in args.claims.split(",") if c.strip()
     ]

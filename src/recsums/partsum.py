@@ -1,13 +1,15 @@
 """Closed forms and oracles for partial sums S = sum_{i=0}^n U_i^r x^i.
 
-The closed forms here assume U_0 = 0 and are stated for b = 1 (both classical
-exemplar sequences, the Fibonacci and Pell families, have b = 1); the general-b
-evaluator ``partial_sum_general_b`` comes straight from the geometric-sum
-identity, summed over Q one Binet pair at a time
-(:func:`recsums.seq.binet_pairs`), and is exact for every nonzero b.  The
-published even-power closed form is garbled (sign flips and a dropped constant
+The closed forms assume U_0 = 0 and hold for every nonzero b.  Both come from
+the Binet pairs of :func:`recsums.seq.binet_pairs`, each a rational
+second-order sequence: the symbolic form adds one rational function per pair,
+and the pointwise evaluator ``partial_sum_general_b`` sums each pair over Q,
+exactly also where a pair's denominator vanishes.  The paper states the form
+for b = 1, where the pair denominators are 1 - (-1)^k V_{r-2k} x + x^2.  The
+published even-power form is garbled (sign flips and a dropped constant
 term); ``partial_sum_closed`` uses the corrected form, and the audit registry
-keeps the printed one as a failing claim with the corrected variant attached.
+keeps the printed one (``partial_sum_printed``) as a failing claim with the
+corrected variant attached.
 
 Also here: the eight closed-form partial sums for the generalized Pell
 sequence P_1 = p, P_2 = q, P_{n+1} = 2 P_n + P_{n-1}, expressed through the
@@ -19,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from . import seq
-from .polyrat import EvalPoleError, Polynomial, RationalFunction, poly_to_text
+from .polyrat import Polynomial, RationalFunction
 from .qfield import RecurrenceSpec
 
 SYMBOLIC_LIMIT = 32
@@ -65,98 +66,66 @@ def partial_sum_direct(q: PartialSumQuery):
     return seq.store(handle).power_sum(q.r, q.n, q.x, binomial=False)
 
 
-def _sum_pieces(spec: RecurrenceSpec, n: int, r: int, style: str):
-    """Numerator/denominator pairs of the b = 1 closed form, plus the middle
-    geometric piece for even r, as (prefactor, list[(num_poly, den_poly)],
-    middle_poly).  style: "corrected" or "printed"."""
-    u = seq.store(seq.SequenceHandle(spec)).term
-    v = seq.store(seq.companion(spec)).term
-    a2 = spec.u1 * spec.u1 / Fraction(spec.discriminant)
-    pieces = []
-    if r % 2 == 1:
-        pref = a2 ** ((r - 1) // 2)
-        for k in range((r - 1) // 2 + 1):
-            s = (-1) ** k
-            m = r - 2 * k
-            num = Polynomial(
-                [0, comb(r, k) * u(m)]
-            ) - Polynomial([comb(r, k) * (-1) ** (k * n) * u(m * (n + 1))]).shift(
-                n + 1
-            ) - Polynomial(
-                [comb(r, k) * (-1) ** (k * (n + 1)) * u(m * n)]
-            ).shift(n + 2)
-            den = Polynomial([1, -s * v(m), -1])
-            pieces.append((num, den))
-        return pref, pieces, None
-    pref = a2 ** (r // 2)
-    for k in range(r // 2):
-        s = (-1) ** k
-        m = r - 2 * k
-        if style == "corrected":
-            num = (
-                Polynomial([2 * s, -v(m)])
-                - Polynomial([(-1) ** (k * n) * v(m * (n + 1))]).shift(n + 1)
-                + Polynomial([(-1) ** (k * (n + 1)) * v(m * n)]).shift(n + 2)
-            )
-        else:
-            num = (
-                Polynomial([0, v(m)])
-                - Polynomial([(-1) ** (k * n) * v(m * (n + 1))]).shift(n + 1)
-                - Polynomial([(-1) ** (k * (n + 1)) * v(m * n)]).shift(n + 2)
-            )
-        num = num.scale(comb(r, k))
-        den = Polynomial([1, -s * v(m), 1])
-        pieces.append((num, den))
-    eps = (-1) ** (r // 2)
-    middle = Polynomial([eps**i for i in range(n + 1)])
-    mid_coeff = comb(r, r // 2) * (eps if style == "corrected" else 1)
-    return pref, pieces, middle.scale(mid_coeff)
+def _pair_terms(w0, w1, p, q, n: int):
+    """Numerator terms (degree, coefficient) of sum_{i=0}^n w_i x^i over
+    1 - p x + q x^2, for w_{i+1} = p w_i - q w_{i-1}: the pair's generating
+    function minus x^{n+1} times the generating function of the shifted pair,
+
+        w0 + (w1 - p w0) x - w_{n+1} x^{n+1} + q w_n x^{n+2}.
+
+    At n = 0 the x term and the x^{n+1} term share a degree.
+    """
+    w_n, w_next = (seq.lucas_term(p, q, w0, w1, i) for i in (n, n + 1))
+    return (0, w0), (1, w1 - p * w0), (n + 1, -w_next), (n + 2, q * w_n)
 
 
-def _closed_value(spec, n, r, x, style):
-    pref, pieces, middle = _sum_pieces(spec, n, r, style)
-    total = Fraction(0)
-    for num, den in pieces:
-        dv = den(x)
-        if not dv:
-            raise EvalPoleError(
-                f"denominator {poly_to_text(den)} vanishes at x = {x}"
-            )
-        total += num(x) / dv
-    if middle is not None:
-        total += middle(x)
-    return pref * total
+def _symbolic_sum(spec: RecurrenceSpec, n: int, r: int,
+                  printed: bool = False) -> RationalFunction:
+    """sum_{i=0}^n U_i^r x^i as a rational function in x, one pair of
+    ``seq.binet_pairs(spec, r, 1)`` at a time, plus the middle term (c, t) of
+    even r as the polynomial sum_{i<=n} c t^i x^i.
 
-
-def _closed_symbolic(spec, n, r, style) -> RationalFunction:
-    pref, pieces, middle = _sum_pieces(spec, n, r, style)
+    ``printed`` selects the published even-r form (a b = 1 claim; for odd r
+    it is the form above): each pair numerator loses its constant and has
+    its x and x^{n+2} terms negated, and the middle term loses its sign
+    (-1)^{r/2}.
+    """
+    printed = printed and r % 2 == 0
+    pairs, middle = seq.binet_pairs(spec, r, 1)
     total = RationalFunction.zero()
-    for num, den in pieces:
-        total = total + RationalFunction(num, den)
+    for w0, w1, p, q in pairs:
+        terms = _pair_terms(w0, w1, p, q, n)
+        if printed:
+            _, (_, lin), high, (top, last) = terms
+            terms = ((1, -lin), high, (top, -last))
+        num = [Fraction(0)] * (n + 3)
+        for k, c in terms:
+            num[k] += c
+        total = total + RationalFunction(Polynomial(num), Polynomial([1, -p, q]))
     if middle is not None:
-        total = total + RationalFunction(middle, Polynomial([1]))
-    return pref * total
+        c, t = middle
+        if printed:
+            c *= (-1) ** (r // 2)
+        total = total + RationalFunction(
+            Polynomial([c * t**i for i in range(n + 1)]), Polynomial([1]))
+    return total
 
 
 def partial_sum_closed(q: PartialSumQuery):
     """Closed-form value of the partial sum; equals partial_sum_direct exactly.
 
-    Requires u0 = 0.  For b != 1 the quadratic-denominator form does not
-    apply and pointwise queries are routed to partial_sum_general_b.
+    Requires u0 = 0.  Symbolic queries (x = None) get the rational function
+    built pair by pair; pointwise queries are partial_sum_general_b.  Both
+    hold for every nonzero b.
     """
     _require_closed(q)
-    if q.spec.b != 1:
-        if q.x is None:
-            raise ValueError("symbolic closed form requires b = 1; "
-                             "evaluate pointwise via partial_sum_general_b")
-        return partial_sum_general_b(q)
     if q.x is None:
-        return _closed_symbolic(q.spec, q.n, q.r, "corrected")
-    return _closed_value(q.spec, q.n, q.r, q.x, "corrected")
+        return _symbolic_sum(q.spec, q.n, q.r)
+    return partial_sum_general_b(q)
 
 
-def partial_sum_printed(q: PartialSumQuery):
-    """The published closed form, evaluated literally (audit input only).
+def partial_sum_printed(q: PartialSumQuery) -> RationalFunction:
+    """The published closed form as a rational function (audit input only).
 
     Identical to partial_sum_closed for odd r; for even r it keeps the
     published numerator signs, dropped constant, and unsigned middle term.
@@ -164,9 +133,9 @@ def partial_sum_printed(q: PartialSumQuery):
     _require_closed(q)
     if q.spec.b != 1:
         raise ValueError("published form is a b = 1 claim")
-    if q.x is None:
-        return _closed_symbolic(q.spec, q.n, q.r, "printed")
-    return _closed_value(q.spec, q.n, q.r, q.x, "printed")
+    if q.x is not None:
+        raise ValueError("published form is symbolic; pass no x")
+    return _symbolic_sum(q.spec, q.n, q.r, printed=True)
 
 
 def corollary_r1(spec: RecurrenceSpec, n: int, variant: str = "printed") -> RationalFunction:
@@ -190,7 +159,7 @@ def corollary_r1(spec: RecurrenceSpec, n: int, variant: str = "printed") -> Rati
 def _geometric_pair_sum(w0, w1, p, q, n: int) -> Fraction:
     """sum_{i=0}^n w_i for w_{i+1} = p w_i - q w_{i-1} (a geometric sum if q = 0).
 
-    Summing the recurrence gives
+    This is the pair numerator of ``_pair_terms`` at x = 1:
     (1 - p + q) S = w0 + w1 - p w0 - w_{n+1} + q w_n.
     When 1 - p + q = 0, one root is 1 and the other is q, so
     w_i = (w0 - e) + e q^i with e = (w1 - w0) / (q - 1); when q = 1 as well,
@@ -198,8 +167,7 @@ def _geometric_pair_sum(w0, w1, p, q, n: int) -> Fraction:
     """
     f = 1 - p + q
     if f:
-        w_n, w_next = (seq.lucas_term(p, q, w0, w1, i) for i in (n, n + 1))
-        return (w0 + w1 - p * w0 - w_next + q * w_n) / f
+        return sum(c for _, c in _pair_terms(w0, w1, p, q, n)) / f
     if q != 1:
         e = (w1 - w0) / (q - 1)
         return (n + 1) * (w0 - e) + e * (q ** (n + 1) - 1) / (q - 1)

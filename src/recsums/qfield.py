@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class DegenerateSpecError(ValueError):
     """Recurrence parameters outside the contract (b = 0 or a^2 + 4b = 0)."""

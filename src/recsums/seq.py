@@ -1,8 +1,8 @@
 """Recurrence sequences: prefix stores, the reference walk, fast doubling, Binet pairs.
 
-A ``SequenceHandle`` pairs a :class:`RecurrenceSpec` with a kind tag: ``U`` for
-the general sequence with the spec's initial values, ``V`` for the companion
-sequence (V_0 = 2, V_1 = a, same recurrence).
+A ``SequenceHandle`` names the sequence of a :class:`RecurrenceSpec`: its
+recurrence and its initial values.  The companion sequence V (V_0 = 2,
+V_1 = a, same recurrence) is the handle of the spec with those initial values.
 
 Every brute-force oracle reads its terms from the handle's ``PrefixStore``:
 integer numerators over the common denominator d = lcm(den U_0, den U_1),
@@ -36,11 +36,6 @@ from .qfield import RecurrenceSpec
 @dataclass(frozen=True)
 class SequenceHandle:
     spec: RecurrenceSpec
-    kind: str = "U"
-
-    def __post_init__(self):
-        if self.kind not in ("U", "V"):
-            raise ValueError(f"kind must be 'U' or 'V', got {self.kind!r}")
 
 
 PRESETS = {
@@ -77,20 +72,13 @@ def generalized_pell(p, q) -> SequenceHandle:
 
 
 def companion(spec: RecurrenceSpec) -> SequenceHandle:
-    return SequenceHandle(spec, "V")
-
-
-def _initial(h: SequenceHandle) -> tuple[Fraction, Fraction]:
-    if h.kind == "V":
-        return Fraction(2), Fraction(h.spec.a)
-    return h.spec.u0, h.spec.u1
+    return SequenceHandle(RecurrenceSpec(spec.a, spec.b, 2, spec.a))
 
 
 def term(h: SequenceHandle, n: int) -> Fraction:
     """Exact n-th term by the recurrence; negative n by the backward recurrence
     U_{n-1} = (U_{n+1} - a U_n) / b, which stays in Q for any nonzero b."""
-    a, b = h.spec.a, h.spec.b
-    lo, hi = _initial(h)
+    a, b, lo, hi = h.spec.a, h.spec.b, h.spec.u0, h.spec.u1
     if n >= 0:
         for _ in range(n):
             lo, hi = hi, a * hi + b * lo
@@ -119,7 +107,7 @@ class PrefixStore:
     __slots__ = ("a", "b", "den", "_fwd", "_bwd", "_fsum", "_bsum")
 
     def __init__(self, h: SequenceHandle):
-        u0, u1 = _initial(h)
+        u0, u1 = h.spec.u0, h.spec.u1
         d = lcm(u0.denominator, u1.denominator)
         n0, n1 = int(d * u0), int(d * u1)
         self.a, self.b, self.den = h.spec.a, h.spec.b, d
@@ -225,8 +213,7 @@ def lucas_term(p, q, w0, w1, n: int) -> Fraction:
 
 def term_fast(h: SequenceHandle, n: int) -> Fraction:
     """Log-time evaluation for n >= 0; identical value to term(h, n)."""
-    u0, u1 = _initial(h)
-    return lucas_term(h.spec.a, -h.spec.b, u0, u1, n)
+    return lucas_term(h.spec.a, -h.spec.b, h.spec.u0, h.spec.u1, n)
 
 
 def binet_pairs(spec: RecurrenceSpec, r: int, x):

@@ -1,7 +1,9 @@
 """Tests for the claim registry, grid runner, and report formats."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +113,15 @@ def test_structured_report_is_deterministic():
     first = structured_report_text(run_audit(selection, max_n=9), selection, 9)
     second = structured_report_text(run_audit(selection, max_n=9), selection, 9)
     assert first == second
+
+
+def test_default_report_hash_matches_the_bench_reference():
+    # the byte-identical report every refactor of the closed forms must keep;
+    # the benchmark checks the same digest
+    ref = Path(__file__).resolve().parent.parent / "bench" / "audit_reference.json"
+    expected = json.loads(ref.read_text(encoding="utf-8"))["report_sha256"]
+    text = structured_report_text(run_audit("all"), "all", None)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
 
 
 def test_report_dispatch():

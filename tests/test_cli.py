@@ -6,8 +6,8 @@ import json
 import pytest
 
 from recsums import audit, binsum, gfpow, partsum, seq
-from recsums.cli import (GF_CHECK_TERMS_LIMIT, GF_POWER_LIMIT, SEQ_WALK_LIMIT,
-                         SUM_SIZE_LIMIT, main, parse_polynomial,
+from recsums.cli import (AUDIT_MAX_N_LIMIT, GF_CHECK_TERMS_LIMIT,
+                         GF_POWER_LIMIT, SEQ_WALK_LIMIT, SUM_SIZE_LIMIT, main, parse_polynomial,
                          parse_rational_function)
 from recsums.gfpow import gf_power
 from recsums.polyrat import Polynomial, RationalFunction
@@ -156,6 +156,38 @@ def test_gf_check_terms_beyond_the_limit_exits_two(capsys, monkeypatch):
     assert str(GF_CHECK_TERMS_LIMIT) in err
 
 
+@pytest.mark.parametrize("via_config", (False, True))
+def test_audit_max_n_beyond_the_limit_exits_two(capsys, monkeypatch, tmp_path,
+                                                via_config):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit ran past the limit")
+
+    monkeypatch.setattr(audit, "run_audit", refuse)
+    over = str(AUDIT_MAX_N_LIMIT + 1)
+    if via_config:
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text(f"max-n = {over}\n")
+        argv = ("--config", str(cfg))
+    else:
+        argv = ("--max-n", over)
+    code, out, err = run_cli(capsys, "audit", "--claims", "cor7-1", *argv)
+    assert (code, out) == (2, "")
+    assert str(AUDIT_MAX_N_LIMIT) in err
+
+
+def test_audit_max_n_at_the_limit_is_served(capsys, monkeypatch):
+    seen = {}
+
+    def record(selection, max_n=None):
+        seen["max_n"] = max_n
+        return []
+
+    monkeypatch.setattr(audit, "run_audit", record)
+    code, _, _ = run_cli(capsys, "audit", "--claims", "cor7-1", "--max-n",
+                         str(AUDIT_MAX_N_LIMIT))
+    assert (code, seen) == (0, {"max_n": AUDIT_MAX_N_LIMIT})
+
+
 def test_audit_cell_error_exits_three(capsys, monkeypatch):
     claim = audit.REGISTRY["cor7-1"]
 
@@ -200,11 +232,14 @@ def test_sum_zero_upper_index(capsys):
 
 
 def test_sum_denominator_zero_exit_code(capsys):
-    code, _, err = run_cli(capsys, "sum", "--a", "0", "--b", "1", "--u0", "0",
+    code, out, err = run_cli(capsys, "sum", "--a", "0", "--b", "1", "--u0", "0",
                            "--u1", "1", "--n", "3", "--power", "1", "--x", "1",
                            "--closed")
-    assert code == 4
-    assert "vanishes" in err
+    assert (code, out.strip(), err) == (0, "2", "")
+    code, out, _ = run_cli(capsys, "sum", "--a", "0", "--b", "1", "--u0", "0",
+                           "--u1", "1", "--n", "3", "--power", "1", "--x", "1",
+                           "--both")
+    assert (code, out.strip()) == (0, "direct=2 closed=2 match")
 
 
 def test_binom_sum_examples(capsys):

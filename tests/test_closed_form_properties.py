@@ -1,4 +1,5 @@
-"""Property test: every closed form read from the Binet-pair table equals its oracle.
+"""Property tests: every closed form read from the Binet-pair table equals its
+oracle, and a rendered generating function parses back to itself.
 
 Specs are drawn non-degenerate, with square and negative discriminants,
 a = 0, |b| = 1 and rational initial values among them.
@@ -15,8 +16,11 @@ from hypothesis import strategies as st  # noqa: E402
 from recsums import seq  # noqa: E402
 from recsums.binsum import binom_sum_closed, binom_sum_direct  # noqa: E402
 from recsums.gfpow import gf_power, paired_form  # noqa: E402
-from recsums.partsum import (PartialSumQuery, partial_sum_direct,  # noqa: E402
-                             partial_sum_general_b)
+from recsums.cli import parse_rational_function  # noqa: E402
+from recsums.partsum import (PartialSumQuery, partial_sum_closed,  # noqa: E402
+                             partial_sum_direct, partial_sum_general_b)
+from recsums.polyrat import (Polynomial, RationalFunction,  # noqa: E402
+                             rf_to_latex, rf_to_text)
 from recsums.qfield import RecurrenceSpec  # noqa: E402
 
 F = Fraction
@@ -46,4 +50,18 @@ def test_closed_forms_equal_their_oracles(spec, r, n, x):
     assert partial_sum_direct(q) == sum((u**r * x**i for i, u in enumerate(walked)), F(0))
     if spec.u0 == 0:
         assert partial_sum_general_b(q) == partial_sum_direct(q)
+        if n <= 8:
+            symbolic = PartialSumQuery(spec, n, r)
+            assert partial_sum_closed(symbolic) == RationalFunction(
+                partial_sum_direct(symbolic), Polynomial([1]))
     assert paired_form(spec, r, "general") == gf_power(spec, r)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(spec=specs(), r=st.integers(1, 6))
+@example(spec=RecurrenceSpec(1, 1, 0, 1), r=6)
+@example(spec=RecurrenceSpec(0, -1, F(1, 2), F(-2, 3)), r=4)   # a = 0, |b| = 1
+def test_rendered_gf_parses_back(spec, r):
+    f = gf_power(spec, r)
+    assert parse_rational_function(rf_to_text(f)) == f
+    assert parse_rational_function(rf_to_latex(f)) == f

@@ -1,15 +1,16 @@
 """Tests for partial sums: direct, closed, general-b, and the Pell sum table."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from recsums import seq
+from recsums import partsum, seq
 from recsums.partsum import (HORADAM_VARIANTS, PartialSumQuery, corollary_r1,
                              horadam_direct, horadam_index, horadam_sums,
                              partial_sum_closed, partial_sum_direct,
                              partial_sum_general_b, partial_sum_printed)
-from recsums.polyrat import EvalPoleError, Polynomial, RationalFunction
+from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
@@ -38,7 +39,10 @@ def test_closed_pointwise_examples():
     assert partial_sum_closed(PartialSumQuery(PELL, 4, 1, Fraction(1))) == 20
 
 
-@pytest.mark.parametrize("spec", (FIB, PELL))
+# b = 1, then general b: square D, negative D, and a = 0 with |b| = 1
+@pytest.mark.parametrize("spec", (FIB, PELL, RecurrenceSpec(1, 2, 0, 1),
+                                  RecurrenceSpec(1, -3, 0, 1),
+                                  RecurrenceSpec(0, -1, 0, 1)))
 @pytest.mark.parametrize("r", (1, 2, 3))
 def test_closed_symbolic_equals_direct_polynomial(spec, r):
     for n in range(0, 21):
@@ -70,14 +74,63 @@ def test_closed_routes_general_b_pointwise():
     spec = RecurrenceSpec(1, 2, 0, 1)
     q = PartialSumQuery(spec, 4, 1, Fraction(1))
     assert partial_sum_closed(q) == partial_sum_direct(q) == 10
-    with pytest.raises(ValueError):
-        partial_sum_closed(PartialSumQuery(spec, 4, 1))   # symbolic needs b=1
+    symbolic = PartialSumQuery(spec, 4, 1)
+    assert partial_sum_closed(symbolic) == RationalFunction(
+        partial_sum_direct(symbolic), Polynomial([1]))
 
 
 def test_closed_reports_denominator_zero():
-    spec = RecurrenceSpec(0, 1, 0, 1)   # V_1 = 0, so 1 - x^2 vanishes at 1
-    with pytest.raises(EvalPoleError):
-        partial_sum_closed(PartialSumQuery(spec, 3, 1, Fraction(1)))
+    # V_1 = 0, so the pair denominator 1 - x^2 vanishes at x = 1; a finite
+    # sum has no pole there, and the closed value is the sum
+    spec = RecurrenceSpec(0, 1, 0, 1)
+    q = PartialSumQuery(spec, 3, 1, Fraction(1))
+    assert partial_sum_closed(q) == partial_sum_direct(q) == 2
+
+
+def test_printed_form_is_symbolic_only():
+    with pytest.raises(ValueError):
+        partial_sum_printed(PartialSumQuery(FIB, 4, 2, Fraction(1)))
+    with pytest.raises(ValueError):
+        partial_sum_printed(PartialSumQuery(RecurrenceSpec(1, 2, 0, 1), 4, 2))
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 7))
+def test_printed_even_form_at_small_n(n):
+    # n = 0 puts the x term and the x^{n+1} term in one degree: the printed
+    # form negates only the former.  Published form, b = 1, even r:
+    # A^r sum_k C(r,k) (V_m x - (-1)^{kn} V_{m(n+1)} x^{n+1}
+    #   - (-1)^{k(n+1)} V_{mn} x^{n+2}) / (1 - (-1)^k V_m x + x^2)
+    #   + C(r, r/2) A^r sum_{i<=n} ((-1)^{r/2} x)^i,  A^2 = U_1^2 / D
+    for spec in (FIB, PELL):
+        v = seq.companion(spec)
+        for r in (2, 4):
+            a2 = Fraction(spec.u1**2, spec.discriminant)
+            total = RationalFunction.zero()
+            for k in range(r // 2):
+                m = r - 2 * k
+                num = (Polynomial([0, seq.term(v, m)])
+                       - Polynomial([(-1) ** (k * n) * seq.term(v, m * (n + 1))]).shift(n + 1)
+                       - Polynomial([(-1) ** (k * (n + 1)) * seq.term(v, m * n)]).shift(n + 2))
+                den = Polynomial([1, -(-1) ** k * seq.term(v, m), 1])
+                total = total + RationalFunction(num.scale(comb(r, k)), den)
+            eps = (-1) ** (r // 2)
+            middle = Polynomial([comb(r, r // 2) * eps**i for i in range(n + 1)])
+            total = total + RationalFunction(middle, Polynomial([1]))
+            expected = RationalFunction(Polynomial([a2 ** (r // 2)]), Polynomial([1])) * total
+            assert partial_sum_printed(PartialSumQuery(spec, n, r)) == expected
+
+
+def test_pointwise_closed_at_large_n_builds_no_polynomial(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pointwise closed sum built a polynomial")
+
+    monkeypatch.setattr(partsum, "Polynomial", refuse)
+    monkeypatch.setattr(partsum, "RationalFunction", refuse)
+    n, x = 10**5, Fraction(1, 2)
+    fib = seq.fibonacci()
+    f_n, f_next = seq.term_fast(fib, n), seq.term_fast(fib, n + 1)
+    expected = (x - f_next * x ** (n + 1) - f_n * x ** (n + 2)) / (1 - x - x * x)
+    assert partial_sum_closed(PartialSumQuery(FIB, n, 1, x)) == expected
 
 
 def test_general_b_examples():

@@ -125,7 +125,7 @@ STORE_SPECS = [
 @pytest.mark.parametrize("kind", ("U", "V"))
 @pytest.mark.parametrize("spec", STORE_SPECS)
 def test_store_term_equals_walk_from_minus_60_to_300(spec, kind):
-    handle = seq.SequenceHandle(spec, kind)
+    handle = seq.companion(spec) if kind == "V" else seq.SequenceHandle(spec)
     store = seq.PrefixStore(handle)
     # a few far lookups first, so both sides also grow by later extensions
     for n in (150, -30, *range(-60, 301)):

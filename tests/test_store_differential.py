@@ -30,7 +30,7 @@ def specs(draw):
 @example(spec=RecurrenceSpec(0, -1, 1, 1), kind="V", indices=[-9, 12])
 @example(spec=RecurrenceSpec(1, 2, Fraction(5, 4), 0), kind="U", indices=[-25, 25])
 def test_store_equals_walk(spec, kind, indices):
-    handle = seq.SequenceHandle(spec, kind)
+    handle = seq.companion(spec) if kind == "V" else seq.SequenceHandle(spec)
     store = seq.PrefixStore(handle)
     for n in indices:
         assert store.term(n) == seq.term(handle, n)
