@@ -1,12 +1,15 @@
 """Claim registry and grid runner with deterministic verdict reports.
 
 Every closed-form identity served by this package is registered here as a
-claim: the printed right-hand side is evaluated next to an independent
-brute-force oracle over a parameter grid, cell by cell.  Where a printed
-subscript, sign, or prefactor is known to disagree with the oracle, the claim
-carries sibling variants; a cell whose printed form fails but whose variant
-matches reports ``variant-pass`` with the failing witness attached, so the
-corrected-identity table is itself a deliverable.
+claim: an independent brute-force oracle, the printed form, and the ids of
+its corrected variants, compared over a parameter grid, cell by cell (one
+check, built by ``_compare``).  Where a printed subscript, sign, or prefactor
+is known to disagree with the oracle, the claim carries variant ids; they are
+tried in order, and only when the printed form fails.  A cell whose printed
+form fails but whose variant matches reports ``variant-pass`` with the
+failing witness attached, so the corrected-identity table is itself a
+deliverable.  ``lemma5`` (an identity in Q(sqrt(5))) and the 5-adic
+congruences (valuations, not values) have checks of their own.
 
 Reports are fully deterministic: same selection and grid, byte-identical
 structured output (no timestamps, sorted keys, stable cell ordering).
@@ -67,18 +70,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _verdict(lhs, printed, variants=()):
-    """Compare oracle value against the printed form, then against variants."""
-    if lhs == printed:
-        return "pass", None, None
-    witness = {"lhs": _fmt(lhs), "rhs": _fmt(printed)}
-    for vid, value in variants:
-        if value == lhs:
-            witness["variant_rhs"] = _fmt(value)
-            return "variant-pass", vid, witness
-    return "fail", None, witness
-
-
 # --- grids -------------------------------------------------------------------
 
 GF_AB = ((1, 1), (2, 1), (1, 2), (3, -2), (1, -3))
@@ -104,86 +95,52 @@ def _n_range(lo: int, default_hi: int, max_n, step: int = 1, hard=None):
 # --- checkers ----------------------------------------------------------------
 
 
-def _check_thm1(cell):
-    spec, r = cell["spec"], cell["r"]
-    truth = gfpow.gf_power(spec, r)
-    printed = gfpow.paired_form(spec, r, "printed")
-    if r % 2 == 1:
-        variants = (
-            ("with-x", gfpow.paired_form(spec, r, "b1")),
-            ("general-b", gfpow.paired_form(spec, r, "general")),
-        )
-    else:
-        variants = (("general-b", gfpow.paired_form(spec, r, "general")),)
-    return _verdict(truth, printed, variants)
+def _compare(truth, form, variants=()):
+    """Check that compares truth(cell) with form(cell, "printed").
 
-
-def _check_eq1(cell):
-    spec = cell["spec"]
-    truth = gfpow.gf_power(spec, 1)
-    return _verdict(
-        truth,
-        gfpow.display_r1(spec, "printed"),
-        (("unit-prefactor", gfpow.display_r1(spec, "unit-prefactor")),),
-    )
-
-
-def _check_eq2(cell):
-    spec = cell["spec"]
-    return _verdict(gfpow.gf_power(spec, 2), gfpow.display_r2(spec))
-
-
-def _check_eq3(cell):
-    spec = cell["spec"]
-    truth = gfpow.gf_power(spec, 3)
-    return _verdict(
-        truth,
-        gfpow.display_r3(spec, "printed"),
-        (("proof-consistent", gfpow.display_r3(spec, "proof-consistent")),),
-    )
-
-
-def _check_horadam(variant_name):
+    When they differ, form(cell, vid) is built for each variant id in turn,
+    and the first match gives ``variant-pass``; no variant is built for a
+    cell whose printed form holds.
+    """
     def check(cell):
-        (p, q), n = cell["pq"], cell["n"]
-        lhs = partsum.horadam_direct(p, q, partsum.horadam_index(variant_name, n))
-        printed = partsum.horadam_sums(p, q, variant_name, n)
-        variants = ()
-        if variant_name == "S4n-1":
-            variants = (
-                ("minus-p", partsum.horadam_sums(p, q, variant_name, n, corrected=True)),
-            )
-        return _verdict(lhs, printed, variants)
+        lhs = truth(cell)
+        printed = form(cell, "printed")
+        if lhs == printed:
+            return "pass", None, None
+        witness = {"lhs": _fmt(lhs), "rhs": _fmt(printed)}
+        for vid in variants:
+            value = form(cell, vid)
+            if value == lhs:
+                witness["variant_rhs"] = _fmt(value)
+                return "variant-pass", vid, witness
+        return "fail", None, witness
 
     return check
 
 
-def _check_thm3(cell):
-    spec, r, n = cell["spec"], cell["r"], cell["n"]
-    query = partsum.PartialSumQuery(spec, n, r)
-    truth = RationalFunction(partsum.partial_sum_direct(query), Polynomial([1]))
-    printed = partsum.partial_sum_printed(query)
-    variants = ()
-    if r % 2 == 0:
-        variants = (("proof-derived", partsum.partial_sum_closed(query)),)
-    return _verdict(truth, printed, variants)
+# variant id -> gfpow.paired_form style
+_THM1_STYLES = {"printed": "printed", "with-x": "b1", "general-b": "general"}
 
 
-def _check_cor_sn1(cell):
-    spec, n = cell["spec"], cell["n"]
-    query = partsum.PartialSumQuery(spec, n, 1)
-    truth = RationalFunction(partsum.partial_sum_direct(query), Polynomial([1]))
-    return _verdict(
-        truth,
-        partsum.corollary_r1(spec, n, "printed"),
-        (("shifted-exponent", partsum.corollary_r1(spec, n, "shifted-exponent")),),
-    )
+def _thm1_truth(cell):
+    return gfpow.gf_power(cell["spec"], cell["r"])
 
 
-def _check_thm4(cell):
-    spec, r, n, x = cell["spec"], cell["r"], cell["n"], cell["x"]
-    lhs = binsum.binom_sum_direct(spec, r, n, x)
-    return _verdict(lhs, binsum.binom_sum_closed(spec, r, n, x))
+def _thm1_form(cell, vid):
+    return gfpow.paired_form(cell["spec"], cell["r"], _THM1_STYLES[vid])
+
+
+def _partial_sum_truth(cell):
+    # cor-sn1 cells carry no r: that corollary sums first powers
+    query = partsum.PartialSumQuery(cell["spec"], cell["n"], cell.get("r", 1))
+    return RationalFunction(partsum.partial_sum_direct(query), Polynomial([1]))
+
+
+def _thm3_form(cell, vid):
+    query = partsum.PartialSumQuery(cell["spec"], cell["n"], cell["r"])
+    if vid == "printed":
+        return partsum.partial_sum_printed(query)
+    return partsum.partial_sum_closed(query)  # "proof-derived"
 
 
 def _check_lemma5(cell):
@@ -191,31 +148,6 @@ def _check_lemma5(cell):
     if ok:
         return "pass", None, None
     return "fail", None, {"lhs": str(value), "rhs": "collapse identity"}
-
-
-def _check_weighted(family, variants=()):
-    def check(cell):
-        r, n = cell["r"], cell["n"]
-        lhs = binsum.weighted_family_lhs(family, r, n)
-        printed = binsum.fib_weighted_closed(family, r, n, "printed")
-        pairs = tuple(
-            (vid, binsum.fib_weighted_closed(family, r, n, vid)) for vid in variants
-        )
-        return _verdict(lhs, printed, pairs)
-
-    return check
-
-
-def _check_corollary(family, variants=()):
-    def check(cell):
-        n = cell["n"]
-        lhs, printed, _ = binsum.corollary_identity(family, n)
-        pairs = tuple(
-            (vid, binsum.corollary_identity(family, n, vid)[1]) for vid in variants
-        )
-        return _verdict(lhs, printed, pairs)
-
-    return check
 
 
 def _check_congruence(claim):
@@ -257,7 +189,7 @@ def _build_registry() -> dict[str, Claim]:
         "is a bare -1 (exact pair product has (-b)^r x^2)",
         ("r odd",),
         lambda max_n: [{"spec": s, "r": r} for s in _gf_specs() for r in (1, 3, 5)],
-        _check_thm1,
+        _compare(_thm1_truth, _thm1_form, ("with-x", "general-b")),
     ))
     claims.append(Claim(
         "thm1-even",
@@ -266,7 +198,7 @@ def _build_registry() -> dict[str, Claim]:
         "(exact values are (-b)^r and (-b)^{r/2})",
         ("r even",),
         lambda max_n: [{"spec": s, "r": r} for s in _gf_specs() for r in (2, 4, 6)],
-        _check_thm1,
+        _compare(_thm1_truth, _thm1_form, ("general-b",)),
     ))
     claims.append(Claim(
         "eq1",
@@ -274,14 +206,16 @@ def _build_registry() -> dict[str, Claim]:
         "r = 1 prefactor is A^0 = 1, so the printed A^2 is spurious",
         ("b=1", "u0=0"),
         lambda max_n: [{"spec": s} for s in B1_SPECS],
-        _check_eq1,
+        _compare(lambda c: gfpow.gf_power(c["spec"], 1),
+                 lambda c, v: gfpow.display_r1(c["spec"], v), ("unit-prefactor",)),
     ))
     claims.append(Claim(
         "eq2",
         "square display -A^2(V_2+2) x (x-1) / ((x+1)(x^2 - V_2 x + 1))",
         ("b=1", "u0=0"),
         lambda max_n: [{"spec": s} for s in B1_SPECS],
-        _check_eq2,
+        _compare(lambda c: gfpow.gf_power(c["spec"], 2),
+                 lambda c, _: gfpow.display_r2(c["spec"])),
     ))
     claims.append(Claim(
         "eq3",
@@ -291,13 +225,16 @@ def _build_registry() -> dict[str, Claim]:
         "U_1^3 x (1 - 2ab x - x^2) over the same denominator)",
         ("b=1", "u0=0"),
         lambda max_n: [{"spec": s} for s in B1_SPECS],
-        _check_eq3,
+        _compare(lambda c: gfpow.gf_power(c["spec"], 3),
+                 lambda c, v: gfpow.display_r3(c["spec"], v), ("proof-consistent",)),
     ))
 
     for name in partsum.HORADAM_VARIANTS:
         desc = f"generalized Pell partial sum {name} via the half-companion sequence"
+        variants = ()
         if name == "S4n-1":
             desc += "; printed tail -q is off by q-p, the exact tail is -p"
+            variants = ("minus-p",)
         claims.append(Claim(
             f"thm2-{name}", desc, ("n>=1",),
             lambda max_n: [
@@ -305,7 +242,12 @@ def _build_registry() -> dict[str, Claim]:
                 for pq in HORADAM_PQ
                 for n in _n_range(1, 25, max_n)
             ],
-            _check_horadam(name),
+            _compare(
+                lambda c, name=name: partsum.horadam_direct(
+                    *c["pq"], partsum.horadam_index(name, c["n"])),
+                lambda c, v, name=name: partsum.horadam_sums(
+                    *c["pq"], name, c["n"], corrected=v == "minus-p"),
+                variants),
         ))
 
     claims.append(Claim(
@@ -318,7 +260,7 @@ def _build_registry() -> dict[str, Claim]:
             for s in B1_SPECS for r in (1, 3)
             for n in _n_range(0, 12, max_n, hard=partsum.SYMBOLIC_LIMIT - 2)
         ],
-        _check_thm3,
+        _compare(_partial_sum_truth, _thm3_form),
     ))
     claims.append(Claim(
         "thm3-even",
@@ -331,7 +273,7 @@ def _build_registry() -> dict[str, Claim]:
             for s in B1_SPECS for r in (2, 4)
             for n in _n_range(0, 12, max_n, hard=partsum.SYMBOLIC_LIMIT - 2)
         ],
-        _check_thm3,
+        _compare(_partial_sum_truth, _thm3_form, ("proof-derived",)),
     ))
     claims.append(Claim(
         "cor-sn1",
@@ -343,7 +285,9 @@ def _build_registry() -> dict[str, Claim]:
             for s in B1_SPECS
             for n in _n_range(0, 20, max_n, hard=partsum.SYMBOLIC_LIMIT - 2)
         ],
-        _check_cor_sn1,
+        _compare(_partial_sum_truth,
+                 lambda c, v: partsum.corollary_r1(c["spec"], c["n"], v),
+                 ("shifted-exponent",)),
     ))
 
     claims.append(Claim(
@@ -358,7 +302,9 @@ def _build_registry() -> dict[str, Claim]:
             for n in _n_range(0, 10, max_n)
             for x in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2))
         ],
-        _check_thm4,
+        _compare(
+            lambda c: binsum.binom_sum_direct(c["spec"], c["r"], c["n"], c["x"]),
+            lambda c, _: binsum.binom_sum_closed(c["spec"], c["r"], c["n"], c["x"])),
     ))
     claims.append(Claim(
         "lemma5",
@@ -407,7 +353,12 @@ def _build_registry() -> dict[str, Claim]:
                 for r in rs
                 for n in _n_range(n_lo, 20, max_n, step=n_step)
             ])(),
-            _check_weighted(family, variants),
+            _compare(
+                lambda c, family=family: binsum.weighted_family_lhs(
+                    family, c["r"], c["n"]),
+                lambda c, v, family=family: binsum.fib_weighted_closed(
+                    family, c["r"], c["n"], v),
+                variants),
         ))
 
     corollaries = (
@@ -437,7 +388,10 @@ def _build_registry() -> dict[str, Claim]:
             (lambda lo=lo, step=step: lambda max_n: [
                 {"n": n} for n in _n_range(lo, 100, max_n, step=step)
             ])(),
-            _check_corollary(cid, variants),
+            _compare(
+                lambda c, cid=cid: binsum.corollary_lhs(cid, c["n"]),
+                lambda c, v, cid=cid: binsum.corollary_rhs(cid, c["n"], v),
+                variants),
         ))
 
     congruences = (

@@ -33,7 +33,7 @@ def binom_sum_direct(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
     """sum_{i=0}^n C(n,i) U_i^r x^i by direct exact summation over the store."""
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    return seq.store(seq.SequenceHandle(spec)).power_sum(r, n, x, binomial=True)
+    return seq.store(spec).power_sum(r, n, x, binomial=True)
 
 
 def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
@@ -58,7 +58,7 @@ def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
 
 
 _FIB = seq.fibonacci()
-_LUC = seq.companion(_FIB.spec)
+_LUC = seq.companion(_FIB)
 
 
 def _fib(n: int) -> int:
@@ -80,7 +80,7 @@ def root_power_collapse(s: int, sign: int) -> tuple[bool, QuadElem]:
     """
     if s < 0 or sign not in (1, -1):
         raise ValueError("need s >= 0 and sign in {1, -1}")
-    alpha, beta = roots(RecurrenceSpec(1, 1, 0, 1))
+    alpha, beta = roots(_FIB)
     sqrt5 = alpha - beta
     fs, ls = _fib(s), _luc(s)
     eps = (-1) ** s
@@ -175,69 +175,68 @@ def fib_weighted_closed(family: str, r: int, n: int, variant: str = "printed") -
 
 def weighted_family_lhs(family: str, r: int, n: int) -> Fraction:
     """Matching direct sum for a closed-form family."""
-    fib = RecurrenceSpec(1, 1, 0, 1)
     power = 4 * r if family in ("T6-4r", "T9-4r-even", "T9-4r-odd") else 4 * r + 2
     x = 1 if family.startswith("T6") else -1
-    return binom_sum_direct(fib, power, n, x)
+    return binom_sum_direct(_FIB, power, n, x)
 
 
 # --- the ten displayed identities at x = +/-1 --------------------------------
 
-COROLLARY_FAMILIES = (
-    "cor7-1", "cor7-2", "cor7-3", "cor7-4", "cor7-5",
-    "cor10-1", "cor10-2", "cor10-3", "cor10-4", "cor10-5",
-)
+# family -> (power, x) of its left side sum_{i<=n} C(n,i) F_i^power x^i
+COROLLARY_FAMILIES = {
+    "cor7-1": (1, 1), "cor7-2": (2, 1), "cor7-3": (2, 1), "cor7-4": (3, 1),
+    "cor7-5": (4, 1),
+    "cor10-1": (1, -1), "cor10-2": (2, -1), "cor10-3": (3, -1),
+    "cor10-4": (4, -1), "cor10-5": (4, -1),
+}
 
 
-def corollary_identity(family: str, n: int, variant: str = "printed"):
-    """(lhs, rhs, equal) for one displayed identity; never asserts equality.
+def corollary_lhs(family: str, n: int) -> Fraction:
+    """Left side of one displayed identity, by direct summation."""
+    if family not in COROLLARY_FAMILIES:
+        raise ValueError(f"unknown identity {family!r}")
+    power, x = COROLLARY_FAMILIES[family]
+    return binom_sum_direct(_FIB, power, n, x)
+
+
+def corollary_rhs(family: str, n: int, variant: str = "printed") -> Fraction:
+    """Printed right side of one displayed identity; never asserts equality.
 
     n is always the upper summation index; cor7-2 needs it even and >= 2
     (the identity fails at index 0), cor7-3 odd, cor10-4 even >= 2, cor10-5
     odd.  cor10-4 carries the "times-4" variant 5^{n/2-2}(L_{2n} - 4 L_n).
     """
-    fib = RecurrenceSpec(1, 1, 0, 1)
     five = Fraction(5)
     if family == "cor7-1":
-        lhs, rhs = binom_sum_direct(fib, 1, n, 1), Fraction(_fib(2 * n))
-    elif family == "cor7-2":
+        return Fraction(_fib(2 * n))
+    if family == "cor7-2":
         if n % 2 == 1 or n < 2:
             raise ValueError("needs even n >= 2 (the identity fails at index 0)")
-        lhs = binom_sum_direct(fib, 2, n, 1)
-        rhs = five ** (n // 2 - 1) * _luc(n)
-    elif family == "cor7-3":
+        return five ** (n // 2 - 1) * _luc(n)
+    if family == "cor7-3":
         if n % 2 == 0:
             raise ValueError("needs odd n")
-        lhs = binom_sum_direct(fib, 2, n, 1)
-        rhs = five ** ((n - 1) // 2) * _fib(n)
-    elif family == "cor7-4":
-        lhs = binom_sum_direct(fib, 3, n, 1)
-        rhs = Fraction(2**n * _fib(2 * n) + 3 * _fib(n), 5)
-    elif family == "cor7-5":
-        lhs = binom_sum_direct(fib, 4, n, 1)
-        rhs = Fraction(3**n * _luc(2 * n) - 4 * (-1) ** n * _luc(n) + 6 * 2**n, 25)
-    elif family == "cor10-1":
-        lhs, rhs = binom_sum_direct(fib, 1, n, -1), Fraction(-_fib(n))
-    elif family == "cor10-2":
-        lhs = binom_sum_direct(fib, 2, n, -1)
-        rhs = Fraction((-1) ** n * _luc(n) - 2 ** (n + 1), 5)
-    elif family == "cor10-3":
-        lhs = binom_sum_direct(fib, 3, n, -1)
-        rhs = Fraction((-2) ** n * _fib(n) - 3 * _fib(2 * n), 5)
-    elif family == "cor10-4":
+        return five ** ((n - 1) // 2) * _fib(n)
+    if family == "cor7-4":
+        return Fraction(2**n * _fib(2 * n) + 3 * _fib(n), 5)
+    if family == "cor7-5":
+        return Fraction(3**n * _luc(2 * n) - 4 * (-1) ** n * _luc(n) + 6 * 2**n, 25)
+    if family == "cor10-1":
+        return Fraction(-_fib(n))
+    if family == "cor10-2":
+        return Fraction((-1) ** n * _luc(n) - 2 ** (n + 1), 5)
+    if family == "cor10-3":
+        return Fraction((-2) ** n * _fib(n) - 3 * _fib(2 * n), 5)
+    if family == "cor10-4":
         if n % 2 == 1 or n < 2:
             raise ValueError("needs even n >= 2")
-        lhs = binom_sum_direct(fib, 4, n, -1)
         mult = 1 if variant == "printed" else 4
-        rhs = five ** (n // 2 - 2) * (_luc(2 * n) - mult * _luc(n))
-    elif family == "cor10-5":
+        return five ** (n // 2 - 2) * (_luc(2 * n) - mult * _luc(n))
+    if family == "cor10-5":
         if n % 2 == 0:
             raise ValueError("needs odd n")
-        lhs = binom_sum_direct(fib, 4, n, -1)
-        rhs = -(five ** ((n + 1) // 2 - 2)) * (_fib(2 * n) + 4 * _fib(n))
-    else:
-        raise ValueError(f"unknown identity {family!r}")
-    return lhs, rhs, lhs == rhs
+        return -(five ** ((n + 1) // 2 - 2)) * (_fib(2 * n) + 4 * _fib(n))
+    raise ValueError(f"unknown identity {family!r}")
 
 
 # --- 5-adic congruence claims -------------------------------------------------

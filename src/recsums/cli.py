@@ -37,11 +37,18 @@ GF_CHECK_TERMS_LIMIT = 3 * GF_POWER_LIMIT
 # Largest |n| served by the term-by-term `seq` walk, which takes about 4 s
 # there; `seq --fast` serves any n >= 0 in log time.
 SEQ_WALK_LIMIT = 10**5
-# Largest n * power served by the direct side of `sum` and `binom-sum`
-# (`--direct`, and `--both`, the default).  On one Xeon core with CPython
-# 3.11, `binom_sum_direct` takes about 3 s at n = 20,000 with power 1, and
-# the cost grows as n^2.  `--closed` is not capped.
+# `sum` and `binom-sum` are budgeted by their size n * (power + h), where
+# h = bit_length(|p| q) - 1 counts the bits of x = p/q (h = 0 at x = 0 and
+# x = +-1), since every term carries a power of p and of q.
+# Largest size served by the direct side (`--direct`, and `--both`, the
+# default).  On one Xeon core with CPython 3.11, `binom_sum_direct` takes
+# about 3 s at n = 20,000 with power 1 and x = 1, the cost growing as n^2,
+# and at most 0.4 s at size 20,000 with x != +-1.
 SUM_SIZE_LIMIT = 20_000
+# Largest size served by `--closed`.  At a non-integer x its cost is
+# quadratic in n (the doubling kernel reduces a Fraction over q^n); there,
+# on the same host, Fibonacci takes at most 0.8 s.
+SUM_CLOSED_LIMIT = 300_000
 # Largest `audit --max-n` served, from the flag or a --config file.  On a
 # 2-core Xeon host with CPython 3.11, `audit --claims all` takes about 3 s at
 # 60, 6 s at 120 and 11 s at 240, `thm4` growing fastest.
@@ -68,7 +75,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser):
 
 def _spec_from_args(args) -> RecurrenceSpec:
     if args.preset:
-        return seq.preset(args.preset).spec
+        return seq.preset(args.preset)
     missing = [f for f in ("a", "b", "u0", "u1") if getattr(args, f) is None]
     if missing:
         raise DegenerateSpecError(
@@ -180,18 +187,17 @@ def parse_rational_function(text: str) -> RationalFunction:
 
 def _cmd_seq(args) -> int:
     spec = _spec_from_args(args)
-    handle = seq.SequenceHandle(spec)
     if args.fast:
         if args.n < 0:
             print("--fast requires a nonnegative index", file=sys.stderr)
             return 2
-        value = seq.term_fast(handle, args.n)
+        value = seq.term_fast(spec, args.n)
     elif abs(args.n) > SEQ_WALK_LIMIT:
         print(f"|--n| {abs(args.n)} exceeds the walk limit of {SEQ_WALK_LIMIT}; "
               f"use --fast for n >= 0", file=sys.stderr)
         return 2
     else:
-        value = seq.term(handle, args.n)
+        value = seq.term(spec, args.n)
     print(value)
     return 0
 
@@ -238,9 +244,16 @@ def _sum_like(args, direct_fn, closed_fn, claim_id) -> int:
         mode = "direct"
     elif args.closed:
         mode = "closed"
-    if mode != "closed" and args.n * args.power > SUM_SIZE_LIMIT:
-        print(f"--n {args.n} times --power {args.power} exceeds the direct-sum "
-              f"limit of {SUM_SIZE_LIMIT}; use --closed", file=sys.stderr)
+    size = _sum_size(args.n, args.power, args.x)
+    if mode != "closed" and size > SUM_SIZE_LIMIT:
+        print(f"size {size} = --n {args.n} times (--power {args.power} plus "
+              f"the size of --x) exceeds the direct-sum limit of "
+              f"{SUM_SIZE_LIMIT}; use --closed", file=sys.stderr)
+        return 2
+    if size > SUM_CLOSED_LIMIT:
+        print(f"size {size} = --n {args.n} times (--power {args.power} plus "
+              f"the size of --x) exceeds the closed-form limit of "
+              f"{SUM_CLOSED_LIMIT}", file=sys.stderr)
         return 2
     values = {}
     if mode in ("direct", "both"):
@@ -268,6 +281,12 @@ def _sum_like(args, direct_fn, closed_fn, claim_id) -> int:
     else:
         print(value)
     return 0
+
+
+def _sum_size(n: int, power: int, x: Fraction) -> int:
+    """n * (power + h), with h = bit_length(|p| q) - 1 for x = p/q != 0."""
+    h = (abs(x.numerator) * x.denominator).bit_length() - 1 if x else 0
+    return n * (power + h)
 
 
 def _sum_params(args) -> dict:

@@ -71,8 +71,7 @@ def gf_oracle(spec: RecurrenceSpec, r: int, order: int) -> PowerSeries:
     """[U_0^r, ..., U_{order-1}^r] purely by recurrence and powering."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    handle = seq.SequenceHandle(spec)
-    return PowerSeries.of(t**r for t in seq.terms(handle, order))
+    return PowerSeries.of(t**r for t in seq.terms(spec, order))
 
 
 # Denominator styles for the paired-term form.  "printed" is the literal

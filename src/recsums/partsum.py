@@ -60,10 +60,9 @@ def _require_closed(q: PartialSumQuery):
 
 def partial_sum_direct(q: PartialSumQuery):
     """Exact finite sum by direct evaluation; works for any initial values."""
-    handle = seq.SequenceHandle(q.spec)
     if q.x is None:
-        return Polynomial([t**q.r for t in seq.terms(handle, q.n + 1)])
-    return seq.store(handle).power_sum(q.r, q.n, q.x, binomial=False)
+        return Polynomial([t**q.r for t in seq.terms(q.spec, q.n + 1)])
+    return seq.store(q.spec).power_sum(q.r, q.n, q.x, binomial=False)
 
 
 def _pair_terms(w0, w1, p, q, n: int):
@@ -146,7 +145,7 @@ def corollary_r1(spec: RecurrenceSpec, n: int, variant: str = "printed") -> Rati
     """
     if variant not in ("printed", "shifted-exponent"):
         raise ValueError(f"unknown variant {variant!r}")
-    u = seq.store(seq.SequenceHandle(spec)).term
+    u = seq.store(spec).term
     last = n + 2 if variant == "printed" else n + 1
     inner = (
         Polynomial([spec.u1])

@@ -1,14 +1,15 @@
 """Recurrence sequences: prefix stores, the reference walk, fast doubling, Binet pairs.
 
-A ``SequenceHandle`` names the sequence of a :class:`RecurrenceSpec`: its
-recurrence and its initial values.  The companion sequence V (V_0 = 2,
-V_1 = a, same recurrence) is the handle of the spec with those initial values.
+A :class:`RecurrenceSpec` names a sequence: its recurrence and its initial
+values.  The companion sequence V (V_0 = 2, V_1 = a, same recurrence) is the
+spec with those initial values.
 
-Every brute-force oracle reads its terms from the handle's ``PrefixStore``:
+Every brute-force oracle reads its terms from the spec's ``PrefixStore``:
 integer numerators over the common denominator d = lcm(den U_0, den U_1),
 forward entries d U_k and backward entries d b^k U_{-k}, with running sums of
 both sides beside them.  A store only grows, by extension, and only as far as
-a lookup asks.  ``store`` hands out the store of a handle and keeps the
+a lookup asks.  ``store`` hands out the store of a spec, keyed by the spec
+(frozen and hashable, so equal specs share one store), and keeps the
 ``STORE_CAP`` most recently used ones, so the number of live stores stays
 bounded in a long-lived process.
 
@@ -16,7 +17,7 @@ bounded in a long-lived process.
 the store is tested against, and the CLI's walk for a single term, which fills
 no store.  ``lucas_term`` is the one log-time doubling kernel, for any
 rational second-order recurrence and initial values; ``term_fast`` is that
-kernel on a handle and is validated against ``term``, never trusted alone.
+kernel on a spec and is validated against ``term``, never trusted alone.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
@@ -25,17 +26,11 @@ rational second-order sequence given by its initial values and recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
 from .qfield import RecurrenceSpec
-
-
-@dataclass(frozen=True)
-class SequenceHandle:
-    spec: RecurrenceSpec
 
 
 PRESETS = {
@@ -46,39 +41,39 @@ PRESETS = {
 }
 
 
-def preset(name: str) -> SequenceHandle:
+def preset(name: str) -> RecurrenceSpec:
     if name.startswith("gen-pell:"):
         p, q = name.split(":", 1)[1].split(",")
         return generalized_pell(Fraction(p), Fraction(q))
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     a, b, u0, u1 = PRESETS[name]
-    return SequenceHandle(RecurrenceSpec(a, b, u0, u1))
+    return RecurrenceSpec(a, b, u0, u1)
 
 
-def fibonacci() -> SequenceHandle:
-    return SequenceHandle(RecurrenceSpec(1, 1, 0, 1))
+def fibonacci() -> RecurrenceSpec:
+    return RecurrenceSpec(1, 1, 0, 1)
 
 
-def pell_q() -> SequenceHandle:
+def pell_q() -> RecurrenceSpec:
     # the half-companion sequence: same recurrence, first two terms 1, 3
     return generalized_pell(1, 3)
 
 
-def generalized_pell(p, q) -> SequenceHandle:
+def generalized_pell(p, q) -> RecurrenceSpec:
     # P_1 = p, P_2 = q under P_{n+1} = 2 P_n + P_{n-1}, so P_0 = q - 2p
     p, q = Fraction(p), Fraction(q)
-    return SequenceHandle(RecurrenceSpec(2, 1, q - 2 * p, p))
+    return RecurrenceSpec(2, 1, q - 2 * p, p)
 
 
-def companion(spec: RecurrenceSpec) -> SequenceHandle:
-    return SequenceHandle(RecurrenceSpec(spec.a, spec.b, 2, spec.a))
+def companion(spec: RecurrenceSpec) -> RecurrenceSpec:
+    return RecurrenceSpec(spec.a, spec.b, 2, spec.a)
 
 
-def term(h: SequenceHandle, n: int) -> Fraction:
+def term(spec: RecurrenceSpec, n: int) -> Fraction:
     """Exact n-th term by the recurrence; negative n by the backward recurrence
     U_{n-1} = (U_{n+1} - a U_n) / b, which stays in Q for any nonzero b."""
-    a, b, lo, hi = h.spec.a, h.spec.b, h.spec.u0, h.spec.u1
+    a, b, lo, hi = spec.a, spec.b, spec.u0, spec.u1
     if n >= 0:
         for _ in range(n):
             lo, hi = hi, a * hi + b * lo
@@ -88,9 +83,9 @@ def term(h: SequenceHandle, n: int) -> Fraction:
     return lo
 
 
-def terms(h: SequenceHandle, count: int) -> list[Fraction]:
-    """Terms at indices 0 .. count-1, read from the handle's store."""
-    return store(h).terms(count)
+def terms(spec: RecurrenceSpec, count: int) -> list[Fraction]:
+    """Terms at indices 0 .. count-1, read from the spec's store."""
+    return store(spec).terms(count)
 
 
 class PrefixStore:
@@ -106,11 +101,11 @@ class PrefixStore:
 
     __slots__ = ("a", "b", "den", "_fwd", "_bwd", "_fsum", "_bsum")
 
-    def __init__(self, h: SequenceHandle):
-        u0, u1 = h.spec.u0, h.spec.u1
+    def __init__(self, spec: RecurrenceSpec):
+        u0, u1 = spec.u0, spec.u1
         d = lcm(u0.denominator, u1.denominator)
         n0, n1 = int(d * u0), int(d * u1)
-        self.a, self.b, self.den = h.spec.a, h.spec.b, d
+        self.a, self.b, self.den = spec.a, spec.b, d
         self._fwd = [n0, n1]
         self._bwd = [n0, n1 - self.a * n0]
         self._fsum = [0]
@@ -129,7 +124,7 @@ class PrefixStore:
         return self._fwd[:count]
 
     def term(self, n: int) -> Fraction:
-        """U_n for any integer n; equals term(h, n)."""
+        """U_n for any integer n; equals term(spec, n)."""
         if n >= 0:
             self._grow(self._fwd, n + 1, self.a)
             return Fraction(self._fwd[n], self.den)
@@ -177,7 +172,7 @@ class PrefixStore:
 # Stores kept alive at once; the least recently used one is dropped beyond it.
 STORE_CAP = 16
 
-# The store of a handle, made on first use: store(h).term(n), .prefix_sum(idx).
+# The store of a spec, made on first use: store(spec).term(n), .prefix_sum(idx).
 store = lru_cache(maxsize=STORE_CAP)(PrefixStore)
 
 
@@ -211,9 +206,9 @@ def lucas_term(p, q, w0, w1, n: int) -> Fraction:
     return Fraction(s * w1 * fn + w0 * (fnext - a * fn)) / s**n
 
 
-def term_fast(h: SequenceHandle, n: int) -> Fraction:
-    """Log-time evaluation for n >= 0; identical value to term(h, n)."""
-    return lucas_term(h.spec.a, -h.spec.b, h.spec.u0, h.spec.u1, n)
+def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
+    """Log-time evaluation for n >= 0; identical value to term(spec, n)."""
+    return lucas_term(spec.a, -spec.b, spec.u0, spec.u1, n)
 
 
 def binet_pairs(spec: RecurrenceSpec, r: int, x):

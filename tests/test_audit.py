@@ -7,10 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from recsums import gfpow
 from recsums.audit import (REGISTRY, AuditCellError, UnknownClaimError,
                            has_unexplained_failure, report, run_audit,
                            structured_report, structured_report_text,
                            text_report)
+from recsums.cli import main
+from recsums.gfpow import gf_power
+from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import NotRationalError
 
 
@@ -156,3 +160,30 @@ def test_known_misprints_variant_pass_and_nothing_fails():
     verdicts = {r.variant for r in by_claim["thm1-odd"]}
     assert verdicts == {"with-x", "general-b"}
     assert all(r.verdict == "variant-pass" for r in by_claim["thm1-odd"])
+
+
+def _wrong_display_r1(spec, variant="printed"):
+    return RationalFunction(Polynomial([0, 7]), Polynomial([1, -1]))
+
+
+def test_a_form_matching_no_variant_fails_with_its_witness(monkeypatch, capsys):
+    monkeypatch.setattr(gfpow, "display_r1", _wrong_display_r1)
+    results = run_audit(["eq1"])
+    assert results and all(r.verdict == "fail" for r in results)
+    assert all(r.variant is None for r in results)
+    assert all(set(r.witness) == {"lhs", "rhs"} for r in results)
+    assert results[0].witness["rhs"] == "7x/(1 - x)"
+    assert has_unexplained_failure(results)
+    assert main(["audit", "--claims", "eq1"]) == 1
+    assert "fail=2" in capsys.readouterr().out
+
+
+def test_variants_are_built_only_when_the_printed_form_fails(monkeypatch):
+    def display_r1(spec, variant="printed"):
+        if variant != "printed":
+            raise AssertionError("a variant was built for a passing cell")
+        return gf_power(spec, 1)
+
+    monkeypatch.setattr(gfpow, "display_r1", display_r1)
+    results = run_audit(["eq1"])
+    assert results and all(r.verdict == "pass" for r in results)

@@ -9,7 +9,7 @@ from recsums import seq
 from recsums.audit import run_audit
 from recsums.binsum import (binom_sum_closed, binom_sum_direct,
                             congruence_exponents, congruence_lhs,
-                            corollary_identity, divisible_by_5_pow,
+                            corollary_lhs, corollary_rhs, divisible_by_5_pow,
                             fib_weighted_closed, padic_valuation,
                             root_power_collapse, weighted_family_lhs)
 from recsums.qfield import QuadElem, RecurrenceSpec, roots
@@ -50,11 +50,10 @@ def test_closed_equals_direct_small_grid(spec, r):
     RecurrenceSpec(0, -3, 1, Fraction(-1, 6)),
 ))
 def test_direct_equals_fraction_sum_over_walked_terms(spec):
-    handle = seq.SequenceHandle(spec)
     for x in (Fraction(2, 3), Fraction(-5, 4), Fraction(0), Fraction(3)):
         for r in (1, 2, 3):
             for n in (0, 1, 7, 30):
-                plain = sum((comb(n, i) * seq.term(handle, i) ** r * x**i
+                plain = sum((comb(n, i) * seq.term(spec, i) ** r * x**i
                              for i in range(n + 1)), Fraction(0))
                 assert binom_sum_direct(spec, r, n, x) == plain
 
@@ -117,38 +116,34 @@ def test_weighted_family_parity_enforced():
 
 
 def test_corollary_examples():
-    lhs, rhs, equal = corollary_identity("cor7-1", 4)
-    assert (lhs, rhs, equal) == (21, 21, True)
-    lhs, rhs, equal = corollary_identity("cor10-3", 2)
-    assert lhs == -1 and rhs == -1 and equal
-    lhs, rhs, equal = corollary_identity("cor10-4", 2)
-    assert lhs == -1 and rhs == Fraction(4, 5) and not equal
-    lhs, rhs, equal = corollary_identity("cor10-4", 2, "times-4")
-    assert equal
+    lhs, rhs = corollary_lhs("cor7-1", 4), corollary_rhs("cor7-1", 4)
+    assert (lhs, rhs, lhs == rhs) == (21, 21, True)
+    lhs, rhs = corollary_lhs("cor10-3", 2), corollary_rhs("cor10-3", 2)
+    assert lhs == -1 and rhs == -1 and lhs == rhs
+    lhs, rhs = corollary_lhs("cor10-4", 2), corollary_rhs("cor10-4", 2)
+    assert lhs == -1 and rhs == Fraction(4, 5) and lhs != rhs
+    assert corollary_lhs("cor10-4", 2) == corollary_rhs("cor10-4", 2, "times-4")
 
 
 def test_corollary_small_sweeps():
     for n in range(0, 40):
-        assert corollary_identity("cor7-1", n)[2]
-        assert corollary_identity("cor7-4", n)[2]
-        assert corollary_identity("cor7-5", n)[2]
-        assert corollary_identity("cor10-1", n)[2]
-        assert corollary_identity("cor10-2", n)[2]
-        assert corollary_identity("cor10-3", n)[2]
+        for family in ("cor7-1", "cor7-4", "cor7-5", "cor10-1", "cor10-2", "cor10-3"):
+            assert corollary_lhs(family, n) == corollary_rhs(family, n)
     for n in range(2, 40, 2):
-        assert corollary_identity("cor7-2", n)[2]
-        assert corollary_identity("cor10-4", n, "times-4")[2]
-        assert not corollary_identity("cor10-4", n, "printed")[2]
+        assert corollary_lhs("cor7-2", n) == corollary_rhs("cor7-2", n)
+        lhs = corollary_lhs("cor10-4", n)
+        assert lhs == corollary_rhs("cor10-4", n, "times-4")
+        assert lhs != corollary_rhs("cor10-4", n, "printed")
     for n in range(1, 40, 2):
-        assert corollary_identity("cor7-3", n)[2]
-        assert corollary_identity("cor10-5", n)[2]
+        assert corollary_lhs("cor7-3", n) == corollary_rhs("cor7-3", n)
+        assert corollary_lhs("cor10-5", n) == corollary_rhs("cor10-5", n)
 
 
 def test_cor7_2_fails_at_index_zero():
     # direct sum at upper index 0 is F_0^2 = 0 but the closed form gives 2/5
     assert binom_sum_direct(FIB, 2, 0, 1) == 0
     with pytest.raises(ValueError):
-        corollary_identity("cor7-2", 0)
+        corollary_rhs("cor7-2", 0)
 
 
 def test_padic_valuation():

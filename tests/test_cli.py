@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
 from recsums import audit, binsum, gfpow, partsum, seq
 from recsums.cli import (AUDIT_MAX_N_LIMIT, GF_CHECK_TERMS_LIMIT,
-                         GF_POWER_LIMIT, SEQ_WALK_LIMIT, SUM_SIZE_LIMIT, main, parse_polynomial,
+                         GF_POWER_LIMIT, SEQ_WALK_LIMIT, SUM_CLOSED_LIMIT,
+                         SUM_SIZE_LIMIT, _sum_size, main, parse_polynomial,
                          parse_rational_function)
 from recsums.gfpow import gf_power
 from recsums.polyrat import Polynomial, RationalFunction
@@ -82,6 +84,55 @@ def test_direct_sum_at_the_limit_and_closed_beyond_it_are_served(capsys,
                            str(n), "--power", "1", "--x", "1", "--closed")
     # sum_i C(n,i) F_i = F_{2n}
     assert (code, out.strip()) == (0, str(seq.term_fast(seq.fibonacci(), 2 * n)))
+
+
+# x = 123456789/987654323: bit_length(|p| q) = 57, so each term counts 1 + 56
+BIG_X = "123456789/987654323"
+
+
+def _patch_every_sum(monkeypatch, fn):
+    for module, name in (
+            (partsum, "partial_sum_direct"), (partsum, "partial_sum_closed"),
+            (binsum, "binom_sum_direct"), (binsum, "binom_sum_closed")):
+        monkeypatch.setattr(module, name, fn)
+
+
+def test_sum_size_counts_the_bits_of_x():
+    assert _sum_size(10, 3, Fraction(0)) == 30
+    assert _sum_size(10, 3, Fraction(1)) == _sum_size(10, 3, Fraction(-1)) == 30
+    assert _sum_size(10, 3, Fraction(1, 2)) == 40
+    assert _sum_size(10, 3, Fraction(-2, 3)) == 50
+    assert _sum_size(351, 1, Fraction(BIG_X)) == SUM_SIZE_LIMIT + 7
+
+
+@pytest.mark.parametrize("command", ("sum", "binom-sum"))
+@pytest.mark.parametrize("mode, n, x, limit", (
+    ((), 351, BIG_X, SUM_SIZE_LIMIT),
+    (("--both",), 351, BIG_X, SUM_SIZE_LIMIT),
+    (("--direct",), 351, BIG_X, SUM_SIZE_LIMIT),
+    (("--direct",), SUM_SIZE_LIMIT // 2 + 1, "1/2", SUM_SIZE_LIMIT),
+    (("--closed",), SUM_CLOSED_LIMIT // 2 + 1, "1/2", SUM_CLOSED_LIMIT),
+    (("--closed",), SUM_CLOSED_LIMIT // 3 + 1, "-2/3", SUM_CLOSED_LIMIT),
+))
+def test_sum_beyond_its_size_limit_exits_two(capsys, monkeypatch, command,
+                                             mode, n, x, limit):
+    _patch_every_sum(monkeypatch, _refuse)
+    code, out, err = run_cli(capsys, command, "--preset", "fibonacci", "--n",
+                             str(n), "--power", "1", f"--x={x}", *mode)
+    assert (code, out) == (2, "")
+    assert str(limit) in err
+
+
+@pytest.mark.parametrize("command", ("sum", "binom-sum"))
+def test_sums_exactly_at_each_size_limit_are_served(capsys, monkeypatch,
+                                                    command):
+    _patch_every_sum(monkeypatch, lambda *args: 7)
+    for mode, n in (("--direct", SUM_SIZE_LIMIT // 2),
+                    ("--closed", SUM_CLOSED_LIMIT // 2)):
+        code, out, _ = run_cli(capsys, command, "--preset", "fibonacci",
+                               "--n", str(n), "--power", "1", "--x", "1/2",
+                               mode)
+        assert (code, out.strip()) == (0, "7")
 
 
 def test_seq_negative_index_and_fast(capsys):

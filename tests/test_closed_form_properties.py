@@ -46,7 +46,7 @@ def specs(draw):
 def test_closed_forms_equal_their_oracles(spec, r, n, x):
     assert binom_sum_closed(spec, r, n, x) == binom_sum_direct(spec, r, n, x)
     q = PartialSumQuery(spec, n, r, x)
-    walked = [seq.term(seq.SequenceHandle(spec), i) for i in range(n + 1)]
+    walked = [seq.term(spec, i) for i in range(n + 1)]
     assert partial_sum_direct(q) == sum((u**r * x**i for i, u in enumerate(walked)), F(0))
     if spec.u0 == 0:
         assert partial_sum_general_b(q) == partial_sum_direct(q)

@@ -1,9 +1,13 @@
-"""Design guard: closed forms compute over Q; QuadElem stays where Q(sqrt(D)) is the subject.
+"""Design guards.
 
+Closed forms compute over Q; QuadElem stays where Q(sqrt(D)) is the subject.
 QuadElem is the arithmetic of ``lemma5`` (``binsum.root_power_collapse``, a
 statement about Q(sqrt(5))) and the tests' Binet reference.  Every closed form
 reaches Q through ``seq.binet_pairs``, so polynomials and rational functions
 hold Fractions only.
+
+Every audit claim that compares a value with a printed form is one
+``audit._compare`` check, and a sequence is named by its ``RecurrenceSpec``.
 """
 
 import re
@@ -11,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from recsums import seq
+from recsums.audit import REGISTRY
+from recsums.binsum import CONGRUENCE_CLAIMS
 from recsums.polyrat import Polynomial
-from recsums.qfield import QuadElem
+from recsums.qfield import QuadElem, RecurrenceSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "recsums"
 
@@ -33,3 +40,18 @@ def test_polynomials_are_rational_only():
     assert "qfield" not in (SRC / "polyrat.py").read_text(encoding="utf-8")
     with pytest.raises(TypeError):
         Polynomial([QuadElem(1, 1, 5)])
+
+
+def test_every_value_claim_is_one_comparison():
+    own_checks = {"lemma5", *CONGRUENCE_CLAIMS}
+    assert own_checks <= set(REGISTRY)
+    for cid, claim in REGISTRY.items():
+        compared = claim.check.__qualname__.startswith("_compare.")
+        assert compared == (cid not in own_checks), cid
+
+
+def test_a_sequence_is_named_by_its_spec():
+    assert not hasattr(seq, "SequenceHandle")
+    spec = seq.fibonacci()
+    assert isinstance(spec, RecurrenceSpec)
+    assert seq.store(spec) is seq.store(RecurrenceSpec(1, 1, 0, 1))

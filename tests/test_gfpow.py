@@ -149,8 +149,8 @@ def test_display_r3_printed_fails_even_for_fibonacci():
 
 
 def test_display_r3_uses_the_printed_denominator_product():
-    v_handle = seq.companion(FIB)
-    v1, v3 = seq.term(v_handle, 1), seq.term(v_handle, 3)
+    v_spec = seq.companion(FIB)
+    v1, v3 = seq.term(v_spec, 1), seq.term(v_spec, 3)
     den = Polynomial([1, -v3, -1]) * Polynomial([1, v1, -1])
     f = display_r3(FIB, "proof-consistent")
     # canonical form keeps the full degree-4 denominator (no common factor)

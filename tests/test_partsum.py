@@ -195,10 +195,10 @@ def test_horadam_table_printed_and_corrected():
 
 @pytest.mark.parametrize("pq", ((1, 2), (2, 5), (Fraction(1, 3), Fraction(-5, 2))))
 def test_horadam_direct_equals_summed_walk(pq):
-    handle = seq.generalized_pell(*pq)
+    pell = seq.generalized_pell(*pq)
     for idx in range(0, 42):
         for sign in (1, -1):
-            plain = sum((seq.term(handle, sign * i) for i in range(1, idx + 1)),
+            plain = sum((seq.term(pell, sign * i) for i in range(1, idx + 1)),
                         Fraction(0))
             assert horadam_direct(*pq, sign * idx) == plain
 

@@ -170,7 +170,6 @@ def test_powers_match_repeated_multiplication():
 def test_binet_matches_recurrence(spec):
     alpha, beta = roots(spec)
     a_coef, b_coef = binet_coeffs(spec)
-    handle = seq.SequenceHandle(spec)
-    values = seq.terms(handle, 65)
+    values = seq.terms(spec, 65)
     for n in range(65):
         assert rationalize(a_coef * alpha**n - b_coef * beta**n) == values[n]

@@ -38,12 +38,12 @@ def test_pell_terms():
 def test_generalized_pell_indexing():
     h = seq.generalized_pell(1, 3)
     assert [seq.term(h, n) for n in range(5)] == [1, 1, 3, 7, 17]
-    assert seq.pell_q().spec == h.spec
+    assert seq.pell_q() == h
 
 
 def test_preset_parsing():
-    assert seq.preset("fibonacci").spec == RecurrenceSpec(1, 1, 0, 1)
-    assert seq.preset("gen-pell:1,2").spec == RecurrenceSpec(2, 1, 0, 1)
+    assert seq.preset("fibonacci") == RecurrenceSpec(1, 1, 0, 1)
+    assert seq.preset("gen-pell:1,2") == RecurrenceSpec(2, 1, 0, 1)
     with pytest.raises(ValueError):
         seq.preset("golden")
 
@@ -73,14 +73,13 @@ FAST_GRID = [
 
 @pytest.mark.parametrize("spec", FAST_GRID)
 def test_term_fast_agrees_with_iterative_to_2000(spec):
-    handle = seq.SequenceHandle(spec)
-    values = seq.terms(handle, 2001)
+    values = seq.terms(spec, 2001)
     for n in range(2001):
-        assert seq.term_fast(handle, n) == values[n]
-    v_handle = seq.companion(spec)
-    v_values = seq.terms(v_handle, 201)
+        assert seq.term_fast(spec, n) == values[n]
+    v_spec = seq.companion(spec)
+    v_values = seq.terms(v_spec, 201)
     for n in range(201):
-        assert seq.term_fast(v_handle, n) == v_values[n]
+        assert seq.term_fast(v_spec, n) == v_values[n]
 
 
 @pytest.mark.parametrize("spec", FAST_GRID)
@@ -93,19 +92,17 @@ def test_companion_identity_rationalizes(spec):
 
 @pytest.mark.parametrize("spec", FAST_GRID)
 def test_backward_forward_consistency(spec):
-    handle = seq.SequenceHandle(spec)
     for n in range(1, 20):
-        older = seq.term(handle, -n - 1)
-        old = seq.term(handle, -n)
-        assert spec.a * old + spec.b * older == seq.term(handle, -n + 1)
+        older = seq.term(spec, -n - 1)
+        old = seq.term(spec, -n)
+        assert spec.a * old + spec.b * older == seq.term(spec, -n + 1)
 
 
 def test_binet_check_on_rational_initial_values():
     spec = RecurrenceSpec(1, 1, Fraction(1, 2), Fraction(1, 3))
     alpha, beta = roots(spec)
     a_coef, b_coef = binet_coeffs(spec)
-    handle = seq.SequenceHandle(spec)
-    for n, value in enumerate(seq.terms(handle, 30)):
+    for n, value in enumerate(seq.terms(spec, 30)):
         assert rationalize(a_coef * alpha**n - b_coef * beta**n) == value
 
 
@@ -125,48 +122,45 @@ STORE_SPECS = [
 @pytest.mark.parametrize("kind", ("U", "V"))
 @pytest.mark.parametrize("spec", STORE_SPECS)
 def test_store_term_equals_walk_from_minus_60_to_300(spec, kind):
-    handle = seq.companion(spec) if kind == "V" else seq.SequenceHandle(spec)
-    store = seq.PrefixStore(handle)
+    sequence = seq.companion(spec) if kind == "V" else spec
+    store = seq.PrefixStore(sequence)
     # a few far lookups first, so both sides also grow by later extensions
     for n in (150, -30, *range(-60, 301)):
-        assert store.term(n) == seq.term(handle, n), n
+        assert store.term(n) == seq.term(sequence, n), n
 
 
 @pytest.mark.parametrize("spec", STORE_SPECS)
 def test_store_prefix_sums_equal_summed_walk(spec):
-    handle = seq.SequenceHandle(spec)
-    store = seq.PrefixStore(handle)
+    store = seq.PrefixStore(spec)
     for idx in (5, -7, 40, -40, 0, 3, -1, 61, -61):
         sign = 1 if idx > 0 else -1
-        expected = sum((seq.term(handle, sign * i) for i in range(1, abs(idx) + 1)),
+        expected = sum((seq.term(spec, sign * i) for i in range(1, abs(idx) + 1)),
                        Fraction(0))
         assert store.prefix_sum(idx) == expected, idx
 
 
 @pytest.mark.parametrize("spec", STORE_SPECS)
 def test_store_numerators_are_integers_over_den(spec):
-    handle = seq.SequenceHandle(spec)
-    store = seq.PrefixStore(handle)
+    store = seq.PrefixStore(spec)
     nums = store.numerators(50)
     assert all(isinstance(v, int) for v in nums)
-    walk = [seq.term(handle, n) for n in range(50)]
+    walk = [seq.term(spec, n) for n in range(50)]
     assert [Fraction(v, store.den) for v in nums] == store.terms(50) == walk
-    assert seq.terms(handle, 50) == walk
+    assert seq.terms(spec, 50) == walk
 
 
 def test_store_accessor_is_bounded_lru():
     seq.store.cache_clear()
-    handles = [seq.SequenceHandle(RecurrenceSpec(1, 1, 0, k))
-               for k in range(1, seq.STORE_CAP + 6)]
-    for h in handles:
-        seq.store(h).term(20)
+    specs = [RecurrenceSpec(1, 1, 0, k) for k in range(1, seq.STORE_CAP + 6)]
+    for spec in specs:
+        seq.store(spec).term(20)
         assert seq.store.cache_info().currsize <= seq.STORE_CAP
     assert seq.store.cache_info().currsize == seq.STORE_CAP
-    # the most recent STORE_CAP handles are kept; a hit returns the same store
-    kept = seq.store(handles[-1])
+    # the most recent STORE_CAP specs' stores are kept; a hit returns the same store
+    kept = seq.store(specs[-1])
     hits = seq.store.cache_info().hits
-    assert seq.store(handles[-1]) is kept
+    assert seq.store(specs[-1]) is kept
     assert seq.store.cache_info().hits == hits + 1
     misses = seq.store.cache_info().misses
-    seq.store(handles[0])    # evicted long ago: made afresh
+    seq.store(specs[0])    # evicted long ago: made afresh
     assert seq.store.cache_info().misses == misses + 1

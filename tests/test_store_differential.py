@@ -30,12 +30,12 @@ def specs(draw):
 @example(spec=RecurrenceSpec(0, -1, 1, 1), kind="V", indices=[-9, 12])
 @example(spec=RecurrenceSpec(1, 2, Fraction(5, 4), 0), kind="U", indices=[-25, 25])
 def test_store_equals_walk(spec, kind, indices):
-    handle = seq.companion(spec) if kind == "V" else seq.SequenceHandle(spec)
-    store = seq.PrefixStore(handle)
+    sequence = seq.companion(spec) if kind == "V" else spec
+    store = seq.PrefixStore(sequence)
     for n in indices:
-        assert store.term(n) == seq.term(handle, n)
+        assert store.term(n) == seq.term(sequence, n)
     k = max(abs(n) for n in indices) % 12
     for idx in (k, -k):
         sign = 1 if idx > 0 else -1
         assert store.prefix_sum(idx) == sum(
-            (seq.term(handle, sign * i) for i in range(1, k + 1)), Fraction(0))
+            (seq.term(sequence, sign * i) for i in range(1, k + 1)), Fraction(0))
