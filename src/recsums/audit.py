@@ -132,15 +132,15 @@ def _thm1_form(cell, vid):
 
 def _partial_sum_truth(cell):
     # cor-sn1 cells carry no r: that corollary sums first powers
-    query = partsum.PartialSumQuery(cell["spec"], cell["n"], cell.get("r", 1))
-    return RationalFunction(partsum.partial_sum_direct(query), Polynomial([1]))
+    return RationalFunction(
+        partsum.partial_sum_direct(cell["spec"], cell.get("r", 1), cell["n"]),
+        Polynomial([1]))
 
 
 def _thm3_form(cell, vid):
-    query = partsum.PartialSumQuery(cell["spec"], cell["n"], cell["r"])
-    if vid == "printed":
-        return partsum.partial_sum_printed(query)
-    return partsum.partial_sum_closed(query)  # "proof-derived"
+    # "proof-derived" is the corrected form
+    fn = partsum.partial_sum_printed if vid == "printed" else partsum.partial_sum_closed
+    return fn(cell["spec"], cell["r"], cell["n"])
 
 
 def _check_lemma5(cell):

@@ -4,9 +4,10 @@
 
     sum_{k=0}^r C(r,k) A^k (-B)^{r-k} (1 + alpha^k beta^{r-k} x)^n
 
-over Q, one Galois-conjugate pair of terms at a time: each pair is a
-rational second-order sequence in n (:func:`recsums.seq.binet_pairs`), read
-off by the doubling kernel ``seq.lucas_term``.  It carries no b = 1 caveat.
+over Q, one Galois-conjugate pair of terms at a time: each entry of
+:func:`recsums.seq.binet_pairs` gives a rational second-order sequence in n,
+read off by the doubling kernel ``seq.lucas_term``.  Both sums take
+``(spec, r, n, x)``, as ``partsum``'s do.  It carries no b = 1 caveat.
 Only ``root_power_collapse``, a statement about Q(sqrt(5)) itself, computes
 with ``QuadElem``.  The Fibonacci specializations at x = +/-1
 (Lucas/Fibonacci collapses, the ten displayed identities, and the 5-adic
@@ -39,19 +40,16 @@ def binom_sum_direct(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
 def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
     """Closed-form value; equals binom_sum_direct exactly for every spec.
 
-    Pair k of ``seq.binet_pairs`` contributes c_k (1 + t_k)^n plus its
+    Entry k of ``seq.binet_pairs`` contributes c_k (1 + t_k)^n plus its
     conjugate: a rational sequence with roots 1 + t_k, 1 + t_{r-k}, so
-    P' = 2 + P, Q' = 1 + P + Q, and initial values w0, w0 + w1.
+    P' = 2 + P, Q' = 1 + P + Q, and initial values w0, w0 + w1.  The middle
+    entry (c, c t, t, 0) of even r gives roots 1 and 1 + t with initial
+    values c, c (1 + t): the sequence c (1 + t)^n, also at t = 0 or -1.
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    pairs, middle = seq.binet_pairs(spec, r, x)
-    total = sum((seq.lucas_term(2 + p, 1 + p + q, w0, w0 + w1, n)
-                 for w0, w1, p, q in pairs), Fraction(0))
-    if middle is not None:
-        c, t = middle
-        total += c * (1 + t) ** n
-    return total
+    return sum((seq.lucas_term(2 + p, 1 + p + q, w0, w0 + w1, n)
+                for w0, w1, p, q in seq.binet_pairs(spec, r, x)), Fraction(0))
 
 
 # --- Fibonacci/Lucas scalar helpers -----------------------------------------

@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from . import audit, binsum, gfpow, partsum, seq
 from .polyrat import (EvalPoleError, Polynomial, RationalFunction,
@@ -34,16 +35,26 @@ from .qfield import DegenerateSpecError, RecurrenceSpec
 GF_POWER_LIMIT = 128
 # Largest `gf --check-terms` served: the 3r-term check at the largest power.
 GF_CHECK_TERMS_LIMIT = 3 * GF_POWER_LIMIT
-# Largest |n| served by the term-by-term `seq` walk, which takes about 4 s
-# there; `seq --fast` serves any n >= 0 in log time.
+# The `seq` and sum budgets weigh n by the spec's growth g (see `_growth`),
+# about log2 of the square of its largest root modulus, since U_n has about
+# n * g / 2 bits.  g is 1 for Fibonacci and any spec whose largest root
+# modulus is at most sqrt(3), 2 for Pell and 19 for (a, b) = (1000, 1).
+# Largest |n| * g served by the term-by-term `seq` walk.  On one Xeon core
+# with CPython 3.11 it takes about 4 s at Fibonacci n = 10^5 and 0.3 s at
+# (1000, 1), n = 5,263.
 SEQ_WALK_LIMIT = 10**5
-# `sum` and `binom-sum` are budgeted by their size n * (power + h), where
-# h = bit_length(|p| q) - 1 counts the bits of x = p/q (h = 0 at x = 0 and
-# x = +-1), since every term carries a power of p and of q.
+# Largest n * g served by `seq --fast`.  The doubling is log-time, but
+# rendering U_n is quadratic in its digits: on the same host, Fibonacci
+# n = 2 * 10^6 takes 3.3-3.8 s and (3, 3) n = 666,666 (g = 3) takes 3.0 s.
+SEQ_FAST_LIMIT = 2 * 10**6
+# `sum` and `binom-sum` are budgeted by their size n * (power * g + h),
+# where h = bit_length(|p| q) - 1 counts the bits of x = p/q (h = 0 at x = 0
+# and x = +-1), since every term carries a power of p and of q.
 # Largest size served by the direct side (`--direct`, and `--both`, the
 # default).  On one Xeon core with CPython 3.11, `binom_sum_direct` takes
-# about 3 s at n = 20,000 with power 1 and x = 1, the cost growing as n^2,
-# and at most 0.4 s at size 20,000 with x != +-1.
+# about 3 s at n = 20,000 with Fibonacci, power 1 and x = 1, the cost
+# growing as n^2, at most 0.4 s at size 20,000 with x != +-1, and 0.15 s at
+# (10^6, 1), n = 512.
 SUM_SIZE_LIMIT = 20_000
 # Largest size served by `--closed`.  At a non-integer x its cost is
 # quadratic in n (the doubling kernel reduces a Fraction over q^n); there,
@@ -185,20 +196,33 @@ def parse_rational_function(text: str) -> RationalFunction:
 # --- subcommand handlers ------------------------------------------------------
 
 
+def _growth(spec: RecurrenceSpec) -> int:
+    """g = max(1, bit_length(ceil(rho^2)) - 1), rho the largest root modulus:
+    rho^2 = |b| for complex roots, else ((|a| + sqrt D) / 2)^2 with sqrt D
+    rounded up.  (|a| and |b| alone would weigh (3, -3) like (3, 3).)"""
+    a, d = abs(spec.a), spec.discriminant
+    if d < 0:
+        rho2 = abs(spec.b)
+    else:
+        s = isqrt(d)
+        s += s * s < d
+        rho2 = -(-(a * a + d + 2 * a * s) // 4)
+    return max(1, rho2.bit_length() - 1)
+
+
 def _cmd_seq(args) -> int:
     spec = _spec_from_args(args)
-    if args.fast:
-        if args.n < 0:
-            print("--fast requires a nonnegative index", file=sys.stderr)
-            return 2
-        value = seq.term_fast(spec, args.n)
-    elif abs(args.n) > SEQ_WALK_LIMIT:
-        print(f"|--n| {abs(args.n)} exceeds the walk limit of {SEQ_WALK_LIMIT}; "
-              f"use --fast for n >= 0", file=sys.stderr)
+    if args.fast and args.n < 0:
+        print("--fast requires a nonnegative index", file=sys.stderr)
         return 2
-    else:
-        value = seq.term(spec, args.n)
-    print(value)
+    g = _growth(spec)
+    limit, name = (SEQ_FAST_LIMIT, "--fast") if args.fast else (SEQ_WALK_LIMIT, "walk")
+    if abs(args.n) * g > limit:
+        hint = "" if args.fast else "; use --fast for n >= 0"
+        print(f"|--n| {abs(args.n)} times the spec's growth {g} exceeds the "
+              f"{name} limit of {limit}{hint}", file=sys.stderr)
+        return 2
+    print(seq.term_fast(spec, args.n) if args.fast else seq.term(spec, args.n))
     return 0
 
 
@@ -238,36 +262,34 @@ def _cmd_gf(args) -> int:
     return 0
 
 
-def _sum_like(args, direct_fn, closed_fn, claim_id) -> int:
-    mode = "both"
-    if args.direct:
-        mode = "direct"
-    elif args.closed:
-        mode = "closed"
-    size = _sum_size(args.n, args.power, args.x)
+def _sum_like(args, direct_fn, closed_fn) -> int:
+    """Serve `sum` or `binom-sum` (the claim id is the command): each of
+    direct_fn and closed_fn is called as fn(spec, power, n, x)."""
+    spec = _spec_from_args(args)
+    mode = "direct" if args.direct else "closed" if args.closed else "both"
+    g = _growth(spec)
+    size = _sum_size(args.n, args.power, args.x, g)
+    why = (f"size {size} = --n {args.n} times (--power {args.power} times the "
+           f"spec's growth {g}, plus the size of --x)")
     if mode != "closed" and size > SUM_SIZE_LIMIT:
-        print(f"size {size} = --n {args.n} times (--power {args.power} plus "
-              f"the size of --x) exceeds the direct-sum limit of "
-              f"{SUM_SIZE_LIMIT}; use --closed", file=sys.stderr)
+        print(f"{why} exceeds the direct-sum limit of {SUM_SIZE_LIMIT}; "
+              f"use --closed", file=sys.stderr)
         return 2
     if size > SUM_CLOSED_LIMIT:
-        print(f"size {size} = --n {args.n} times (--power {args.power} plus "
-              f"the size of --x) exceeds the closed-form limit of "
-              f"{SUM_CLOSED_LIMIT}", file=sys.stderr)
+        print(f"{why} exceeds the closed-form limit of {SUM_CLOSED_LIMIT}",
+              file=sys.stderr)
         return 2
-    values = {}
-    if mode in ("direct", "both"):
-        values["direct"] = direct_fn()
-    if mode in ("closed", "both"):
-        values["closed"] = closed_fn()
+    values = {m: fn(spec, args.power, args.n, args.x)
+              for m, fn in (("direct", direct_fn), ("closed", closed_fn))
+              if mode in (m, "both")}
     fmt = args.format or "text"
     if mode == "both":
         match = values["direct"] == values["closed"]
         if fmt == "structured":
             witness = {k: str(v) for k, v in values.items()}
             print(_single_cell_report(
-                claim_id, _sum_params(args), "pass" if match else "fail",
-                witness), end="")
+                args.command, _sum_params(spec, args),
+                "pass" if match else "fail", witness), end="")
         else:
             print(f"direct={values['direct']} closed={values['closed']} "
                   f"{'match' if match else 'MISMATCH'}")
@@ -276,43 +298,29 @@ def _sum_like(args, direct_fn, closed_fn, claim_id) -> int:
         return 0
     value = values[mode]
     if fmt == "structured":
-        print(_single_cell_report(claim_id, _sum_params(args), "pass",
+        print(_single_cell_report(args.command, _sum_params(spec, args), "pass",
                                   {mode: str(value)}), end="")
     else:
         print(value)
     return 0
 
 
-def _sum_size(n: int, power: int, x: Fraction) -> int:
-    """n * (power + h), with h = bit_length(|p| q) - 1 for x = p/q != 0."""
+def _sum_size(n: int, power: int, x: Fraction, g: int) -> int:
+    """n * (power * g + h), with h = bit_length(|p| q) - 1 for x = p/q != 0."""
     h = (abs(x.numerator) * x.denominator).bit_length() - 1 if x else 0
-    return n * (power + h)
+    return n * (power * g + h)
 
 
-def _sum_params(args) -> dict:
-    return {"spec": str(_spec_from_args(args)), "n": args.n,
-            "r": args.power, "x": str(args.x)}
+def _sum_params(spec: RecurrenceSpec, args) -> dict:
+    return {"spec": str(spec), "n": args.n, "r": args.power, "x": str(args.x)}
 
 
 def _cmd_sum(args) -> int:
-    spec = _spec_from_args(args)
-    query = partsum.PartialSumQuery(spec, args.n, args.power, args.x)
-    return _sum_like(
-        args,
-        lambda: partsum.partial_sum_direct(query),
-        lambda: partsum.partial_sum_closed(query),
-        "sum",
-    )
+    return _sum_like(args, partsum.partial_sum_direct, partsum.partial_sum_closed)
 
 
 def _cmd_binom_sum(args) -> int:
-    spec = _spec_from_args(args)
-    return _sum_like(
-        args,
-        lambda: binsum.binom_sum_direct(spec, args.power, args.n, args.x),
-        lambda: binsum.binom_sum_closed(spec, args.power, args.n, args.x),
-        "binom-sum",
-    )
+    return _sum_like(args, binsum.binom_sum_direct, binsum.binom_sum_closed)
 
 
 def _cmd_audit(args) -> int:

@@ -17,10 +17,10 @@ stays derived from brute force rather than from the Binet closed form.
 ``paired_form`` evaluates the paired-term closed form itself, over Q: each
 Galois-conjugate pair of Binet terms is one rational second-order sequence
 (:func:`recsums.seq.binet_pairs`), whose generating function has the quadratic
-denominator 1 - (-b)^k V_{r-2k} x + (-b)^r x^2; even r adds the k = r/2 pole
-1/(1 - (-b)^{r/2} x).  Its "general" style is the exact form; the
-audit registry also builds the less-corrected readings of that form to
-document exactly which printings hold and under what hypotheses; see
+denominator 1 - (-b)^k V_{r-2k} x + (-b)^r x^2; the middle entry of even r
+is the k = r/2 pole 1/(1 - (-b)^{r/2} x).  Its "general" style is the exact
+form; the audit registry also builds the less-corrected readings of that form
+to document exactly which printings hold and under what hypotheses; see
 :mod:`recsums.audit`.
 """
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import seq
-from .polyrat import Polynomial, PowerSeries, RationalFunction
+from .polyrat import Polynomial, RationalFunction
 from .qfield import RecurrenceSpec
 
 
@@ -54,7 +54,7 @@ def gf_power(spec: RecurrenceSpec, r: int) -> RationalFunction:
     if r < 1:
         raise ValueError("power must be >= 1")
     den = _theorem1_denominator(spec, r)
-    series = gf_oracle(spec, r, 2 * r + 2).coefficients
+    series = gf_oracle(spec, r, 2 * r + 2)
     d = den.coeffs
     # coefficients 0 .. 2r+1 of den * series; a full product would also form
     # the costliest, unneeded ones above x^{2r+1}
@@ -67,11 +67,11 @@ def gf_power(spec: RecurrenceSpec, r: int) -> RationalFunction:
     return RationalFunction(Polynomial(prod[:r + 1]), den)
 
 
-def gf_oracle(spec: RecurrenceSpec, r: int, order: int) -> PowerSeries:
-    """[U_0^r, ..., U_{order-1}^r] purely by recurrence and powering."""
+def gf_oracle(spec: RecurrenceSpec, r: int, order: int) -> tuple[Fraction, ...]:
+    """(U_0^r, ..., U_{order-1}^r) purely by recurrence and powering."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return PowerSeries.of(t**r for t in seq.terms(spec, order))
+    return tuple(t**r for t in seq.terms(spec, order))
 
 
 # Denominator styles for the paired-term form.  "printed" is the literal
@@ -87,18 +87,20 @@ EVEN_STYLES = ("printed", "general")
 def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
     """Paired-term closed form for the power generating function, over Q.
 
-    Pair k contributes sum_i w_i x^i = (w0 + (w1 - P w0) x) / (1 - P x + Q x^2)
-    with (w0, w1, P, Q) from ``seq.binet_pairs`` at x = 1; the styles change
-    only that denominator and the middle pole.
+    Entry k contributes sum_i w_i x^i = (w0 + (w1 - P w0) x) / (1 - P x + Q x^2)
+    with (w0, w1, P, Q) from ``seq.binet_pairs`` at x = 1; for the middle
+    entry (c, c t, t, 0) of even r that is c / (1 - t x).  The styles change
+    only the denominators.
     """
     if style not in (ODD_STYLES if r % 2 else EVEN_STYLES):
         case = "odd" if r % 2 else "even"
         raise ValueError(f"unknown {case}-case style {style!r}")
-    pairs, middle = seq.binet_pairs(spec, r, 1)
     total = RationalFunction.zero()
-    for w0, w1, p, q in pairs:
+    for w0, w1, p, q in seq.binet_pairs(spec, r, 1):
         if style == "general":
             den = [1, -p, q]
+        elif not q:   # the even-r middle pole, printed as 1 - (-1)^{r/2} x
+            den = [1, -((-1) ** (r // 2))]
         elif r % 2 == 0:
             den = [1, -p, 1]
         elif style == "b1":
@@ -107,11 +109,6 @@ def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
             den = [1 - p, 0, -1]
         total = total + RationalFunction(Polynomial([w0, w1 - p * w0]),
                                          Polynomial(den))
-    if middle is not None:
-        c, pole = middle
-        if style == "printed":
-            pole = (-1) ** (r // 2)
-        total = total + RationalFunction(Polynomial([c]), Polynomial([1, -pole]))
     return total
 
 

@@ -1,15 +1,20 @@
 """Closed forms and oracles for partial sums S = sum_{i=0}^n U_i^r x^i.
 
+Every sum function takes ``(spec, r, n, x)``, as ``binsum``'s do: the power
+before the upper index.  x = None selects symbolic mode (a polynomial or
+rational function in x, n <= SYMBOLIC_LIMIT), a rational x a value.
+
 The closed forms assume U_0 = 0 and hold for every nonzero b.  Both come from
-the Binet pairs of :func:`recsums.seq.binet_pairs`, each a rational
-second-order sequence: the symbolic form adds one rational function per pair,
-and the pointwise evaluator ``partial_sum_general_b`` sums each pair over Q,
-exactly also where a pair's denominator vanishes.  The paper states the form
-for b = 1, where the pair denominators are 1 - (-1)^k V_{r-2k} x + x^2.  The
-published even-power form is garbled (sign flips and a dropped constant
-term); ``partial_sum_closed`` uses the corrected form, and the audit registry
-keeps the printed one (``partial_sum_printed``) as a failing claim with the
-corrected variant attached.
+the list of :func:`recsums.seq.binet_pairs`, each entry a rational sequence
+of order at most two: the symbolic form adds one rational function per
+entry, and the pointwise evaluator ``partial_sum_general_b`` sums each entry
+over Q, exactly also where an entry's denominator vanishes.  The paper states
+the form for b = 1, where the pair denominators are
+1 - (-1)^k V_{r-2k} x + x^2.  The published even-power form is garbled (sign
+flips and a dropped constant term); ``partial_sum_closed`` uses the
+corrected form, and the audit registry keeps the printed one
+(``partial_sum_printed``) as a failing claim with the corrected variant
+attached.
 
 Also here: the eight closed-form partial sums for the generalized Pell
 sequence P_1 = p, P_2 = q, P_{n+1} = 2 P_n + P_{n-1}, expressed through the
@@ -19,7 +24,6 @@ evaluated by the backward recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import seq
@@ -29,40 +33,28 @@ from .qfield import RecurrenceSpec
 SYMBOLIC_LIMIT = 32
 
 
-@dataclass(frozen=True)
-class PartialSumQuery:
-    """Sum parameters: spec, upper index n, power r, and the evaluation point x.
-
-    x = None selects symbolic mode (polynomial / rational-function output,
-    n <= SYMBOLIC_LIMIT); a Fraction x selects pointwise evaluation.
-    """
-
-    spec: RecurrenceSpec
-    n: int
-    r: int
-    x: Fraction | None = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("upper index must be >= 0")
-        if self.r < 1:
-            raise ValueError("power must be >= 1")
-        if self.x is not None:
-            object.__setattr__(self, "x", Fraction(self.x))
-
-
-def _require_closed(q: PartialSumQuery):
-    if q.spec.u0 != 0:
+def _check(spec: RecurrenceSpec, r: int, n: int, x, closed: bool = True):
+    """Reject what no sum serves: n < 0, r < 1; and for the closed forms
+    u0 != 0, or a symbolic sum (x = None) past SYMBOLIC_LIMIT."""
+    if n < 0:
+        raise ValueError("upper index must be >= 0")
+    if r < 1:
+        raise ValueError("power must be >= 1")
+    if closed and spec.u0 != 0:
         raise ValueError("closed forms require u0 = 0")
-    if q.x is None and q.n > SYMBOLIC_LIMIT:
+    if closed and x is None and n > SYMBOLIC_LIMIT:
         raise ValueError(f"symbolic mode supports n <= {SYMBOLIC_LIMIT}")
 
 
-def partial_sum_direct(q: PartialSumQuery):
-    """Exact finite sum by direct evaluation; works for any initial values."""
-    if q.x is None:
-        return Polynomial([t**q.r for t in seq.terms(q.spec, q.n + 1)])
-    return seq.store(q.spec).power_sum(q.r, q.n, q.x, binomial=False)
+def partial_sum_direct(spec: RecurrenceSpec, r: int, n: int, x=None):
+    """Exact finite sum by direct evaluation; works for any initial values.
+
+    x = None gives the polynomial sum_i U_i^r x^i, a rational x its value.
+    """
+    _check(spec, r, n, x, closed=False)
+    if x is None:
+        return Polynomial([t**r for t in seq.terms(spec, n + 1)])
+    return seq.store(spec).power_sum(r, n, x, binomial=False)
 
 
 def _pair_terms(w0, w1, p, q, n: int):
@@ -78,11 +70,11 @@ def _pair_terms(w0, w1, p, q, n: int):
     return (0, w0), (1, w1 - p * w0), (n + 1, -w_next), (n + 2, q * w_n)
 
 
-def _symbolic_sum(spec: RecurrenceSpec, n: int, r: int,
+def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
                   printed: bool = False) -> RationalFunction:
-    """sum_{i=0}^n U_i^r x^i as a rational function in x, one pair of
-    ``seq.binet_pairs(spec, r, 1)`` at a time, plus the middle term (c, t) of
-    even r as the polynomial sum_{i<=n} c t^i x^i.
+    """sum_{i=0}^n U_i^r x^i as a rational function in x, one entry of
+    ``seq.binet_pairs(spec, r, 1)`` at a time.  The middle entry of even r
+    (the one with Q = 0) is the polynomial sum_{i<=n} c t^i x^i.
 
     ``printed`` selects the published even-r form (a b = 1 claim; for odd r
     it is the form above): each pair numerator loses its constant and has
@@ -90,9 +82,13 @@ def _symbolic_sum(spec: RecurrenceSpec, n: int, r: int,
     (-1)^{r/2}.
     """
     printed = printed and r % 2 == 0
-    pairs, middle = seq.binet_pairs(spec, r, 1)
     total = RationalFunction.zero()
-    for w0, w1, p, q in pairs:
+    for w0, w1, p, q in seq.binet_pairs(spec, r, 1):
+        if not q:
+            c = w0 * (-1) ** (r // 2) if printed else w0
+            total = total + RationalFunction(
+                Polynomial([c * p**i for i in range(n + 1)]), Polynomial([1]))
+            continue
         terms = _pair_terms(w0, w1, p, q, n)
         if printed:
             _, (_, lin), high, (top, last) = terms
@@ -101,40 +97,32 @@ def _symbolic_sum(spec: RecurrenceSpec, n: int, r: int,
         for k, c in terms:
             num[k] += c
         total = total + RationalFunction(Polynomial(num), Polynomial([1, -p, q]))
-    if middle is not None:
-        c, t = middle
-        if printed:
-            c *= (-1) ** (r // 2)
-        total = total + RationalFunction(
-            Polynomial([c * t**i for i in range(n + 1)]), Polynomial([1]))
     return total
 
 
-def partial_sum_closed(q: PartialSumQuery):
+def partial_sum_closed(spec: RecurrenceSpec, r: int, n: int, x=None):
     """Closed-form value of the partial sum; equals partial_sum_direct exactly.
 
-    Requires u0 = 0.  Symbolic queries (x = None) get the rational function
-    built pair by pair; pointwise queries are partial_sum_general_b.  Both
+    Requires u0 = 0.  Symbolic sums (x = None) get the rational function
+    built pair by pair; pointwise sums are partial_sum_general_b.  Both
     hold for every nonzero b.
     """
-    _require_closed(q)
-    if q.x is None:
-        return _symbolic_sum(q.spec, q.n, q.r)
-    return partial_sum_general_b(q)
+    if x is not None:
+        return partial_sum_general_b(spec, r, n, x)
+    _check(spec, r, n, x)
+    return _symbolic_sum(spec, r, n)
 
 
-def partial_sum_printed(q: PartialSumQuery) -> RationalFunction:
-    """The published closed form as a rational function (audit input only).
+def partial_sum_printed(spec: RecurrenceSpec, r: int, n: int) -> RationalFunction:
+    """The published closed form as a rational function in x (audit input only).
 
     Identical to partial_sum_closed for odd r; for even r it keeps the
     published numerator signs, dropped constant, and unsigned middle term.
     """
-    _require_closed(q)
-    if q.spec.b != 1:
+    _check(spec, r, n, None)
+    if spec.b != 1:
         raise ValueError("published form is a b = 1 claim")
-    if q.x is not None:
-        raise ValueError("published form is symbolic; pass no x")
-    return _symbolic_sum(q.spec, q.n, q.r, printed=True)
+    return _symbolic_sum(spec, r, n, printed=True)
 
 
 def corollary_r1(spec: RecurrenceSpec, n: int, variant: str = "printed") -> RationalFunction:
@@ -173,29 +161,24 @@ def _geometric_pair_sum(w0, w1, p, q, n: int) -> Fraction:
     return (n + 1) * w0 + (w1 - w0) * Fraction(n * (n + 1), 2)
 
 
-def partial_sum_general_b(q: PartialSumQuery) -> Fraction:
+def partial_sum_general_b(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
     """Exact partial sum for any nonzero b, from the geometric-sum identity
 
         S = sum_k C(r,k) A^k (-B)^{r-k} sum_{i=0}^n t_k^i,
         t_k = alpha^k beta^{r-k} x,
 
-    summed over Q one Galois-conjugate pair (k, r-k) at a time, as the
-    rational sequence of ``seq.binet_pairs``.  Requires u0 = 0.
+    summed over Q one entry of ``seq.binet_pairs`` at a time.  Requires
+    u0 = 0.
 
     t_k = 1 is a removable case, not a pole: the pair then has the root 1
     (specs with a rational root of unit modulus hit it, e.g. beta = -1 for
     a = 1, b = 2), and its sum is taken from the closed form for that root.
     """
-    if q.spec.u0 != 0:
-        raise ValueError("closed forms require u0 = 0")
-    if q.x is None:
+    if x is None:
         raise ValueError("general-b evaluator is pointwise; pass x")
-    pairs, middle = seq.binet_pairs(q.spec, q.r, q.x)
-    total = sum((_geometric_pair_sum(*pair, q.n) for pair in pairs), Fraction(0))
-    if middle is not None:
-        c, t = middle
-        total += _geometric_pair_sum(c, c * t, t, 0, q.n)
-    return total
+    _check(spec, r, n, x)
+    return sum((_geometric_pair_sum(*pair, n) for pair in seq.binet_pairs(spec, r, x)),
+               Fraction(0))
 
 
 # --- generalized Pell partial-sum table -------------------------------------

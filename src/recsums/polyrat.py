@@ -1,4 +1,4 @@
-"""Polynomials over Q, canonical rational functions, truncated series.
+"""Polynomials over Q and canonical rational functions.
 
 Every coefficient is a Fraction: the closed forms reach their rational
 functions through rational Binet pairs (:func:`recsums.seq.binet_pairs`), so
@@ -10,7 +10,6 @@ generating-function denominators print in the familiar ``1 - x - x^2`` shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -201,24 +200,6 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return _euclid_gcd(p, q)
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated exact power series: exactly `order` known coefficients."""
-
-    coefficients: tuple
-    order: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        if len(self.coefficients) != self.order:
-            raise ValueError("coefficient count must equal order")
-
-    @classmethod
-    def of(cls, coeffs) -> PowerSeries:
-        coeffs = tuple(coeffs)
-        return cls(coeffs, len(coeffs))
-
-
 class RationalFunction:
     """num/den in canonical form: gcd-reduced, den(0) = 1 when den(0) != 0."""
 
@@ -267,35 +248,13 @@ class RationalFunction:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.num.scale(other), self.den)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def evaluate(self, x):
         dv = self.den(x)
         if not dv:
             raise EvalPoleError(f"denominator vanishes at x = {x}")
         return self.num(x) / dv
 
-    def expand(self, order: int) -> PowerSeries:
+    def expand(self, order: int) -> tuple[Fraction, ...]:
         """First `order` Maclaurin coefficients via the denominator recurrence.
 
         c_i = (num_i - sum_{j>=1} den_j c_{i-j}) / den_0, exact arithmetic.
@@ -310,7 +269,7 @@ class RationalFunction:
             for j in range(1, min(i, dd) + 1):
                 acc = acc - self.den.coeff(j) * coeffs[i - j]
             coeffs.append(acc / d0)
-        return PowerSeries.of(coeffs)
+        return tuple(coeffs)
 
     def __repr__(self):
         return f"RationalFunction({self.num!r}, {self.den!r})"

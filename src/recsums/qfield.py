@@ -158,9 +158,6 @@ class QuadElem:
             n >>= 1
         return result
 
-    def conjugate(self) -> QuadElem:
-        return QuadElem(self.rat, -self.coef, self.disc)
-
     def __str__(self):
         return f"{self.rat} + {self.coef}*sqrt({self.disc})"
 

@@ -21,7 +21,8 @@ kernel on a spec and is validated against ``term``, never trusted alone.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
-rational second-order sequence given by its initial values and recurrence.
+rational second-order sequence given by its initial values and recurrence,
+and for even r the self-conjugate middle term as a last, first-order entry.
 """
 
 from __future__ import annotations
@@ -43,8 +44,12 @@ PRESETS = {
 
 def preset(name: str) -> RecurrenceSpec:
     if name.startswith("gen-pell:"):
-        p, q = name.split(":", 1)[1].split(",")
-        return generalized_pell(Fraction(p), Fraction(q))
+        try:
+            p, q = (Fraction(v) for v in name.split(":", 1)[1].split(","))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed preset {name!r}: expected gen-pell:p,q "
+                             f"with rational p and q") from None
+        return generalized_pell(p, q)
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     a, b, u0, u1 = PRESETS[name]
@@ -211,23 +216,25 @@ def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
     return lucas_term(spec.a, -spec.b, spec.u0, spec.u1, n)
 
 
-def binet_pairs(spec: RecurrenceSpec, r: int, x):
+def binet_pairs(spec: RecurrenceSpec, r: int, x) -> list[tuple]:
     """The Binet expansion of U_i^r x^i, summed over Galois-conjugate pairs.
 
     U_i^r x^i = sum_k c_k t_k^i with c_k = C(r,k) A^k (-B)^{r-k} and
     t_k = alpha^k beta^{r-k} x.  Conjugation swaps term k and term r-k, so
     w_i = c_k t_k^i + c_{r-k} t_{r-k}^i is rational, with
-    w_{i+1} = P w_i - Q w_{i-1}.  Returns (pairs, middle): pairs lists
-    (w0, w1, P, Q) for 0 <= k < r/2, and middle is (c_{r/2}, t_{r/2}) for
-    even r, None for odd r.  With N = -AB and m = r - 2k:
+    w_{i+1} = P w_i - Q w_{i-1}.  Returns one list of (w0, w1, P, Q): an
+    entry for each 0 <= k < r/2, and for even r a last entry
+    (c, c t, t, 0) for the middle term c_{r/2} t_{r/2}^i, its own conjugate
+    (Theorem 1's linear pole).  With N = -AB and m = r - 2k:
 
         w0 = C(r,k) N^k L0_m,   w1 = C(r,k) (-b N)^k L1_m x,
         P = (-b)^k V_m x,       Q = (-b)^r x^2,
 
     where V_m = alpha^m + beta^m, L0_m = A^m + (-B)^m and
     L1_m = (A alpha)^m + (-B beta)^m are rational Lucas sequences in m, with
-    (P, Q) = (a, -b), (U_0, N) and (U_1, -b N).  No value leaves Q, and no
-    store is filled.
+    (P, Q) = (a, -b), (U_0, N) and (U_1, -b N); the middle term has
+    c = C(r, r/2) N^{r/2} and t = (-b)^{r/2} x.  Only the middle entry has
+    Q = 0 when x != 0.  No value leaves Q, and no store is filled.
     """
     a, b, u0, u1 = spec.a, spec.b, spec.u0, spec.u1
     x = Fraction(x)
@@ -242,7 +249,8 @@ def binet_pairs(spec: RecurrenceSpec, r: int, x):
             (-b) ** k * lucas_term(a, -b, 2, a, m) * x,
             (-b) ** r * x * x,
         ))
-    middle = None
     if r % 2 == 0:
-        middle = (comb(r, r // 2) * n_ab ** (r // 2), (-b) ** (r // 2) * x)
-    return pairs, middle
+        c = comb(r, r // 2) * n_ab ** (r // 2)
+        t = (-b) ** (r // 2) * x
+        pairs.append((c, c * t, t, 0))
+    return pairs

@@ -102,9 +102,8 @@ def test_criterion_04_partial_sum_closed_forms():
     for spec in (FIB, PELL):
         for r in (1, 2, 3):
             for n in range(0, 21):
-                query = partsum.PartialSumQuery(spec, n, r)
-                direct = partsum.partial_sum_direct(query)
-                closed = partsum.partial_sum_closed(query)
+                direct = partsum.partial_sum_direct(spec, r, n)
+                closed = partsum.partial_sum_closed(spec, r, n)
                 assert closed == RationalFunction(direct, Polynomial([1]))
     for b in (2, -3):
         spec = RecurrenceSpec(1, b, 0, 1)
@@ -112,9 +111,8 @@ def test_criterion_04_partial_sum_closed_forms():
             for n in range(0, 31):
                 for x in (Fraction(1), Fraction(-1), Fraction(2),
                           Fraction(1, 2)):
-                    query = partsum.PartialSumQuery(spec, n, r, x)
-                    assert partsum.partial_sum_general_b(query) == \
-                        partsum.partial_sum_direct(query)
+                    assert partsum.partial_sum_general_b(spec, r, n, x) == \
+                        partsum.partial_sum_direct(spec, r, n, x)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(4, f"symbolic closed sums equal direct polynomials (r in 1..3, "

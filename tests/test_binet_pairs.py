@@ -12,7 +12,7 @@ import pytest
 
 from recsums import seq
 from recsums.binsum import binom_sum_closed, binom_sum_direct
-from recsums.partsum import (PartialSumQuery, _geometric_pair_sum,
+from recsums.partsum import (_geometric_pair_sum, partial_sum_closed,
                              partial_sum_direct, partial_sum_general_b)
 from recsums.qfield import RecurrenceSpec, binet_coeffs, rationalize, roots
 
@@ -70,18 +70,17 @@ def test_binet_pairs_equal_the_quadratic_field_expansion(spec, r):
     for x in XS:
         c = [comb(r, k) * a_coef**k * (-b_coef) ** (r - k) for k in range(r + 1)]
         t = [alpha**k * beta ** (r - k) * x for k in range(r + 1)]
-        pairs, middle = seq.binet_pairs(spec, r, x)
-        assert len(pairs) == (r + 1) // 2
+        pairs = seq.binet_pairs(spec, r, x)
+        assert len(pairs) == r // 2 + 1
+        if r % 2 == 0:
+            c_mid, t_mid = rationalize(c[r // 2]), rationalize(t[r // 2])
+            assert pairs.pop() == (c_mid, c_mid * t_mid, t_mid, 0)
         for k, (w0, w1, p, q) in enumerate(pairs):
             j = r - k
             assert p == rationalize(t[k] + t[j]) and q == rationalize(t[k] * t[j])
             for i in range(7):
                 assert seq.lucas_term(p, q, w0, w1, i) == rationalize(
                     c[k] * t[k] ** i + c[j] * t[j] ** i)
-        if r % 2:
-            assert middle is None
-        else:
-            assert middle == (rationalize(c[r // 2]), rationalize(t[r // 2]))
 
 
 @pytest.mark.parametrize("spec, r, x", (
@@ -91,6 +90,16 @@ def test_binet_pairs_equal_the_quadratic_field_expansion(spec, r):
 ))
 def test_removable_cases_equal_the_direct_sums(spec, r, x):
     for n in range(12):
-        q = PartialSumQuery(spec, n, r, x)
-        assert partial_sum_general_b(q) == partial_sum_direct(q)
+        assert partial_sum_general_b(spec, r, n, x) == partial_sum_direct(spec, r, n, x)
         assert binom_sum_closed(spec, r, n, x) == binom_sum_direct(spec, r, n, x)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("r", (2, 4))
+def test_closed_sums_at_x_zero_where_every_q_is_zero(spec, r):
+    assert all(q == 0 for *_, q in seq.binet_pairs(spec, r, 0))
+    for n in range(6):
+        assert binom_sum_closed(spec, r, n, F(0)) == binom_sum_direct(spec, r, n, F(0))
+        if spec.u0 == 0:   # the closed partial sum's hypothesis
+            assert (partial_sum_closed(spec, r, n, F(0))
+                    == partial_sum_direct(spec, r, n, F(0)))

@@ -8,9 +8,9 @@ import pytest
 
 from recsums import audit, binsum, gfpow, partsum, seq
 from recsums.cli import (AUDIT_MAX_N_LIMIT, GF_CHECK_TERMS_LIMIT,
-                         GF_POWER_LIMIT, SEQ_WALK_LIMIT, SUM_CLOSED_LIMIT,
-                         SUM_SIZE_LIMIT, _sum_size, main, parse_polynomial,
-                         parse_rational_function)
+                         GF_POWER_LIMIT, SEQ_FAST_LIMIT, SEQ_WALK_LIMIT,
+                         SUM_CLOSED_LIMIT, SUM_SIZE_LIMIT, _growth, _sum_size,
+                         main, parse_polynomial, parse_rational_function)
 from recsums.gfpow import gf_power
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
@@ -98,11 +98,84 @@ def _patch_every_sum(monkeypatch, fn):
 
 
 def test_sum_size_counts_the_bits_of_x():
-    assert _sum_size(10, 3, Fraction(0)) == 30
-    assert _sum_size(10, 3, Fraction(1)) == _sum_size(10, 3, Fraction(-1)) == 30
-    assert _sum_size(10, 3, Fraction(1, 2)) == 40
-    assert _sum_size(10, 3, Fraction(-2, 3)) == 50
-    assert _sum_size(351, 1, Fraction(BIG_X)) == SUM_SIZE_LIMIT + 7
+    assert _sum_size(10, 3, Fraction(0), 1) == 30
+    assert _sum_size(10, 3, Fraction(1), 1) == _sum_size(10, 3, Fraction(-1), 1) == 30
+    assert _sum_size(10, 3, Fraction(1, 2), 1) == 40
+    assert _sum_size(10, 3, Fraction(-2, 3), 1) == 50
+    assert _sum_size(351, 1, Fraction(BIG_X), 1) == SUM_SIZE_LIMIT + 7
+    # the spec's growth weighs the power, not the bits of x
+    assert _sum_size(10, 3, Fraction(1, 2), 19) == 10 * (3 * 19 + 1)
+
+
+@pytest.mark.parametrize("a, b, g", (
+    (1, 1, 1), (-1, 1, 1), (2, 1, 2), (3, 3, 3), (1000, 1, 19),
+    # complex roots: rho^2 = |b|, so (3, -3) is not weighed like (3, 3)
+    (3, -3, 1), (-3, -3, 1), (1, -3, 1), (-1, -3, 1), (2, -3, 1), (-2, -3, 1),
+    (0, 3, 1), (0, -3, 1),
+))
+def test_growth_weighs_the_largest_root(a, b, g):
+    assert _growth(RecurrenceSpec(a, b, 0, 1)) == g
+
+
+def _spec_flags(a, b):
+    return ["--a", str(a), "--b", str(b), "--u0", "0", "--u1", "1"]
+
+
+# each row is served at n and refused one step beyond it
+@pytest.mark.parametrize("flags, n, fast, limit", (
+    (["--preset", "fibonacci"], SEQ_FAST_LIMIT, True, SEQ_FAST_LIMIT),
+    (_spec_flags(3, 3), SEQ_FAST_LIMIT // 3, True, SEQ_FAST_LIMIT),
+    (_spec_flags(1000, 1), SEQ_WALK_LIMIT // 19, False, SEQ_WALK_LIMIT),
+    (_spec_flags(1000, 1), -(SEQ_WALK_LIMIT // 19), False, SEQ_WALK_LIMIT),
+))
+def test_seq_budget_counts_the_spec_growth(capsys, monkeypatch, flags, n, fast,
+                                           limit):
+    name = "term_fast" if fast else "term"
+    mode = ["--fast"] if fast else []
+    monkeypatch.setattr(seq, name, lambda *args: 7)
+    code, out, _ = run_cli(capsys, "seq", *flags, "--n", str(n), *mode)
+    assert (code, out.strip()) == (0, "7")
+    monkeypatch.setattr(seq, name, _refuse)
+    beyond = n + 1 if n > 0 else n - 1
+    code, out, err = run_cli(capsys, "seq", *flags, "--n", str(beyond), *mode)
+    assert (code, out) == (2, "")
+    assert str(limit) in err and "growth" in err
+
+
+@pytest.mark.parametrize("command", ("sum", "binom-sum"))
+def test_sum_budget_counts_the_spec_growth(capsys, monkeypatch, command):
+    # (1000, 1) has g = 19: size n * (power * 19 + 0) at x = 1
+    n = SUM_SIZE_LIMIT // 19
+    _patch_every_sum(monkeypatch, lambda *args: 7)
+    code, out, _ = run_cli(capsys, command, *_spec_flags(1000, 1), "--n", str(n),
+                           "--power", "1", "--x", "1", "--direct")
+    assert (code, out.strip()) == (0, "7")
+    _patch_every_sum(monkeypatch, _refuse)
+    code, out, err = run_cli(capsys, command, *_spec_flags(1000, 1), "--n",
+                             str(n + 1), "--power", "1", "--x", "1", "--direct")
+    assert (code, out) == (2, "")
+    assert str(SUM_SIZE_LIMIT) in err and "growth 19" in err
+
+
+@pytest.mark.parametrize("command, module, names", (
+    ("sum", partsum, ("partial_sum_direct", "partial_sum_closed")),
+    ("binom-sum", binsum, ("binom_sum_direct", "binom_sum_closed")),
+))
+def test_cli_passes_spec_power_n_x_to_every_sum(capsys, monkeypatch, command,
+                                                module, names):
+    calls = []
+    for name in names:
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name: calls.append((name, args)) or 7)
+    code, out, _ = run_cli(capsys, command, "--preset", "fibonacci", "--n", "5",
+                           "--power", "2", "--x", "1/2", "--format", "structured")
+    assert code == 0
+    cell = json.loads(out)["claims"][0]
+    assert cell["id"] == command
+    assert cell["cells"][0]["params"] == {
+        "spec": "a=1,b=1,u0=0,u1=1", "n": 5, "r": 2, "x": "1/2"}
+    args = (seq.fibonacci(), 2, 5, Fraction(1, 2))
+    assert calls == [(names[0], args), (names[1], args)]
 
 
 @pytest.mark.parametrize("command", ("sum", "binom-sum"))
@@ -348,6 +421,17 @@ def test_config_file_sets_defaults(tmp_path, capsys):
 def test_gen_pell_preset(capsys):
     code, out, _ = run_cli(capsys, "seq", "--preset", "gen-pell:2,5", "--n", "3")
     assert (code, out.strip()) == (0, "12")
+
+
+@pytest.mark.parametrize("name", ("gen-pell:1,1/0", "gen-pell:1", "gen-pell:1,2,3",
+                                  "gen-pell:a,b", "gen-pell:"))
+def test_malformed_gen_pell_preset_exits_two(capsys, monkeypatch, name):
+    monkeypatch.setattr(seq, "term", _refuse)
+    code, out, err = run_cli(capsys, "seq", "--preset", name, "--n", "3")
+    assert (code, out) == (2, "")
+    assert repr(name) in err and "Traceback" not in err
+    with pytest.raises(ValueError, match="malformed preset"):
+        seq.preset(name)
 
 
 def test_negative_rational_option_values(capsys):

@@ -17,8 +17,8 @@ from recsums import seq  # noqa: E402
 from recsums.binsum import binom_sum_closed, binom_sum_direct  # noqa: E402
 from recsums.gfpow import gf_power, paired_form  # noqa: E402
 from recsums.cli import parse_rational_function  # noqa: E402
-from recsums.partsum import (PartialSumQuery, partial_sum_closed,  # noqa: E402
-                             partial_sum_direct, partial_sum_general_b)
+from recsums.partsum import (partial_sum_closed, partial_sum_direct,  # noqa: E402
+                             partial_sum_general_b)
 from recsums.polyrat import (Polynomial, RationalFunction,  # noqa: E402
                              rf_to_latex, rf_to_text)
 from recsums.qfield import RecurrenceSpec  # noqa: E402
@@ -45,15 +45,14 @@ def specs(draw):
 @example(spec=RecurrenceSpec(1, -1, 2, 1), r=2, n=12, x=F(1))        # |b| = 1
 def test_closed_forms_equal_their_oracles(spec, r, n, x):
     assert binom_sum_closed(spec, r, n, x) == binom_sum_direct(spec, r, n, x)
-    q = PartialSumQuery(spec, n, r, x)
     walked = [seq.term(spec, i) for i in range(n + 1)]
-    assert partial_sum_direct(q) == sum((u**r * x**i for i, u in enumerate(walked)), F(0))
+    direct = partial_sum_direct(spec, r, n, x)
+    assert direct == sum((u**r * x**i for i, u in enumerate(walked)), F(0))
     if spec.u0 == 0:
-        assert partial_sum_general_b(q) == partial_sum_direct(q)
+        assert partial_sum_general_b(spec, r, n, x) == direct
         if n <= 8:
-            symbolic = PartialSumQuery(spec, n, r)
-            assert partial_sum_closed(symbolic) == RationalFunction(
-                partial_sum_direct(symbolic), Polynomial([1]))
+            assert partial_sum_closed(spec, r, n) == RationalFunction(
+                partial_sum_direct(spec, r, n), Polynomial([1]))
     assert paired_form(spec, r, "general") == gf_power(spec, r)
 
 

@@ -8,14 +8,16 @@ hold Fractions only.
 
 Every audit claim that compares a value with a printed form is one
 ``audit._compare`` check, and a sequence is named by its ``RecurrenceSpec``.
+Every sum of U_i^r x^i, weighted or not, takes ``(spec, r, n, ...)``.
 """
 
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
-from recsums import seq
+from recsums import binsum, partsum, seq
 from recsums.audit import REGISTRY
 from recsums.binsum import CONGRUENCE_CLAIMS
 from recsums.polyrat import Polynomial
@@ -55,3 +57,13 @@ def test_a_sequence_is_named_by_its_spec():
     spec = seq.fibonacci()
     assert isinstance(spec, RecurrenceSpec)
     assert seq.store(spec) is seq.store(RecurrenceSpec(1, 1, 0, 1))
+
+
+def test_every_sum_takes_spec_power_then_upper_index():
+    assert not hasattr(partsum, "PartialSumQuery")
+    sums = {f"{mod.__name__}.{name}": fn
+            for mod in (partsum, binsum) for name, fn in vars(mod).items()
+            if re.fullmatch(r"(partial|binom)_sum_\w+", name)}
+    assert len(sums) == 6, sorted(sums)
+    for name, fn in sums.items():
+        assert list(inspect.signature(fn).parameters)[:3] == ["spec", "r", "n"], name

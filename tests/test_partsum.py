@@ -1,13 +1,14 @@
 """Tests for partial sums: direct, closed, general-b, and the Pell sum table."""
 
+import inspect
 from fractions import Fraction
 from math import comb
 
 import pytest
 
 from recsums import partsum, seq
-from recsums.partsum import (HORADAM_VARIANTS, PartialSumQuery, corollary_r1,
-                             horadam_direct, horadam_index, horadam_sums,
+from recsums.partsum import (HORADAM_VARIANTS, corollary_r1, horadam_direct,
+                             horadam_index, horadam_sums,
                              partial_sum_closed, partial_sum_direct,
                              partial_sum_general_b, partial_sum_printed)
 from recsums.polyrat import Polynomial, RationalFunction
@@ -18,25 +19,27 @@ PELL = RecurrenceSpec(2, 1, 0, 1)
 
 
 def test_direct_examples():
-    assert partial_sum_direct(PartialSumQuery(FIB, 5, 1, Fraction(1))) == 12
-    assert partial_sum_direct(PartialSumQuery(FIB, 0, 2, Fraction(7))) == 0
-    assert partial_sum_direct(PartialSumQuery(FIB, 3, 2, Fraction(1))) == 6
+    assert partial_sum_direct(FIB, 1, 5, Fraction(1)) == 12
+    assert partial_sum_direct(FIB, 2, 0, Fraction(7)) == 0
+    assert partial_sum_direct(FIB, 2, 3, Fraction(1)) == 6
+    # power before upper index: the swapped call (FIB, 5, 2, 1) gives 2
+    assert partial_sum_direct(FIB, 2, 5, 1) == 40
 
 
 def test_direct_symbolic_polynomial():
-    poly = partial_sum_direct(PartialSumQuery(FIB, 4, 1))
+    poly = partial_sum_direct(FIB, 1, 4)
     assert poly == Polynomial([0, 1, 1, 2, 3])
 
 
 def test_closed_symbolic_n1_normalizes_to_x():
-    f = partial_sum_closed(PartialSumQuery(FIB, 1, 1))
+    f = partial_sum_closed(FIB, 1, 1)
     assert f == RationalFunction(Polynomial([0, 1]), Polynomial([1]))
 
 
 def test_closed_pointwise_examples():
-    assert partial_sum_closed(PartialSumQuery(FIB, 5, 1, Fraction(1))) == 12
+    assert partial_sum_closed(FIB, 1, 5, Fraction(1)) == 12
     # Pell partial sum p_1 + ... + p_4 = 20
-    assert partial_sum_closed(PartialSumQuery(PELL, 4, 1, Fraction(1))) == 20
+    assert partial_sum_closed(PELL, 1, 4, Fraction(1)) == 20
 
 
 # b = 1, then general b: square D, negative D, and a = 0 with |b| = 1
@@ -46,52 +49,46 @@ def test_closed_pointwise_examples():
 @pytest.mark.parametrize("r", (1, 2, 3))
 def test_closed_symbolic_equals_direct_polynomial(spec, r):
     for n in range(0, 21):
-        direct = partial_sum_direct(PartialSumQuery(spec, n, r))
-        closed = partial_sum_closed(PartialSumQuery(spec, n, r))
+        direct = partial_sum_direct(spec, r, n)
+        closed = partial_sum_closed(spec, r, n)
         assert closed == RationalFunction(direct, Polynomial([1]))
 
 
 @pytest.mark.parametrize("spec", (FIB, PELL))
 def test_printed_even_form_fails_but_odd_passes(spec):
     n = 4
-    odd = partial_sum_printed(PartialSumQuery(spec, n, 3))
-    assert odd == RationalFunction(
-        partial_sum_direct(PartialSumQuery(spec, n, 3)), Polynomial([1])
-    )
-    even = partial_sum_printed(PartialSumQuery(spec, n, 2))
-    assert even != RationalFunction(
-        partial_sum_direct(PartialSumQuery(spec, n, 2)), Polynomial([1])
-    )
+    odd = partial_sum_printed(spec, 3, n)
+    assert odd == RationalFunction(partial_sum_direct(spec, 3, n), Polynomial([1]))
+    even = partial_sum_printed(spec, 2, n)
+    assert even != RationalFunction(partial_sum_direct(spec, 2, n), Polynomial([1]))
 
 
 def test_closed_requires_u0_zero():
     with pytest.raises(ValueError):
-        partial_sum_closed(PartialSumQuery(RecurrenceSpec(1, 1, 2, 1), 3, 1,
-                                           Fraction(1)))
+        partial_sum_closed(RecurrenceSpec(1, 1, 2, 1), 1, 3, Fraction(1))
 
 
 def test_closed_routes_general_b_pointwise():
     spec = RecurrenceSpec(1, 2, 0, 1)
-    q = PartialSumQuery(spec, 4, 1, Fraction(1))
-    assert partial_sum_closed(q) == partial_sum_direct(q) == 10
-    symbolic = PartialSumQuery(spec, 4, 1)
-    assert partial_sum_closed(symbolic) == RationalFunction(
-        partial_sum_direct(symbolic), Polynomial([1]))
+    args = (spec, 1, 4, Fraction(1))
+    assert partial_sum_closed(*args) == partial_sum_direct(*args) == 10
+    assert partial_sum_closed(spec, 1, 4) == RationalFunction(
+        partial_sum_direct(spec, 1, 4), Polynomial([1]))
 
 
 def test_closed_reports_denominator_zero():
     # V_1 = 0, so the pair denominator 1 - x^2 vanishes at x = 1; a finite
     # sum has no pole there, and the closed value is the sum
     spec = RecurrenceSpec(0, 1, 0, 1)
-    q = PartialSumQuery(spec, 3, 1, Fraction(1))
-    assert partial_sum_closed(q) == partial_sum_direct(q) == 2
+    args = (spec, 1, 3, Fraction(1))
+    assert partial_sum_closed(*args) == partial_sum_direct(*args) == 2
 
 
 def test_printed_form_is_symbolic_only():
+    # the published form is a b = 1 rational function: it takes no x
+    assert list(inspect.signature(partial_sum_printed).parameters) == ["spec", "r", "n"]
     with pytest.raises(ValueError):
-        partial_sum_printed(PartialSumQuery(FIB, 4, 2, Fraction(1)))
-    with pytest.raises(ValueError):
-        partial_sum_printed(PartialSumQuery(RecurrenceSpec(1, 2, 0, 1), 4, 2))
+        partial_sum_printed(RecurrenceSpec(1, 2, 0, 1), 2, 4)
 
 
 @pytest.mark.parametrize("n", (0, 1, 2, 7))
@@ -116,8 +113,8 @@ def test_printed_even_form_at_small_n(n):
             eps = (-1) ** (r // 2)
             middle = Polynomial([comb(r, r // 2) * eps**i for i in range(n + 1)])
             total = total + RationalFunction(middle, Polynomial([1]))
-            expected = RationalFunction(Polynomial([a2 ** (r // 2)]), Polynomial([1])) * total
-            assert partial_sum_printed(PartialSumQuery(spec, n, r)) == expected
+            expected = RationalFunction(total.num.scale(a2 ** (r // 2)), total.den)
+            assert partial_sum_printed(spec, r, n) == expected
 
 
 def test_pointwise_closed_at_large_n_builds_no_polynomial(monkeypatch):
@@ -130,20 +127,20 @@ def test_pointwise_closed_at_large_n_builds_no_polynomial(monkeypatch):
     fib = seq.fibonacci()
     f_n, f_next = seq.term_fast(fib, n), seq.term_fast(fib, n + 1)
     expected = (x - f_next * x ** (n + 1) - f_n * x ** (n + 2)) / (1 - x - x * x)
-    assert partial_sum_closed(PartialSumQuery(FIB, n, 1, x)) == expected
+    assert partial_sum_closed(FIB, 1, n, x) == expected
 
 
 def test_general_b_examples():
     spec = RecurrenceSpec(1, 2, 0, 1)
-    assert partial_sum_general_b(PartialSumQuery(spec, 4, 1, Fraction(1))) == 10
-    assert partial_sum_general_b(PartialSumQuery(spec, 3, 2, Fraction(1))) == 11
-    assert partial_sum_general_b(PartialSumQuery(spec, 9, 3, Fraction(0))) == 0
+    assert partial_sum_general_b(spec, 1, 4, Fraction(1)) == 10
+    assert partial_sum_general_b(spec, 2, 3, Fraction(1)) == 11
+    assert partial_sum_general_b(spec, 3, 9, Fraction(0)) == 0
 
 
 def test_general_b_singularity_is_removable():
     spec = RecurrenceSpec(0, 1, 0, 1)   # alpha = 1, so alpha^r x = 1 at x = 1
-    q = PartialSumQuery(spec, 3, 1, Fraction(1))
-    assert partial_sum_general_b(q) == partial_sum_direct(q)
+    args = (spec, 1, 3, Fraction(1))
+    assert partial_sum_general_b(*args) == partial_sum_direct(*args)
 
 
 GENERAL_B_SPECS = (RecurrenceSpec(1, 2, 0, 1), RecurrenceSpec(1, -3, 0, 1))
@@ -155,16 +152,13 @@ def test_general_b_equals_direct_on_grid(spec, r):
     xs = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
     for n in range(0, 31):
         for x in xs:
-            q = PartialSumQuery(spec, n, r, x)
-            assert partial_sum_general_b(q) == partial_sum_direct(q)
+            assert partial_sum_general_b(spec, r, n, x) == partial_sum_direct(spec, r, n, x)
 
 
 def test_corollary_r1_printed_vs_shifted():
     for spec in (FIB, PELL):
         for n in range(0, 21):
-            direct = RationalFunction(
-                partial_sum_direct(PartialSumQuery(spec, n, 1)), Polynomial([1])
-            )
+            direct = RationalFunction(partial_sum_direct(spec, 1, n), Polynomial([1]))
             assert corollary_r1(spec, n, "shifted-exponent") == direct
             if n >= 1:
                 assert corollary_r1(spec, n, "printed") != direct
@@ -211,9 +205,18 @@ def test_horadam_rejects_bad_input():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        PartialSumQuery(FIB, -1, 1)
-    with pytest.raises(ValueError):
-        PartialSumQuery(FIB, 1, 0)
-    with pytest.raises(ValueError):
-        partial_sum_closed(PartialSumQuery(FIB, 33, 1))   # symbolic cap
+    for fn in (partial_sum_direct, partial_sum_closed, partial_sum_general_b,
+               partial_sum_printed):
+        x = () if fn is partial_sum_printed else (Fraction(1),)
+        with pytest.raises(ValueError, match="upper index"):
+            fn(FIB, 1, -1, *x)
+        with pytest.raises(ValueError, match="power"):
+            fn(FIB, 0, 1, *x)
+        if fn is not partial_sum_direct:
+            with pytest.raises(ValueError, match="u0 = 0"):
+                fn(RecurrenceSpec(1, 1, 2, 1), 1, 1, *x)
+        if not x or fn is partial_sum_closed:
+            with pytest.raises(ValueError, match="symbolic mode"):
+                fn(FIB, 1, 33)   # symbolic cap
+            assert fn(FIB, 1, 32) == RationalFunction(
+                partial_sum_direct(FIB, 1, 32), Polynomial([1]))
