@@ -39,14 +39,12 @@ GF_CHECK_TERMS_LIMIT = 3 * GF_POWER_LIMIT
 # about log2 of the square of its largest root modulus, since U_n has about
 # n * g / 2 bits.  g is 1 for Fibonacci and any spec whose largest root
 # modulus is at most sqrt(3), 2 for Pell and 19 for (a, b) = (1000, 1).
-# Largest |n| * g served by the term-by-term `seq` walk.  On one Xeon core
-# with CPython 3.11 it takes about 4 s at Fibonacci n = 10^5 and 0.3 s at
-# (1000, 1), n = 5,263.
-SEQ_WALK_LIMIT = 10**5
-# Largest n * g served by `seq --fast`.  The doubling is log-time, but
-# rendering U_n is quadratic in its digits: on the same host, Fibonacci
-# n = 2 * 10^6 takes 3.3-3.8 s and (3, 3) n = 666,666 (g = 3) takes 3.0 s.
-SEQ_FAST_LIMIT = 2 * 10**6
+# Largest |n| * g served by `seq`; for n < 0, g also counts the bits of the
+# denominator b^|n|.  The doubling is log-time, but printing U_n is quadratic
+# in its digits.  Worst inputs served, on a 2-core Xeon host with CPython 3.11,
+# one CLI process each: (a, b) = (2, -3) at n = 2 * 10^6 (g = 1, under log2 3)
+# 4.7 s; Fibonacci at n = -2 * 10^6 3.8 s; (2, -3) at n = -500,000 2.3 s.
+SEQ_LIMIT = 2 * 10**6
 # `sum` and `binom-sum` are budgeted by their size n * (power * g + h),
 # where h = bit_length(|p| q) - 1 counts the bits of x = p/q (h = 0 at x = 0
 # and x = +-1), since every term carries a power of p and of q.
@@ -64,6 +62,9 @@ SUM_CLOSED_LIMIT = 300_000
 # 2-core Xeon host with CPython 3.11, `audit --claims all` takes about 3 s at
 # 60, 6 s at 120 and 11 s at 240, `thm4` growing fastest.
 AUDIT_MAX_N_LIMIT = 120
+FORMATS = ("text", "latex", "structured")
+# The keys a --config file may set, each read like the flag of the same name.
+CONFIG_KEYS = ("max-n", "format")
 
 
 def _fraction(text: str) -> Fraction:
@@ -95,28 +96,28 @@ def _spec_from_args(args) -> RecurrenceSpec:
     return RecurrenceSpec(args.a, args.b, args.u0, args.u1)
 
 
-def _read_config(path: str) -> dict:
-    settings = {}
+def _apply_config(args):
+    """Fill the flags left unset from the --config file's key = value lines."""
+    if not getattr(args, "config", None):
+        return
+    path, settings = args.config, {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or key not in CONFIG_KEYS:
+                raise ValueError(f"bad line {line!r} in {path}; accepted keys:"
+                                 f" {', '.join(CONFIG_KEYS)}")
             settings[key] = value
-    return settings
-
-
-def _apply_config(args):
-    if not getattr(args, "config", None):
-        return
-    settings = _read_config(args.config)
-    if "max-n" in settings and getattr(args, "max_n", None) is None:
-        args.max_n = int(settings["max-n"])
-    if "format" in settings and getattr(args, "format", None) is None:
-        args.format = settings["format"]
+    if "format" in settings and settings["format"] not in FORMATS:
+        raise ValueError(f"format {settings['format']!r} in {path} is not one "
+                         f"of {', '.join(FORMATS)}")
+    for key, value in settings.items():
+        dest = key.replace("-", "_")
+        if getattr(args, dest, None) is None:
+            setattr(args, dest, int(value) if dest == "max_n" else value)
 
 
 def _single_cell_report(claim_id: str, params: dict, verdict: str,
@@ -196,10 +197,11 @@ def parse_rational_function(text: str) -> RationalFunction:
 # --- subcommand handlers ------------------------------------------------------
 
 
-def _growth(spec: RecurrenceSpec) -> int:
-    """g = max(1, bit_length(ceil(rho^2)) - 1), rho the largest root modulus:
-    rho^2 = |b| for complex roots, else ((|a| + sqrt D) / 2)^2 with sqrt D
-    rounded up.  (|a| and |b| alone would weigh (3, -3) like (3, 3).)"""
+def _growth(spec: RecurrenceSpec, n: int = 0) -> int:
+    """g = max(1, bit_length(m) - 1), with m = ceil(rho^2), times b^2 for
+    n < 0 (U_n is then up to rho^|n| over b^|n|); rho is the largest root
+    modulus, rho^2 = |b| for complex roots, else ((|a| + sqrt D) / 2)^2 with
+    sqrt D rounded up.  (|a|, |b| alone would weigh (3, -3) like (3, 3).)"""
     a, d = abs(spec.a), spec.discriminant
     if d < 0:
         rho2 = abs(spec.b)
@@ -207,22 +209,19 @@ def _growth(spec: RecurrenceSpec) -> int:
         s = isqrt(d)
         s += s * s < d
         rho2 = -(-(a * a + d + 2 * a * s) // 4)
+    if n < 0:
+        rho2 *= spec.b * spec.b
     return max(1, rho2.bit_length() - 1)
 
 
 def _cmd_seq(args) -> int:
     spec = _spec_from_args(args)
-    if args.fast and args.n < 0:
-        print("--fast requires a nonnegative index", file=sys.stderr)
-        return 2
-    g = _growth(spec)
-    limit, name = (SEQ_FAST_LIMIT, "--fast") if args.fast else (SEQ_WALK_LIMIT, "walk")
-    if abs(args.n) * g > limit:
-        hint = "" if args.fast else "; use --fast for n >= 0"
+    g = _growth(spec, args.n)
+    if abs(args.n) * g > SEQ_LIMIT:
         print(f"|--n| {abs(args.n)} times the spec's growth {g} exceeds the "
-              f"{name} limit of {limit}{hint}", file=sys.stderr)
+              f"seq limit of {SEQ_LIMIT}", file=sys.stderr)
         return 2
-    print(seq.term_fast(spec, args.n) if args.fast else seq.term(spec, args.n))
+    print(seq.term_fast(spec, args.n))
     return 0
 
 
@@ -231,30 +230,25 @@ def _cmd_gf(args) -> int:
         print(f"--power {args.power} exceeds the limit of {GF_POWER_LIMIT}",
               file=sys.stderr)
         return 2
-    if args.check_terms > GF_CHECK_TERMS_LIMIT:
-        print(f"--check-terms {args.check_terms} exceeds the limit of "
+    if not 0 <= args.check_terms <= GF_CHECK_TERMS_LIMIT:
+        print(f"--check-terms {args.check_terms} is outside 0 to its limit of "
               f"{GF_CHECK_TERMS_LIMIT}", file=sys.stderr)
         return 2
     spec = _spec_from_args(args)
     f = gfpow.gf_power(spec, args.power)
-    checked = None
-    if args.check_terms:
-        order = args.check_terms
-        if f.expand(order) != gfpow.gf_oracle(spec, args.power, order):
-            print(
-                f"oracle mismatch over the first {order} coefficients",
-                file=sys.stderr,
-            )
-            return 3
-        checked = order
+    order = args.check_terms
+    if order and f.expand(order) != gfpow.gf_oracle(spec, args.power, order):
+        print(f"oracle mismatch over the first {order} coefficients",
+              file=sys.stderr)
+        return 3
     fmt = args.format or "text"
     if fmt == "latex":
         print(rf_to_latex(f))
     elif fmt == "structured":
         witness = {"text": rf_to_text(f), "latex": rf_to_latex(f),
                    "num": poly_to_text(f.num), "den": poly_to_text(f.den)}
-        if checked:
-            witness["oracle_terms"] = str(checked)
+        if order:
+            witness["oracle_terms"] = str(order)
         print(_single_cell_report(
             "gf", {"spec": str(spec), "r": args.power}, "pass", witness), end="")
     else:
@@ -351,16 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "second-order recurrence sequences.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value file (max-n, format)")
-    common.add_argument("--format", choices=("text", "latex", "structured"),
-                        default=None)
+    common.add_argument("--config",
+                        help=f"key=value file ({', '.join(CONFIG_KEYS)})")
+    common.add_argument("--format", choices=FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_seq = sub.add_parser("seq", parents=[common], help="evaluate one term")
     _add_spec_flags(p_seq)
     p_seq.add_argument("--n", type=int, required=True)
     p_seq.add_argument("--fast", action="store_true",
-                       help="log-time doubling evaluation (n >= 0)")
+                       help="no effect: every index is served in log time")
     p_seq.set_defaults(func=_cmd_seq)
 
     p_gf = sub.add_parser("gf", parents=[common],

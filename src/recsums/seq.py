@@ -13,11 +13,11 @@ a lookup asks.  ``store`` hands out the store of a spec, keyed by the spec
 ``STORE_CAP`` most recently used ones, so the number of live stores stays
 bounded in a long-lived process.
 
-``term`` is the plain walk in exact rational arithmetic: the trusted reference
-the store is tested against, and the CLI's walk for a single term, which fills
-no store.  ``lucas_term`` is the one log-time doubling kernel, for any
-rational second-order recurrence and initial values; ``term_fast`` is that
-kernel on a spec and is validated against ``term``, never trusted alone.
+``term`` is the plain walk in exact rational arithmetic: the tests' trusted
+reference for the store and the kernel, called by no CLI path.  ``lucas_term``
+is the one log-time doubling kernel, for any rational second-order recurrence
+and initial values; ``term_fast`` is that kernel on a spec at every integer
+index, checked against ``term``; it serves ``recsums seq`` and fills no store.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
@@ -76,8 +76,8 @@ def companion(spec: RecurrenceSpec) -> RecurrenceSpec:
 
 
 def term(spec: RecurrenceSpec, n: int) -> Fraction:
-    """Exact n-th term by the recurrence; negative n by the backward recurrence
-    U_{n-1} = (U_{n+1} - a U_n) / b, which stays in Q for any nonzero b."""
+    """Exact n-th term in O(|n|) steps, the tests' reference; negative n by the
+    backward recurrence U_{n-1} = (U_{n+1} - a U_n) / b, in Q for b != 0."""
     a, b, lo, hi = spec.a, spec.b, spec.u0, spec.u1
     if n >= 0:
         for _ in range(n):
@@ -212,8 +212,13 @@ def lucas_term(p, q, w0, w1, n: int) -> Fraction:
 
 
 def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
-    """Log-time evaluation for n >= 0; identical value to term(spec, n)."""
-    return lucas_term(spec.a, -spec.b, spec.u0, spec.u1, n)
+    """U_n for any integer n in log time; identical value to term(spec, n).
+    For n = -k < 0, b^k U_{-k} runs on x^2 + a x - b from U_0 and U_1 - a U_0,
+    the store's backward side."""
+    a, b, u0, u1 = spec.a, spec.b, spec.u0, spec.u1
+    if n >= 0:
+        return lucas_term(a, -b, u0, u1, n)
+    return lucas_term(-a, -b, u0, u1 - a * u0, -n) / Fraction(b) ** -n
 
 
 def binet_pairs(spec: RecurrenceSpec, r: int, x) -> list[tuple]:

@@ -8,9 +8,9 @@ import pytest
 
 from recsums import audit, binsum, gfpow, partsum, seq
 from recsums.cli import (AUDIT_MAX_N_LIMIT, GF_CHECK_TERMS_LIMIT,
-                         GF_POWER_LIMIT, SEQ_FAST_LIMIT, SEQ_WALK_LIMIT,
-                         SUM_CLOSED_LIMIT, SUM_SIZE_LIMIT, _growth, _sum_size,
-                         main, parse_polynomial, parse_rational_function)
+                         GF_POWER_LIMIT, SEQ_LIMIT, SUM_CLOSED_LIMIT,
+                         SUM_SIZE_LIMIT, _growth, _sum_size, main,
+                         parse_polynomial, parse_rational_function)
 from recsums.gfpow import gf_power
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
@@ -40,19 +40,8 @@ def test_seq_walk_fills_no_store(capsys):
     assert seq.store.cache_info() == before
 
 
-@pytest.mark.parametrize("n", (SEQ_WALK_LIMIT + 1, -SEQ_WALK_LIMIT - 1))
-def test_seq_walk_beyond_the_limit_exits_two(capsys, monkeypatch, n):
-    def refuse(*args):
-        raise AssertionError("the walk ran past the limit")
-
-    monkeypatch.setattr(seq, "term", refuse)
-    code, out, err = run_cli(capsys, "seq", "--preset", "fibonacci", "--n", str(n))
-    assert (code, out) == (2, "")
-    assert str(SEQ_WALK_LIMIT) in err and "--fast" in err
-
-
 def _refuse(*args):
-    raise AssertionError("a sum ran past the size limit")
+    raise AssertionError("a refused input reached the computation")
 
 
 @pytest.mark.parametrize("command", ("sum", "binom-sum"))
@@ -117,25 +106,41 @@ def test_growth_weighs_the_largest_root(a, b, g):
     assert _growth(RecurrenceSpec(a, b, 0, 1)) == g
 
 
+# for n < 0 the growth is that of rho^2 b^2: U_n is a numerator over b^|n|
+@pytest.mark.parametrize("a, b, g", (
+    (1, 1, 1), (1, -1, 1), (1000, 1, 19), (1, 2, 4), (0, -2, 3),
+    (0, -3, 4), (2, -3, 4), (-3, -3, 4), (3, 3, 7), (1, -7, 8),
+))
+def test_growth_at_negative_n_counts_the_denominator(a, b, g):
+    spec = RecurrenceSpec(a, b, 0, 1)
+    assert _growth(spec, -1) == _growth(spec, -10**6) == g
+    assert _growth(spec, 0) == _growth(spec)
+
+
 def _spec_flags(a, b):
     return ["--a", str(a), "--b", str(b), "--u0", "0", "--u1", "1"]
 
 
-# each row is served at n and refused one step beyond it
+# each row is served at n and refused one step beyond it, with or without the
+# no-op --fast
 @pytest.mark.parametrize("flags, n, fast, limit", (
-    (["--preset", "fibonacci"], SEQ_FAST_LIMIT, True, SEQ_FAST_LIMIT),
-    (_spec_flags(3, 3), SEQ_FAST_LIMIT // 3, True, SEQ_FAST_LIMIT),
-    (_spec_flags(1000, 1), SEQ_WALK_LIMIT // 19, False, SEQ_WALK_LIMIT),
-    (_spec_flags(1000, 1), -(SEQ_WALK_LIMIT // 19), False, SEQ_WALK_LIMIT),
+    (["--preset", "fibonacci"], SEQ_LIMIT, True, SEQ_LIMIT),
+    (_spec_flags(3, 3), SEQ_LIMIT // 3, True, SEQ_LIMIT),
+    (_spec_flags(1000, 1), SEQ_LIMIT // 19, False, SEQ_LIMIT),
+    (_spec_flags(1000, 1), -(SEQ_LIMIT // 19), False, SEQ_LIMIT),
+    (["--preset", "fibonacci"], -SEQ_LIMIT, False, SEQ_LIMIT),
+    (_spec_flags(2, -3), SEQ_LIMIT, False, SEQ_LIMIT),
+    (_spec_flags(2, -3), -(SEQ_LIMIT // 4), True, SEQ_LIMIT),
+    (_spec_flags(3, 3), -(SEQ_LIMIT // 7), False, SEQ_LIMIT),
 ))
 def test_seq_budget_counts_the_spec_growth(capsys, monkeypatch, flags, n, fast,
                                            limit):
-    name = "term_fast" if fast else "term"
     mode = ["--fast"] if fast else []
-    monkeypatch.setattr(seq, name, lambda *args: 7)
+    monkeypatch.setattr(seq, "term_fast", lambda *args: 7)
+    monkeypatch.setattr(seq, "term", _refuse)
     code, out, _ = run_cli(capsys, "seq", *flags, "--n", str(n), *mode)
     assert (code, out.strip()) == (0, "7")
-    monkeypatch.setattr(seq, name, _refuse)
+    monkeypatch.setattr(seq, "term_fast", _refuse)
     beyond = n + 1 if n > 0 else n - 1
     code, out, err = run_cli(capsys, "seq", *flags, "--n", str(beyond), *mode)
     assert (code, out) == (2, "")
@@ -214,9 +219,23 @@ def test_seq_negative_index_and_fast(capsys):
     code, out, _ = run_cli(capsys, "seq", "--preset", "fibonacci", "--n", "30",
                            "--fast")
     assert (code, out.strip()) == (0, "832040")
-    code, _, err = run_cli(capsys, "seq", "--preset", "fibonacci", "--n", "-3",
+    code, out, _ = run_cli(capsys, "seq", "--preset", "fibonacci", "--n", "-3",
                            "--fast")
-    assert code == 2 and "fast" in err
+    assert (code, out.strip()) == (0, "2")
+
+
+# |b| > 1 and rational initial values; the last two rows are refused
+@pytest.mark.parametrize("n", (0, 1, 37, -1, -37, 2000, -2000,
+                               SEQ_LIMIT + 1, -(SEQ_LIMIT // 4) - 1))
+def test_seq_prints_the_same_bytes_with_and_without_fast(capsys, n):
+    flags = ["--a", "2", "--b", "-3", "--u0", "1/3", "--u1", "-5/2", "--n", str(n)]
+    plain = run_cli(capsys, "seq", *flags)
+    assert run_cli(capsys, "seq", *flags, "--fast") == plain
+    spec = RecurrenceSpec(2, -3, Fraction(1, 3), Fraction(-5, 2))
+    if abs(n) <= 2000:
+        assert plain == (0, f"{seq.term(spec, n)}\n", "")
+    else:
+        assert (plain[0], plain[1]) == (2, "")
 
 
 def test_seq_rejects_degenerate_spec(capsys):
@@ -267,6 +286,14 @@ def test_gf_power_beyond_the_limit_exits_two(capsys, monkeypatch):
                              "--power", limit)
     assert (code, out) == (2, "")
     assert str(GF_POWER_LIMIT) in err
+
+
+def test_gf_negative_check_terms_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(gfpow, "gf_power", _refuse)
+    code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci", "--power", "2",
+                             "--check-terms", "-3")
+    assert (code, out) == (2, "")
+    assert "--check-terms -3" in err
 
 
 def test_gf_check_terms_beyond_the_limit_exits_two(capsys, monkeypatch):
@@ -418,6 +445,23 @@ def test_config_file_sets_defaults(tmp_path, capsys):
     assert len(doc["claims"][0]["cells"]) == 6
 
 
+@pytest.mark.parametrize("text, named", (
+    ("format = xml\n", ("'xml'", "text, latex, structured")),
+    ("maxn = 5\n", ("maxn", "max-n, format")),
+    ("max-n = 5\nMax-N = 7\n", ("Max-N", "max-n, format")),
+), ids=("bad-format", "misspelt-key", "wrong-case-key"))
+def test_config_file_with_a_bad_key_or_format_exits_two(tmp_path, capsys,
+                                                        monkeypatch, text,
+                                                        named):
+    monkeypatch.setattr(audit, "run_audit", _refuse)
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "audit", "--claims", "cor7-1",
+                             "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert all(word in err for word in named)
+
+
 def test_gen_pell_preset(capsys):
     code, out, _ = run_cli(capsys, "seq", "--preset", "gen-pell:2,5", "--n", "3")
     assert (code, out.strip()) == (0, "12")
@@ -426,7 +470,7 @@ def test_gen_pell_preset(capsys):
 @pytest.mark.parametrize("name", ("gen-pell:1,1/0", "gen-pell:1", "gen-pell:1,2,3",
                                   "gen-pell:a,b", "gen-pell:"))
 def test_malformed_gen_pell_preset_exits_two(capsys, monkeypatch, name):
-    monkeypatch.setattr(seq, "term", _refuse)
+    monkeypatch.setattr(seq, "term_fast", _refuse)
     code, out, err = run_cli(capsys, "seq", "--preset", name, "--n", "3")
     assert (code, out) == (2, "")
     assert repr(name) in err and "Traceback" not in err

@@ -9,6 +9,9 @@ hold Fractions only.
 Every audit claim that compares a value with a printed form is one
 ``audit._compare`` check, and a sequence is named by its ``RecurrenceSpec``.
 Every sum of U_i^r x^i, weighted or not, takes ``(spec, r, n, ...)``.
+
+``recsums seq`` serves every index through the one doubling kernel, under one
+limit; the walk ``seq.term`` is the tests' reference only.
 """
 
 import inspect
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from recsums import binsum, partsum, seq
+from recsums import binsum, cli, partsum, seq
 from recsums.audit import REGISTRY
 from recsums.binsum import CONGRUENCE_CLAIMS
 from recsums.polyrat import Polynomial
@@ -67,3 +70,11 @@ def test_every_sum_takes_spec_power_then_upper_index():
     assert len(sums) == 6, sorted(sums)
     for name, fn in sums.items():
         assert list(inspect.signature(fn).parameters)[:3] == ["spec", "r", "n"], name
+
+
+def test_the_cli_serves_seq_through_the_kernel_under_one_limit():
+    calling = [p.name for p in SRC.glob("*.py")
+               if "seq.term(" in p.read_text(encoding="utf-8")]
+    assert calling == []
+    assert [name for name in vars(cli)
+            if name.startswith("SEQ_") and name.endswith("LIMIT")] == ["SEQ_LIMIT"]

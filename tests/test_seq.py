@@ -58,11 +58,6 @@ def test_term_fast_examples():
     assert f16 == seq.term_fast(fib, 8) * seq.term_fast(seq.preset("lucas"), 8)
 
 
-def test_term_fast_rejects_negative():
-    with pytest.raises(ValueError):
-        seq.term_fast(seq.fibonacci(), -1)
-
-
 FAST_GRID = [
     RecurrenceSpec(1, 1, 0, 1),
     RecurrenceSpec(1, 2, 0, 1),

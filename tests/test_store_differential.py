@@ -1,4 +1,5 @@
-"""Property test: the integer prefix store against the reference Fraction walk."""
+"""Property tests: the integer prefix store and the doubling kernel against
+the reference Fraction walk."""
 
 from fractions import Fraction
 
@@ -39,3 +40,27 @@ def test_store_equals_walk(spec, kind, indices):
         sign = 1 if idx > 0 else -1
         assert store.prefix_sum(idx) == sum(
             (seq.term(sequence, sign * i) for i in range(1, k + 1)), Fraction(0))
+
+
+@st.composite
+def wide_specs(draw):
+    """Non-degenerate specs with |b| > 1, so b^|n| divides U_n for n < 0."""
+    a = draw(st.integers(-6, 6))
+    b = draw(st.sampled_from((-6, -5, -4, -3, -2, 2, 3, 4, 5, 6))
+             .filter(lambda b: a * a + 4 * b != 0))
+    return RecurrenceSpec(a, b, draw(rationals), draw(rationals))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(spec=wide_specs(), indices=st.lists(st.integers(-300, 300), min_size=1,
+                                           max_size=8))
+# square, negative and non-square discriminants: 9, -11, 13
+@example(spec=RecurrenceSpec(1, 2, Fraction(2, 3), Fraction(-5, 4)),
+         indices=[-300, -1, 0, 1, 300])
+@example(spec=RecurrenceSpec(1, -3, Fraction(1, 2), Fraction(7, 3)),
+         indices=[-300, -1, 0, 1, 300])
+@example(spec=RecurrenceSpec(1, 3, Fraction(-3, 5), Fraction(1, 6)),
+         indices=[-300, -1, 0, 1, 300])
+def test_term_fast_equals_walk(spec, indices):
+    for n in indices:
+        assert seq.term_fast(spec, n) == seq.term(spec, n), n
