@@ -143,6 +143,10 @@ def _thm3_form(cell, vid):
     return fn(cell["spec"], cell["r"], cell["n"])
 
 
+def _fib_sum_truth(cid):
+    return lambda c: binsum.corollary_lhs(cid, c["n"], c.get("r", 0))
+
+
 def _check_lemma5(cell):
     ok, value = binsum.root_power_collapse(cell["s"], cell["sign"])
     if ok:
@@ -320,32 +324,32 @@ def _build_registry() -> dict[str, Claim]:
     ))
 
     weighted = (
-        ("thm6-4r", "T6-4r",
+        ("thm6-4r",
          "sum C(n,i) F_i^{4r} = 5^{-2r}(sum_k (-1)^{k(n+1)} C(4r,k) L_{2r-k}^n "
          "L_{(2r-k)n} + C(4r,2r) 2^n)",
          ("r>=1", "n>=1"), (1, 2), 1, 1, ()),
-        ("thm6-4r2-odd", "T6-4r2-odd",
+        ("thm6-4r2-odd",
          "sum C(n,i) F_i^{4r+2} = 5^{(n+1)/2-(2r+1)} sum_k C(4r+2,k) "
          "F_{2r+1-k}^n F_{n(2r+1-k)} for odd n",
          ("n odd", "n>=1"), (0, 1, 2), 1, 2, ()),
-        ("thm6-4r2-even", "T6-4r2-even",
+        ("thm6-4r2-even",
          "sum C(n,i) F_i^{4r+2} = 5^{n/2-(2r+1)} sum_k (-1)^k C(4r+2,k) "
          "F_{2r+1-k}^n L_{n(2r+1-k)} for even n",
          ("n even", "n>=2"), (0, 1, 2), 2, 2, ()),
-        ("thm9-4r-even", "T9-4r-even",
+        ("thm9-4r-even",
          "alternating sum of F_i^{4r}: printed subscript L_{(4r-2k)n} doubles "
          "the derivation's (2r-k)n",
          ("n even", "n>=2", "r>=1"), (1, 2), 2, 2, ("half-subscript",)),
-        ("thm9-4r-odd", "T9-4r-odd",
+        ("thm9-4r-odd",
          "alternating sum of F_i^{4r}: printed subscript F_{(4r-2k)n} doubles "
          "the derivation's (2r-k)n",
          ("n odd", "n>=1", "r>=1"), (1, 2), 1, 2, ("half-subscript",)),
-        ("thm9-4r2", "T9-4r2",
+        ("thm9-4r2",
          "alternating sum of F_i^{4r+2} via L_{2r+1-k}^n L_{(2r+1-k)n} minus "
          "the 2^n middle binomial",
          ("n>=1",), (0, 1, 2), 1, 1, ()),
     )
-    for cid, family, desc, hyp, rs, n_lo, n_step, variants in weighted:
+    for cid, desc, hyp, rs, n_lo, n_step, variants in weighted:
         claims.append(Claim(
             cid, desc, hyp,
             (lambda rs=rs, n_lo=n_lo, n_step=n_step: lambda max_n: [
@@ -354,10 +358,9 @@ def _build_registry() -> dict[str, Claim]:
                 for n in _n_range(n_lo, 20, max_n, step=n_step)
             ])(),
             _compare(
-                lambda c, family=family: binsum.weighted_family_lhs(
-                    family, c["r"], c["n"]),
-                lambda c, v, family=family: binsum.fib_weighted_closed(
-                    family, c["r"], c["n"], v),
+                _fib_sum_truth(cid),
+                lambda c, v, cid=cid: binsum.fib_weighted_closed(
+                    cid, c["r"], c["n"], v),
                 variants),
         ))
 
@@ -389,7 +392,7 @@ def _build_registry() -> dict[str, Claim]:
                 {"n": n} for n in _n_range(lo, 100, max_n, step=step)
             ])(),
             _compare(
-                lambda c, cid=cid: binsum.corollary_lhs(cid, c["n"]),
+                _fib_sum_truth(cid),
                 lambda c, v, cid=cid: binsum.corollary_rhs(cid, c["n"], v),
                 variants),
         ))
@@ -535,35 +538,35 @@ def structured_report_text(results, selection="all", max_n=None) -> str:
 
 
 def text_report(results: list[AuditResult]) -> str:
+    """One line per claim and one per cell that did not pass, rendered from
+    the structured report's claims."""
     if not results:
         return "nothing run: no cells evaluated\n"
+    claims = structured_report(results)["claims"]
     lines = []
-    by_claim: dict[str, list[AuditResult]] = {}
-    for r in results:
-        by_claim.setdefault(r.claim_id, []).append(r)
-    totals = {"pass": 0, "variant-pass": 0, "fail": 0}
-    for cid in sorted(by_claim):
-        rows = by_claim[cid]
-        counts = {"pass": 0, "variant-pass": 0, "fail": 0}
-        for r in rows:
-            counts[r.verdict] += 1
-            totals[r.verdict] += 1
+    for claim in claims:
+        counts = claim["totals"]
         lines.append(
-            f"claim {cid}: cells={len(rows)} pass={counts['pass']} "
-            f"variant-pass={counts['variant-pass']} fail={counts['fail']}"
+            f"claim {claim['id']}: cells={len(claim['cells'])} "
+            f"pass={counts['pass']} variant-pass={counts['variant_pass']} "
+            f"fail={counts['fail']}"
         )
-        for r in rows:
-            if r.verdict == "pass":
+        for cell in claim["cells"]:
+            if cell["verdict"] == "pass":
                 continue
-            params = " ".join(f"{k}={v}" for k, v in _params_json(r.params).items())
-            tag = f"variant-pass via {r.variant}" if r.variant else "FAIL"
+            params = " ".join(f"{k}={v}" for k, v in cell["params"].items())
+            tag = (f"variant-pass via {cell['variant']}" if "variant" in cell
+                   else "FAIL")
             detail = ""
-            if r.witness:
-                detail = "  " + " ".join(f"{k}={v}" for k, v in r.witness.items())
+            if cell.get("witness"):
+                detail = "  " + " ".join(
+                    f"{k}={v}" for k, v in cell["witness"].items())
             lines.append(f"  [{tag}] {params}{detail}")
+    totals = {v: sum(c["totals"][v] for c in claims)
+              for v in ("pass", "variant_pass", "fail")}
     lines.append(
-        f"total: claims={len(by_claim)} cells={len(results)} "
-        f"pass={totals['pass']} variant-pass={totals['variant-pass']} "
+        f"total: claims={len(claims)} cells={len(results)} "
+        f"pass={totals['pass']} variant-pass={totals['variant_pass']} "
         f"fail={totals['fail']}"
     )
     return "\n".join(lines) + "\n"

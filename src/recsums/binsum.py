@@ -9,12 +9,13 @@ over Q, one Galois-conjugate pair of terms at a time: each entry of
 read off by the doubling kernel ``seq.lucas_term``.  Both sums take
 ``(spec, r, n, x)``, as ``partsum``'s do.  It carries no b = 1 caveat.
 Only ``root_power_collapse``, a statement about Q(sqrt(5)) itself, computes
-with ``QuadElem``.  The Fibonacci specializations at x = +/-1
-(Lucas/Fibonacci collapses, the ten displayed identities, and the 5-adic
-congruences) are evaluated side by side with the direct sums; every printed
-right-hand side is a claim object, and the nearest derivation-consistent
-variant is evaluated wherever a printed subscript or coefficient fails the
-oracle.
+with ``QuadElem``.  The Fibonacci specializations at x = +/-1 are named by
+their claim ids: the six thm6/thm9 families and the ten cor7/cor10 displayed
+identities share one oracle, ``corollary_lhs``, the direct sum, and the
+families share one sum, ``_bracket``.  Each 5-adic congruence reads the
+printed numerator of the identity it comes from.  The nearest
+derivation-consistent variant is evaluated wherever a printed subscript or
+coefficient fails the oracle.
 """
 
 from __future__ import annotations
@@ -91,110 +92,85 @@ def root_power_collapse(s: int, sign: int) -> tuple[bool, QuadElem]:
     return ok, lhs_a
 
 
-# --- the six x = +/-1 closed-form families ----------------------------------
+# --- the sixteen Fibonacci identities at x = +/-1 ----------------------------
 
-WEIGHTED_FAMILIES = (
-    "T6-4r", "T6-4r2-odd", "T6-4r2-even",
-    "T9-4r-even", "T9-4r-odd", "T9-4r2",
-)
-
-
-def _t6_4r_sum(r: int, n: int) -> int:
-    """The integer bracket of T6-4r (and the cor8-v sum)."""
-    return sum(
-        (-1) ** (k * (n + 1)) * comb(4 * r, k) * _luc(2 * r - k) ** n
-        * _luc((2 * r - k) * n)
-        for k in range(2 * r)
-    ) + comb(4 * r, 2 * r) * 2**n
-
-
-def _t6_4r2_odd_sum(r: int, n: int) -> int:
-    """The integer sum of T6-4r2-odd (and cor8-iii)."""
-    return sum(
-        comb(4 * r + 2, k) * _fib(2 * r + 1 - k) ** n * _fib(n * (2 * r + 1 - k))
-        for k in range(2 * r + 1)
-    )
-
-
-def _t6_4r2_even_sum(r: int, n: int) -> int:
-    """The integer sum of T6-4r2-even (and cor8-iv)."""
-    return sum(
-        (-1) ** k * comb(4 * r + 2, k) * _fib(2 * r + 1 - k) ** n
-        * _luc(n * (2 * r + 1 - k))
-        for k in range(2 * r + 1)
-    )
-
-
-def fib_weighted_closed(family: str, r: int, n: int, variant: str = "printed") -> Fraction:
-    """Printed right-hand side of one closed-form family, exact in Q.
-
-    The T9-4r families carry a "half-subscript" variant: the printed index
-    L_{(4r-2k)n} / F_{(4r-2k)n} against the derivation's (2r-k)n.
-    """
-    if family not in WEIGHTED_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    five = Fraction(5)
-    if family == "T6-4r":
-        return five ** (-2 * r) * _t6_4r_sum(r, n)
-    if family == "T6-4r2-odd":
-        if n % 2 == 0:
-            raise ValueError("this family needs odd n")
-        return five ** ((n + 1) // 2 - (2 * r + 1)) * _t6_4r2_odd_sum(r, n)
-    if family == "T6-4r2-even":
-        if n % 2 == 1:
-            raise ValueError("this family needs even n")
-        return five ** (n // 2 - (2 * r + 1)) * _t6_4r2_even_sum(r, n)
-    if family in ("T9-4r-even", "T9-4r-odd"):
-        sub = (lambda k: (4 * r - 2 * k) * n) if variant == "printed" else (
-            lambda k: (2 * r - k) * n
-        )
-        if family == "T9-4r-even":
-            if n % 2 == 1:
-                raise ValueError("this family needs even n")
-            acc = sum(
-                (-1) ** k * _fib(2 * r - k) ** n * _luc(sub(k)) * comb(4 * r, k)
-                for k in range(2 * r)
-            )
-            return five ** (n // 2 - 2 * r) * acc
-        if n % 2 == 0:
-            raise ValueError("this family needs odd n")
-        acc = sum(
-            _fib(2 * r - k) ** n * _fib(sub(k)) * comb(4 * r, k)
-            for k in range(2 * r)
-        )
-        return -(five ** ((n + 1) // 2 - 2 * r)) * acc
-    acc = sum(
-        (-1) ** (k * (n + 1) + n) * comb(4 * r + 2, k) * _luc(2 * r + 1 - k) ** n
-        * _luc((2 * r + 1 - k) * n)
-        for k in range(2 * r + 1)
-    )
-    return five ** (-(2 * r + 1)) * (acc - 2**n * comb(4 * r + 2, 2 * r + 1))
-
-
-def weighted_family_lhs(family: str, r: int, n: int) -> Fraction:
-    """Matching direct sum for a closed-form family."""
-    power = 4 * r if family in ("T6-4r", "T9-4r-even", "T9-4r-odd") else 4 * r + 2
-    x = 1 if family.startswith("T6") else -1
-    return binom_sum_direct(_FIB, power, n, x)
-
-
-# --- the ten displayed identities at x = +/-1 --------------------------------
-
-# family -> (power, x) of its left side sum_{i<=n} C(n,i) F_i^power x^i
-COROLLARY_FAMILIES = {
-    "cor7-1": (1, 1), "cor7-2": (2, 1), "cor7-3": (2, 1), "cor7-4": (3, 1),
-    "cor7-5": (4, 1),
-    "cor10-1": (1, -1), "cor10-2": (2, -1), "cor10-3": (3, -1),
-    "cor10-4": (4, -1), "cor10-5": (4, -1),
+# claim id -> (p, q, x): the claim's left side is
+# sum_{i<=n} C(n,i) F_i^(p r + q) x^i
+_FIB_SUMS = {
+    "thm6-4r": (4, 0, 1), "thm6-4r2-odd": (4, 2, 1), "thm6-4r2-even": (4, 2, 1),
+    "thm9-4r-even": (4, 0, -1), "thm9-4r-odd": (4, 0, -1), "thm9-4r2": (4, 2, -1),
+    "cor7-1": (0, 1, 1), "cor7-2": (0, 2, 1), "cor7-3": (0, 2, 1),
+    "cor7-4": (0, 3, 1), "cor7-5": (0, 4, 1),
+    "cor10-1": (0, 1, -1), "cor10-2": (0, 2, -1), "cor10-3": (0, 3, -1),
+    "cor10-4": (0, 4, -1), "cor10-5": (0, 4, -1),
 }
 
 
-def corollary_lhs(family: str, n: int) -> Fraction:
-    """Left side of one displayed identity, by direct summation."""
-    if family not in COROLLARY_FAMILIES:
-        raise ValueError(f"unknown identity {family!r}")
-    power, x = COROLLARY_FAMILIES[family]
-    return binom_sum_direct(_FIB, power, n, x)
+def corollary_lhs(claim: str, n: int, r: int = 0) -> Fraction:
+    """Left side of one Fibonacci identity, by direct summation."""
+    if claim not in _FIB_SUMS:
+        raise ValueError(f"unknown identity {claim!r}")
+    p, q, x = _FIB_SUMS[claim]
+    return binom_sum_direct(_FIB, p * r + q, n, x)
+
+
+def _bracket(m: int, n: int, x, y, sign, scale: int = 1) -> int:
+    """sum_{k<m} sign(k) C(2m,k) x(m-k)^n y(scale (m-k) n), with x and y each
+    _fib or _luc: the paired Binet terms of sum C(n,i) F_i^(2m) (+/-1)^i,
+    collapsed by lemma5."""
+    return sum(sign(k) * comb(2 * m, k) * x(m - k) ** n * y(scale * (m - k) * n)
+               for k in range(m))
+
+
+# claim id -> the integer its printed right side scales, at (n, r); each
+# congruence of CONGRUENCE_CLAIMS is a statement about one of these
+_NUMERATORS = {
+    "cor7-4": lambda n, r: 2**n * _fib(2 * n) + 3 * _fib(n),
+    "cor7-5": lambda n, r: (3**n * _luc(2 * n) - 4 * (-1) ** n * _luc(n)
+                            + 6 * 2**n),
+    "cor10-2": lambda n, r: (-1) ** n * _luc(n) - 2 ** (n + 1),
+    "cor10-3": lambda n, r: (-2) ** n * _fib(n) - 3 * _fib(2 * n),
+    "thm6-4r": lambda n, r: (
+        _bracket(2 * r, n, _luc, _luc, lambda k: (-1) ** (k * (n + 1)))
+        + comb(4 * r, 2 * r) * 2**n),
+    "thm6-4r2-odd": lambda n, r: _bracket(2 * r + 1, n, _fib, _fib, lambda k: 1),
+    "thm6-4r2-even": lambda n, r: _bracket(2 * r + 1, n, _fib, _luc,
+                                           lambda k: (-1) ** k),
+}
+
+# claim id -> the parity of n its printed form needs (None: every n)
+WEIGHTED_FAMILIES = {
+    "thm6-4r": None, "thm6-4r2-odd": 1, "thm6-4r2-even": 0,
+    "thm9-4r-even": 0, "thm9-4r-odd": 1, "thm9-4r2": None,
+}
+
+
+def fib_weighted_closed(family: str, r: int, n: int, variant: str = "printed") -> Fraction:
+    """Printed right side of one thm6/thm9 family, exact in Q.
+
+    It sums F_i^(2m), and its power of 5 is 5^-m, or 5^((n+1)//2 - m) for a
+    family that needs one parity of n.  The thm9-4r families carry a
+    "half-subscript" variant: the printed index L_{(4r-2k)n} / F_{(4r-2k)n}
+    (scale 2 in ``_bracket``) against the derivation's (2r-k)n.
+    """
+    if family not in WEIGHTED_FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    parity = WEIGHTED_FAMILIES[family]
+    if parity is not None and n % 2 != parity:
+        raise ValueError(f"this family needs {'odd' if parity else 'even'} n")
+    p, q, _ = _FIB_SUMS[family]
+    m = (p * r + q) // 2
+    five = Fraction(5) ** (-m if parity is None else (n + 1) // 2 - m)
+    scale = 2 if variant == "printed" else 1
+    if family == "thm9-4r-even":
+        return five * _bracket(m, n, _fib, _luc, lambda k: (-1) ** k, scale)
+    if family == "thm9-4r-odd":
+        return -five * _bracket(m, n, _fib, _fib, lambda k: 1, scale)
+    if family == "thm9-4r2":
+        return five * (_bracket(m, n, _luc, _luc,
+                                lambda k: (-1) ** (k * (n + 1) + n))
+                       - comb(2 * m, m) * 2**n)
+    return five * _NUMERATORS[family](n, r)
 
 
 def corollary_rhs(family: str, n: int, variant: str = "printed") -> Fraction:
@@ -215,16 +191,10 @@ def corollary_rhs(family: str, n: int, variant: str = "printed") -> Fraction:
         if n % 2 == 0:
             raise ValueError("needs odd n")
         return five ** ((n - 1) // 2) * _fib(n)
-    if family == "cor7-4":
-        return Fraction(2**n * _fib(2 * n) + 3 * _fib(n), 5)
-    if family == "cor7-5":
-        return Fraction(3**n * _luc(2 * n) - 4 * (-1) ** n * _luc(n) + 6 * 2**n, 25)
+    if family in ("cor7-4", "cor7-5", "cor10-2", "cor10-3"):
+        return Fraction(_NUMERATORS[family](n, 0), 25 if family == "cor7-5" else 5)
     if family == "cor10-1":
         return Fraction(-_fib(n))
-    if family == "cor10-2":
-        return Fraction((-1) ** n * _luc(n) - 2 ** (n + 1), 5)
-    if family == "cor10-3":
-        return Fraction((-2) ** n * _fib(n) - 3 * _fib(2 * n), 5)
     if family == "cor10-4":
         if n % 2 == 1 or n < 2:
             raise ValueError("needs even n >= 2")
@@ -252,26 +222,19 @@ def padic_valuation(n: int, p: int = 5) -> int | None:
     return v
 
 
-CONGRUENCE_CLAIMS = ("cor8-i", "cor8-ii", "cor8-iii", "cor8-iv", "cor8-v",
-                     "cor11-i", "cor11-ii")
+# congruence claim id -> the identity whose integer it divides by a power of 5
+CONGRUENCE_CLAIMS = {
+    "cor8-i": "cor7-4", "cor8-ii": "cor7-5", "cor8-iii": "thm6-4r2-odd",
+    "cor8-iv": "thm6-4r2-even", "cor8-v": "thm6-4r",
+    "cor11-i": "cor10-2", "cor11-ii": "cor10-3",
+}
 
 
 def congruence_lhs(claim: str, n: int, r: int = 0) -> int:
-    if claim == "cor8-i":
-        return 2**n * _fib(2 * n) + 3 * _fib(n)
-    if claim == "cor8-ii":
-        return 3**n * _luc(2 * n) - 4 * (-1) ** n * _luc(n) + 6 * 2**n
-    if claim == "cor8-iii":
-        return _t6_4r2_odd_sum(r, n)
-    if claim == "cor8-iv":
-        return _t6_4r2_even_sum(r, n)
-    if claim == "cor8-v":
-        return _t6_4r_sum(r, n)
-    if claim == "cor11-i":
-        return (-1) ** n * _luc(n) - 2 ** (n + 1)
-    if claim == "cor11-ii":
-        return (-2) ** n * _fib(n) - 3 * _fib(2 * n)
-    raise ValueError(f"unknown congruence claim {claim!r}")
+    """The integer of one congruence: its identity's printed numerator."""
+    if claim not in CONGRUENCE_CLAIMS:
+        raise ValueError(f"unknown congruence claim {claim!r}")
+    return _NUMERATORS[CONGRUENCE_CLAIMS[claim]](n, r)
 
 
 def congruence_exponents(claim: str, n: int, r: int = 0) -> dict[str, int]:

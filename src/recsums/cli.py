@@ -226,9 +226,9 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    if args.power > GF_POWER_LIMIT:
-        print(f"--power {args.power} exceeds the limit of {GF_POWER_LIMIT}",
-              file=sys.stderr)
+    if not 1 <= args.power <= GF_POWER_LIMIT:
+        print(f"--power {args.power} is outside 1 to its limit of "
+              f"{GF_POWER_LIMIT}", file=sys.stderr)
         return 2
     if not 0 <= args.check_terms <= GF_CHECK_TERMS_LIMIT:
         print(f"--check-terms {args.check_terms} is outside 0 to its limit of "
@@ -259,6 +259,10 @@ def _cmd_gf(args) -> int:
 def _sum_like(args, direct_fn, closed_fn) -> int:
     """Serve `sum` or `binom-sum` (the claim id is the command): each of
     direct_fn and closed_fn is called as fn(spec, power, n, x)."""
+    for flag, value, low in (("--n", args.n, 0), ("--power", args.power, 1)):
+        if value < low:
+            print(f"{flag} {value} is below {low}", file=sys.stderr)
+            return 2
     spec = _spec_from_args(args)
     mode = "direct" if args.direct else "closed" if args.closed else "both"
     g = _growth(spec)
@@ -318,13 +322,16 @@ def _cmd_binom_sum(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.max_n is not None and args.max_n > AUDIT_MAX_N_LIMIT:
-        print(f"--max-n {args.max_n} exceeds the limit of {AUDIT_MAX_N_LIMIT}",
-              file=sys.stderr)
+    if args.max_n is not None and not 0 <= args.max_n <= AUDIT_MAX_N_LIMIT:
+        print(f"--max-n {args.max_n} is outside 0 to its limit of "
+              f"{AUDIT_MAX_N_LIMIT}", file=sys.stderr)
         return 2
     selection = "all" if args.claims == "all" else [
         c.strip() for c in args.claims.split(",") if c.strip()
     ]
+    if not selection:
+        print(f"--claims {args.claims!r} names no claim id", file=sys.stderr)
+        return 2
     results = audit.run_audit(selection, max_n=args.max_n)
     fmt = args.format or "text"
     text = audit.report(results, fmt, selection=selection, max_n=args.max_n)

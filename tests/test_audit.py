@@ -119,13 +119,41 @@ def test_structured_report_is_deterministic():
     assert first == second
 
 
-def test_default_report_hash_matches_the_bench_reference():
+@pytest.fixture(scope="module")
+def default_results():
+    return run_audit("all")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_default_report_hash_matches_the_bench_reference(default_results):
     # the byte-identical report every refactor of the closed forms must keep;
     # the benchmark checks the same digest
     ref = Path(__file__).resolve().parent.parent / "bench" / "audit_reference.json"
     expected = json.loads(ref.read_text(encoding="utf-8"))["report_sha256"]
-    text = structured_report_text(run_audit("all"), "all", None)
-    assert hashlib.sha256(text.encode()).hexdigest() == expected
+    text = structured_report_text(default_results, "all", None)
+    assert _sha256(text) == expected
+
+
+def test_default_text_report_hash_is_pinned(default_results):
+    assert _sha256(text_report(default_results)) == (
+        "ca97b4a930b2f38d531e04f6ce2032de7ee83a5cf0d1715dfdb2e8df681f1776")
+
+
+FIBONACCI_CLAIMS = sorted(cid for cid in REGISTRY
+                          if cid.startswith(("thm6-", "thm9-", "cor7-", "cor8-",
+                                             "cor10-", "cor11-")))
+
+
+def test_fibonacci_claims_report_hash_at_max_n_60_is_pinned():
+    # thm6/thm9 cells run up to n = 60 here; the default grid stops at 20
+    assert len(FIBONACCI_CLAIMS) == 23
+    results = run_audit(FIBONACCI_CLAIMS, max_n=60)
+    text = structured_report_text(results, FIBONACCI_CLAIMS, 60)
+    assert _sha256(text) == (
+        "04acce26a01db0d9a5ddce59c1ff7d75a054c6b3974590bc82423d051f2a997e")
 
 
 def test_report_dispatch():

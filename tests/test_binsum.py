@@ -11,7 +11,7 @@ from recsums.binsum import (binom_sum_closed, binom_sum_direct,
                             congruence_exponents, congruence_lhs,
                             corollary_lhs, corollary_rhs, divisible_by_5_pow,
                             fib_weighted_closed, padic_valuation,
-                            root_power_collapse, weighted_family_lhs)
+                            root_power_collapse)
 from recsums.qfield import QuadElem, RecurrenceSpec, roots
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
@@ -81,38 +81,38 @@ def test_root_power_collapse_full_range():
 
 def test_weighted_families_match_direct():
     for family, rs, n_lo, step in (
-        ("T6-4r", (1, 2, 3), 1, 1),
-        ("T6-4r2-odd", (0, 1, 2, 3), 1, 2),
-        ("T6-4r2-even", (0, 1, 2, 3), 2, 2),
-        ("T9-4r2", (0, 1, 2, 3), 1, 1),
+        ("thm6-4r", (1, 2, 3), 1, 1),
+        ("thm6-4r2-odd", (0, 1, 2, 3), 1, 2),
+        ("thm6-4r2-even", (0, 1, 2, 3), 2, 2),
+        ("thm9-4r2", (0, 1, 2, 3), 1, 1),
     ):
         for r in rs:
             for n in range(n_lo, 51, step):
                 assert fib_weighted_closed(family, r, n) == \
-                    weighted_family_lhs(family, r, n)
+                    corollary_lhs(family, n, r)
 
 
 def test_weighted_t9_4r_printed_vs_half_subscript():
     # the printed doubled subscript disagrees with the direct sum
-    lhs = weighted_family_lhs("T9-4r-even", 1, 2)
+    lhs = corollary_lhs("thm9-4r-even", 2, 1)
     assert lhs == -1
-    assert fib_weighted_closed("T9-4r-even", 1, 2, "printed") == Fraction(19, 5)
-    assert fib_weighted_closed("T9-4r-even", 1, 2, "half-subscript") == -1
-    for family, n_lo in (("T9-4r-even", 2), ("T9-4r-odd", 1)):
+    assert fib_weighted_closed("thm9-4r-even", 1, 2, "printed") == Fraction(19, 5)
+    assert fib_weighted_closed("thm9-4r-even", 1, 2, "half-subscript") == -1
+    for family, n_lo in (("thm9-4r-even", 2), ("thm9-4r-odd", 1)):
         for r in (1, 2):
             for n in range(n_lo, 14, 2):
-                lhs = weighted_family_lhs(family, r, n)
+                lhs = corollary_lhs(family, n, r)
                 assert fib_weighted_closed(family, r, n, "half-subscript") == lhs
                 assert fib_weighted_closed(family, r, n, "printed") != lhs
 
 
 def test_weighted_family_parity_enforced():
     with pytest.raises(ValueError):
-        fib_weighted_closed("T6-4r2-odd", 1, 2)
+        fib_weighted_closed("thm6-4r2-odd", 1, 2)
     with pytest.raises(ValueError):
-        fib_weighted_closed("T9-4r-even", 1, 3)
+        fib_weighted_closed("thm9-4r-even", 1, 3)
     with pytest.raises(ValueError):
-        fib_weighted_closed("T7-unknown", 1, 1)
+        fib_weighted_closed("thm7-unknown", 1, 1)
 
 
 def test_corollary_examples():
@@ -200,3 +200,21 @@ def test_valuation_of_even_index_square_sums_is_exact():
         value = binom_sum_direct(FIB, 2, 2 * n, 1)
         assert value.denominator == 1
         assert padic_valuation(value.numerator) == n - 1
+
+
+def test_each_congruence_integer_is_its_identity_scaled_by_five():
+    # a congruence divides the printed numerator of the identity it is read
+    # off; times that identity's power of 5 it is the direct sum
+    for n in range(1, 14):
+        for cong, source, den in (("cor8-i", "cor7-4", 5), ("cor8-ii", "cor7-5", 25),
+                                  ("cor11-i", "cor10-2", 5),
+                                  ("cor11-ii", "cor10-3", 5)):
+            assert Fraction(congruence_lhs(cong, n), den) == corollary_lhs(source, n)
+        for r in (1, 2):
+            assert Fraction(congruence_lhs("cor8-v", n, r), 5 ** (2 * r)) == \
+                corollary_lhs("thm6-4r", n, r)
+        cong, source = (("cor8-iii", "thm6-4r2-odd") if n % 2
+                        else ("cor8-iv", "thm6-4r2-even"))
+        for r in (0, 1, 2):
+            five = Fraction(5) ** ((n + 1) // 2 - (2 * r + 1))
+            assert five * congruence_lhs(cong, n, r) == corollary_lhs(source, n, r)

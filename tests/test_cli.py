@@ -202,6 +202,23 @@ def test_sum_beyond_its_size_limit_exits_two(capsys, monkeypatch, command,
 
 
 @pytest.mark.parametrize("command", ("sum", "binom-sum"))
+@pytest.mark.parametrize("mode", ((), ("--direct",), ("--closed",)))
+@pytest.mark.parametrize("flags, named", (
+    (("--n", "-5", "--power", "1"), "--n -5"),
+    (("--n", "5", "--power", "0"), "--power 0"),
+    (("--n", "5", "--power", "-2"), "--power -2"),
+), ids=("negative-n", "zero-power", "negative-power"))
+def test_sum_below_its_range_exits_two_naming_the_flag(capsys, monkeypatch,
+                                                       command, mode, flags,
+                                                       named):
+    _patch_every_sum(monkeypatch, _refuse)
+    code, out, err = run_cli(capsys, command, "--preset", "fibonacci", *flags,
+                             "--x", "1", *mode)
+    assert (code, out) == (2, "")
+    assert named in err
+
+
+@pytest.mark.parametrize("command", ("sum", "binom-sum"))
 def test_sums_exactly_at_each_size_limit_are_served(capsys, monkeypatch,
                                                     command):
     _patch_every_sum(monkeypatch, lambda *args: 7)
@@ -296,6 +313,15 @@ def test_gf_negative_check_terms_exits_two(capsys, monkeypatch):
     assert "--check-terms -3" in err
 
 
+@pytest.mark.parametrize("power", ("0", "-3"))
+def test_gf_power_below_one_exits_two_naming_the_flag(capsys, monkeypatch, power):
+    monkeypatch.setattr(gfpow, "gf_power", _refuse)
+    code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci",
+                             "--power", power)
+    assert (code, out) == (2, "")
+    assert f"--power {power}" in err
+
+
 def test_gf_check_terms_beyond_the_limit_exits_two(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("gf_power ran past the limit")
@@ -324,6 +350,36 @@ def test_audit_max_n_beyond_the_limit_exits_two(capsys, monkeypatch, tmp_path,
     code, out, err = run_cli(capsys, "audit", "--claims", "cor7-1", *argv)
     assert (code, out) == (2, "")
     assert str(AUDIT_MAX_N_LIMIT) in err
+
+
+@pytest.mark.parametrize("via_config", (False, True))
+def test_audit_negative_max_n_exits_two(capsys, monkeypatch, tmp_path, via_config):
+    monkeypatch.setattr(audit, "run_audit", _refuse)
+    if via_config:
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_text("max-n = -3\n")
+        argv = ("--config", str(cfg))
+    else:
+        argv = ("--max-n", "-3")
+    code, out, err = run_cli(capsys, "audit", "--claims", "cor7-1", *argv)
+    assert (code, out) == (2, "")
+    assert "--max-n -3" in err
+
+
+@pytest.mark.parametrize("claims", ("", ",", " , "))
+def test_audit_claims_naming_no_id_exits_two(capsys, monkeypatch, claims):
+    monkeypatch.setattr(audit, "run_audit", _refuse)
+    code, out, err = run_cli(capsys, "audit", f"--claims={claims}")
+    assert (code, out) == (2, "")
+    assert "--claims" in err
+
+
+def test_audit_max_n_zero_is_served(capsys):
+    code, out, _ = run_cli(capsys, "audit", "--claims", "cor7-1,cor7-2",
+                           "--max-n", "0")
+    assert code == 0
+    assert out == ("claim cor7-1: cells=1 pass=1 variant-pass=0 fail=0\n"
+                   "total: claims=1 cells=1 pass=1 variant-pass=0 fail=0\n")
 
 
 def test_audit_max_n_at_the_limit_is_served(capsys, monkeypatch):

@@ -10,6 +10,10 @@ Every audit claim that compares a value with a printed form is one
 ``audit._compare`` check, and a sequence is named by its ``RecurrenceSpec``.
 Every sum of U_i^r x^i, weighted or not, takes ``(spec, r, n, ...)``.
 
+The Fibonacci claims at x = +/-1 are named by their claim ids in binsum:
+one direct-sum oracle serves all sixteen value claims, the thm6/thm9 families
+share one bracket sum, and each congruence reads its identity's numerator.
+
 ``recsums seq`` serves every index through the one doubling kernel, under one
 limit; the walk ``seq.term`` is the tests' reference only.
 """
@@ -78,3 +82,17 @@ def test_the_cli_serves_seq_through_the_kernel_under_one_limit():
     assert calling == []
     assert [name for name in vars(cli)
             if name.startswith("SEQ_") and name.endswith("LIMIT")] == ["SEQ_LIMIT"]
+
+
+def test_binsum_names_the_fibonacci_claims_by_claim_id():
+    tables = {"families": binsum.WEIGHTED_FAMILIES, "oracle": binsum._FIB_SUMS,
+              "numerators": binsum._NUMERATORS,
+              "congruences": binsum.CONGRUENCE_CLAIMS}
+    for name, table in tables.items():
+        assert set(table) <= set(REGISTRY), name
+    assert set(CONGRUENCE_CLAIMS.values()) <= set(binsum._NUMERATORS)
+    value_claims = {cid for cid in REGISTRY
+                    if cid.startswith(("thm6-", "thm9-", "cor7-", "cor10-"))}
+    assert set(binsum._FIB_SUMS) == value_claims and len(value_claims) == 16
+    assert [name for name in vars(binsum) if name.startswith("_t6_")] == []
+    assert not hasattr(binsum, "weighted_family_lhs")
