@@ -1,9 +1,11 @@
 """Command-line front end: exact terms, generating functions, sums, audits.
 
 All user-facing numbers are exact (big-integer rationals rendered as ``p/q``
-or plain integers); no floating point anywhere.  Structured output always uses
-the audit report schema, with one-off computations wrapped as single-cell
-claim runs.
+or plain integers); no floating point anywhere.  Every exact value is printed
+through one renderer, ``_text``, in subquadratic time in its digits, so a term
+or sum of 10^5 to 10^6 digits prints in under a second.  Structured
+output always uses the audit report schema, with one-off computations (``seq``,
+``gf``, ``sum``, ``binom-sum``) wrapped as single-cell claim runs.
 
 Exit codes (stable contract):
   0  success
@@ -18,6 +20,7 @@ Exit codes (stable contract):
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import re
 import sys
@@ -40,11 +43,13 @@ GF_CHECK_TERMS_LIMIT = 3 * GF_POWER_LIMIT
 # n * g / 2 bits.  g is 1 for Fibonacci and any spec whose largest root
 # modulus is at most sqrt(3), 2 for Pell and 19 for (a, b) = (1000, 1).
 # Largest |n| * g served by `seq`; for n < 0, g also counts the bits of the
-# denominator b^|n|.  The doubling is log-time, but printing U_n is quadratic
-# in its digits.  Worst inputs served, on a 2-core Xeon host with CPython 3.11,
-# one CLI process each: (a, b) = (2, -3) at n = 2 * 10^6 (g = 1, under log2 3)
-# 4.7 s; Fibonacci at n = -2 * 10^6 3.8 s; (2, -3) at n = -500,000 2.3 s.
-SEQ_LIMIT = 2 * 10**6
+# denominator b^|n|.  The doubling and the printing (`_text`) are both
+# subquadratic in the digits of U_n; what grows fastest is reducing the
+# Fraction over b^|n| at n < 0.  Worst inputs served, on a 2-core Xeon host
+# with CPython 3.11, one CLI process each: (a, b) = (2, -3) at n = -10^6
+# (g = 4) 3.5 s; (3, 3) at n = -571,428 3.0 s; (2, -3) at n = 4 * 10^6
+# (g = 1, under log2 3) 2.0 s; Fibonacci at n = -4 * 10^6 1.8 s.
+SEQ_LIMIT = 4 * 10**6
 # `sum` and `binom-sum` are budgeted by their size n * (power * g + h),
 # where h = bit_length(|p| q) - 1 counts the bits of x = p/q (h = 0 at x = 0
 # and x = +-1), since every term carries a power of p and of q.
@@ -118,6 +123,50 @@ def _apply_config(args):
         dest = key.replace("-", "_")
         if getattr(args, dest, None) is None:
             setattr(args, dest, int(value) if dest == "max_n" else value)
+
+
+# Largest bit length rendered by plain str(), which is quadratic in the digit
+# count on CPython 3.11; above it `_text` goes through decimal, whose
+# multiplication is subquadratic.  On a 2-core Xeon host the two meet between
+# 3 * 2^13 and 2^15 bits (about 1 ms); at 694,000 bits, F(10^6), str() takes
+# 0.84 s and `_text` 0.07 s.
+_STR_BITS = 1 << 15
+# Width in bits of the pieces `_text` hands to Decimal() directly.
+_PIECE_BITS = 2048
+
+
+def _text(value) -> str:
+    """str(value) for an int or a Fraction, in subquadratic time.
+
+    |value| is split at half its width by shifts, with no int division; the
+    pieces are joined as lo + hi * 2^h in decimal, exactly: the Inexact trap
+    would raise on any rounding."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return _text(value.numerator)
+        return f"{_text(value.numerator)}/{_text(value.denominator)}"
+    if value.bit_length() <= _STR_BITS:
+        return str(value)
+    powers = {}
+
+    def two_to(w):
+        if w not in powers:
+            powers[w] = (decimal.Decimal(2) ** w if w <= _PIECE_BITS
+                         else two_to(w >> 1) * two_to(w - (w >> 1)))
+        return powers[w]
+
+    def join(m, w):
+        if w <= _PIECE_BITS:
+            return decimal.Decimal(m)
+        h = w >> 1
+        hi = m >> h
+        return join(m - (hi << h), h) + join(hi, w - h) * two_to(h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(join(abs(value), value.bit_length()))
+    return "-" + digits if value < 0 else digits
 
 
 def _single_cell_report(claim_id: str, params: dict, verdict: str,
@@ -221,7 +270,12 @@ def _cmd_seq(args) -> int:
         print(f"|--n| {abs(args.n)} times the spec's growth {g} exceeds the "
               f"seq limit of {SEQ_LIMIT}", file=sys.stderr)
         return 2
-    print(seq.term_fast(spec, args.n))
+    term = seq.term_fast(spec, args.n)
+    if args.format == "structured":
+        print(_single_cell_report("seq", {"spec": str(spec), "n": args.n},
+                                  "pass", {"value": _text(term)}), end="")
+    else:
+        print(_text(term))
     return 0
 
 
@@ -284,12 +338,13 @@ def _sum_like(args, direct_fn, closed_fn) -> int:
     if mode == "both":
         match = values["direct"] == values["closed"]
         if fmt == "structured":
-            witness = {k: str(v) for k, v in values.items()}
+            witness = {k: _text(v) for k, v in values.items()}
             print(_single_cell_report(
                 args.command, _sum_params(spec, args),
                 "pass" if match else "fail", witness), end="")
         else:
-            print(f"direct={values['direct']} closed={values['closed']} "
+            print(f"direct={_text(values['direct'])} "
+                  f"closed={_text(values['closed'])} "
                   f"{'match' if match else 'MISMATCH'}")
         if not match:
             return 3
@@ -297,9 +352,9 @@ def _sum_like(args, direct_fn, closed_fn) -> int:
     value = values[mode]
     if fmt == "structured":
         print(_single_cell_report(args.command, _sum_params(spec, args), "pass",
-                                  {mode: str(value)}), end="")
+                                  {mode: _text(value)}), end="")
     else:
-        print(value)
+        print(_text(value))
     return 0
 
 

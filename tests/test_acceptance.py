@@ -200,9 +200,11 @@ def test_criterion_09_audit_determinism(tmp_path):
                "reports")
 
 
-def test_criterion_10_fast_doubling_at_one_million():
+def test_criterion_10_fast_doubling_at_one_million(capsys):
     start = time.perf_counter()
     value = seq.term_fast(seq.fibonacci(), 10**6)
+    code = main(["seq", "--preset", "fibonacci", "--n", "1000000"])
+    printed = capsys.readouterr().out
     modulus = 10**9
     lo, hi = 0, 1
     for _ in range(10**6):
@@ -210,6 +212,11 @@ def test_criterion_10_fast_doubling_at_one_million():
     elapsed = time.perf_counter() - start
     assert value.denominator == 1
     assert value.numerator % modulus == lo
+    # the README example prints all 208,988 digits of F(10^6)
+    assert code == 0 and printed.endswith("\n")
+    digits = printed[:-1]
+    assert digits.isdigit() and len(digits) == 208_988
+    assert int(digits[-9:]) == lo
     assert elapsed < 5.0
-    _report(10, f"F(10^6) computed exactly and spot-checked mod 10^9 "
-                f"({elapsed:.2f}s < 5s)")
+    _report(10, f"F(10^6) computed exactly, printed by `recsums seq` and "
+                f"spot-checked mod 10^9 ({elapsed:.2f}s < 5s)")

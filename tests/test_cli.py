@@ -268,6 +268,72 @@ def test_seq_rational_initial_values(capsys):
     assert (code, out.strip()) == (0, "5/6")
 
 
+FIB_FLAGS = ["--preset", "fibonacci"]
+# |b| > 1, rational initial values: U_n at n < 0 is a Fraction over 3^|n|
+RATIONAL_FLAGS = ["--a", "2", "--b", "-3", "--u0", "1/3", "--u1", "-5/2"]
+RATIONAL_SPEC = RecurrenceSpec(2, -3, Fraction(1, 3), Fraction(-5, 2))
+
+
+@pytest.mark.parametrize("flags, spec, n", (
+    (FIB_FLAGS, seq.fibonacci(), 10),
+    (RATIONAL_FLAGS, RATIONAL_SPEC, -37),
+))
+def test_seq_structured_output_is_a_single_cell_report(capsys, flags, spec, n):
+    term = str(seq.term_fast(spec, n))
+    code, out, _ = run_cli(capsys, "seq", *flags, "--n", str(n),
+                           "--format", "structured")
+    assert code == 0
+    claim = json.loads(out)["claims"][0]
+    assert claim["id"] == "seq"
+    assert claim["cells"] == [{"params": {"spec": str(spec), "n": n},
+                               "verdict": "pass", "witness": {"value": term}}]
+    for fmt in ((), ("--format", "text"), ("--format", "latex")):
+        assert run_cli(capsys, "seq", *flags, "--n", str(n), *fmt) == \
+            (0, term + "\n", "")
+
+
+# Each value is above the 2^15-bit crossover of `cli._text`, where it stops
+# calling str(): F(200000) has 138,852 bits, and U_{-25000} of RATIONAL_SPEC
+# is a Fraction over 2 * 3^25001, 39,626 bits (its numerator, 19,814 bits, is
+# below it; at -20000 both are).  u1 = 3^30000 scales every term of a sum
+# past the crossover while the direct side stays small.
+BIG_U1 = 3**30000
+
+
+@pytest.mark.parametrize("flags, spec, n", (
+    (FIB_FLAGS, seq.fibonacci(), 200_000),
+    (RATIONAL_FLAGS, RATIONAL_SPEC, -20_000),
+    (RATIONAL_FLAGS, RATIONAL_SPEC, -25_000),
+))
+def test_seq_above_the_crossover_prints_the_bytes_of_str(capsys, unlimited_str,
+                                                        flags, spec, n):
+    assert run_cli(capsys, "seq", *flags, "--n", str(n)) == \
+        (0, f"{seq.term_fast(spec, n)}\n", "")
+
+
+@pytest.mark.parametrize("command, module, name, power", (
+    ("sum", partsum, "partial_sum_direct", 2),
+    ("binom-sum", binsum, "binom_sum_direct", 1),
+))
+def test_sums_above_the_crossover_print_the_bytes_of_str(capsys, unlimited_str,
+                                                         command, module, name,
+                                                         power):
+    spec = RecurrenceSpec(1, 1, 0, BIG_U1)
+    value = getattr(module, name)(spec, power, 20, Fraction(-1, 2))
+    assert abs(value.numerator).bit_length() > 2**15
+    flags = ["--a", "1", "--b", "1", "--u0", "0", "--u1", str(BIG_U1),
+             "--n", "20", "--power", str(power), "--x", "-1/2", "--both"]
+    assert run_cli(capsys, command, *flags) == \
+        (0, f"direct={value} closed={value} match\n", "")
+    code, out, _ = run_cli(capsys, command, *flags, "--format", "structured")
+    assert code == 0
+    cell = json.loads(out)["claims"][0]["cells"][0]
+    assert cell["witness"] == {"direct": str(value), "closed": str(value)}
+    for mode in ("--direct", "--closed"):
+        assert run_cli(capsys, command, *flags[:-1], mode) == \
+            (0, f"{value}\n", "")
+
+
 def test_gf_text_output(capsys):
     code, out, _ = run_cli(capsys, "gf", "--preset", "fibonacci", "--power", "1")
     assert (code, out.strip()) == (0, "x/(1 - x - x^2)")

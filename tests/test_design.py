@@ -16,8 +16,12 @@ share one bracket sum, and each congruence reads its identity's numerator.
 
 ``recsums seq`` serves every index through the one doubling kernel, under one
 limit; the walk ``seq.term`` is the tests' reference only.
+
+The CLI prints every exact value through ``cli._text``, which renders values
+above its crossover in subquadratic time.
 """
 
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -96,3 +100,28 @@ def test_binsum_names_the_fibonacci_claims_by_claim_id():
     assert set(binsum._FIB_SUMS) == value_claims and len(value_claims) == 16
     assert [name for name in vars(binsum) if name.startswith("_t6_")] == []
     assert not hasattr(binsum, "weighted_family_lhs")
+
+
+def test_the_cli_prints_exact_values_only_through_text():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls_text = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "_text":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                name, args = node.func.id, node.args
+                if name == "_text":
+                    calls_text.add(fn.name)
+                # print(value): a bare name printed as it is
+                assert not (name == "print" and args
+                            and isinstance(args[0], ast.Name)), ast.unparse(node)
+                # str(v): only the spec, the inputs and errors are stringified
+                if name == "str":
+                    assert ast.unparse(args[0]) in {"spec", "order", "args.x",
+                                                    "exc"}, ast.unparse(node)
+            # f"{values['direct']}": an f-string reading a computed value
+            if isinstance(node, ast.FormattedValue):
+                shown = ast.unparse(node.value)
+                assert shown != "term" and not shown.startswith("values"), shown
+    assert {"_cmd_seq", "_sum_like"} <= calls_text
