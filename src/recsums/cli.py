@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import json
 import re
 import sys
@@ -32,16 +33,24 @@ from .polyrat import (EvalPoleError, Polynomial, RationalFunction,
                       poly_to_text, rf_to_latex, rf_to_text)
 from .qfield import DegenerateSpecError, RecurrenceSpec
 
-# Largest `gf --power` served.  At this power, on one Xeon core with
-# CPython 3.11, a build takes 1-3 s and a `--check-terms 3r` pass up to 7 s
-# more; both grow about as r^4.
-GF_POWER_LIMIT = 128
-# Largest `gf --check-terms` served: the 3r-term check at the largest power.
-GF_CHECK_TERMS_LIMIT = 3 * GF_POWER_LIMIT
-# The `seq` and sum budgets weigh n by the spec's growth g (see `_growth`),
-# about log2 of the square of its largest root modulus, since U_n has about
-# n * g / 2 bits.  g is 1 for Fibonacci and any spec whose largest root
-# modulus is at most sqrt(3), 2 for Pell and 19 for (a, b) = (1000, 1).
+# The `gf`, `seq` and sum budgets weigh their inputs by the spec's growth g
+# (see `_growth`), about log2 of the square of its largest root modulus,
+# since U_n has about n * g / 2 bits.  g is 1 for Fibonacci and any spec
+# whose largest root modulus is at most sqrt(3), 2 for Pell and 19 for
+# (a, b) = (1000, 1).
+# Largest `gf --power` times g served.  The build and the `--check-terms`
+# pass apply Theorem 1's pole factors to integer series whose terms run to
+# about r * N * g / 2 bits; their time grows as r^4 to r^5.  On a 2-core
+# Xeon host with CPython 3.11, one CLI process each, with --check-terms at
+# its limit: the worst specs of growth 1 have complex roots and |b| = 3, so
+# their factors carry 3^r; (1, -3, 2, 1) at --power 192 takes 2.6-3.6 s
+# (3.7 s with --format structured), Fibonacci 0.8 s.  A 3r-term check of
+# (1, -3, 2, 1) at 192 took 4.3-5.1 s, hence the 2r check limit.  Larger
+# growths are served well inside that: (1, -7) (g = 2) at 96 takes 0.5 s
+# and (1000, 1) (g = 19) at 10 0.17 s.  A refusal takes 0.15-0.18 s.
+GF_POWER_LIMIT = 192
+# Largest `gf --check-terms` times g served.
+GF_CHECK_TERMS_LIMIT = 2 * GF_POWER_LIMIT
 # Largest |n| * g served by `seq`; for n < 0, g also counts the bits of the
 # denominator b^|n|.  The doubling and the printing (`_text`) are both
 # subquadratic in the digits of U_n; what grows fastest is reducing the
@@ -280,18 +289,23 @@ def _cmd_seq(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    if not 1 <= args.power <= GF_POWER_LIMIT:
-        print(f"--power {args.power} is outside 1 to its limit of "
-              f"{GF_POWER_LIMIT}", file=sys.stderr)
-        return 2
-    if not 0 <= args.check_terms <= GF_CHECK_TERMS_LIMIT:
-        print(f"--check-terms {args.check_terms} is outside 0 to its limit of "
-              f"{GF_CHECK_TERMS_LIMIT}", file=sys.stderr)
-        return 2
+    for flag, value, low in (("--power", args.power, 1),
+                             ("--check-terms", args.check_terms, 0)):
+        if value < low:
+            print(f"{flag} {value} is below {low}", file=sys.stderr)
+            return 2
     spec = _spec_from_args(args)
+    g = _growth(spec)
+    for flag, value, limit in (("--power", args.power, GF_POWER_LIMIT),
+                               ("--check-terms", args.check_terms,
+                                GF_CHECK_TERMS_LIMIT)):
+        if value * g > limit:
+            print(f"{flag} {value} times the spec's growth {g} exceeds the gf "
+                  f"limit of {limit}", file=sys.stderr)
+            return 2
     f = gfpow.gf_power(spec, args.power)
     order = args.check_terms
-    if order and f.expand(order) != gfpow.gf_oracle(spec, args.power, order):
+    if order and not gfpow.check_series(f, spec, args.power, order):
         print(f"oracle mismatch over the first {order} coefficients",
               file=sys.stderr)
         return 3
@@ -400,7 +414,9 @@ def _cmd_audit(args) -> int:
     return 1 if audit.has_unexplained_failure(results) else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="recsums",
         description="Exact closed forms and identity audits for "
@@ -473,12 +489,20 @@ def _join_signed_rationals(argv):
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)   # exact output can run to 10^5+ digits
-    parser = build_parser()
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)   # exact output can run to 10^5+ digits
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _main(argv) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_signed_rationals(list(argv)))
+    args = build_parser().parse_args(_join_signed_rationals(list(argv)))
     try:
         _apply_config(args)
         return args.func(args)

@@ -1,18 +1,31 @@
 """Closed-form generating functions for r-th powers of recurrence terms.
 
-``gf_power`` is the ground truth, built over Z and Q only.  Its denominator is
-Theorem 1's product of conjugate-pole pairs,
+``gf_power`` is the ground truth, built over Z and Q only.  Its denominator D
+is Theorem 1's product of conjugate-pole pairs,
 
     prod_k (1 - (-b)^k V_{r-2k} x + (-b)^r x^2),   0 <= k < r/2,
 
 times 1 - (-b)^{r/2} x for even r: degree r+1, constant term 1, and each pair
-is (1 - alpha^k beta^{r-k} x)(1 - alpha^{r-k} beta^k x).  Its numerator is
-that denominator times the brute-force series U_0^r, U_1^r, ... truncated
-below x^{r+1}.  Coefficients r+1 .. 2r+1 of the same product must vanish; a
-nonzero one raises ``SelfCheckError``.  Two fractions with numerators of
-degree <= r and denominators of degree <= r+1 are equal once they agree mod
-x^{2r+2}, so the check proves the result equals the series, and the truth
-stays derived from brute force rather than from the Binet closed form.
+is (1 - alpha^k beta^{r-k} x)(1 - alpha^{r-k} beta^k x).  That product is the
+recurrence U_n^r satisfies, and each factor 1 + c1 x + c2 x^2 acts on a
+series t as the three-term operator t_i += c1 t_{i-1} + c2 t_{i-2}.  Applied
+to the impulse 1, 0, 0, ... the factors give D.  Applied to the brute-force
+integer series N_0^r .. N_{2r+1}^r, with N_i = d U_i from the spec's prefix
+store, they give d^r times D * series mod x^{2r+2}.  Every step multiplies
+big terms by a factor's small coefficients, and the dominant pair (k = 0)
+runs first, so with real roots the terms shrink as the operators run.
+Entries 0 .. r over d^r are the numerator; entries r+1 .. 2r+1 must vanish,
+and a nonzero one raises ``SelfCheckError``.  Two fractions with numerators
+of degree <= r and denominators of degree <= r+1 are equal once they agree
+mod x^{2r+2}, so the check proves the result equals the series, and the
+truth stays derived from brute force rather than from the Binet closed form.
+
+``check_series`` tests any f against the first N terms of that series the
+same way: since den(0) = 1, expanding f to N terms gives the series exactly
+when den * series = num mod x^N, so when f.den is the product D it applies
+the factors to N terms and compares with d^r f.num.  A den reduced by a
+common factor (root ratio a root of unity) is checked by ``expand`` against
+``gf_oracle``.
 
 ``paired_form`` evaluates the paired-term closed form itself, over Q: each
 Galois-conjugate pair of Binet terms is one rational second-order sequence
@@ -37,34 +50,56 @@ class SelfCheckError(ArithmeticError):
     """A built generating function disagrees with the brute-force series."""
 
 
-def _theorem1_denominator(spec: RecurrenceSpec, r: int) -> Polynomial:
-    """Product of Theorem 1's pole pairs (and the middle pole for even r)."""
+def _pole_factors(spec: RecurrenceSpec, r: int) -> list[tuple[int, int]]:
+    """(c1, c2) of each of Theorem 1's factors 1 + c1 x + c2 x^2, the dominant
+    pair (k = 0) first; the linear middle factor of even r has c2 = 0."""
     b = spec.b
-    v = seq.terms(seq.companion(spec), r + 1)
-    den = Polynomial([1])
-    for k in range((r + 1) // 2):
-        den = den * Polynomial([1, -(-b) ** k * v[r - 2 * k], (-b) ** r])
+    v = seq.store(seq.companion(spec)).numerators(r + 1)   # V_0 .. V_r; den 1
+    factors = [(-((-b) ** k) * v[r - 2 * k], (-b) ** r) for k in range((r + 1) // 2)]
     if r % 2 == 0:
-        den = den * Polynomial([1, -((-b) ** (r // 2))])
-    return den
+        factors.append((-((-b) ** (r // 2)), 0))
+    return factors
+
+
+def _annihilate(factors, t: list[int]) -> list[int]:
+    """t times each factor 1 + c1 x + c2 x^2 in turn, mod x^len(t), in place."""
+    for c1, c2 in factors:
+        for i in range(len(t) - 1, 1, -1):
+            t[i] += c1 * t[i - 1] + c2 * t[i - 2]
+        if len(t) > 1:
+            t[1] += c1 * t[0]
+    return t
 
 
 def gf_power(spec: RecurrenceSpec, r: int) -> RationalFunction:
     """Rational function over Q whose Maclaurin coefficients are U_n^r."""
     if r < 1:
         raise ValueError("power must be >= 1")
-    den = _theorem1_denominator(spec, r)
-    series = gf_oracle(spec, r, 2 * r + 2)
-    d = den.coeffs
-    # coefficients 0 .. 2r+1 of den * series; a full product would also form
-    # the costliest, unneeded ones above x^{2r+1}
-    prod = [sum(d[j] * series[i - j] for j in range(min(i + 1, len(d))))
-            for i in range(2 * r + 2)]
-    if any(prod[r + 1:]):
+    factors = _pole_factors(spec, r)
+    st = seq.store(spec)
+    t = _annihilate(factors, [n**r for n in st.numerators(2 * r + 2)])
+    if any(t[r + 1:]):
         raise SelfCheckError(
             f"gf_power({spec}, r={r}): denominator times the series is not a "
             f"polynomial of degree <= {r}")
-    return RationalFunction(Polynomial(prod[:r + 1]), den)
+    scale = st.den**r
+    return RationalFunction(Polynomial([Fraction(c, scale) for c in t[:r + 1]]),
+                            Polynomial(_annihilate(factors, [1] + [0] * (r + 1))))
+
+
+def check_series(f: RationalFunction, spec: RecurrenceSpec, r: int,
+                 order: int) -> bool:
+    """True when the first `order` Maclaurin coefficients of f are
+    U_0^r .. U_{order-1}^r; equals f.expand(order) == gf_oracle(spec, r, order)."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    factors = _pole_factors(spec, r)
+    if f.den != Polynomial(_annihilate(factors, [1] + [0] * (r + 1))):
+        return f.expand(order) == gf_oracle(spec, r, order)
+    st = seq.store(spec)
+    t = _annihilate(factors, [n**r for n in st.numerators(order)])
+    scale = st.den**r
+    return all(c == scale * f.num.coeff(i) for i, c in enumerate(t))
 
 
 def gf_oracle(spec: RecurrenceSpec, r: int, order: int) -> tuple[Fraction, ...]:

@@ -319,7 +319,7 @@ def rf_to_text(f: RationalFunction) -> str:
     num = poly_to_text(f.num)
     if f.den == Polynomial([1]):
         return num
-    if len(_poly_terms(f.num, False)) > 1:
+    if len(f.num.coeffs) - f.num.coeffs.count(0) > 1:   # more than one term
         num = f"({num})"
     return f"{num}/({poly_to_text(f.den)})"
 

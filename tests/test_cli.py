@@ -2,17 +2,18 @@
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from recsums import audit, binsum, gfpow, partsum, seq
+from recsums import audit, binsum, cli, gfpow, partsum, seq
 from recsums.cli import (AUDIT_MAX_N_LIMIT, GF_CHECK_TERMS_LIMIT,
                          GF_POWER_LIMIT, SEQ_LIMIT, SUM_CLOSED_LIMIT,
                          SUM_SIZE_LIMIT, _growth, _sum_size, main,
                          parse_polynomial, parse_rational_function)
 from recsums.gfpow import gf_power
-from recsums.polyrat import Polynomial, RationalFunction
+from recsums.polyrat import Polynomial, RationalFunction, rf_to_text
 from recsums.qfield import RecurrenceSpec
 
 
@@ -60,8 +61,8 @@ def test_direct_sum_beyond_the_limit_exits_two(capsys, monkeypatch, command,
     assert str(SUM_SIZE_LIMIT) in err and "--closed" in err
 
 
-def test_direct_sum_at_the_limit_and_closed_beyond_it_are_served(capsys,
-                                                                monkeypatch):
+def test_direct_sum_at_the_limit_and_closed_beyond_it_are_served(
+        capsys, monkeypatch, unlimited_str):
     monkeypatch.setattr(binsum, "binom_sum_direct", lambda *args: 7)
     code, out, _ = run_cli(capsys, "binom-sum", "--preset", "fibonacci", "--n",
                            str(SUM_SIZE_LIMIT), "--power", "1", "--x", "1",
@@ -397,6 +398,80 @@ def test_gf_check_terms_beyond_the_limit_exits_two(capsys, monkeypatch):
                              "--check-terms", str(GF_CHECK_TERMS_LIMIT + 1))
     assert (code, out) == (2, "")
     assert str(GF_CHECK_TERMS_LIMIT) in err
+
+
+# each row is served at its power and check depth and refused one step beyond
+# either; (1000, 1) has g = 19
+@pytest.mark.parametrize("flags, g", (
+    (["--preset", "fibonacci"], 1),
+    (_spec_flags(1000, 1), 19),
+), ids=("fibonacci", "1000-1"))
+def test_gf_budget_counts_the_spec_growth(capsys, monkeypatch, flags, g):
+    power, order = GF_POWER_LIMIT // g, GF_CHECK_TERMS_LIMIT // g
+    served = gf_power(seq.fibonacci(), 1)
+    monkeypatch.setattr(gfpow, "gf_power", lambda spec, r: served)
+    monkeypatch.setattr(gfpow, "check_series", lambda f, spec, r, n: True)
+    code, out, _ = run_cli(capsys, "gf", *flags, "--power", str(power),
+                           "--check-terms", str(order))
+    assert (code, out.strip()) == (0, "x/(1 - x - x^2)")
+    monkeypatch.setattr(gfpow, "gf_power", _refuse)
+    for flag, value, limit in (("--power", power + 1, GF_POWER_LIMIT),
+                               ("--check-terms", order + 1, GF_CHECK_TERMS_LIMIT)):
+        argv = {"--power": str(power), "--check-terms": str(order), flag: str(value)}
+        code, out, err = run_cli(capsys, "gf", *flags,
+                                 *(x for kv in argv.items() for x in kv))
+        assert (code, out) == (2, "")
+        assert f"{flag} {value} times the spec's growth {g}" in err
+        assert f"limit of {limit}" in err
+
+
+def test_gf_check_never_expands_an_unreduced_denominator(capsys, monkeypatch):
+    def no_expand(self, order):
+        raise AssertionError("expand ran on the Theorem 1 denominator")
+
+    expected = rf_to_text(gf_power(seq.fibonacci(), 20))
+    monkeypatch.setattr(RationalFunction, "expand", no_expand)
+    code, out, _ = run_cli(capsys, "gf", "--preset", "fibonacci", "--power", "20",
+                           "--check-terms", "60")
+    assert (code, out.strip()) == (0, expected)
+
+
+def test_gf_check_mismatch_exits_three(capsys, monkeypatch):
+    f = gf_power(seq.fibonacci(), 3)
+    wrong = RationalFunction(f.num + Polynomial([0, 0, 1]), f.den)
+    monkeypatch.setattr(gfpow, "gf_power", lambda spec, r: wrong)
+    code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci", "--power", "3",
+                             "--check-terms", "9")
+    assert (code, out) == (3, "")
+    assert "oracle mismatch" in err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv, code", (
+    (["seq", "--preset", "fibonacci", "--n", "10"], 0),
+    (["gf", "--preset", "fibonacci", "--power", "2"], 3),
+    (["gf", "--preset", "fibonacci", "--power", "0"], 2),
+    (["seq", "--preset", "fibonacci"], SystemExit),   # argparse: --n missing
+), ids=("served", "failed", "refused", "usage"))
+def test_main_restores_the_int_str_digit_limit(capsys, monkeypatch, argv, code):
+    def fail(spec, r):
+        raise gfpow.SelfCheckError("series does not fit")
+
+    monkeypatch.setattr(gfpow, "gf_power", fail)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        if code is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @pytest.mark.parametrize("via_config", (False, True))

@@ -1,5 +1,6 @@
 """Property tests: every closed form read from the Binet-pair table equals its
-oracle, and a rendered generating function parses back to itself.
+oracle, the factor-wise series check agrees with expanding against the oracle,
+and a rendered generating function parses back to itself.
 
 Specs are drawn non-degenerate, with square and negative discriminants,
 a = 0, |b| = 1 and rational initial values among them.
@@ -15,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from recsums import seq  # noqa: E402
 from recsums.binsum import binom_sum_closed, binom_sum_direct  # noqa: E402
-from recsums.gfpow import gf_power, paired_form  # noqa: E402
+from recsums.gfpow import check_series, gf_oracle, gf_power, paired_form  # noqa: E402
 from recsums.cli import parse_rational_function  # noqa: E402
 from recsums.partsum import (partial_sum_closed, partial_sum_direct,  # noqa: E402
                              partial_sum_general_b)
@@ -64,3 +65,28 @@ def test_rendered_gf_parses_back(spec, r):
     f = gf_power(spec, r)
     assert parse_rational_function(rf_to_text(f)) == f
     assert parse_rational_function(rf_to_latex(f)) == f
+
+
+# square and negative D run the factor-wise check; a = 0 and (1, -1) have
+# gcd-reduced denominators, so they run expand
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(spec=specs(), r=st.integers(1, 8), order=st.integers(1, 30),
+       where=st.sampled_from(("none", "num", "den")), k=st.integers(0, 9))
+@example(spec=RecurrenceSpec(1, 2, 0, 1), r=4, order=15, where="num", k=2)
+@example(spec=RecurrenceSpec(2, -3, F(1, 2), 1), r=5, order=18, where="den", k=3)
+@example(spec=RecurrenceSpec(0, 2, 0, 1), r=4, order=12, where="num", k=1)
+@example(spec=RecurrenceSpec(1, -1, 1, 2), r=6, order=20, where="den", k=1)
+def test_factor_wise_check_agrees_with_expand(spec, r, order, where, k):
+    f = gf_power(spec, r)
+    assert f.expand(order) == gf_oracle(spec, r, order)
+    assert check_series(f, spec, r, order)
+    # one coefficient moved: both checks still give the same verdict
+    num, den = list(f.num.coeffs), list(f.den.coeffs)
+    if where != "none":
+        coeffs = num if where == "num" else den
+        j = k % (len(coeffs) + 1)
+        coeffs.extend([F(0)] * (j + 1 - len(coeffs)))
+        coeffs[j] += 1
+    g = RationalFunction(Polynomial(num), Polynomial(den))
+    assert check_series(g, spec, r, order) == (
+        g.expand(order) == gf_oracle(spec, r, order))

@@ -19,6 +19,10 @@ limit; the walk ``seq.term`` is the tests' reference only.
 
 The CLI prints every exact value through ``cli._text``, which renders values
 above its crossover in subquadratic time.
+
+``gf_power`` builds, and ``gf --check-terms`` checks, by applying Theorem 1's
+pole factors to integer series: no Polynomial product builds the denominator,
+and the CLI expands no rational function itself.
 """
 
 import ast
@@ -28,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from recsums import binsum, cli, partsum, seq
+from recsums import binsum, cli, gfpow, partsum, seq
 from recsums.audit import REGISTRY
 from recsums.binsum import CONGRUENCE_CLAIMS
 from recsums.polyrat import Polynomial
@@ -125,3 +129,12 @@ def test_the_cli_prints_exact_values_only_through_text():
                 shown = ast.unparse(node.value)
                 assert shown != "term" and not shown.startswith("values"), shown
     assert {"_cmd_seq", "_sum_like"} <= calls_text
+
+
+def test_gf_builds_and_checks_by_pole_factors():
+    assert not hasattr(gfpow, "_theorem1_denominator")
+    assert ".expand(" not in (SRC / "cli.py").read_text(encoding="utf-8")
+    calls_expand = [name for name, fn in vars(gfpow).items() if callable(fn)
+                    and getattr(fn, "__module__", None) == gfpow.__name__
+                    and ".expand(" in inspect.getsource(fn)]
+    assert calls_expand == ["check_series"]

@@ -6,8 +6,8 @@ import pytest
 
 from recsums import seq
 from recsums import gfpow
-from recsums.gfpow import (SelfCheckError, display_r1, display_r2, display_r3,
-                           gf_oracle, gf_power, paired_form)
+from recsums.gfpow import (SelfCheckError, check_series, display_r1, display_r2,
+                           display_r3, gf_oracle, gf_power, paired_form)
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
 
@@ -73,13 +73,52 @@ def test_large_power_matches_oracle():
     assert f.expand(3 * r) == gf_oracle(FIB, r, 3 * r)
 
 
+def _reference_gf_power(spec, r):
+    """Theorem 1's denominator multiplied out over Q, times the series
+    truncated below x^(r+1): the construction by Polynomial products."""
+    b = spec.b
+    v = [seq.term(seq.companion(spec), i) for i in range(r + 1)]
+    den = Polynomial([1])
+    for k in range((r + 1) // 2):
+        den = den * Polynomial([1, -(-b) ** k * v[r - 2 * k], (-b) ** r])
+    if r % 2 == 0:
+        den = den * Polynomial([1, -((-b) ** (r // 2))])
+    num = den * Polynomial(gf_oracle(spec, r, r + 1))
+    return RationalFunction(Polynomial(num.coeffs[:r + 1]), den)
+
+
+@pytest.mark.parametrize("spec", GRID_SPECS + GRID_SPECS_SHIFTED + ROOT_OF_UNITY_SPECS)
+def test_pole_factors_give_the_polynomial_product(spec):
+    for r in range(1, 15):
+        assert gf_power(spec, r) == _reference_gf_power(spec, r)
+
+
+@pytest.mark.parametrize("spec, r, reduced", (
+    (FIB, 5, False),
+    (RecurrenceSpec(2, -3, Fraction(1, 2), 1), 4, False),
+    (RecurrenceSpec(1, -1, 0, 1), 6, True),
+    (RecurrenceSpec(0, 2, 0, 1), 5, True),
+))
+def test_a_moved_coefficient_fails_the_series_check(spec, r, reduced):
+    f = gf_power(spec, r)
+    assert (f.den.degree < r + 1) == reduced
+    assert check_series(f, spec, r, 3 * r)
+    for part in ("num", "den"):
+        for j in range(len(getattr(f, part).coeffs)):
+            num, den = list(f.num.coeffs), list(f.den.coeffs)
+            (num if part == "num" else den)[j] += 1
+            g = RationalFunction(Polynomial(num), Polynomial(den))
+            assert not check_series(g, spec, r, 3 * r), (part, j)
+
+
 @pytest.mark.parametrize("wrong", (
-    lambda den: den // Polynomial([1, -3, 1]),   # a pole pair dropped
-    lambda den: den * Polynomial([1, 1]),        # degree r + 2
+    lambda factors: [f for f in factors if f != (-3, 1)],   # a pole pair dropped
+    lambda factors: factors + [(1, 0)],                     # degree r + 2
 ))
 def test_wrong_denominator_fails_the_self_check(monkeypatch, wrong):
-    right = gfpow._theorem1_denominator
-    monkeypatch.setattr(gfpow, "_theorem1_denominator",
+    right = gfpow._pole_factors
+    assert right(FIB, 2) == [(-3, 1), (1, 0)]    # (1 - 3x + x^2)(1 + x)
+    monkeypatch.setattr(gfpow, "_pole_factors",
                         lambda spec, r: wrong(right(spec, r)))
     with pytest.raises(SelfCheckError):
         gf_power(FIB, 2)
