@@ -254,10 +254,3 @@ def congruence_exponents(claim: str, n: int, r: int = 0) -> dict[str, int]:
     if claim in ("cor11-i", "cor11-ii"):
         return {"printed": 1}
     raise ValueError(f"unknown congruence claim {claim!r}")
-
-
-def divisible_by_5_pow(value: int, exponent: int) -> bool:
-    if exponent <= 0 or value == 0:
-        return True
-    v = padic_valuation(value)
-    return v is not None and v >= exponent

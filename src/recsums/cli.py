@@ -1,11 +1,12 @@
 """Command-line front end: exact terms, generating functions, sums, audits.
 
 All user-facing numbers are exact (big-integer rationals rendered as ``p/q``
-or plain integers); no floating point anywhere.  Every exact value is printed
-through one renderer, ``_text``, in subquadratic time in its digits, so a term
-or sum of 10^5 to 10^6 digits prints in under a second.  Structured
-output always uses the audit report schema, with one-off computations (``seq``,
-``gf``, ``sum``, ``binom-sum``) wrapped as single-cell claim runs.
+or plain integers); no floating point anywhere.  Every exact value and gf
+coefficient goes through polyrat's one renderer, ``_text``, in subquadratic
+time in its digits, so a term or sum of 10^5 to 10^6 digits prints in under a
+second.  Structured output always uses the audit report schema, with one-off
+computations (``seq``, ``gf``, ``sum``, ``binom-sum``) wrapped as single-cell
+claim runs.
 
 Exit codes (stable contract):
   0  success
@@ -20,7 +21,6 @@ Exit codes (stable contract):
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import re
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import audit, binsum, gfpow, partsum, seq
-from .polyrat import (EvalPoleError, Polynomial, RationalFunction,
+from .polyrat import (EvalPoleError, Polynomial, RationalFunction, _text,
                       poly_to_text, rf_to_latex, rf_to_text)
 from .qfield import DegenerateSpecError, RecurrenceSpec
 
@@ -51,6 +51,14 @@ from .qfield import DegenerateSpecError, RecurrenceSpec
 GF_POWER_LIMIT = 192
 # Largest `gf --check-terms` times g served.
 GF_CHECK_TERMS_LIMIT = 2 * GF_POWER_LIMIT
+# Largest `gf` size r * t * (t * g + 2 H) served, with t = max(2r,
+# --check-terms) the length of the longer series read and H the bit length
+# of the spec's initial numerators.  Term t of a series, N_t^r, has about
+# r * (t * g / 2 + H) bits, so the size is twice t times that; the printed
+# numerator grows with it.  The limit is the largest size the two limits
+# above allow with initial values of at most 8 bits, so those inputs are all
+# still served.  On the same host the worst inputs it serves take 3-5 s.
+GF_SIZE_LIMIT = GF_POWER_LIMIT * GF_CHECK_TERMS_LIMIT * (GF_CHECK_TERMS_LIMIT + 16)
 # Largest |n| * g served by `seq`; for n < 0, g also counts the bits of the
 # denominator b^|n|.  The doubling and the printing (`_text`) are both
 # subquadratic in the digits of U_n; what grows fastest is reducing the
@@ -132,50 +140,6 @@ def _apply_config(args):
         dest = key.replace("-", "_")
         if getattr(args, dest, None) is None:
             setattr(args, dest, int(value) if dest == "max_n" else value)
-
-
-# Largest bit length rendered by plain str(), which is quadratic in the digit
-# count on CPython 3.11; above it `_text` goes through decimal, whose
-# multiplication is subquadratic.  On a 2-core Xeon host the two meet between
-# 3 * 2^13 and 2^15 bits (about 1 ms); at 694,000 bits, F(10^6), str() takes
-# 0.84 s and `_text` 0.07 s.
-_STR_BITS = 1 << 15
-# Width in bits of the pieces `_text` hands to Decimal() directly.
-_PIECE_BITS = 2048
-
-
-def _text(value) -> str:
-    """str(value) for an int or a Fraction, in subquadratic time.
-
-    |value| is split at half its width by shifts, with no int division; the
-    pieces are joined as lo + hi * 2^h in decimal, exactly: the Inexact trap
-    would raise on any rounding."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return _text(value.numerator)
-        return f"{_text(value.numerator)}/{_text(value.denominator)}"
-    if value.bit_length() <= _STR_BITS:
-        return str(value)
-    powers = {}
-
-    def two_to(w):
-        if w not in powers:
-            powers[w] = (decimal.Decimal(2) ** w if w <= _PIECE_BITS
-                         else two_to(w >> 1) * two_to(w - (w >> 1)))
-        return powers[w]
-
-    def join(m, w):
-        if w <= _PIECE_BITS:
-            return decimal.Decimal(m)
-        h = w >> 1
-        hi = m >> h
-        return join(m - (hi << h), h) + join(hi, w - h) * two_to(h)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        digits = str(join(abs(value), value.bit_length()))
-    return "-" + digits if value < 0 else digits
 
 
 def _single_cell_report(claim_id: str, params: dict, verdict: str,
@@ -303,6 +267,15 @@ def _cmd_gf(args) -> int:
             print(f"{flag} {value} times the spec's growth {g} exceeds the gf "
                   f"limit of {limit}", file=sys.stderr)
             return 2
+    h = max(abs(n) for n in seq.store(spec).numerators(2)).bit_length()
+    t = max(2 * args.power, args.check_terms)
+    size = args.power * t * (t * g + 2 * h)
+    if size > GF_SIZE_LIMIT:
+        print(f"size {size} = --power {args.power} times {t} series terms times "
+              f"({t} times the spec's growth {g}, plus twice the initial "
+              f"values' {h} bits) exceeds the gf size limit of {GF_SIZE_LIMIT}",
+              file=sys.stderr)
+        return 2
     f = gfpow.gf_power(spec, args.power)
     order = args.check_terms
     if order and not gfpow.check_series(f, spec, args.power, order):

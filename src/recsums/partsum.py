@@ -19,7 +19,7 @@ attached.
 Also here: the eight closed-form partial sums for the generalized Pell
 sequence P_1 = p, P_2 = q, P_{n+1} = 2 P_n + P_{n-1}, expressed through the
 half-companion sequence q_n (first terms 1, 3), with negative-index sums
-evaluated by the backward recurrence.
+read forward from the reflected spec's store.
 """
 
 from __future__ import annotations
@@ -229,5 +229,7 @@ def horadam_sums(p, q, variant: str, n: int, corrected: bool = False) -> Fractio
 
 
 def horadam_direct(p, q, idx: int) -> Fraction:
-    """sum_{i=1}^{idx} P_i for idx > 0, sum_{i=1}^{|idx|} P_{-i} for idx < 0."""
-    return seq.store(seq.generalized_pell(p, q)).prefix_sum(idx)
+    """sum_{i=1}^{idx} P_i for idx > 0, sum_{i=1}^{|idx|} P_{-i} for idx < 0,
+    read as the reflected spec's b^i P_{-i}, with b = 1."""
+    spec = seq.generalized_pell(p, q)
+    return seq.store(seq.reflected(spec) if idx < 0 else spec).prefix_sum(abs(idx))

@@ -5,19 +5,19 @@ values.  The companion sequence V (V_0 = 2, V_1 = a, same recurrence) is the
 spec with those initial values.
 
 Every brute-force oracle reads its terms from the spec's ``PrefixStore``:
-integer numerators over the common denominator d = lcm(den U_0, den U_1),
-forward entries d U_k and backward entries d b^k U_{-k}, with running sums of
-both sides beside them.  A store only grows, by extension, and only as far as
-a lookup asks.  ``store`` hands out the store of a spec, keyed by the spec
-(frozen and hashable, so equal specs share one store), and keeps the
-``STORE_CAP`` most recently used ones, so the number of live stores stays
-bounded in a long-lived process.
+integer numerators d U_k over the common denominator d = lcm(den U_0, den U_1),
+for k >= 0 only, with their running sums beside them.  A store only grows, by
+extension, and only as far as a lookup asks.  A negative index is the
+``reflected`` spec read forward, since its k-th term is b^k U_{-k}.  ``store``
+hands out the store of a spec, keyed by the spec (frozen and hashable, so
+equal specs share one store), and keeps the ``STORE_CAP`` most recently used
+ones, so the number of live stores stays bounded in a long-lived process.
 
 ``term`` is the plain walk in exact rational arithmetic: the tests' trusted
 reference for the store and the kernel, called by no CLI path.  ``lucas_term``
 is the one log-time doubling kernel, for any rational second-order recurrence
-and initial values; ``term_fast`` is that kernel on a spec at every integer
-index, checked against ``term``; it serves ``recsums seq`` and fills no store.
+and initial values; ``term_fast`` is that kernel at every integer index (on
+the reflected spec at n < 0), checked against ``term``; it fills no store.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
@@ -75,6 +75,12 @@ def companion(spec: RecurrenceSpec) -> RecurrenceSpec:
     return RecurrenceSpec(spec.a, spec.b, 2, spec.a)
 
 
+def reflected(spec: RecurrenceSpec) -> RecurrenceSpec:
+    """The spec of W_k = b^k U_{-k}: U_{n-1} = (U_{n+1} - a U_n) / b times b^{k+1}
+    is W_{k+1} = -a W_k + b W_{k-1}, with W_0 = U_0 and W_1 = U_1 - a U_0."""
+    return RecurrenceSpec(-spec.a, spec.b, spec.u0, spec.u1 - spec.a * spec.u0)
+
+
 def term(spec: RecurrenceSpec, n: int) -> Fraction:
     """Exact n-th term in O(|n|) steps, the tests' reference; negative n by the
     backward recurrence U_{n-1} = (U_{n+1} - a U_n) / b, in Q for b != 0."""
@@ -96,45 +102,38 @@ def terms(spec: RecurrenceSpec, count: int) -> list[Fraction]:
 class PrefixStore:
     """Integer numerators of one sequence over its common denominator ``den``.
 
-    ``_fwd[k]`` is N_k = d U_k, from N_{k+1} = a N_k + b N_{k-1}.
-    ``_bwd[k]`` is M_k = d b^k U_{-k}, from M_{k+1} = -a M_k + b M_{k-1} with
-    M_0 = d U_0 and M_1 = d U_1 - a d U_0: the backward recurrence
-    U_{n-1} = (U_{n+1} - a U_n) / b times d b^{k+1}, so no division is needed.
-    ``_fsum[k]`` is sum_{i=1}^k N_i and ``_bsum[k]`` is
-    S_k = b S_{k-1} + M_k = d b^k sum_{i=1}^k U_{-i}.
+    ``_fwd[k]`` is N_k = d U_k, from N_{k+1} = a N_k + b N_{k-1}, and
+    ``_fsum[k]`` is sum_{i=1}^k N_i, for k >= 0 only; a negative index is
+    read from the store of ``reflected(spec)``.
     """
 
-    __slots__ = ("a", "b", "den", "_fwd", "_bwd", "_fsum", "_bsum")
+    __slots__ = ("a", "b", "den", "_fwd", "_fsum")
 
     def __init__(self, spec: RecurrenceSpec):
         u0, u1 = spec.u0, spec.u1
         d = lcm(u0.denominator, u1.denominator)
-        n0, n1 = int(d * u0), int(d * u1)
         self.a, self.b, self.den = spec.a, spec.b, d
-        self._fwd = [n0, n1]
-        self._bwd = [n0, n1 - self.a * n0]
+        self._fwd = [int(d * u0), int(d * u1)]
         self._fsum = [0]
-        self._bsum = [0]
 
-    def _grow(self, side: list[int], count: int, a: int):
-        b = self.b
-        lo, hi = side[-2], side[-1]
-        for _ in range(count - len(side)):
+    def _grow(self, count: int):
+        fwd, a, b = self._fwd, self.a, self.b
+        lo, hi = fwd[-2], fwd[-1]
+        for _ in range(count - len(fwd)):
             lo, hi = hi, a * hi + b * lo
-            side.append(hi)
+            fwd.append(hi)
 
     def numerators(self, count: int) -> list[int]:
         """N_0 .. N_{count-1}: the terms U_0 .. U_{count-1} times ``den``."""
-        self._grow(self._fwd, count, self.a)
+        self._grow(count)
         return self._fwd[:count]
 
     def term(self, n: int) -> Fraction:
-        """U_n for any integer n; equals term(spec, n)."""
-        if n >= 0:
-            self._grow(self._fwd, n + 1, self.a)
-            return Fraction(self._fwd[n], self.den)
-        self._grow(self._bwd, 1 - n, -self.a)
-        return Fraction(self._bwd[-n], self.den * self.b**-n)
+        """U_n for n >= 0; equals term(spec, n)."""
+        if n < 0:
+            raise ValueError(f"index must be >= 0, got {n}")
+        self._grow(n + 1)
+        return Fraction(self._fwd[n], self.den)
 
     def terms(self, count: int) -> list[Fraction]:
         """U_0 .. U_{count-1}."""
@@ -161,17 +160,14 @@ class PrefixStore:
         return Fraction(total, self.den**r * q**n)
 
     def prefix_sum(self, idx: int) -> Fraction:
-        """sum_{i=1}^{idx} U_i for idx >= 0, sum_{i=1}^{|idx|} U_{-i} for idx < 0."""
-        k = abs(idx)
-        if idx >= 0:
-            side, sums, a, scale, den = self._fwd, self._fsum, self.a, 1, self.den
-        else:
-            side, sums, a, scale = self._bwd, self._bsum, -self.a, self.b
-            den = self.den * self.b**k
-        self._grow(side, k + 1, a)
-        for i in range(len(sums), k + 1):
-            sums.append(scale * sums[-1] + side[i])
-        return Fraction(sums[k], den)
+        """sum_{i=1}^{idx} U_i for idx >= 0."""
+        if idx < 0:
+            raise ValueError(f"index must be >= 0, got {idx}")
+        self._grow(idx + 1)
+        fwd, sums = self._fwd, self._fsum
+        for i in range(len(sums), idx + 1):
+            sums.append(sums[-1] + fwd[i])
+        return Fraction(sums[idx], self.den)
 
 
 # Stores kept alive at once; the least recently used one is dropped beyond it.
@@ -213,12 +209,10 @@ def lucas_term(p, q, w0, w1, n: int) -> Fraction:
 
 def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
     """U_n for any integer n in log time; identical value to term(spec, n).
-    For n = -k < 0, b^k U_{-k} runs on x^2 + a x - b from U_0 and U_1 - a U_0,
-    the store's backward side."""
-    a, b, u0, u1 = spec.a, spec.b, spec.u0, spec.u1
-    if n >= 0:
-        return lucas_term(a, -b, u0, u1, n)
-    return lucas_term(-a, -b, u0, u1 - a * u0, -n) / Fraction(b) ** -n
+    For n = -k < 0 it is term k of ``reflected(spec)``, b^k U_{-k}, over b^k."""
+    if n < 0:
+        return term_fast(reflected(spec), -n) / Fraction(spec.b) ** -n
+    return lucas_term(spec.a, -spec.b, spec.u0, spec.u1, n)
 
 
 def binet_pairs(spec: RecurrenceSpec, r: int, x) -> list[tuple]:

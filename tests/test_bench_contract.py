@@ -6,8 +6,12 @@ and both results go through bench/run.py's ``per_layer``, as in a traced
 benchmark run.  A metric read from a package attribute that a refactor removed
 (such as ``binsum._term_prefix.cache_info()``) drops out of that output
 without any other error, so the names are compared with the full set here.
+The names the tracer patches or reads are also resolved one by one against the
+package, so a simplification that deletes one fails here naming it.
 """
 
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -62,3 +66,26 @@ def test_traced_pass_reports_every_per_layer_metric(tmp_path, bench_run):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     expected = {m["name"] for m in declared["per_layer"]}
     assert set(bench_run.per_layer(traced, plain)) == expected
+
+
+def test_every_name_the_bench_patches_or_reads_resolves(bench_run):
+    import spans
+
+    def function(name):
+        mod, attr = name.split(".", 1)
+        fn = getattr(importlib.import_module(f"recsums.{mod}"), attr, None)
+        assert inspect.isfunction(fn), f"{name} is not a function of recsums.{mod}"
+        assert name not in spans.UNWRAPPED, f"{name} is read but left unwrapped"
+
+    methods = {**spans.SPAN_METHODS, **spans.COUNT_METHODS}
+    for (mod, cls, meth), key in methods.items():
+        owner = getattr(importlib.import_module(f"recsums.{mod}"), cls, None)
+        assert owner is not None and meth in vars(owner), \
+            f"{mod}.{cls}.{meth} ({key}) is gone"
+    for span, _field in bench_run.SPAN_METRICS.values():
+        if span not in spans.SPAN_METHODS.values():
+            function(span)
+    function("seq.terms")
+    binsum = importlib.import_module("recsums.binsum")
+    assert callable(getattr(getattr(binsum, "_term_prefix", None), "cache_info", None)), \
+        "binsum._term_prefix.cache_info is gone"

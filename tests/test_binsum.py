@@ -9,13 +9,19 @@ from recsums import seq
 from recsums.audit import run_audit
 from recsums.binsum import (binom_sum_closed, binom_sum_direct,
                             congruence_exponents, congruence_lhs,
-                            corollary_lhs, corollary_rhs, divisible_by_5_pow,
+                            corollary_lhs, corollary_rhs,
                             fib_weighted_closed, padic_valuation,
                             root_power_collapse)
 from recsums.qfield import QuadElem, RecurrenceSpec, roots
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
 PELL = RecurrenceSpec(2, 1, 0, 1)
+
+
+def _valuation_at_least(value: int, e: int) -> bool:
+    """5^e divides value: its valuation is infinite (value 0) or at least e."""
+    v = padic_valuation(value)
+    return v is None or v >= e
 
 
 def test_direct_examples():
@@ -152,17 +158,18 @@ def test_padic_valuation():
     assert padic_valuation(-125) == 3
     assert padic_valuation(12) == 0
     assert padic_valuation(0) is None
-    assert divisible_by_5_pow(0, 99)
-    assert divisible_by_5_pow(7, 0)
-    assert divisible_by_5_pow(7, -3)
-    assert not divisible_by_5_pow(7, 1)
+    assert _valuation_at_least(0, 99)
+    assert padic_valuation(7) == 0
+    assert _valuation_at_least(7, 0)
+    assert _valuation_at_least(7, -3)
+    assert not _valuation_at_least(7, 1)
 
 
 def test_congruence_examples():
     assert congruence_lhs("cor8-i", 3) == 70
-    assert divisible_by_5_pow(70, 1)
+    assert padic_valuation(70) == 1
     assert congruence_lhs("cor8-ii", 2) == 75
-    assert divisible_by_5_pow(75, 2)
+    assert padic_valuation(75) == 2
     cell = next(c for c in run_audit(["cor8-iii"]) if c.params == {"r": 0, "n": 1})
     assert cell.witness["lhs"] == "1"
     assert cell.witness["printed_exponent"] == "2"
@@ -173,24 +180,24 @@ def test_congruence_examples():
 
 def test_congruence_sweeps():
     for n in range(0, 120):
-        assert divisible_by_5_pow(congruence_lhs("cor8-i", n), 1)
-        assert divisible_by_5_pow(congruence_lhs("cor8-ii", n), 2)
-        assert divisible_by_5_pow(congruence_lhs("cor11-i", n), 1)
-        assert divisible_by_5_pow(congruence_lhs("cor11-ii", n), 1)
+        assert _valuation_at_least(congruence_lhs("cor8-i", n), 1)
+        assert _valuation_at_least(congruence_lhs("cor8-ii", n), 2)
+        assert _valuation_at_least(congruence_lhs("cor11-i", n), 1)
+        assert _valuation_at_least(congruence_lhs("cor11-ii", n), 1)
     for r in (1, 2, 3):
         for n in range(0, 40):
-            assert divisible_by_5_pow(congruence_lhs("cor8-v", n, r), 2 * r)
+            assert _valuation_at_least(congruence_lhs("cor8-v", n, r), 2 * r)
 
 
 def test_congruence_implied_exponent_holds_in_stated_ranges():
     for r in range(0, 4):
         for n in range(1, 8 * r + 4, 2):
             exps = congruence_exponents("cor8-iii", n, r)
-            assert divisible_by_5_pow(congruence_lhs("cor8-iii", n, r),
+            assert _valuation_at_least(congruence_lhs("cor8-iii", n, r),
                                       exps["implied"])
         for n in range(2, 8 * r + 3, 2):
             exps = congruence_exponents("cor8-iv", n, r)
-            assert divisible_by_5_pow(congruence_lhs("cor8-iv", n, r),
+            assert _valuation_at_least(congruence_lhs("cor8-iv", n, r),
                                       exps["implied"])
 
 

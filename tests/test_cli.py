@@ -9,8 +9,8 @@ import pytest
 
 from recsums import audit, binsum, cli, gfpow, partsum, seq
 from recsums.cli import (AUDIT_MAX_N_LIMIT, GF_CHECK_TERMS_LIMIT,
-                         GF_POWER_LIMIT, SEQ_LIMIT, SUM_CLOSED_LIMIT,
-                         SUM_SIZE_LIMIT, _growth, _sum_size, main,
+                         GF_POWER_LIMIT, GF_SIZE_LIMIT, SEQ_LIMIT,
+                         SUM_CLOSED_LIMIT, SUM_SIZE_LIMIT, _growth, _sum_size, main,
                          parse_polynomial, parse_rational_function)
 from recsums.gfpow import gf_power
 from recsums.polyrat import Polynomial, RationalFunction, rf_to_text
@@ -401,11 +401,15 @@ def test_gf_check_terms_beyond_the_limit_exits_two(capsys, monkeypatch):
 
 
 # each row is served at its power and check depth and refused one step beyond
-# either; (1000, 1) has g = 19
+# either; (1000, 1) has g = 19.  Initial numerators of 8 bits over their
+# common denominator (255 and -3 over 7; 255 and -255) are served at both
+# limits too: the size limit, which counts them, refuses none of them.
 @pytest.mark.parametrize("flags, g", (
     (["--preset", "fibonacci"], 1),
     (_spec_flags(1000, 1), 19),
-), ids=("fibonacci", "1000-1"))
+    (["--a", "1", "--b", "-3", "--u0", "255/7", "--u1", "-3/7"], 1),
+    (["--a", "2", "--b", "1", "--u0", "255", "--u1", "-255"], 2),
+), ids=("fibonacci", "1000-1", "1-minus3-8bit", "2-1-8bit"))
 def test_gf_budget_counts_the_spec_growth(capsys, monkeypatch, flags, g):
     power, order = GF_POWER_LIMIT // g, GF_CHECK_TERMS_LIMIT // g
     served = gf_power(seq.fibonacci(), 1)
@@ -423,6 +427,40 @@ def test_gf_budget_counts_the_spec_growth(capsys, monkeypatch, flags, g):
         assert (code, out) == (2, "")
         assert f"{flag} {value} times the spec's growth {g}" in err
         assert f"limit of {limit}" in err
+
+
+# u1 = 10^1000: initial numerators of 3,322 bits, carried r times by every term
+BIG_INIT = ["--a", "1", "--b", "1", "--u0", "0", "--u1", str(10**1000)]
+
+
+def test_gf_budget_counts_the_initial_values(capsys, monkeypatch):
+    monkeypatch.setattr(gfpow, "gf_power", _refuse)
+    code, out, err = run_cli(capsys, "gf", *BIG_INIT, "--power", "128")
+    assert (code, out) == (2, "")
+    size = 128 * 256 * (256 + 2 * 3322)
+    assert (f"size {size} = --power 128 times 256 series terms" in err
+            and "initial values' 3322 bits" in err
+            and f"gf size limit of {GF_SIZE_LIMIT}" in err), err
+    # 46 is the largest power served with a 2r-term check; the check length
+    # counts as the series read
+    f = gf_power(seq.fibonacci(), 1)
+    monkeypatch.setattr(gfpow, "gf_power", lambda spec, r: f)
+    monkeypatch.setattr(gfpow, "check_series", lambda f, spec, r, n: True)
+    for power, check, served in ((46, 92, True), (47, 94, False),
+                                 (20, 214, True), (20, 215, False)):
+        assert (power * check * (check + 2 * 3322) <= GF_SIZE_LIMIT) == served
+        code, out, err = run_cli(capsys, "gf", *BIG_INIT, "--power", str(power),
+                                 "--check-terms", str(check))
+        assert code == (0 if served else 2), (power, check, err)
+
+
+@pytest.mark.usefixtures("unlimited_str")
+def test_gf_serves_big_initial_values_at_a_small_power(capsys):
+    code, out, _ = run_cli(capsys, "gf", *BIG_INIT, "--power", "8",
+                           "--check-terms", "16")
+    f = parse_rational_function(out.strip())
+    assert code == 0 and f == gf_power(RecurrenceSpec(1, 1, 0, 10**1000), 8)
+    assert f.expand(16)[1] == 10**8000
 
 
 def test_gf_check_never_expands_an_unreduced_denominator(capsys, monkeypatch):

@@ -15,10 +15,14 @@ one direct-sum oracle serves all sixteen value claims, the thm6/thm9 families
 share one bracket sum, and each congruence reads its identity's numerator.
 
 ``recsums seq`` serves every index through the one doubling kernel, under one
-limit; the walk ``seq.term`` is the tests' reference only.
+limit; the walk ``seq.term`` is the tests' reference only.  A prefix store
+keeps one forward walk: a negative index is the forward walk of
+``seq.reflected(spec)``, in ``term_fast`` and ``horadam_direct`` alike.
 
-The CLI prints every exact value through ``cli._text``, which renders values
-above its crossover in subquadratic time.
+Every exact value is printed through one renderer, ``polyrat._text``, which
+renders values above its crossover in subquadratic time: the CLI's values,
+the coefficients of polyrat's printers and audit's witnesses.  The CLI
+defines no renderer of its own.
 
 ``gf_power`` builds, and ``gf --check-terms`` checks, by applying Theorem 1's
 pole factors to integer series: no Polynomial product builds the denominator,
@@ -28,11 +32,12 @@ and the CLI expands no rational function itself.
 import ast
 import inspect
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from recsums import binsum, cli, gfpow, partsum, seq
+from recsums import binsum, cli, gfpow, partsum, polyrat, seq
 from recsums.audit import REGISTRY
 from recsums.binsum import CONGRUENCE_CLAIMS
 from recsums.polyrat import Polynomial
@@ -106,12 +111,20 @@ def test_binsum_names_the_fibonacci_claims_by_claim_id():
     assert not hasattr(binsum, "weighted_family_lhs")
 
 
+def _functions(module: str):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    return [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+
+
+def _str_calls(fn):
+    return [ast.unparse(node.args[0]) for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "str"]
+
+
 def test_the_cli_prints_exact_values_only_through_text():
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     calls_text = set()
-    for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef) or fn.name == "_text":
-            continue
+    for fn in _functions("cli.py"):
         for node in ast.walk(fn):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 name, args = node.func.id, node.args
@@ -138,3 +151,51 @@ def test_gf_builds_and_checks_by_pole_factors():
                     and getattr(fn, "__module__", None) == gfpow.__name__
                     and ".expand(" in inspect.getsource(fn)]
     assert calls_expand == ["check_series"]
+
+
+def test_the_cli_defines_no_renderer():
+    text = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert not re.search(r"^(import|from) decimal", text, re.M)
+    assert "_text" not in {fn.name for fn in _functions("cli.py")}
+    assert [name for name in vars(cli) if name.endswith("_BITS")] == []
+    assert cli._text is polyrat._text
+
+
+def test_printers_and_witnesses_stringify_no_computed_value():
+    # polyrat: only the renderer itself calls str(), and the printers format
+    # nothing but rendered text and the degree k
+    for fn in _functions("polyrat.py"):
+        if fn.name not in ("_text", "two_to", "join"):
+            assert _str_calls(fn) == [], fn.name
+        if fn.name in ("_term_body", "_poly_terms", "poly_to_text", "rf_to_text",
+                       "rf_to_latex"):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.FormattedValue):
+                    shown = ast.unparse(node.value)
+                    assert shown in {"mag", "xpart", "k", "num"} or shown.startswith(
+                        "poly_to_text("), (fn.name, shown)
+    # audit: str() only on a cell's parameters and on lemma5's QuadElem,
+    # which is not a rational; every other witness goes through _text
+    calls = {(fn.name, arg) for fn in _functions("audit.py") for arg in _str_calls(fn)}
+    assert calls <= {("_cell_key", "v"), ("_params_json", "v"), ("_params_json", "x"),
+                     ("_check_lemma5", "value")}, calls
+    for name in ("_fmt", "check"):
+        assert any("_text(" in ast.unparse(fn) for fn in _functions("audit.py")
+                   if fn.name == name), name
+
+
+def test_a_negative_index_is_the_reflected_specs_forward_walk(monkeypatch):
+    assert seq.PrefixStore.__slots__ == ("a", "b", "den", "_fwd", "_fsum")
+    seen = []
+    real = seq.reflected
+    monkeypatch.setattr(seq, "reflected", lambda spec: seen.append(spec) or real(spec))
+    spec = RecurrenceSpec(2, -3, Fraction(1, 3), 1)
+    assert seq.term_fast(spec, -7) == seq.term(spec, -7)
+    pell = seq.generalized_pell(2, 5)
+    assert partsum.horadam_direct(2, 5, -6) == sum(seq.term(pell, -i) for i in range(1, 7))
+    assert seen == [spec, pell]
+    assert seq.term_fast(spec, 7) == seq.term(spec, 7)
+    assert partsum.horadam_direct(2, 5, 6) == sum(seq.term(pell, i) for i in range(1, 7))
+    assert seen == [spec, pell]
+    # no second backward formula: the kernel runs on a spec's own a
+    assert "lucas_term(-" not in inspect.getsource(seq.term_fast)

@@ -117,21 +117,41 @@ STORE_SPECS = [
 @pytest.mark.parametrize("kind", ("U", "V"))
 @pytest.mark.parametrize("spec", STORE_SPECS)
 def test_store_term_equals_walk_from_minus_60_to_300(spec, kind):
+    # n >= 0 from the store, n < 0 as b^|n| U_n from the reflected spec's store
     sequence = seq.companion(spec) if kind == "V" else spec
-    store = seq.PrefixStore(sequence)
-    # a few far lookups first, so both sides also grow by later extensions
+    forward = seq.PrefixStore(sequence)
+    backward = seq.PrefixStore(seq.reflected(sequence))
+    # a few far lookups first, so both stores also grow by later extensions
     for n in (150, -30, *range(-60, 301)):
-        assert store.term(n) == seq.term(sequence, n), n
+        if n >= 0:
+            assert forward.term(n) == seq.term(sequence, n), n
+        else:
+            assert backward.term(-n) == sequence.b**-n * seq.term(sequence, n), n
+    for store in (forward, backward):
+        with pytest.raises(ValueError):
+            store.term(-1)
 
 
 @pytest.mark.parametrize("spec", STORE_SPECS)
 def test_store_prefix_sums_equal_summed_walk(spec):
-    store = seq.PrefixStore(spec)
+    forward = seq.PrefixStore(spec)
+    backward = seq.PrefixStore(seq.reflected(spec))
+    b = spec.b
     for idx in (5, -7, 40, -40, 0, 3, -1, 61, -61):
-        sign = 1 if idx > 0 else -1
-        expected = sum((seq.term(spec, sign * i) for i in range(1, abs(idx) + 1)),
-                       Fraction(0))
-        assert store.prefix_sum(idx) == expected, idx
+        k = abs(idx)
+        if idx >= 0:
+            expected = sum((seq.term(spec, i) for i in range(1, k + 1)), Fraction(0))
+            assert forward.prefix_sum(idx) == expected, idx
+            continue
+        # the reflected spec sums b^i U_{-i}: the sum of U_{-i} when b = 1
+        walk = [seq.term(spec, -i) for i in range(1, k + 1)]
+        expected = sum((b**i * u for i, u in enumerate(walk, 1)), Fraction(0))
+        assert backward.prefix_sum(k) == expected, idx
+        if b == 1:
+            assert backward.prefix_sum(k) == sum(walk, Fraction(0)), idx
+    for store in (forward, backward):
+        with pytest.raises(ValueError):
+            store.prefix_sum(-1)
 
 
 @pytest.mark.parametrize("spec", STORE_SPECS)

@@ -31,15 +31,29 @@ def specs(draw):
 @example(spec=RecurrenceSpec(0, -1, 1, 1), kind="V", indices=[-9, 12])
 @example(spec=RecurrenceSpec(1, 2, Fraction(5, 4), 0), kind="U", indices=[-25, 25])
 def test_store_equals_walk(spec, kind, indices):
+    # n < 0 is read as b^|n| U_n from the reflected spec's store
     sequence = seq.companion(spec) if kind == "V" else spec
-    store = seq.PrefixStore(sequence)
+    b = sequence.b
+    forward = seq.PrefixStore(sequence)
+    backward = seq.PrefixStore(seq.reflected(sequence))
     for n in indices:
-        assert store.term(n) == seq.term(sequence, n)
+        if n >= 0:
+            assert forward.term(n) == seq.term(sequence, n)
+        else:
+            assert backward.term(-n) == b**-n * seq.term(sequence, n)
     k = max(abs(n) for n in indices) % 12
-    for idx in (k, -k):
-        sign = 1 if idx > 0 else -1
-        assert store.prefix_sum(idx) == sum(
-            (seq.term(sequence, sign * i) for i in range(1, k + 1)), Fraction(0))
+    assert forward.prefix_sum(k) == sum(
+        (seq.term(sequence, i) for i in range(1, k + 1)), Fraction(0))
+    walk = [seq.term(sequence, -i) for i in range(1, k + 1)]
+    assert backward.prefix_sum(k) == sum(
+        (b**i * u for i, u in enumerate(walk, 1)), Fraction(0))
+    if b == 1:
+        assert backward.prefix_sum(k) == sum(walk, Fraction(0))
+    for store in (forward, backward):
+        with pytest.raises(ValueError):
+            store.term(-1)
+        with pytest.raises(ValueError):
+            store.prefix_sum(-1)
 
 
 @st.composite

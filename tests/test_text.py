@@ -1,12 +1,16 @@
-"""`cli._text` renders an int or a Fraction as exactly the bytes of str().
+"""`polyrat._text` renders an int or a Fraction as exactly the bytes of str().
 
-Above `cli._STR_BITS` it splits |n| at half its width and joins the halves in
-decimal, down to pieces of at most `cli._PIECE_BITS` bits; the edges below sit
-where a split, a piece or a carry into the next power of ten could go wrong.
-With `_STR_BITS` set to 0 the decimal path also runs on small values.
+Above `polyrat._STR_BITS` it splits |n| at half its width and joins the halves
+in decimal, down to pieces of at most `polyrat._PIECE_BITS` bits; the edges
+below sit where a split, a piece or a carry into the next power of ten could go
+wrong.  With `_STR_BITS` set to 0 the decimal path also runs on small values.
+The polynomial and rational-function printers render every coefficient
+through it, so they print big coefficients as str() would, and the CLI's
+parser reads them back.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,20 +19,23 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from recsums import cli  # noqa: E402
+from recsums import polyrat  # noqa: E402
+from recsums.cli import parse_rational_function  # noqa: E402
+from recsums.polyrat import (Polynomial, RationalFunction,  # noqa: E402
+                             poly_to_text, rf_to_latex, rf_to_text)
 
 pytestmark = pytest.mark.usefixtures("unlimited_str")
-CROSS, PIECE = cli._STR_BITS, cli._PIECE_BITS
+CROSS, PIECE = polyrat._STR_BITS, polyrat._PIECE_BITS
 
 
 def _assert_text_is_str(v):
     """On both paths: from the crossover on, and in decimal down to 1 bit."""
     try:
         for bits in (CROSS, 0):
-            cli._STR_BITS = bits
-            assert cli._text(v) == str(v)
+            polyrat._STR_BITS = bits
+            assert polyrat._text(v) == str(v)
     finally:
-        cli._STR_BITS = CROSS
+        polyrat._STR_BITS = CROSS
 
 
 def _edges():
@@ -78,4 +85,42 @@ def test_text_is_str_for_fractions_above_the_crossover_on_both_sides():
     num, den = 3**40_000 + 1, 2**70_001 * 7
     for v in (Fraction(num, den), Fraction(-num, den), Fraction(den, num),
               Fraction(-den), Fraction(-1, den)):
-        assert cli._text(v) == str(v)
+        assert polyrat._text(v) == str(v)
+
+
+def test_small_values_take_the_str_shortcut(monkeypatch):
+    # with decimal out of reach, only the str() shortcut can render them
+    monkeypatch.setattr(polyrat, "decimal", None)
+    top = (1 << CROSS) - 1
+    for v in (0, -7, top, -top, Fraction(-3, 4), Fraction(top, top - 2),
+              Fraction(12)):
+        assert polyrat._text(v) == str(v)
+
+
+def test_text_needs_no_lift_of_the_int_str_digit_limit():
+    values = (10**5_000, -(10**9_000) - 1, Fraction(1, 10**4_400),
+              Fraction(10**4_301 + 1, 3), 10**20_000)
+    expected = [str(v) for v in values]
+    sys.set_int_max_str_digits(4_300)   # the fixture restores the old limit
+    assert [polyrat._text(v) for v in values] == expected
+
+
+BIG = Fraction(3**40_000, 7)
+
+
+def test_printers_render_coefficients_above_the_crossover_as_str():
+    assert BIG.numerator.bit_length() > CROSS
+    top = -(2**70_001 + 1)
+    num = Polynomial([BIG, 0, top, -BIG])
+    den = Polynomial([1, Fraction(-1, 3)])
+    f = RationalFunction(num, den)
+    assert (f.num, f.den) == (num, den)
+    body = f"{BIG} - {-top}x^2 - ({BIG})x^3"
+    assert poly_to_text(num) == body
+    assert poly_to_text(num, latex=True) == body.replace("x^2", "x^{2}").replace(
+        "x^3", "x^{3}")
+    assert rf_to_text(f) == f"({body})/(1 - (1/3)x)"
+    assert rf_to_latex(f) == (f"\\frac{{{poly_to_text(num, latex=True)}}}"
+                              f"{{1 - (1/3)x}}")
+    for text in (rf_to_text(f), rf_to_latex(f)):
+        assert parse_rational_function(text) == f
