@@ -18,6 +18,7 @@ structured output (no timestamps, sorted keys, stable cell ordering).
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -455,8 +456,12 @@ def _cell_key(params: dict):
     )
 
 
-def run_audit(selection="all", max_n: int | None = None) -> list[AuditResult]:
-    """Evaluate the selected claims cell by cell; deterministic ordering."""
+def run_audit(selection="all", max_n: int | None = None,
+              timings: dict | None = None) -> list[AuditResult]:
+    """Evaluate the selected claims cell by cell; deterministic ordering.
+
+    A ``timings`` dict gets each claim's id mapped to the seconds its cells
+    took."""
     if isinstance(selection, str):
         selection = [selection]
     if list(selection) == ["all"]:
@@ -469,12 +474,15 @@ def run_audit(selection="all", max_n: int | None = None) -> list[AuditResult]:
     results = []
     for cid in ids:
         claim = REGISTRY[cid]
+        start = time.perf_counter()
         for params in sorted(claim.grid(max_n), key=_cell_key):
             try:
                 verdict, variant, witness = claim.check(params)
             except Exception as exc:
                 raise AuditCellError(cid, params, exc) from exc
             results.append(AuditResult(cid, params, verdict, variant, witness))
+        if timings is not None:
+            timings[cid] = time.perf_counter() - start
     return results
 
 

@@ -25,12 +25,13 @@ import functools
 import json
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
 from . import audit, binsum, gfpow, partsum, seq
 from .polyrat import (EvalPoleError, Polynomial, RationalFunction, _text,
-                      poly_to_text, rf_to_latex, rf_to_text)
+                      rf_renderings, rf_to_latex, rf_to_text)
 from .qfield import DegenerateSpecError, RecurrenceSpec
 
 # The `gf`, `seq` and sum budgets weigh their inputs by the spec's growth g
@@ -67,14 +68,20 @@ GF_SIZE_LIMIT = GF_POWER_LIMIT * GF_CHECK_TERMS_LIMIT * (GF_CHECK_TERMS_LIMIT + 
 # (g = 4) 3.5 s; (3, 3) at n = -571,428 3.0 s; (2, -3) at n = 4 * 10^6
 # (g = 1, under log2 3) 2.0 s; Fibonacci at n = -4 * 10^6 1.8 s.
 SEQ_LIMIT = 4 * 10**6
-# `sum` and `binom-sum` are budgeted by their size n * (power * g + h),
+# `sum` and `binom-sum` are budgeted by their size
+# n * (power * g + h) + power * (H - 1), about the bits of the last term,
 # where h = bit_length(|p| q) - 1 counts the bits of x = p/q (h = 0 at x = 0
-# and x = +-1), since every term carries a power of p and of q.
+# and x = +-1), since every term carries a power of p and of q, and H is the
+# bit length of the initial numerators (H - 1 = 0 for Fibonacci), whose power
+# every term carries too.
 # Largest size served by the direct side (`--direct`, and `--both`, the
-# default).  On one Xeon core with CPython 3.11, `binom_sum_direct` takes
-# about 3 s at n = 20,000 with Fibonacci, power 1 and x = 1, the cost
-# growing as n^2, at most 0.4 s at size 20,000 with x != +-1, and 0.15 s at
-# (10^6, 1), n = 512.
+# default), before the initial values' bits.  On one Xeon core with CPython
+# 3.11, `binom_sum_direct` takes about 3 s at n = 20,000 with Fibonacci,
+# power 1 and x = 1, the cost growing as n^2, at most 0.4 s at size 20,000
+# with x != +-1, and 0.15 s at (10^6, 1), n = 512.  Its n + 1 terms may
+# together hold no more than that boundary's, 20,001 terms of size 20,000:
+# the initial values' bits ride in every term, so at n = 20,000 a 30,001-digit
+# U_1 (25 s) is refused, while at n = 20 a 47,549-bit one is served.
 SUM_SIZE_LIMIT = 20_000
 # Largest size served by `--closed`.  At a non-integer x its cost is
 # quadratic in n (the doubling kernel reduces a Fraction over q^n); there,
@@ -236,6 +243,11 @@ def _growth(spec: RecurrenceSpec, n: int = 0) -> int:
     return max(1, rho2.bit_length() - 1)
 
 
+def _init_bits(spec: RecurrenceSpec) -> int:
+    """H, the bit length of the spec's larger initial numerator d U_0, d U_1."""
+    return max(abs(n) for n in seq.store(spec).numerators(2)).bit_length()
+
+
 def _cmd_seq(args) -> int:
     spec = _spec_from_args(args)
     g = _growth(spec, args.n)
@@ -267,7 +279,7 @@ def _cmd_gf(args) -> int:
             print(f"{flag} {value} times the spec's growth {g} exceeds the gf "
                   f"limit of {limit}", file=sys.stderr)
             return 2
-    h = max(abs(n) for n in seq.store(spec).numerators(2)).bit_length()
+    h = _init_bits(spec)
     t = max(2 * args.power, args.check_terms)
     size = args.power * t * (t * g + 2 * h)
     if size > GF_SIZE_LIMIT:
@@ -286,8 +298,7 @@ def _cmd_gf(args) -> int:
     if fmt == "latex":
         print(rf_to_latex(f))
     elif fmt == "structured":
-        witness = {"text": rf_to_text(f), "latex": rf_to_latex(f),
-                   "num": poly_to_text(f.num), "den": poly_to_text(f.den)}
+        witness = rf_renderings(f)
         if order:
             witness["oracle_terms"] = str(order)
         print(_single_cell_report(
@@ -306,13 +317,20 @@ def _sum_like(args, direct_fn, closed_fn) -> int:
             return 2
     spec = _spec_from_args(args)
     mode = "direct" if args.direct else "closed" if args.closed else "both"
-    g = _growth(spec)
-    size = _sum_size(args.n, args.power, args.x, g)
+    g, h = _growth(spec), _init_bits(spec)
+    size = _sum_size(args.n, args.power, args.x, g, h)
     why = (f"size {size} = --n {args.n} times (--power {args.power} times the "
-           f"spec's growth {g}, plus the size of --x)")
-    if mode != "closed" and size > SUM_SIZE_LIMIT:
-        print(f"{why} exceeds the direct-sum limit of {SUM_SIZE_LIMIT}; "
-              f"use --closed", file=sys.stderr)
+           f"spec's growth {g}, plus the size of --x), plus --power times the "
+           f"initial values' {h} bits less one")
+    growth = size - args.power * (h - 1)
+    if mode != "closed" and growth > SUM_SIZE_LIMIT:
+        print(f"{why}: its first part, {growth}, exceeds the direct-sum limit "
+              f"of {SUM_SIZE_LIMIT}; use --closed", file=sys.stderr)
+        return 2
+    terms, most = args.n + 1, SUM_SIZE_LIMIT + 1
+    if mode != "closed" and terms * size > most * SUM_SIZE_LIMIT:
+        print(f"{terms} terms of {why} exceed the direct-sum limit of {most} "
+              f"terms of size {SUM_SIZE_LIMIT}; use --closed", file=sys.stderr)
         return 2
     if size > SUM_CLOSED_LIMIT:
         print(f"{why} exceeds the closed-form limit of {SUM_CLOSED_LIMIT}",
@@ -345,10 +363,13 @@ def _sum_like(args, direct_fn, closed_fn) -> int:
     return 0
 
 
-def _sum_size(n: int, power: int, x: Fraction, g: int) -> int:
-    """n * (power * g + h), with h = bit_length(|p| q) - 1 for x = p/q != 0."""
+def _sum_size(n: int, power: int, x: Fraction, g: int, init_bits: int = 1) -> int:
+    """n * (power * g + h) + power * (H - 1), with h = bit_length(|p| q) - 1
+    for x = p/q != 0 and H = init_bits (``_init_bits``; 1 for initial values
+    of at most 1 in magnitude, as Fibonacci's): about the bits of the last
+    term, U_n^power x^n."""
     h = (abs(x.numerator) * x.denominator).bit_length() - 1 if x else 0
-    return n * (power * g + h)
+    return n * (power * g + h) + power * (init_bits - 1)
 
 
 def _sum_params(spec: RecurrenceSpec, args) -> dict:
@@ -374,7 +395,12 @@ def _cmd_audit(args) -> int:
     if not selection:
         print(f"--claims {args.claims!r} names no claim id", file=sys.stderr)
         return 2
-    results = audit.run_audit(selection, max_n=args.max_n)
+    if args.timings:
+        timings = {}
+        results = audit.run_audit(selection, max_n=args.max_n, timings=timings)
+        _print_timings(timings, results)
+    else:
+        results = audit.run_audit(selection, max_n=args.max_n)
     fmt = args.format or "text"
     text = audit.report(results, fmt, selection=selection, max_n=args.max_n)
     if args.out:
@@ -385,6 +411,17 @@ def _cmd_audit(args) -> int:
     if not results:
         return 0
     return 1 if audit.has_unexplained_failure(results) else 0
+
+
+def _print_timings(timings: dict, results) -> None:
+    """Seconds, cells and cells/s of each claim run, and their total, to stderr."""
+    cells = Counter(r.claim_id for r in results)
+    rows = [*timings.items(), ("total", sum(timings.values()))]
+    cells["total"] = len(results)
+    for cid, secs in rows:
+        rate = f"{cells[cid] / secs:.0f}" if secs else "-"
+        print(f"timing {cid}: {secs:.3f} s, {cells[cid]} cells, {rate} cells/s",
+              file=sys.stderr)
 
 
 @functools.cache
@@ -438,6 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated claim ids, or 'all'")
     p_audit.add_argument("--max-n", type=int, default=None, dest="max_n")
     p_audit.add_argument("--out", help="write the report to this path")
+    p_audit.add_argument("--timings", action="store_true",
+                         help="print each claim's seconds, cells and cells/s "
+                              "to stderr")
     p_audit.set_defaults(func=_cmd_audit)
     return parser
 

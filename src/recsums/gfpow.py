@@ -130,7 +130,7 @@ def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
     if style not in (ODD_STYLES if r % 2 else EVEN_STYLES):
         case = "odd" if r % 2 else "even"
         raise ValueError(f"unknown {case}-case style {style!r}")
-    total = RationalFunction.zero()
+    parts = []
     for w0, w1, p, q in seq.binet_pairs(spec, r, 1):
         if style == "general":
             den = [1, -p, q]
@@ -142,9 +142,8 @@ def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
             den = [1, -p, -1]
         else:
             den = [1 - p, 0, -1]
-        total = total + RationalFunction(Polynomial([w0, w1 - p * w0]),
-                                         Polynomial(den))
-    return total
+        parts.append((Polynomial([w0, w1 - p * w0]), Polynomial(den)))
+    return RationalFunction.sum(parts)
 
 
 # --- the three displayed first-power/square/cube forms (U_0 = 0, b = 1) -----

@@ -82,12 +82,12 @@ def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
     (-1)^{r/2}.
     """
     printed = printed and r % 2 == 0
-    total = RationalFunction.zero()
+    parts = []
     for w0, w1, p, q in seq.binet_pairs(spec, r, 1):
         if not q:
             c = w0 * (-1) ** (r // 2) if printed else w0
-            total = total + RationalFunction(
-                Polynomial([c * p**i for i in range(n + 1)]), Polynomial([1]))
+            parts.append((Polynomial([c * p**i for i in range(n + 1)]),
+                          Polynomial([1])))
             continue
         terms = _pair_terms(w0, w1, p, q, n)
         if printed:
@@ -96,8 +96,8 @@ def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
         num = [Fraction(0)] * (n + 3)
         for k, c in terms:
             num[k] += c
-        total = total + RationalFunction(Polynomial(num), Polynomial([1, -p, q]))
-    return total
+        parts.append((Polynomial(num), Polynomial([1, -p, q])))
+    return RationalFunction.sum(parts)
 
 
 def partial_sum_closed(spec: RecurrenceSpec, r: int, n: int, x=None):

@@ -7,8 +7,14 @@ canonical reduced form: gcd(num, den) is a unit, and the denominator is scaled
 so its constant term is 1 when possible (monic otherwise), so
 generating-function denominators print in the familiar ``1 - x - x^2`` shape.
 
+A sum of rational functions, one per Binet pair, is put over the product of
+their denominators and canonicalised once (``RationalFunction.sum``).
+
 Every exact value recsums prints (CLI values, audit witnesses, printed
 coefficients) goes through ``_text``: the bytes of str(), in subquadratic time.
+The printers take the magnitudes already rendered, so ``rf_renderings`` gives
+the text, LaTeX, numerator and denominator forms from one ``_text`` call per
+nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -231,8 +237,13 @@ class RationalFunction:
         object.__setattr__(self, "den", den)
 
     @classmethod
-    def zero(cls) -> RationalFunction:
-        return cls(Polynomial(), Polynomial([1]))
+    def sum(cls, parts) -> RationalFunction:
+        """The sum of num/den over the (num, den) Polynomial pairs in
+        ``parts``, put over the product of the dens and canonicalised once."""
+        num, den = Polynomial(), Polynomial([1])
+        for n, d in parts:
+            num, den = num * d + n * den, den * d
+        return cls(num, den)
 
     def __bool__(self):
         return bool(self.num)
@@ -327,8 +338,12 @@ def _text(value) -> str:
     return "-" + digits if num < 0 else digits
 
 
-def _term_body(c: Fraction, k: int, latex: bool) -> str:
-    mag = _text(abs(c))
+def _magnitudes(p: Polynomial) -> list[str]:
+    """``_text`` of |c| for each coefficient c of p, by degree ("" for 0)."""
+    return [_text(abs(c)) if c else "" for c in p.coeffs]
+
+
+def _term_body(c: Fraction, k: int, latex: bool, mag: str) -> str:
     if k == 0:
         return mag
     if k == 1:
@@ -344,37 +359,44 @@ def _term_body(c: Fraction, k: int, latex: bool) -> str:
     return f"({mag}){xpart}"
 
 
-def _poly_terms(p: Polynomial, latex: bool) -> list[tuple[bool, str]]:
-    terms = []
+def poly_to_text(p: Polynomial, latex: bool = False, mags=None) -> str:
+    """p in ascending degree; ``mags``, p's ``_magnitudes`` when the caller
+    already has them, saves rendering the coefficients again."""
+    if mags is None:
+        mags = _magnitudes(p)
+    parts = []
     for k, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        terms.append((c < 0, _term_body(c, k, latex)))
-    return terms
+        if c:
+            sign = (" - " if c < 0 else " + ") if parts else ("-" if c < 0 else "")
+            parts.append(sign + _term_body(c, k, latex, mags[k]))
+    return "".join(parts) or "0"
 
 
-def poly_to_text(p: Polynomial, latex: bool = False) -> str:
-    terms = _poly_terms(p, latex)
-    if not terms:
-        return "0"
-    neg, body = terms[0]
-    out = ("-" if neg else "") + body
-    for neg, body in terms[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
-def rf_to_text(f: RationalFunction) -> str:
-    num = poly_to_text(f.num)
+def rf_to_text(f: RationalFunction, mags=None) -> str:
+    """num/den; ``mags`` is None or the pair of f.num's and f.den's
+    ``_magnitudes``."""
+    num_mags, den_mags = mags or (None, None)
+    num = poly_to_text(f.num, mags=num_mags)
     if f.den == Polynomial([1]):
         return num
     if len(f.num.coeffs) - f.num.coeffs.count(0) > 1:   # more than one term
         num = f"({num})"
-    return f"{num}/({poly_to_text(f.den)})"
+    return f"{num}/({poly_to_text(f.den, mags=den_mags)})"
 
 
-def rf_to_latex(f: RationalFunction) -> str:
-    num = poly_to_text(f.num, latex=True)
+def rf_to_latex(f: RationalFunction, mags=None) -> str:
+    """\\frac{num}{den}; ``mags`` as for ``rf_to_text``."""
+    num_mags, den_mags = mags or (None, None)
+    num = poly_to_text(f.num, latex=True, mags=num_mags)
     if f.den == Polynomial([1]):
         return num
-    return f"\\frac{{{num}}}{{{poly_to_text(f.den, latex=True)}}}"
+    return f"\\frac{{{num}}}{{{poly_to_text(f.den, latex=True, mags=den_mags)}}}"
+
+
+def rf_renderings(f: RationalFunction) -> dict[str, str]:
+    """rf_to_text and rf_to_latex of f and poly_to_text of its num and den,
+    under the keys text, latex, num and den, each coefficient rendered once."""
+    mags = _magnitudes(f.num), _magnitudes(f.den)
+    return {"text": rf_to_text(f, mags), "latex": rf_to_latex(f, mags),
+            "num": poly_to_text(f.num, mags=mags[0]),
+            "den": poly_to_text(f.den, mags=mags[1])}

@@ -23,6 +23,9 @@ the reflected spec at n < 0), checked against ``term``; it fills no store.
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
 rational second-order sequence given by its initial values and recurrence,
 and for even r the self-conjugate middle term as a last, first-order entry.
+It does not depend on the upper index n, so it is built once per (spec, r, x)
+and memoised like the stores: an immutable tuple, the ``BINET_CAP`` most
+recently used tables kept.
 """
 
 from __future__ import annotations
@@ -215,7 +218,14 @@ def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
     return lucas_term(spec.a, -spec.b, spec.u0, spec.u1, n)
 
 
-def binet_pairs(spec: RecurrenceSpec, r: int, x) -> list[tuple]:
+# Binet-pair tables kept at once, keyed by (spec, r, x); at least the number
+# of distinct keys one audit claim walks round (thm4 has 64), or its cells,
+# sorted by n first, would never hit.
+BINET_CAP = 128
+
+
+@lru_cache(maxsize=BINET_CAP)
+def binet_pairs(spec: RecurrenceSpec, r: int, x) -> tuple[tuple, ...]:
     """The Binet expansion of U_i^r x^i, summed over Galois-conjugate pairs.
 
     U_i^r x^i = sum_k c_k t_k^i with c_k = C(r,k) A^k (-B)^{r-k} and
@@ -234,6 +244,9 @@ def binet_pairs(spec: RecurrenceSpec, r: int, x) -> list[tuple]:
     (P, Q) = (a, -b), (U_0, N) and (U_1, -b N); the middle term has
     c = C(r, r/2) N^{r/2} and t = (-b)^{r/2} x.  Only the middle entry has
     Q = 0 when x != 0.  No value leaves Q, and no store is filled.
+
+    The table is a tuple, memoised per (spec, r, x), the ``BINET_CAP`` most
+    recently used ones kept; x = 1 and Fraction(1) share an entry.
     """
     a, b, u0, u1 = spec.a, spec.b, spec.u0, spec.u1
     x = Fraction(x)
@@ -252,4 +265,4 @@ def binet_pairs(spec: RecurrenceSpec, r: int, x) -> list[tuple]:
         c = comb(r, r // 2) * n_ab ** (r // 2)
         t = (-b) ** (r // 2) * x
         pairs.append((c, c * t, t, 0))
-    return pairs
+    return tuple(pairs)

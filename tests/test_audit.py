@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from recsums import gfpow
+from recsums import gfpow, seq
 from recsums.audit import (REGISTRY, AuditCellError, UnknownClaimError,
                            has_unexplained_failure, report, run_audit,
                            structured_report, structured_report_text,
@@ -154,6 +154,38 @@ def test_fibonacci_claims_report_hash_at_max_n_60_is_pinned():
     text = structured_report_text(results, FIBONACCI_CLAIMS, 60)
     assert _sha256(text) == (
         "04acce26a01db0d9a5ddce59c1ff7d75a054c6b3974590bc82423d051f2a997e")
+
+
+# the claims whose closed side reads seq.binet_pairs or builds a gf
+BINET_CLAIMS = ["cor-sn1", "eq1", "eq2", "eq3", "thm1-even", "thm1-odd",
+                "thm3-even", "thm3-odd", "thm4"]
+
+
+def test_closed_form_claims_report_hash_at_max_n_60_is_pinned():
+    results = run_audit(BINET_CLAIMS, max_n=60)
+    assert len(results) == 4280
+    text = structured_report_text(results, BINET_CLAIMS, 60)
+    assert _sha256(text) == (
+        "3d2ee1f4de6eef1a5c879d39023476dddff77b332a91738c6d2831f769ed2fec")
+
+
+def test_no_claim_reads_more_binet_tables_than_the_cache_keeps(monkeypatch):
+    # cells run sorted by n first, so a claim's tables come round once per
+    # sweep of its other parameters: more of them than BINET_CAP never hit
+    real, keys, current = seq.binet_pairs, {}, [None]
+
+    def spy(spec, r, x):
+        keys.setdefault(current[0], set()).add((spec, r, x))
+        return real(spec, r, x)
+
+    monkeypatch.setattr(seq, "binet_pairs", spy)
+    for cid in REGISTRY:
+        current[0] = cid
+        run_audit([cid])
+    assert {"thm1-odd", "thm1-even", "thm3-odd", "thm3-even", "thm4"} <= set(keys)
+    assert len(keys["thm4"]) == 64
+    for cid, tables in keys.items():
+        assert len(tables) <= seq.BINET_CAP, cid
 
 
 def test_report_dispatch():

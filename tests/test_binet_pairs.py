@@ -74,7 +74,8 @@ def test_binet_pairs_equal_the_quadratic_field_expansion(spec, r):
         assert len(pairs) == r // 2 + 1
         if r % 2 == 0:
             c_mid, t_mid = rationalize(c[r // 2]), rationalize(t[r // 2])
-            assert pairs.pop() == (c_mid, c_mid * t_mid, t_mid, 0)
+            *pairs, middle = pairs
+            assert middle == (c_mid, c_mid * t_mid, t_mid, 0)
         for k, (w0, w1, p, q) in enumerate(pairs):
             j = r - k
             assert p == rationalize(t[k] + t[j]) and q == rationalize(t[k] * t[j])
@@ -103,3 +104,23 @@ def test_closed_sums_at_x_zero_where_every_q_is_zero(spec, r):
         if spec.u0 == 0:   # the closed partial sum's hypothesis
             assert (partial_sum_closed(spec, r, n, F(0))
                     == partial_sum_direct(spec, r, n, F(0)))
+
+
+def test_binet_pairs_is_a_memoised_tuple():
+    spec = RecurrenceSpec(2, 3, F(1, 2), F(-2, 3))
+    first = seq.binet_pairs(spec, 4, F(1, 2))
+    assert isinstance(first, tuple)
+    before = seq.binet_pairs.cache_info()
+    assert seq.binet_pairs(spec, 4, F(1, 2)) is first
+    after = seq.binet_pairs.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    # 1 and Fraction(1) hash and compare equal, so they share one table
+    assert seq.binet_pairs(spec, 3, 1) is seq.binet_pairs(spec, 3, F(1))
+
+
+def test_binet_pairs_cache_stays_within_its_cap():
+    for i in range(seq.BINET_CAP + 10):
+        seq.binet_pairs(RecurrenceSpec(1, 1, 0, 1), 2, F(i, 7))
+    info = seq.binet_pairs.cache_info()
+    assert info.maxsize == seq.BINET_CAP
+    assert info.currsize <= seq.BINET_CAP

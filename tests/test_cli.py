@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from recsums import audit, binsum, cli, gfpow, partsum, seq
+from recsums import audit, binsum, cli, gfpow, partsum, polyrat, seq
 from recsums.cli import (AUDIT_MAX_N_LIMIT, GF_CHECK_TERMS_LIMIT,
                          GF_POWER_LIMIT, GF_SIZE_LIMIT, SEQ_LIMIT,
-                         SUM_CLOSED_LIMIT, SUM_SIZE_LIMIT, _growth, _sum_size, main,
+                         SUM_CLOSED_LIMIT, SUM_SIZE_LIMIT, _growth, _init_bits,
+                         _sum_size, main,
                          parse_polynomial, parse_rational_function)
 from recsums.gfpow import gf_power
-from recsums.polyrat import Polynomial, RationalFunction, rf_to_text
+from recsums.polyrat import (Polynomial, RationalFunction, poly_to_text,
+                             rf_to_latex, rf_to_text)
 from recsums.qfield import RecurrenceSpec
 
 
@@ -95,6 +97,26 @@ def test_sum_size_counts_the_bits_of_x():
     assert _sum_size(351, 1, Fraction(BIG_X), 1) == SUM_SIZE_LIMIT + 7
     # the spec's growth weighs the power, not the bits of x
     assert _sum_size(10, 3, Fraction(1, 2), 19) == 10 * (3 * 19 + 1)
+
+
+def test_sum_size_counts_the_bits_of_the_initial_values():
+    # H = 1 (initial values of magnitude at most 1) adds nothing
+    assert _sum_size(10, 3, Fraction(1, 2), 1, 1) == _sum_size(10, 3, Fraction(1, 2), 1)
+    assert _sum_size(10, 3, Fraction(1, 2), 1, 9) == 40 + 3 * 8
+    assert _init_bits(RecurrenceSpec(1, 1, 0, 1)) == 1
+    assert _init_bits(RecurrenceSpec(1, 1, Fraction(1, 2), 255)) == 9   # 1, 510 over 2
+
+
+def test_huge_initial_values_are_refused_naming_their_bits(capsys, monkeypatch,
+                                                            unlimited_str):
+    _patch_every_sum(monkeypatch, _refuse)
+    u1 = "1" + "0" * 30_000
+    for mode in ("--direct", "--both"):
+        code, out, err = run_cli(capsys, "binom-sum", "--a", "1", "--b", "1",
+                                 "--u0", "0", "--u1", u1, "--n", "20000",
+                                 "--power", "1", "--x", "1", mode)
+        assert (code, out) == (2, "")
+        assert "initial values' 99658 bits" in err and str(SUM_SIZE_LIMIT) in err
 
 
 @pytest.mark.parametrize("a, b, g", (
@@ -360,6 +382,22 @@ def test_gf_structured_output(capsys):
     assert cell["witness"]["oracle_terms"] == "8"
 
 
+def test_gf_structured_renders_each_coefficient_once(capsys, monkeypatch):
+    spec = RecurrenceSpec(1, -3, 2, 1)
+    f = gf_power(spec, 6)
+    expected = {"text": rf_to_text(f), "latex": rf_to_latex(f),
+                "num": poly_to_text(f.num), "den": poly_to_text(f.den)}
+    rendered = []
+    real = polyrat._text
+    monkeypatch.setattr(polyrat, "_text", lambda v: rendered.append(v) or real(v))
+    code, out, _ = run_cli(capsys, "gf", "--a", "1", "--b", "-3", "--u0", "2",
+                           "--u1", "1", "--power", "6", "--format", "structured")
+    assert code == 0
+    assert json.loads(out)["claims"][0]["cells"][0]["witness"] == expected
+    nonzero = [c for c in f.num.coeffs + f.den.coeffs if c]
+    assert sorted(rendered) == sorted(abs(c) for c in nonzero)
+
+
 def test_gf_power_beyond_the_limit_exits_two(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("gf_power ran past the limit")
@@ -551,6 +589,20 @@ def test_audit_claims_naming_no_id_exits_two(capsys, monkeypatch, claims):
     code, out, err = run_cli(capsys, "audit", f"--claims={claims}")
     assert (code, out) == (2, "")
     assert "--claims" in err
+
+
+def test_audit_timings_go_to_stderr_and_leave_stdout_alone(capsys):
+    argv = ["audit", "--claims", "cor7-1,thm1-odd", "--max-n", "6",
+            "--format", "structured"]
+    code, plain, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, timed, err = run_cli(capsys, *argv, "--timings")
+    assert code == 0 and timed == plain
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "timing cor7-1", "timing thm1-odd", "timing total"]
+    assert ", 7 cells, " in lines[0] and ", 30 cells, " in lines[1]
+    assert ", 37 cells, " in lines[2] and lines[2].endswith(" cells/s")
 
 
 def test_audit_max_n_zero_is_served(capsys):

@@ -57,6 +57,36 @@ def test_closed_forms_equal_their_oracles(spec, r, n, x):
     assert paired_form(spec, r, "general") == gf_power(spec, r)
 
 
+def _fold(parts):
+    total = RationalFunction(Polynomial(), Polynomial([1]))
+    for num, den in parts:
+        total = total + RationalFunction(num, den)
+    return total
+
+
+NUMS = [[1], [0, 1], [F(1, 2), -1], [2, 0, F(-1, 3)]]
+
+
+# a = 0 and (1, -1) give pair denominators with common factors (equal root
+# moduli, root ratios of finite order)
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(spec=specs(), r=st.integers(1, 6),
+       nums=st.lists(st.lists(rationals, max_size=3), min_size=4, max_size=4))
+@example(spec=RecurrenceSpec(0, 3, F(1, 2), -1), r=6, nums=NUMS)    # a = 0
+@example(spec=RecurrenceSpec(1, -1, 0, 1), r=6, nums=NUMS)          # (1, -1)
+@example(spec=RecurrenceSpec(1, 2, 0, 1), r=5, nums=NUMS)           # square D
+@example(spec=RecurrenceSpec(1, -3, 2, 1), r=4, nums=NUMS)          # negative D
+def test_rational_function_sum_equals_the_pairwise_fold(spec, r, nums):
+    pairs = seq.binet_pairs(spec, r, 1)
+    dens = [Polynomial([1, -p, q]) for *_, p, q in pairs]
+    paired = [(Polynomial([w0, w1 - p * w0]), den)
+              for (w0, w1, p, _), den in zip(pairs, dens)]
+    drawn = [(Polynomial(c), den) for c, den in zip(nums, [Polynomial([1]), *dens])]
+    for parts in ([], paired, drawn, paired + drawn):
+        assert RationalFunction.sum(parts) == _fold(parts)
+    assert RationalFunction.sum(paired) == gf_power(spec, r)
+
+
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(spec=specs(), r=st.integers(1, 6))
 @example(spec=RecurrenceSpec(1, 1, 0, 1), r=6)

@@ -199,3 +199,22 @@ def test_a_negative_index_is_the_reflected_specs_forward_walk(monkeypatch):
     assert seen == [spec, pell]
     # no second backward formula: the kernel runs on a spec's own a
     assert "lucas_term(-" not in inspect.getsource(seq.term_fast)
+
+
+@pytest.mark.parametrize("build", (
+    lambda: gfpow.paired_form(RecurrenceSpec(1, -3, 2, 1), 5, "general"),
+    lambda: gfpow.paired_form(RecurrenceSpec(2, 1, 0, 1), 6, "printed"),
+    lambda: partsum._symbolic_sum(RecurrenceSpec(1, 1, 0, 1), 3, 7),
+    lambda: partsum._symbolic_sum(RecurrenceSpec(2, 1, 0, 1), 4, 7, printed=True),
+))
+def test_a_pair_sum_form_is_canonicalised_once(monkeypatch, build):
+    made = []
+    real = polyrat.RationalFunction.__init__
+
+    def counted(self, num, den):
+        made.append(1)
+        real(self, num, den)
+
+    monkeypatch.setattr(polyrat.RationalFunction, "__init__", counted)
+    build()
+    assert len(made) == 1

@@ -102,7 +102,7 @@ def test_printed_even_form_at_small_n(n):
         v = seq.companion(spec)
         for r in (2, 4):
             a2 = Fraction(spec.u1**2, spec.discriminant)
-            total = RationalFunction.zero()
+            total = RationalFunction(Polynomial(), Polynomial([1]))
             for k in range(r // 2):
                 m = r - 2 * k
                 num = (Polynomial([0, seq.term(v, m)])
