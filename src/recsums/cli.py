@@ -22,71 +22,24 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from . import audit, binsum, gfpow, partsum, seq
 from .polyrat import (EvalPoleError, Polynomial, RationalFunction, _text,
                       rf_renderings, rf_to_latex, rf_to_text)
 from .qfield import DegenerateSpecError, RecurrenceSpec
 
-# The `gf`, `seq` and sum budgets weigh their inputs by the spec's growth g
-# (see `_growth`), about log2 of the square of its largest root modulus,
-# since U_n has about n * g / 2 bits.  g is 1 for Fibonacci and any spec
-# whose largest root modulus is at most sqrt(3), 2 for Pell and 19 for
-# (a, b) = (1000, 1).
-# Largest `gf --power` times g served.  The build and the `--check-terms`
-# pass apply Theorem 1's pole factors to integer series whose terms run to
-# about r * N * g / 2 bits; their time grows as r^4 to r^5.  On a 2-core
-# Xeon host with CPython 3.11, one CLI process each, with --check-terms at
-# its limit: the worst specs of growth 1 have complex roots and |b| = 3, so
-# their factors carry 3^r; (1, -3, 2, 1) at --power 192 takes 2.6-3.6 s
-# (3.7 s with --format structured), Fibonacci 0.8 s.  A 3r-term check of
-# (1, -3, 2, 1) at 192 took 4.3-5.1 s, hence the 2r check limit.  Larger
-# growths are served well inside that: (1, -7) (g = 2) at 96 takes 0.5 s
-# and (1000, 1) (g = 19) at 10 0.17 s.  A refusal takes 0.15-0.18 s.
-GF_POWER_LIMIT = 192
-# Largest `gf --check-terms` times g served.
-GF_CHECK_TERMS_LIMIT = 2 * GF_POWER_LIMIT
-# Largest `gf` size r * t * (t * g + 2 H) served, with t = max(2r,
-# --check-terms) the length of the longer series read and H the bit length
-# of the spec's initial numerators.  Term t of a series, N_t^r, has about
-# r * (t * g / 2 + H) bits, so the size is twice t times that; the printed
-# numerator grows with it.  The limit is the largest size the two limits
-# above allow with initial values of at most 8 bits, so those inputs are all
-# still served.  On the same host the worst inputs it serves take 3-5 s.
-GF_SIZE_LIMIT = GF_POWER_LIMIT * GF_CHECK_TERMS_LIMIT * (GF_CHECK_TERMS_LIMIT + 16)
-# Largest |n| * g served by `seq`; for n < 0, g also counts the bits of the
-# denominator b^|n|.  The doubling and the printing (`_text`) are both
-# subquadratic in the digits of U_n; what grows fastest is reducing the
-# Fraction over b^|n| at n < 0.  Worst inputs served, on a 2-core Xeon host
-# with CPython 3.11, one CLI process each: (a, b) = (2, -3) at n = -10^6
-# (g = 4) 3.5 s; (3, 3) at n = -571,428 3.0 s; (2, -3) at n = 4 * 10^6
-# (g = 1, under log2 3) 2.0 s; Fibonacci at n = -4 * 10^6 1.8 s.
-SEQ_LIMIT = 4 * 10**6
-# `sum` and `binom-sum` are budgeted by their size
-# n * (power * g + h) + power * (H - 1), about the bits of the last term,
-# where h = bit_length(|p| q) - 1 counts the bits of x = p/q (h = 0 at x = 0
-# and x = +-1), since every term carries a power of p and of q, and H is the
-# bit length of the initial numerators (H - 1 = 0 for Fibonacci), whose power
-# every term carries too.
-# Largest size served by the direct side (`--direct`, and `--both`, the
-# default), before the initial values' bits.  On one Xeon core with CPython
-# 3.11, `binom_sum_direct` takes about 3 s at n = 20,000 with Fibonacci,
-# power 1 and x = 1, the cost growing as n^2, at most 0.4 s at size 20,000
-# with x != +-1, and 0.15 s at (10^6, 1), n = 512.  Its n + 1 terms may
-# together hold no more than that boundary's, 20,001 terms of size 20,000:
-# the initial values' bits ride in every term, so at n = 20,000 a 30,001-digit
-# U_1 (25 s) is refused, while at n = 20 a 47,549-bit one is served.
-SUM_SIZE_LIMIT = 20_000
-# Largest size served by `--closed`.  At a non-integer x its cost is
-# quadratic in n (the doubling kernel reduces a Fraction over q^n); there,
-# on the same host, Fibonacci takes at most 0.8 s.
-SUM_CLOSED_LIMIT = 300_000
+# Every command but `audit` predicts its work from its input (`_predict`), in
+# CPython 3.11's bit operations, and is refused with exit code 2 above
+# WORK_LIMIT: the largest prediction among the inputs earlier limits served
+# with initial numerators of at most 8 bits, (0, 2, 255, 255) at n =
+# -1,333,333 (2.2 s), bar the Binet-pair table (see CHANGES.md).  On a 2-core
+# Xeon host the worst inputs it serves take 2.6 to 4.7 s as one process.
+WORK_LIMIT = 29 * 10**11
 # Largest `audit --max-n` served, from the flag or a --config file.  On a
 # 2-core Xeon host with CPython 3.11, `audit --claims all` takes about 3 s at
 # 60, 6 s at 120 and 11 s at 240, `thm4` growing fastest.
@@ -139,6 +92,9 @@ def _apply_config(args):
             if not eq or key not in CONFIG_KEYS:
                 raise ValueError(f"bad line {line!r} in {path}; accepted keys:"
                                  f" {', '.join(CONFIG_KEYS)}")
+            if key == "max-n" and not re.fullmatch(r"[+-]?\d+", value):
+                raise ValueError(f"bad line {line!r} in {path}: max-n takes an "
+                                 f"integer")
             settings[key] = value
     if "format" in settings and settings["format"] not in FORMATS:
         raise ValueError(f"format {settings['format']!r} in {path} is not one "
@@ -244,17 +200,107 @@ def _growth(spec: RecurrenceSpec, n: int = 0) -> int:
 
 
 def _init_bits(spec: RecurrenceSpec) -> int:
-    """H, the bit length of the spec's larger initial numerator d U_0, d U_1."""
-    return max(abs(n) for n in seq.store(spec).numerators(2)).bit_length()
+    """H, the bit length of the largest of the spec's initial numerators
+    d U_0, d U_1 and their common denominator d."""
+    d = lcm(spec.u0.denominator, spec.u1.denominator)
+    return max(d, abs(int(d * spec.u0)), abs(int(d * spec.u1))).bit_length()
+
+
+# CPython 3.11's ints have 30-bit digits; it multiplies by schoolbook below
+# KARATSUBA_CUTOFF = 70 digits, else by Karatsuba.
+_DIGIT, _KARATSUBA = 30, 70 * 30
+
+
+def _mul(a: int, b: int) -> int:
+    """Bit operations of an a-bit by b-bit product: a * b below the cutoff K,
+    else b / a products of a = K 2^j bits, 3^j K^2 each (a^1.585)."""
+    a, b = sorted((max(a, _DIGIT), max(b, _DIGIT)))
+    if a <= _KARATSUBA:
+        return a * b
+    j = (a // _KARATSUBA).bit_length() - 1     # 3^j interpolated linearly
+    return b // a * _KARATSUBA * 3**j * (2 * a - (_KARATSUBA << j)) >> j
+
+
+def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]]]:
+    """(bits, terms): the bits of the command's largest operand, and its work
+    as (bit operations, flag, phase) terms, from the input alone.
+
+    A term grows by g / 2 to (g + 1) / 2 bits per index, counted as
+    (2 g + 1) / 4 (g the spec's growth), and carries the initial values' H
+    bits once per power; x = p/q adds hx bits per index.  A direct term
+    U_i^r counts one squaring even at r = 1, which bounds the n + 1
+    numerators the prefix store keeps; a closed sum prices every Binet pair
+    at the dominant pair's size.
+    """
+    gcd = lambda a, b: max(a, _DIGIT) * max(b, _DIGIT)   # Euclid: a Fraction's
+    render = lambda k: 3 * _mul(k, k)   # `polyrat._text` joins halves in decimal
+    g, h = _growth(spec, getattr(args, "n", 0)), _init_bits(spec)
+    if args.command == "seq":
+        n = abs(args.n)
+        k = n * (2 * g + 1) // 4 + h                # U_n, numerator and denominator
+        terms = [(2 * _mul(k, k), "--n", f"the doubling to index {n}"),
+                 (render(k), "--n", f"rendering {k} bits")]
+        if args.n < 0 and abs(spec.b) > 1:          # k / 2 bits over k / 2
+            terms.append((gcd(k // 2, k - k // 2), "--n", f"the reduction over b^{n}"))
+        return k, terms
+    r = args.power
+    if args.command == "gf":
+        def series(t: int) -> tuple[int, int]:
+            # two products per term N_i^r and pole factor, half the last's size
+            kt = r * (t * (2 * g + 1) // 4 + h)
+            return kt, t * (_mul(kt, kt) // 2 + (r // 2 + 1) * _mul(r * (g + 1), kt))
+
+        bits, work = series(2 * r + 2)
+        terms = [(work, "--power", f"{r // 2 + 1} pole factors over {2 * r + 2} terms"),
+                 ((r + 1) * render(series(r)[0]), "--power", f"rendering {r + 1} coefficients")]
+        if args.check_terms:
+            kt, work = series(args.check_terms)
+            bits = max(bits, kt)
+            terms.append((work, "--check-terms", f"the check of {args.check_terms} terms"))
+        return bits, terms
+    n, x = args.n, args.x
+    hx = (abs(x.numerator) * x.denominator).bit_length() - 1 if x else 0
+    kt = r * (n * (2 * g + 1) // 4 + h)             # U_n^r's numerator
+    kw = n if args.command == "binom-sum" else 0    # C(n, i)
+    bits, terms = 0, []
+    if not args.closed:
+        bits = kt + kw + n * hx
+        each = _mul(kt // 2, kt // 2) + _mul(kw, kt) + _mul(kw + kt, n * hx)
+        terms += [((n + 1) * each, "--n", f"the {n + 1} direct terms of {bits} bits"),
+                  (gcd(bits, n * hx + r * h) + render(bits), "--n",
+                   "the direct reduction and rendering")]
+    if not args.direct:
+        pairs, doublings = r // 2 + 1, 2 if args.command == "sum" else 1
+        kp = r * (g + 1 + 2 * h + hx)               # a Binet-pair table entry
+        kn = n * r * (2 * g + 1) // 4 + 2 * n * hx + kw   # a pair's growth to n
+        kd = 2 * n * (x.denominator - 1).bit_length()     # and its denominator's
+        bits = max(bits, kn + kp)
+        each = 3 * _mul(kn, kn) + 2 * gcd(kn + kp, kd) + gcd(kn + kp, kp)
+        terms += [(pairs * 3 * (2 * _mul(kp, kp) + gcd(kp, kp)), "--power",
+                   f"the Binet-pair table of {pairs} entries"),
+                  (pairs * doublings * each + render(kn + kp), "--n",
+                   f"{pairs * doublings} pair doublings to index {n}, and rendering")]
+    return bits, terms
+
+
+def _budgeted_spec(args) -> RecurrenceSpec:
+    """The spec of args; a ValueError (exit 2) names the largest term and its
+    flag when the predicted work exceeds WORK_LIMIT."""
+    spec = _spec_from_args(args)
+    terms = _predict(args, spec)[1]
+    total = sum(w for w, _, _ in terms)
+    if total > WORK_LIMIT:
+        work, flag, phase = max(terms)
+        raise ValueError(
+            f"predicted work {total} exceeds the work limit of {WORK_LIMIT}: its "
+            f"largest term, {work}, is {phase}, set by {flag} (spec growth "
+            f"{_growth(spec, getattr(args, 'n', 0))}, initial values of "
+            f"{_init_bits(spec)} bits)")
+    return spec
 
 
 def _cmd_seq(args) -> int:
-    spec = _spec_from_args(args)
-    g = _growth(spec, args.n)
-    if abs(args.n) * g > SEQ_LIMIT:
-        print(f"|--n| {abs(args.n)} times the spec's growth {g} exceeds the "
-              f"seq limit of {SEQ_LIMIT}", file=sys.stderr)
-        return 2
+    spec = _budgeted_spec(args)
     term = seq.term_fast(spec, args.n)
     if args.format == "structured":
         print(_single_cell_report("seq", {"spec": str(spec), "n": args.n},
@@ -268,26 +314,8 @@ def _cmd_gf(args) -> int:
     for flag, value, low in (("--power", args.power, 1),
                              ("--check-terms", args.check_terms, 0)):
         if value < low:
-            print(f"{flag} {value} is below {low}", file=sys.stderr)
-            return 2
-    spec = _spec_from_args(args)
-    g = _growth(spec)
-    for flag, value, limit in (("--power", args.power, GF_POWER_LIMIT),
-                               ("--check-terms", args.check_terms,
-                                GF_CHECK_TERMS_LIMIT)):
-        if value * g > limit:
-            print(f"{flag} {value} times the spec's growth {g} exceeds the gf "
-                  f"limit of {limit}", file=sys.stderr)
-            return 2
-    h = _init_bits(spec)
-    t = max(2 * args.power, args.check_terms)
-    size = args.power * t * (t * g + 2 * h)
-    if size > GF_SIZE_LIMIT:
-        print(f"size {size} = --power {args.power} times {t} series terms times "
-              f"({t} times the spec's growth {g}, plus twice the initial "
-              f"values' {h} bits) exceeds the gf size limit of {GF_SIZE_LIMIT}",
-              file=sys.stderr)
-        return 2
+            raise ValueError(f"{flag} {value} is below {low}")
+    spec = _budgeted_spec(args)
     f = gfpow.gf_power(spec, args.power)
     order = args.check_terms
     if order and not gfpow.check_series(f, spec, args.power, order):
@@ -313,67 +341,26 @@ def _sum_like(args, direct_fn, closed_fn) -> int:
     direct_fn and closed_fn is called as fn(spec, power, n, x)."""
     for flag, value, low in (("--n", args.n, 0), ("--power", args.power, 1)):
         if value < low:
-            print(f"{flag} {value} is below {low}", file=sys.stderr)
-            return 2
-    spec = _spec_from_args(args)
+            raise ValueError(f"{flag} {value} is below {low}")
+    spec = _budgeted_spec(args)
     mode = "direct" if args.direct else "closed" if args.closed else "both"
-    g, h = _growth(spec), _init_bits(spec)
-    size = _sum_size(args.n, args.power, args.x, g, h)
-    why = (f"size {size} = --n {args.n} times (--power {args.power} times the "
-           f"spec's growth {g}, plus the size of --x), plus --power times the "
-           f"initial values' {h} bits less one")
-    growth = size - args.power * (h - 1)
-    if mode != "closed" and growth > SUM_SIZE_LIMIT:
-        print(f"{why}: its first part, {growth}, exceeds the direct-sum limit "
-              f"of {SUM_SIZE_LIMIT}; use --closed", file=sys.stderr)
-        return 2
-    terms, most = args.n + 1, SUM_SIZE_LIMIT + 1
-    if mode != "closed" and terms * size > most * SUM_SIZE_LIMIT:
-        print(f"{terms} terms of {why} exceed the direct-sum limit of {most} "
-              f"terms of size {SUM_SIZE_LIMIT}; use --closed", file=sys.stderr)
-        return 2
-    if size > SUM_CLOSED_LIMIT:
-        print(f"{why} exceeds the closed-form limit of {SUM_CLOSED_LIMIT}",
-              file=sys.stderr)
-        return 2
+    if args.command == "sum" and mode != "direct" and spec.u0 != 0:
+        raise ValueError(f"--u0 {spec.u0}: the closed partial sum needs u0 = 0; "
+                         f"use --direct")
     values = {m: fn(spec, args.power, args.n, args.x)
               for m, fn in (("direct", direct_fn), ("closed", closed_fn))
               if mode in (m, "both")}
-    fmt = args.format or "text"
-    if mode == "both":
-        match = values["direct"] == values["closed"]
-        if fmt == "structured":
-            witness = {k: _text(v) for k, v in values.items()}
-            print(_single_cell_report(
-                args.command, _sum_params(spec, args),
-                "pass" if match else "fail", witness), end="")
-        else:
-            print(f"direct={_text(values['direct'])} "
-                  f"closed={_text(values['closed'])} "
-                  f"{'match' if match else 'MISMATCH'}")
-        if not match:
-            return 3
-        return 0
-    value = values[mode]
-    if fmt == "structured":
-        print(_single_cell_report(args.command, _sum_params(spec, args), "pass",
-                                  {mode: _text(value)}), end="")
+    match = mode != "both" or values["direct"] == values["closed"]
+    if (args.format or "text") == "structured":
+        params = {"spec": str(spec), "n": args.n, "r": args.power, "x": str(args.x)}
+        print(_single_cell_report(args.command, params, "pass" if match else "fail",
+                                  {k: _text(v) for k, v in values.items()}), end="")
+    elif mode == "both":
+        print(f"direct={_text(values['direct'])} closed={_text(values['closed'])} "
+              f"{'match' if match else 'MISMATCH'}")
     else:
-        print(_text(value))
-    return 0
-
-
-def _sum_size(n: int, power: int, x: Fraction, g: int, init_bits: int = 1) -> int:
-    """n * (power * g + h) + power * (H - 1), with h = bit_length(|p| q) - 1
-    for x = p/q != 0 and H = init_bits (``_init_bits``; 1 for initial values
-    of at most 1 in magnitude, as Fibonacci's): about the bits of the last
-    term, U_n^power x^n."""
-    h = (abs(x.numerator) * x.denominator).bit_length() - 1 if x else 0
-    return n * (power * g + h) + power * (init_bits - 1)
-
-
-def _sum_params(spec: RecurrenceSpec, args) -> dict:
-    return {"spec": str(spec), "n": args.n, "r": args.power, "x": str(args.x)}
+        print(_text(values[mode]))
+    return 0 if match else 3
 
 
 def _cmd_sum(args) -> int:

@@ -8,11 +8,8 @@ from fractions import Fraction
 import pytest
 
 from recsums import audit, binsum, cli, gfpow, partsum, polyrat, seq
-from recsums.cli import (AUDIT_MAX_N_LIMIT, GF_CHECK_TERMS_LIMIT,
-                         GF_POWER_LIMIT, GF_SIZE_LIMIT, SEQ_LIMIT,
-                         SUM_CLOSED_LIMIT, SUM_SIZE_LIMIT, _growth, _init_bits,
-                         _sum_size, main,
-                         parse_polynomial, parse_rational_function)
+from recsums.cli import (AUDIT_MAX_N_LIMIT, WORK_LIMIT, _growth, _init_bits,
+                         main, parse_polynomial, parse_rational_function)
 from recsums.gfpow import gf_power
 from recsums.polyrat import (Polynomial, RationalFunction, poly_to_text,
                              rf_to_latex, rf_to_text)
@@ -47,35 +44,74 @@ def _refuse(*args):
     raise AssertionError("a refused input reached the computation")
 
 
+def _args(argv):
+    args = cli.build_parser().parse_args(cli._join_signed_rationals(list(argv)))
+    return args, cli._spec_from_args(args)
+
+
+def _served(argv) -> bool:
+    """Whether the work prediction serves the CLI arguments argv."""
+    _, terms = cli._predict(*_args(argv))
+    return sum(w for w, _, _ in terms) <= WORK_LIMIT
+
+
+def _boundary(argv, start: int) -> int:
+    """The largest v >= start whose argv(v) the prediction serves; it must
+    serve argv(start), and its work grows with v."""
+    assert _served(argv(start)), argv(start)
+    lo, hi = start, 2 * start + 1
+    while _served(argv(hi)):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _served(argv(mid)) else (lo, mid)
+    return lo
+
+
+def _served_then_refused(capsys, argv, last, flag, patch):
+    """argv(last) is served with the computation stubbed by patch(fn), fn
+    returning 7, and argv(last + 1) is refused before it, naming flag and the
+    limit."""
+    patch(lambda *args: 7)
+    code, out, _ = run_cli(capsys, *argv(last))
+    assert code == 0 and out.strip()
+    patch(_refuse)
+    code, out, err = run_cli(capsys, *argv(last + 1))
+    assert (code, out) == (2, "")
+    assert f"set by {flag}" in err and f"work limit of {WORK_LIMIT}" in err
+    return err
+
+
+# each row starts at the first n an earlier size limit refused, n * power =
+# 20,001 terms at x = 1: the prediction serves it, and refuses one step past
+# its own boundary
 @pytest.mark.parametrize("command", ("sum", "binom-sum"))
 @pytest.mark.parametrize("mode", ((), ("--both",), ("--direct",)))
-@pytest.mark.parametrize("n, power", ((SUM_SIZE_LIMIT + 1, 1), (6667, 3)))
+@pytest.mark.parametrize("n, power", ((20001, 1), (6667, 3)))
 def test_direct_sum_beyond_the_limit_exits_two(capsys, monkeypatch, command,
                                                mode, n, power):
-    assert n * power == SUM_SIZE_LIMIT + 1
-    for module, name in (
-            (partsum, "partial_sum_direct"), (partsum, "partial_sum_closed"),
-            (binsum, "binom_sum_direct"), (binsum, "binom_sum_closed")):
-        monkeypatch.setattr(module, name, _refuse)
-    code, out, err = run_cli(capsys, command, "--preset", "fibonacci", "--n",
-                             str(n), "--power", str(power), "--x", "1", *mode)
-    assert (code, out) == (2, "")
-    assert str(SUM_SIZE_LIMIT) in err and "--closed" in err
+    def argv(m):
+        return (command, "--preset", "fibonacci", "--n", str(m), "--power",
+                str(power), "--x", "1", *mode)
+
+    _served_then_refused(capsys, argv, _boundary(argv, n), "--n",
+                         lambda fn: _patch_every_sum(monkeypatch, fn))
 
 
 def test_direct_sum_at_the_limit_and_closed_beyond_it_are_served(
         capsys, monkeypatch, unlimited_str):
+    def argv(m, mode="--direct"):
+        return ("binom-sum", "--preset", "fibonacci", "--n", str(m), "--power",
+                "1", "--x", "1", mode)
+
+    n = _boundary(argv, 20000)
     monkeypatch.setattr(binsum, "binom_sum_direct", lambda *args: 7)
-    code, out, _ = run_cli(capsys, "binom-sum", "--preset", "fibonacci", "--n",
-                           str(SUM_SIZE_LIMIT), "--power", "1", "--x", "1",
-                           "--direct")
+    code, out, _ = run_cli(capsys, *argv(n))
     assert (code, out.strip()) == (0, "7")
     monkeypatch.setattr(binsum, "binom_sum_direct", _refuse)
-    n = SUM_SIZE_LIMIT + 1
-    code, out, _ = run_cli(capsys, "binom-sum", "--preset", "fibonacci", "--n",
-                           str(n), "--power", "1", "--x", "1", "--closed")
+    code, out, _ = run_cli(capsys, *argv(n + 1, "--closed"))
     # sum_i C(n,i) F_i = F_{2n}
-    assert (code, out.strip()) == (0, str(seq.term_fast(seq.fibonacci(), 2 * n)))
+    assert (code, out.strip()) == (0, str(seq.term_fast(seq.fibonacci(), 2 * n + 2)))
 
 
 # x = 123456789/987654323: bit_length(|p| q) = 57, so each term counts 1 + 56
@@ -89,22 +125,36 @@ def _patch_every_sum(monkeypatch, fn):
         monkeypatch.setattr(module, name, fn)
 
 
+def _bits(*argv) -> int:
+    """The prediction's bits for the largest operand of argv."""
+    return cli._predict(*_args(argv))[0]
+
+
+def _direct_sum_bits(x="1/2", flags=("--preset", "fibonacci")) -> int:
+    return _bits("sum", *flags, "--n", "10", "--power", "3", f"--x={x}",
+                 "--direct")
+
+
 def test_sum_size_counts_the_bits_of_x():
-    assert _sum_size(10, 3, Fraction(0), 1) == 30
-    assert _sum_size(10, 3, Fraction(1), 1) == _sum_size(10, 3, Fraction(-1), 1) == 30
-    assert _sum_size(10, 3, Fraction(1, 2), 1) == 40
-    assert _sum_size(10, 3, Fraction(-2, 3), 1) == 50
-    assert _sum_size(351, 1, Fraction(BIG_X), 1) == SUM_SIZE_LIMIT + 7
+    # each index adds bit_length(|p| q) - 1 bits of x = p/q to the total
+    assert _direct_sum_bits(0) == _direct_sum_bits(1) == _direct_sum_bits(-1)
+    assert _direct_sum_bits("1/2") == _direct_sum_bits(1) + 10
+    assert _direct_sum_bits("-2/3") == _direct_sum_bits(1) + 20
+    assert _direct_sum_bits(BIG_X) == _direct_sum_bits(1) + 56 * 10
     # the spec's growth weighs the power, not the bits of x
-    assert _sum_size(10, 3, Fraction(1, 2), 19) == 10 * (3 * 19 + 1)
+    fast = ("--a", "1000", "--b", "1", "--u0", "0", "--u1", "1")
+    assert (_direct_sum_bits("1/2", fast) - _direct_sum_bits(1, fast)
+            == _direct_sum_bits("1/2") - _direct_sum_bits(1))
 
 
 def test_sum_size_counts_the_bits_of_the_initial_values():
-    # H = 1 (initial values of magnitude at most 1) adds nothing
-    assert _sum_size(10, 3, Fraction(1, 2), 1, 1) == _sum_size(10, 3, Fraction(1, 2), 1)
-    assert _sum_size(10, 3, Fraction(1, 2), 1, 9) == 40 + 3 * 8
+    # every term carries the H bits of the initial values once per power
+    big = ("--a", "1", "--b", "1", "--u0", "0", "--u1", "255")
+    assert _direct_sum_bits("1/2", big) == _direct_sum_bits("1/2") + 3 * 7
     assert _init_bits(RecurrenceSpec(1, 1, 0, 1)) == 1
     assert _init_bits(RecurrenceSpec(1, 1, Fraction(1, 2), 255)) == 9   # 1, 510 over 2
+    # the common denominator counts too: U_0 = 1/255 has 8 bits
+    assert _init_bits(RecurrenceSpec(1, 1, Fraction(1, 255), Fraction(1, 255))) == 8
 
 
 def test_huge_initial_values_are_refused_naming_their_bits(capsys, monkeypatch,
@@ -116,7 +166,7 @@ def test_huge_initial_values_are_refused_naming_their_bits(capsys, monkeypatch,
                                  "--u0", "0", "--u1", u1, "--n", "20000",
                                  "--power", "1", "--x", "1", mode)
         assert (code, out) == (2, "")
-        assert "initial values' 99658 bits" in err and str(SUM_SIZE_LIMIT) in err
+        assert "initial values of 99658 bits" in err and "set by --n" in err
 
 
 @pytest.mark.parametrize("a, b, g", (
@@ -144,45 +194,45 @@ def _spec_flags(a, b):
     return ["--a", str(a), "--b", str(b), "--u0", "0", "--u1", "1"]
 
 
-# each row is served at n and refused one step beyond it, with or without the
-# no-op --fast
+# n is the last index an earlier bound, |n| g <= limit with g the growth at
+# n's sign, served; the prediction still serves it, with or without the no-op
+# --fast, and refuses one step past its own boundary, naming the growth
 @pytest.mark.parametrize("flags, n, fast, limit", (
-    (["--preset", "fibonacci"], SEQ_LIMIT, True, SEQ_LIMIT),
-    (_spec_flags(3, 3), SEQ_LIMIT // 3, True, SEQ_LIMIT),
-    (_spec_flags(1000, 1), SEQ_LIMIT // 19, False, SEQ_LIMIT),
-    (_spec_flags(1000, 1), -(SEQ_LIMIT // 19), False, SEQ_LIMIT),
-    (["--preset", "fibonacci"], -SEQ_LIMIT, False, SEQ_LIMIT),
-    (_spec_flags(2, -3), SEQ_LIMIT, False, SEQ_LIMIT),
-    (_spec_flags(2, -3), -(SEQ_LIMIT // 4), True, SEQ_LIMIT),
-    (_spec_flags(3, 3), -(SEQ_LIMIT // 7), False, SEQ_LIMIT),
+    (["--preset", "fibonacci"], 4_000_000, True, 4_000_000),
+    (_spec_flags(3, 3), 4_000_000 // 3, True, 4_000_000),
+    (_spec_flags(1000, 1), 4_000_000 // 19, False, 4_000_000),
+    (_spec_flags(1000, 1), -(4_000_000 // 19), False, 4_000_000),
+    (["--preset", "fibonacci"], -4_000_000, False, 4_000_000),
+    (_spec_flags(2, -3), 4_000_000, False, 4_000_000),
+    (_spec_flags(2, -3), -(4_000_000 // 4), True, 4_000_000),
+    (_spec_flags(3, 3), -(4_000_000 // 7), False, 4_000_000),
 ))
 def test_seq_budget_counts_the_spec_growth(capsys, monkeypatch, flags, n, fast,
                                            limit):
-    mode = ["--fast"] if fast else []
-    monkeypatch.setattr(seq, "term_fast", lambda *args: 7)
+    def argv(m):
+        return ("seq", *flags, "--n", str(m if n > 0 else -m),
+                *(["--fast"] if fast else []))
+
+    g = _growth(_args(argv(1))[1], n)
+    assert abs(n) == limit // g
     monkeypatch.setattr(seq, "term", _refuse)
-    code, out, _ = run_cli(capsys, "seq", *flags, "--n", str(n), *mode)
-    assert (code, out.strip()) == (0, "7")
-    monkeypatch.setattr(seq, "term_fast", _refuse)
-    beyond = n + 1 if n > 0 else n - 1
-    code, out, err = run_cli(capsys, "seq", *flags, "--n", str(beyond), *mode)
-    assert (code, out) == (2, "")
-    assert str(limit) in err and "growth" in err
+    err = _served_then_refused(
+        capsys, argv, _boundary(argv, abs(n)), "--n",
+        lambda fn: monkeypatch.setattr(seq, "term_fast", fn))
+    assert f"spec growth {g}," in err
 
 
 @pytest.mark.parametrize("command", ("sum", "binom-sum"))
 def test_sum_budget_counts_the_spec_growth(capsys, monkeypatch, command):
-    # (1000, 1) has g = 19: size n * (power * 19 + 0) at x = 1
-    n = SUM_SIZE_LIMIT // 19
-    _patch_every_sum(monkeypatch, lambda *args: 7)
-    code, out, _ = run_cli(capsys, command, *_spec_flags(1000, 1), "--n", str(n),
-                           "--power", "1", "--x", "1", "--direct")
-    assert (code, out.strip()) == (0, "7")
-    _patch_every_sum(monkeypatch, _refuse)
-    code, out, err = run_cli(capsys, command, *_spec_flags(1000, 1), "--n",
-                             str(n + 1), "--power", "1", "--x", "1", "--direct")
-    assert (code, out) == (2, "")
-    assert str(SUM_SIZE_LIMIT) in err and "growth 19" in err
+    # (1000, 1) has g = 19; n = 1,052 was the last index an earlier size
+    # limit, n * 19 <= 20,000, served
+    def argv(m):
+        return (command, *_spec_flags(1000, 1), "--n", str(m), "--power", "1",
+                "--x", "1", "--direct")
+
+    err = _served_then_refused(capsys, argv, _boundary(argv, 1052),
+                               "--n", lambda fn: _patch_every_sum(monkeypatch, fn))
+    assert "spec growth 19," in err
 
 
 @pytest.mark.parametrize("command, module, names", (
@@ -206,22 +256,28 @@ def test_cli_passes_spec_power_n_x_to_every_sum(capsys, monkeypatch, command,
     assert calls == [(names[0], args), (names[1], args)]
 
 
+# n is the first index an earlier size limit, n (1 + h) <= limit with h the
+# bits of x, refused: the prediction serves it, and refuses one step past its
+# own boundary
 @pytest.mark.parametrize("command", ("sum", "binom-sum"))
 @pytest.mark.parametrize("mode, n, x, limit", (
-    ((), 351, BIG_X, SUM_SIZE_LIMIT),
-    (("--both",), 351, BIG_X, SUM_SIZE_LIMIT),
-    (("--direct",), 351, BIG_X, SUM_SIZE_LIMIT),
-    (("--direct",), SUM_SIZE_LIMIT // 2 + 1, "1/2", SUM_SIZE_LIMIT),
-    (("--closed",), SUM_CLOSED_LIMIT // 2 + 1, "1/2", SUM_CLOSED_LIMIT),
-    (("--closed",), SUM_CLOSED_LIMIT // 3 + 1, "-2/3", SUM_CLOSED_LIMIT),
+    ((), 351, BIG_X, 20_000),
+    (("--both",), 351, BIG_X, 20_000),
+    (("--direct",), 351, BIG_X, 20_000),
+    (("--direct",), 20_000 // 2 + 1, "1/2", 20_000),
+    (("--closed",), 300_000 // 2 + 1, "1/2", 300_000),
+    (("--closed",), 300_000 // 3 + 1, "-2/3", 300_000),
 ))
 def test_sum_beyond_its_size_limit_exits_two(capsys, monkeypatch, command,
                                              mode, n, x, limit):
-    _patch_every_sum(monkeypatch, _refuse)
-    code, out, err = run_cli(capsys, command, "--preset", "fibonacci", "--n",
-                             str(n), "--power", "1", f"--x={x}", *mode)
-    assert (code, out) == (2, "")
-    assert str(limit) in err
+    def argv(m):
+        return (command, "--preset", "fibonacci", "--n", str(m), "--power", "1",
+                f"--x={x}", *mode)
+
+    h = (abs(Fraction(x).numerator) * Fraction(x).denominator).bit_length() - 1
+    assert (n - 1) * (1 + h) <= limit < n * (1 + h)
+    _served_then_refused(capsys, argv, _boundary(argv, n), "--n",
+                         lambda fn: _patch_every_sum(monkeypatch, fn))
 
 
 @pytest.mark.parametrize("command", ("sum", "binom-sum"))
@@ -245,12 +301,36 @@ def test_sum_below_its_range_exits_two_naming_the_flag(capsys, monkeypatch,
 def test_sums_exactly_at_each_size_limit_are_served(capsys, monkeypatch,
                                                     command):
     _patch_every_sum(monkeypatch, lambda *args: 7)
-    for mode, n in (("--direct", SUM_SIZE_LIMIT // 2),
-                    ("--closed", SUM_CLOSED_LIMIT // 2)):
-        code, out, _ = run_cli(capsys, command, "--preset", "fibonacci",
-                               "--n", str(n), "--power", "1", "--x", "1/2",
-                               mode)
+    for mode, start in (("--direct", 20_000 // 2), ("--closed", 300_000 // 2)):
+        def argv(m):
+            return (command, "--preset", "fibonacci", "--n", str(m), "--power",
+                    "1", "--x", "1/2", mode)
+
+        code, out, _ = run_cli(capsys, *argv(_boundary(argv, start)))
         assert (code, out.strip()) == (0, "7")
+
+
+# n = 0 and 1 are cheap, but the Binet-pair table grows with the power
+@pytest.mark.parametrize("command", ("sum", "binom-sum"))
+@pytest.mark.parametrize("mode", ((), ("--closed",)))
+@pytest.mark.parametrize("n", (0, 1))
+def test_the_binet_pair_table_counts_against_the_budget(capsys, monkeypatch,
+                                                        command, mode, n):
+    _patch_every_sum(monkeypatch, _refuse)
+    code, out, err = run_cli(capsys, command, "--preset", "fibonacci", "--n",
+                             str(n), "--power", "8000", "--x", "1", *mode)
+    assert (code, out) == (2, "")
+    assert "Binet-pair table" in err and "set by --power" in err
+
+
+@pytest.mark.parametrize("mode", ((), ("--both",), ("--closed",)))
+def test_closed_partial_sum_with_nonzero_u0_is_refused_first(capsys,
+                                                             monkeypatch, mode):
+    _patch_every_sum(monkeypatch, _refuse)
+    code, out, err = run_cli(capsys, "sum", "--preset", "lucas", "--n", "18000",
+                             "--power", "1", "--x", "1", *mode)
+    assert (code, out) == (2, "")
+    assert "--u0 2" in err and "--direct" in err
 
 
 def test_seq_negative_index_and_fast(capsys):
@@ -264,18 +344,22 @@ def test_seq_negative_index_and_fast(capsys):
     assert (code, out.strip()) == (0, "2")
 
 
-# |b| > 1 and rational initial values; the last two rows are refused
+# |b| > 1 and rational initial values; the last two rows, one step past an
+# earlier limit, are served or refused as the prediction says, so their term
+# is stubbed
 @pytest.mark.parametrize("n", (0, 1, 37, -1, -37, 2000, -2000,
-                               SEQ_LIMIT + 1, -(SEQ_LIMIT // 4) - 1))
-def test_seq_prints_the_same_bytes_with_and_without_fast(capsys, n):
+                               4_000_001, -1_000_001))
+def test_seq_prints_the_same_bytes_with_and_without_fast(capsys, monkeypatch, n):
     flags = ["--a", "2", "--b", "-3", "--u0", "1/3", "--u1", "-5/2", "--n", str(n)]
+    if abs(n) > 2000:
+        monkeypatch.setattr(seq, "term_fast", lambda *args: 7)
     plain = run_cli(capsys, "seq", *flags)
     assert run_cli(capsys, "seq", *flags, "--fast") == plain
     spec = RecurrenceSpec(2, -3, Fraction(1, 3), Fraction(-5, 2))
     if abs(n) <= 2000:
         assert plain == (0, f"{seq.term(spec, n)}\n", "")
     else:
-        assert (plain[0], plain[1]) == (2, "")
+        assert plain[0] == (0 if _served(["seq", *flags]) else 2)
 
 
 def test_seq_rejects_degenerate_spec(capsys):
@@ -398,16 +482,25 @@ def test_gf_structured_renders_each_coefficient_once(capsys, monkeypatch):
     assert sorted(rendered) == sorted(abs(c) for c in nonzero)
 
 
-def test_gf_power_beyond_the_limit_exits_two(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("gf_power ran past the limit")
+def _patch_gf(monkeypatch, fn):
+    """gf_power calls fn, which may raise, and returns x/(1 - x - x^2); every
+    check passes."""
+    f = gf_power(seq.fibonacci(), 1)
+    monkeypatch.setattr(gfpow, "gf_power", lambda spec, r: fn(spec, r) and f)
+    monkeypatch.setattr(gfpow, "check_series", lambda f, spec, r, n: True)
 
-    monkeypatch.setattr(gfpow, "gf_power", refuse)
-    limit = str(GF_POWER_LIMIT + 1)
-    code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci",
-                             "--power", limit)
-    assert (code, out) == (2, "")
-    assert str(GF_POWER_LIMIT) in err
+
+def _gf_served_then_refused(capsys, monkeypatch, argv, last, flag):
+    return _served_then_refused(capsys, argv, last, flag,
+                                lambda fn: _patch_gf(monkeypatch, fn))
+
+
+def test_gf_power_beyond_the_limit_exits_two(capsys, monkeypatch):
+    def argv(r):
+        return ("gf", "--preset", "fibonacci", "--power", str(r))
+
+    _gf_served_then_refused(capsys, monkeypatch, argv, _boundary(argv, 192),
+                            "--power")
 
 
 def test_gf_negative_check_terms_exits_two(capsys, monkeypatch):
@@ -428,20 +521,19 @@ def test_gf_power_below_one_exits_two_naming_the_flag(capsys, monkeypatch, power
 
 
 def test_gf_check_terms_beyond_the_limit_exits_two(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("gf_power ran past the limit")
+    def argv(t):
+        return ("gf", "--preset", "fibonacci", "--power", "2",
+                "--check-terms", str(t))
 
-    monkeypatch.setattr(gfpow, "gf_power", refuse)
-    code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci", "--power", "2",
-                             "--check-terms", str(GF_CHECK_TERMS_LIMIT + 1))
-    assert (code, out) == (2, "")
-    assert str(GF_CHECK_TERMS_LIMIT) in err
+    _gf_served_then_refused(capsys, monkeypatch, argv, _boundary(argv, 384),
+                            "--check-terms")
 
 
-# each row is served at its power and check depth and refused one step beyond
-# either; (1000, 1) has g = 19.  Initial numerators of 8 bits over their
-# common denominator (255 and -3 over 7; 255 and -255) are served at both
-# limits too: the size limit, which counts them, refuses none of them.
+# each row was served at (192 // g, 384 // g) by earlier limits on power * g
+# and check-terms * g, and still is; from there the prediction serves each
+# flag to its own boundary and refuses one step past it.  (1000, 1) has
+# g = 19; initial numerators of 8 bits over their common denominator (255
+# and -3 over 7; 255 and -255) stay served.
 @pytest.mark.parametrize("flags, g", (
     (["--preset", "fibonacci"], 1),
     (_spec_flags(1000, 1), 19),
@@ -449,22 +541,15 @@ def test_gf_check_terms_beyond_the_limit_exits_two(capsys, monkeypatch):
     (["--a", "2", "--b", "1", "--u0", "255", "--u1", "-255"], 2),
 ), ids=("fibonacci", "1000-1", "1-minus3-8bit", "2-1-8bit"))
 def test_gf_budget_counts_the_spec_growth(capsys, monkeypatch, flags, g):
-    power, order = GF_POWER_LIMIT // g, GF_CHECK_TERMS_LIMIT // g
-    served = gf_power(seq.fibonacci(), 1)
-    monkeypatch.setattr(gfpow, "gf_power", lambda spec, r: served)
-    monkeypatch.setattr(gfpow, "check_series", lambda f, spec, r, n: True)
-    code, out, _ = run_cli(capsys, "gf", *flags, "--power", str(power),
-                           "--check-terms", str(order))
-    assert (code, out.strip()) == (0, "x/(1 - x - x^2)")
-    monkeypatch.setattr(gfpow, "gf_power", _refuse)
-    for flag, value, limit in (("--power", power + 1, GF_POWER_LIMIT),
-                               ("--check-terms", order + 1, GF_CHECK_TERMS_LIMIT)):
-        argv = {"--power": str(power), "--check-terms": str(order), flag: str(value)}
-        code, out, err = run_cli(capsys, "gf", *flags,
-                                 *(x for kv in argv.items() for x in kv))
-        assert (code, out) == (2, "")
-        assert f"{flag} {value} times the spec's growth {g}" in err
-        assert f"limit of {limit}" in err
+    start = {"--power": 192 // g, "--check-terms": 384 // g}
+    for flag in start:
+        def argv(v, flag=flag):
+            values = {**start, flag: v}
+            return ("gf", *flags, *(str(x) for kv in values.items() for x in kv))
+
+        err = _gf_served_then_refused(capsys, monkeypatch, argv,
+                                      _boundary(argv, start[flag]), flag)
+        assert f"spec growth {g}," in err
 
 
 # u1 = 10^1000: initial numerators of 3,322 bits, carried r times by every term
@@ -475,21 +560,24 @@ def test_gf_budget_counts_the_initial_values(capsys, monkeypatch):
     monkeypatch.setattr(gfpow, "gf_power", _refuse)
     code, out, err = run_cli(capsys, "gf", *BIG_INIT, "--power", "128")
     assert (code, out) == (2, "")
-    size = 128 * 256 * (256 + 2 * 3322)
-    assert (f"size {size} = --power 128 times 256 series terms" in err
-            and "initial values' 3322 bits" in err
-            and f"gf size limit of {GF_SIZE_LIMIT}" in err), err
-    # 46 is the largest power served with a 2r-term check; the check length
-    # counts as the series read
-    f = gf_power(seq.fibonacci(), 1)
-    monkeypatch.setattr(gfpow, "gf_power", lambda spec, r: f)
-    monkeypatch.setattr(gfpow, "check_series", lambda f, spec, r, n: True)
-    for power, check, served in ((46, 92, True), (47, 94, False),
-                                 (20, 214, True), (20, 215, False)):
-        assert (power * check * (check + 2 * 3322) <= GF_SIZE_LIMIT) == served
-        code, out, err = run_cli(capsys, "gf", *BIG_INIT, "--power", str(power),
-                                 "--check-terms", str(check))
-        assert code == (0 if served else 2), (power, check, err)
+    assert "initial values of 3322 bits" in err and "set by --power" in err
+    # earlier limits served --power 46 with a 92-term check and --power 20
+    # with a 214-term check; the prediction serves each to its own boundary
+    for power, check in ((46, 92), (20, 214)):
+        def with_check(t, power=power):
+            return ("gf", *BIG_INIT, "--power", str(power), "--check-terms", str(t))
+
+        _gf_served_then_refused(capsys, monkeypatch, with_check,
+                                _boundary(with_check, check), "--check-terms")
+
+    def twice(r):
+        return ("gf", *BIG_INIT, "--power", str(r), "--check-terms", str(2 * r))
+
+    r = _boundary(twice, 46)
+    _patch_gf(monkeypatch, _refuse)
+    code, out, err = run_cli(capsys, "gf", *BIG_INIT, "--power", str(r + 1),
+                             "--check-terms", str(2 * r + 2))
+    assert (code, out) == (2, "") and "initial values of 3322 bits" in err
 
 
 @pytest.mark.usefixtures("unlimited_str")
@@ -736,7 +824,8 @@ def test_config_file_sets_defaults(tmp_path, capsys):
     ("format = xml\n", ("'xml'", "text, latex, structured")),
     ("maxn = 5\n", ("maxn", "max-n, format")),
     ("max-n = 5\nMax-N = 7\n", ("Max-N", "max-n, format")),
-), ids=("bad-format", "misspelt-key", "wrong-case-key"))
+    ("max-n = abc\n", ("'max-n = abc'", "integer")),
+), ids=("bad-format", "misspelt-key", "wrong-case-key", "non-integer-max-n"))
 def test_config_file_with_a_bad_key_or_format_exits_two(tmp_path, capsys,
                                                         monkeypatch, text,
                                                         named):
@@ -746,7 +835,7 @@ def test_config_file_with_a_bad_key_or_format_exits_two(tmp_path, capsys,
     code, out, err = run_cli(capsys, "audit", "--claims", "cor7-1",
                              "--config", str(cfg))
     assert (code, out) == (2, "")
-    assert all(word in err for word in named)
+    assert all(word in err for word in named) and str(cfg) in err
 
 
 def test_gen_pell_preset(capsys):

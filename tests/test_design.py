@@ -14,8 +14,10 @@ The Fibonacci claims at x = +/-1 are named by their claim ids in binsum:
 one direct-sum oracle serves all sixteen value claims, the thm6/thm9 families
 share one bracket sum, and each congruence reads its identity's numerator.
 
-``recsums seq`` serves every index through the one doubling kernel, under one
-limit; the walk ``seq.term`` is the tests' reference only.  A prefix store
+``recsums seq`` serves every index through the one doubling kernel; the walk
+``seq.term`` is the tests' reference only.  Every command but ``audit`` is
+budgeted by one predicted-work limit, ``cli.WORK_LIMIT``, priced from the
+input alone, so a refusal costs no computation.  A prefix store
 keeps one forward walk: a negative index is the forward walk of
 ``seq.reflected(spec)``, in ``term_fast`` and ``horadam_direct`` alike.
 
@@ -32,6 +34,7 @@ and the CLI expands no rational function itself.
 import ast
 import inspect
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,8 +96,22 @@ def test_the_cli_serves_seq_through_the_kernel_under_one_limit():
     calling = [p.name for p in SRC.glob("*.py")
                if "seq.term(" in p.read_text(encoding="utf-8")]
     assert calling == []
-    assert [name for name in vars(cli)
-            if name.startswith("SEQ_") and name.endswith("LIMIT")] == ["SEQ_LIMIT"]
+    assert sorted(name for name in vars(cli) if name.endswith("_LIMIT")) == [
+        "AUDIT_MAX_N_LIMIT", "WORK_LIMIT"]
+
+
+@pytest.mark.parametrize("argv", (
+    ["gf", "--preset", "fibonacci", "--power", str(10**9)],
+    ["binom-sum", "--preset", "fibonacci", "--n", "1", "--power", str(10**9),
+     "--x", "1"],
+), ids=("gf", "binom-sum"))
+def test_a_huge_power_is_refused_without_computing(capsys, argv):
+    cli.build_parser()
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and "set by --power" in capsys.readouterr().err
+    assert elapsed < 0.05, elapsed
 
 
 def test_binsum_names_the_fibonacci_claims_by_claim_id():
