@@ -6,7 +6,7 @@ from .qfield import (DegenerateSpecError, NotRationalError, QuadElem,
 from .polyrat import (EvalPoleError, Polynomial, RationalFunction, poly_gcd,
                       poly_to_text, rf_to_latex, rf_to_text)
 from .seq import (PrefixStore, binet_pairs, companion, fibonacci,
-                  generalized_pell, lucas_term, pell_q, preset, reflected,
+                  generalized_pell, linear_term, pell_q, preset, reflected,
                   store, term, term_fast, terms)
 from .gfpow import SelfCheckError, gf_oracle, gf_power
 from .partsum import (horadam_direct, horadam_sums, partial_sum_closed,

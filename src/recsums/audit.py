@@ -66,8 +66,6 @@ class AuditResult:
 def _fmt(value) -> str:
     if isinstance(value, RationalFunction):
         return rf_to_text(value)
-    if isinstance(value, Polynomial):
-        return rf_to_text(RationalFunction(value, Polynomial([1])))
     return _text(value)
 
 
@@ -467,7 +465,7 @@ def run_audit(selection="all", max_n: int | None = None,
     if list(selection) == ["all"]:
         ids = sorted(REGISTRY)
     else:
-        ids = sorted(selection)
+        ids = sorted(set(selection))
         for cid in ids:
             if cid not in REGISTRY:
                 raise UnknownClaimError(f"unknown claim id {cid!r}")
@@ -531,7 +529,7 @@ def structured_report(results: list[AuditResult], selection="all",
         "run": {
             "tool": "recsums",
             "schema_version": 1,
-            "selection": sorted(selection),
+            "selection": sorted(set(selection)),
             "max_n": max_n,
         },
         "claims": claims,

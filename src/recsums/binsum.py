@@ -6,7 +6,7 @@
 
 over Q, one Galois-conjugate pair of terms at a time: each entry of
 :func:`recsums.seq.binet_pairs` gives a rational second-order sequence in n,
-read off by the doubling kernel ``seq.lucas_term``.  Both sums take
+read off by one call of the doubling kernel ``seq.linear_term``.  Both sums take
 ``(spec, r, n, x)``, as ``partsum``'s do.  It carries no b = 1 caveat.
 Only ``root_power_collapse``, a statement about Q(sqrt(5)) itself, computes
 with ``QuadElem``.  The Fibonacci specializations at x = +/-1 are named by
@@ -49,7 +49,7 @@ def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
     """
     if r < 1 or n < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    return sum((seq.lucas_term(2 + p, 1 + p + q, w0, w0 + w1, n)
+    return sum((seq.linear_term((-1 - p - q, 2 + p), (w0, w0 + w1), n)
                 for w0, w1, p, q in seq.binet_pairs(spec, r, x)), Fraction(0))
 
 
@@ -83,12 +83,13 @@ def root_power_collapse(s: int, sign: int) -> tuple[bool, QuadElem]:
     sqrt5 = alpha - beta
     fs, ls = _fib(s), _luc(s)
     eps = (-1) ** s
-    lhs_a = alpha ** (2 * s) + sign * eps
-    lhs_b = beta ** (2 * s) + sign * eps
+    alpha_s, beta_s = alpha**s, beta**s
+    lhs_a = alpha_s * alpha_s + sign * eps
+    lhs_b = beta_s * beta_s + sign * eps
     if sign == -1:
-        ok = lhs_a == sqrt5 * alpha**s * fs and lhs_b == -sqrt5 * beta**s * fs
+        ok = lhs_a == sqrt5 * alpha_s * fs and lhs_b == -sqrt5 * beta_s * fs
     else:
-        ok = lhs_a == ls * alpha**s and lhs_b == ls * beta**s
+        ok = lhs_a == ls * alpha_s and lhs_b == ls * beta_s
     return ok, lhs_a
 
 

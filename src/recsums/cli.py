@@ -270,7 +270,10 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
                   (gcd(bits, n * hx + r * h) + render(bits), "--n",
                    "the direct reduction and rendering")]
     if not args.direct:
-        pairs, doublings = r // 2 + 1, 2 if args.command == "sum" else 1
+        # one kernel call per pair, priced as `each` (an order-2 doubling, 3
+        # products per squaring) times order (order + 1) / 6: 1 for the pairs
+        # of binom-sum, 2 for sum's order-3 pair partial sums (6 products)
+        pairs, order = r // 2 + 1, 3 if args.command == "sum" else 2
         kp = r * (g + 1 + 2 * h + hx)               # a Binet-pair table entry
         kn = n * r * (2 * g + 1) // 4 + 2 * n * hx + kw   # a pair's growth to n
         kd = 2 * n * (x.denominator - 1).bit_length()     # and its denominator's
@@ -278,8 +281,8 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
         each = 3 * _mul(kn, kn) + 2 * gcd(kn + kp, kd) + gcd(kn + kp, kp)
         terms += [(pairs * 3 * (2 * _mul(kp, kp) + gcd(kp, kp)), "--power",
                    f"the Binet-pair table of {pairs} entries"),
-                  (pairs * doublings * each + render(kn + kp), "--n",
-                   f"{pairs * doublings} pair doublings to index {n}, and rendering")]
+                  (pairs * order * (order + 1) // 6 * each + render(kn + kp), "--n",
+                   f"{pairs} pair doublings of order {order} to index {n}, and rendering")]
     return bits, terms
 
 

@@ -7,9 +7,10 @@ rational function in x, n <= SYMBOLIC_LIMIT), a rational x a value.
 The closed forms assume U_0 = 0 and hold for every nonzero b.  Both come from
 the list of :func:`recsums.seq.binet_pairs`, each entry a rational sequence
 of order at most two: the symbolic form adds one rational function per
-entry, and the pointwise evaluator ``partial_sum_general_b`` sums each entry
-over Q, exactly also where an entry's denominator vanishes.  The paper states
-the form for b = 1, where the pair denominators are
+entry, and the pointwise evaluator ``partial_sum_general_b`` reads each
+entry's partial sums as one term of an order-3 recurrence, with no division,
+so a vanishing pair denominator 1 - P + Q (a root 1) needs no special case.
+The paper states the form for b = 1, where the pair denominators are
 1 - (-1)^k V_{r-2k} x + x^2.  The published even-power form is garbled (sign
 flips and a dropped constant term); ``partial_sum_closed`` uses the
 corrected form, and the audit registry keeps the printed one
@@ -57,19 +58,6 @@ def partial_sum_direct(spec: RecurrenceSpec, r: int, n: int, x=None):
     return seq.store(spec).power_sum(r, n, x, binomial=False)
 
 
-def _pair_terms(w0, w1, p, q, n: int):
-    """Numerator terms (degree, coefficient) of sum_{i=0}^n w_i x^i over
-    1 - p x + q x^2, for w_{i+1} = p w_i - q w_{i-1}: the pair's generating
-    function minus x^{n+1} times the generating function of the shifted pair,
-
-        w0 + (w1 - p w0) x - w_{n+1} x^{n+1} + q w_n x^{n+2}.
-
-    At n = 0 the x term and the x^{n+1} term share a degree.
-    """
-    w_n, w_next = (seq.lucas_term(p, q, w0, w1, i) for i in (n, n + 1))
-    return (0, w0), (1, w1 - p * w0), (n + 1, -w_next), (n + 2, q * w_n)
-
-
 def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
                   printed: bool = False) -> RationalFunction:
     """sum_{i=0}^n U_i^r x^i as a rational function in x, one entry of
@@ -89,7 +77,11 @@ def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
             parts.append((Polynomial([c * p**i for i in range(n + 1)]),
                           Polynomial([1])))
             continue
-        terms = _pair_terms(w0, w1, p, q, n)
+        # the pair's generating function minus x^{n+1} times that of the
+        # shifted pair: w0 + (w1 - p w0) x - w_{n+1} x^{n+1} + q w_n x^{n+2},
+        # where at n = 0 the x term and the x^{n+1} term share a degree
+        w_n, w_next = (seq.linear_term((-q, p), (w0, w1), i) for i in (n, n + 1))
+        terms = (0, w0), (1, w1 - p * w0), (n + 1, -w_next), (n + 2, q * w_n)
         if printed:
             _, (_, lin), high, (top, last) = terms
             terms = ((1, -lin), high, (top, -last))
@@ -143,24 +135,6 @@ def corollary_r1(spec: RecurrenceSpec, n: int, variant: str = "printed") -> Rati
     return RationalFunction(inner.shift(1), Polynomial([1, -spec.a, -1]))
 
 
-def _geometric_pair_sum(w0, w1, p, q, n: int) -> Fraction:
-    """sum_{i=0}^n w_i for w_{i+1} = p w_i - q w_{i-1} (a geometric sum if q = 0).
-
-    This is the pair numerator of ``_pair_terms`` at x = 1:
-    (1 - p + q) S = w0 + w1 - p w0 - w_{n+1} + q w_n.
-    When 1 - p + q = 0, one root is 1 and the other is q, so
-    w_i = (w0 - e) + e q^i with e = (w1 - w0) / (q - 1); when q = 1 as well,
-    the root 1 is double and w_i = w0 + (w1 - w0) i.
-    """
-    f = 1 - p + q
-    if f:
-        return sum(c for _, c in _pair_terms(w0, w1, p, q, n)) / f
-    if q != 1:
-        e = (w1 - w0) / (q - 1)
-        return (n + 1) * (w0 - e) + e * (q ** (n + 1) - 1) / (q - 1)
-    return (n + 1) * w0 + (w1 - w0) * Fraction(n * (n + 1), 2)
-
-
 def partial_sum_general_b(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
     """Exact partial sum for any nonzero b, from the geometric-sum identity
 
@@ -170,15 +144,17 @@ def partial_sum_general_b(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
     summed over Q one entry of ``seq.binet_pairs`` at a time.  Requires
     u0 = 0.
 
-    t_k = 1 is a removable case, not a pole: the pair then has the root 1
-    (specs with a rational root of unit modulus hit it, e.g. beta = -1 for
-    a = 1, b = 2), and its sum is taken from the closed form for that root.
+    An entry's partial sums S_j = w_0 + ... + w_j have the roots 1, t_k and
+    t_{r-k}: S_{j+3} = (1 + P) S_{j+2} - (P + Q) S_{j+1} + Q S_j, read off at
+    j = n by one call of the doubling kernel from S_0, S_1, S_2.  A root t_k
+    equal to 1, or to 0, is no special case.
     """
     if x is None:
         raise ValueError("general-b evaluator is pointwise; pass x")
     _check(spec, r, n, x)
-    return sum((_geometric_pair_sum(*pair, n) for pair in seq.binet_pairs(spec, r, x)),
-               Fraction(0))
+    return sum((seq.linear_term((q, -p - q, 1 + p),
+                                (w0, w0 + w1, w0 + w1 + p * w1 - q * w0), n)
+                for w0, w1, p, q in seq.binet_pairs(spec, r, x)), Fraction(0))
 
 
 # --- generalized Pell partial-sum table -------------------------------------

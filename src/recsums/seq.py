@@ -14,10 +14,13 @@ equal specs share one store), and keeps the ``STORE_CAP`` most recently used
 ones, so the number of live stores stays bounded in a long-lived process.
 
 ``term`` is the plain walk in exact rational arithmetic: the tests' trusted
-reference for the store and the kernel, called by no CLI path.  ``lucas_term``
-is the one log-time doubling kernel, for any rational second-order recurrence
-and initial values; ``term_fast`` is that kernel at every integer index (on
-the reflected spec at n < 0), checked against ``term``; it fills no store.
+reference for the store and the kernel, called by no CLI path.
+``linear_term`` is the one log-time doubling kernel, for a rational linear
+recurrence of any order d with constant coefficients and any initial values:
+it doubles z^n modulo the characteristic polynomial in integers (Fiduccia's
+method) and reduces once.  ``term_fast`` is that kernel at order 2 at every
+integer index (on the reflected spec at n < 0), checked against ``term``; it
+fills no store.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import lcm
 
 from .qfield import RecurrenceSpec
 
@@ -180,34 +183,44 @@ STORE_CAP = 16
 store = lru_cache(maxsize=STORE_CAP)(PrefixStore)
 
 
-def _fundamental_pair(a: int, b: int, n: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) for the fundamental solution F_0 = 0, F_1 = 1, by doubling:
-    F_{2m} = F_m (2 F_{m+1} - a F_m), F_{2m+1} = F_{m+1}^2 + b F_m^2."""
-    if n == 0:
-        return 0, 1
-    u, w = _fundamental_pair(a, b, n >> 1)
-    even = u * (2 * w - a * u)
-    odd = w * w + b * u * u
-    if n & 1:
-        return odd, a * odd + b * even
-    return even, odd
+def linear_term(coeffs, initial, n: int) -> Fraction:
+    """w_n for w_{j+d} = c_0 w_j + c_1 w_{j+1} + ... + c_{d-1} w_{j+d-1}, from
+    the rational coefficients c_i and initial values w_0 .. w_{d-1}, n >= 0.
 
-
-def lucas_term(p, q, w0, w1, n: int) -> Fraction:
-    """w_n for w_{j+1} = p w_j - q w_{j-1}, with p, q, w0, w1 rational and n >= 0.
-
-    v_j = s^j w_j, with s = lcm(den p, den q), runs on the integer recurrence
-    v_{j+1} = (s p) v_j - (s^2 q) v_{j-1}, so the doubling stays in integers:
-    v_n = v_1 F_n + v_0 (F_{n+1} - s p F_n).  Nothing here needs distinct or
-    nonzero roots.
+    v_j = s^j w_j, with s the common denominator of the c_i, runs on the
+    integer recurrence with coefficients a_i = c_i s^{d-i}.  Fiduccia's
+    method doubles z^n modulo z^d - sum_i a_i z^i in integers: square, shift
+    by z where the bit of n is set, and fold the top degrees down.  If the
+    remainder is sum_i r_i z^i, v_n = sum_i r_i v_i; with e the common
+    denominator of the initial values, w_n is the integer
+    sum_i r_i s^i (e w_i) over e s^n, reduced once.  Nothing here needs
+    distinct or nonzero roots.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    p, q = Fraction(p), Fraction(q)
-    s = lcm(p.denominator, q.denominator)
-    a = int(s * p)
-    fn, fnext = _fundamental_pair(a, -int(s * s * q), n)
-    return Fraction(s * w1 * fn + w0 * (fnext - a * fn)) / s**n
+    d = len(coeffs)
+    s = lcm(*[c.denominator for c in coeffs])
+    e = lcm(*[w.denominator for w in initial])
+    a = [c.numerator * (s // c.denominator) * s ** (d - 1 - i)
+         for i, c in enumerate(coeffs)]
+    rem = [1] + [0] * (d - 1)
+    for bit in bin(n)[2:]:
+        o = bit == "1"
+        sq = [0] * (2 * d)
+        for i, ri in enumerate(rem):
+            if ri:
+                sq[2 * i + o] += ri * ri
+                for j in range(i + 1, d):
+                    sq[i + j + o] += ri * rem[j] << 1
+        for k in range(2 * d - 1, d - 1, -1):
+            top = sq[k]
+            if top:
+                for i, ai in enumerate(a, k - d):
+                    sq[i] += top * ai
+        rem = sq[:d]
+    num = sum(r * s**i * w.numerator * (e // w.denominator)
+              for i, (r, w) in enumerate(zip(rem, initial)))
+    return Fraction(num, e * s**n)
 
 
 def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
@@ -215,7 +228,7 @@ def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
     For n = -k < 0 it is term k of ``reflected(spec)``, b^k U_{-k}, over b^k."""
     if n < 0:
         return term_fast(reflected(spec), -n) / Fraction(spec.b) ** -n
-    return lucas_term(spec.a, -spec.b, spec.u0, spec.u1, n)
+    return linear_term((spec.b, spec.a), (spec.u0, spec.u1), n)
 
 
 # Binet-pair tables kept at once, keyed by (spec, r, x); at least the number
@@ -251,18 +264,18 @@ def binet_pairs(spec: RecurrenceSpec, r: int, x) -> tuple[tuple, ...]:
     a, b, u0, u1 = spec.a, spec.b, spec.u0, spec.u1
     x = Fraction(x)
     n_ab = -(u1 * u1 - a * u0 * u1 - b * u0 * u0) / spec.discriminant
-    pairs = []
+    pairs, c = [], 1                # c = C(r, k)
     for k in range((r + 1) // 2):
         m = r - 2 * k
-        c = comb(r, k)
         pairs.append((
-            c * n_ab**k * lucas_term(u0, n_ab, 2, u0, m),
-            c * (-b * n_ab) ** k * lucas_term(u1, -b * n_ab, 2, u1, m) * x,
-            (-b) ** k * lucas_term(a, -b, 2, a, m) * x,
+            c * n_ab**k * linear_term((-n_ab, u0), (2, u0), m),
+            c * (-b * n_ab) ** k * linear_term((b * n_ab, u1), (2, u1), m) * x,
+            (-b) ** k * linear_term((b, a), (2, a), m) * x,
             (-b) ** r * x * x,
         ))
+        c = c * (r - k) // (k + 1)
     if r % 2 == 0:
-        c = comb(r, r // 2) * n_ab ** (r // 2)
+        c *= n_ab ** (r // 2)
         t = (-b) ** (r // 2) * x
         pairs.append((c, c * t, t, 0))
     return tuple(pairs)

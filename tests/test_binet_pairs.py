@@ -1,8 +1,10 @@
 """The rational Binet-pair table and the doubling kernel behind the closed forms.
 
 ``seq.binet_pairs`` is checked against the Q(sqrt(D)) Binet expansion built
-from ``roots``/``binet_coeffs``, ``seq.lucas_term`` against a plain Fraction
-walk, and the removable t_k = 1 cases of the sums against their oracles.
+from ``roots``/``binet_coeffs``, ``seq.linear_term`` against a plain Fraction
+walk (a Binet pair at order 2, its partial sums at order 3, and any
+recurrence of order 1 to 4), and the t_k = 1 cases of the sums against their
+oracles.
 """
 
 from fractions import Fraction
@@ -12,8 +14,8 @@ import pytest
 
 from recsums import seq
 from recsums.binsum import binom_sum_closed, binom_sum_direct
-from recsums.partsum import (_geometric_pair_sum, partial_sum_closed,
-                             partial_sum_direct, partial_sum_general_b)
+from recsums.partsum import (partial_sum_closed, partial_sum_direct,
+                             partial_sum_general_b)
 from recsums.qfield import RecurrenceSpec, binet_coeffs, rationalize, roots
 
 F = Fraction
@@ -42,12 +44,14 @@ def _walk(p, q, w0, w1, count):
     (2, 1), (F(3, 2), F(9, 16)), (-4, 4),      # p^2 = 4q: a double root
 ))
 def test_lucas_term_equals_the_walk(p, q):
-    for w0, w1 in ((F(2), F(p)), (F(-1, 3), F(4, 5)), (F(0), F(1))):
+    # the term w_n of a Binet pair, w_{j+1} = p w_j - q w_{j-1}, at order 2
+    p, q = F(p), F(q)
+    for w0, w1 in ((F(2), p), (F(-1, 3), F(4, 5)), (F(0), F(1))):
         walked = _walk(p, q, w0, w1, 41)
         for n in range(41):
-            assert seq.lucas_term(p, q, w0, w1, n) == walked[n]
-    with pytest.raises(ValueError):
-        seq.lucas_term(p, q, 0, 1, -1)
+            assert seq.linear_term((-q, p), (w0, w1), n) == walked[n]
+    with pytest.raises(ValueError, match="index must be >= 0, got -1"):
+        seq.linear_term((-q, p), (F(0), F(1)), -1)
 
 
 @pytest.mark.parametrize("p, q", (
@@ -56,10 +60,15 @@ def test_lucas_term_equals_the_walk(p, q):
     (2, 1),                         # a double root 1
 ))
 def test_pair_sum_equals_the_summed_walk(p, q):
-    for w0, w1 in ((F(2), F(p)), (F(-1, 3), F(4, 5))):
+    # S_n = w_0 + ... + w_n at order 3, roots 1, t and t', as
+    # partial_sum_general_b reads each pair: no root is a special case
+    p, q = F(p), F(q)
+    for w0, w1 in ((F(2), p), (F(-1, 3), F(4, 5))):
         walked = _walk(p, q, w0, w1, 21)
+        sums = (w0, w0 + w1, w0 + w1 + walked[2])
         for n in range(20):
-            assert _geometric_pair_sum(w0, w1, p, q, n) == sum(walked[:n + 1])
+            assert (seq.linear_term((q, -p - q, 1 + p), sums, n)
+                    == sum(walked[:n + 1]))
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -80,7 +89,7 @@ def test_binet_pairs_equal_the_quadratic_field_expansion(spec, r):
             j = r - k
             assert p == rationalize(t[k] + t[j]) and q == rationalize(t[k] * t[j])
             for i in range(7):
-                assert seq.lucas_term(p, q, w0, w1, i) == rationalize(
+                assert seq.linear_term((-q, p), (w0, w1), i) == rationalize(
                     c[k] * t[k] ** i + c[j] * t[j] ** i)
 
 

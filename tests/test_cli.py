@@ -693,6 +693,19 @@ def test_audit_timings_go_to_stderr_and_leave_stdout_alone(capsys):
     assert ", 37 cells, " in lines[2] and lines[2].endswith(" cells/s")
 
 
+@pytest.mark.parametrize("fmt", ("text", "structured"))
+def test_audit_claims_named_twice_run_once(capsys, fmt):
+    code, once, _ = run_cli(capsys, "audit", "--claims", "eq2", "--format", fmt)
+    assert code == 0
+    for claims in ("eq2,eq2", " eq2 ,eq2,"):
+        assert run_cli(capsys, "audit", "--claims", claims, "--format", fmt) == (
+            0, once, "")
+    results = audit.run_audit(["eq2", "eq2"])
+    assert results == audit.run_audit(["eq2"])
+    assert (audit.report(results, fmt, selection=["eq2", "eq2"])
+            == audit.report(results, fmt, selection=["eq2"]))
+
+
 def test_audit_max_n_zero_is_served(capsys):
     code, out, _ = run_cli(capsys, "audit", "--claims", "cor7-1,cor7-2",
                            "--max-n", "0")

@@ -120,3 +120,44 @@ def test_factor_wise_check_agrees_with_expand(spec, r, order, where, k):
     g = RationalFunction(Polynomial(num), Polynomial(den))
     assert check_series(g, spec, r, order) == (
         g.expand(order) == gf_oracle(spec, r, order))
+
+
+@st.composite
+def recurrences(draw):
+    """(coefficients c_0 .. c_{d-1}, initial values) of a rational recurrence
+    w_{j+d} = sum_i c_i w_{j+i} of order d = 1 to 4: free coefficients, or
+    those of prod (z - root) with roots drawn so that 0, 1, -1 and repeated
+    roots are common."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(rationals, min_size=d, max_size=d))
+    else:
+        roots = draw(st.lists(st.one_of(st.sampled_from((F(0), F(1), F(-1))),
+                                        rationals), min_size=d, max_size=d))
+        coeffs = _coefficients(roots)
+    return coeffs, draw(st.lists(rationals, min_size=d, max_size=d))
+
+
+def _coefficients(roots):
+    """c_i with z^d - sum_i c_i z^i = prod (z - root), low degree first."""
+    poly = [F(1)]
+    for root in roots:
+        poly = [lo - root * hi for lo, hi in zip([F(0)] + poly, poly + [F(0)])]
+    return [-c for c in poly[:-1]]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(rec=recurrences())
+@example(rec=(_coefficients([F(1)] * 3), [F(2), F(-1, 3), F(5)]))  # triple root 1
+@example(rec=(_coefficients([F(0), F(0)]), [F(1, 2), F(3)]))        # double root 0
+@example(rec=(_coefficients([F(1), F(-1), F(0), F(1, 2)]),          # 1, -1, 0, 1/2
+              [F(1), F(0), F(-2, 3), F(4)]))
+@example(rec=([F(7, 3)], [F(-3, 5)]))                               # order 1
+def test_kernel_equals_the_walk_at_every_order(rec):
+    coeffs, walked = rec
+    walked = list(walked)
+    d = len(coeffs)
+    while len(walked) < 41:
+        walked.append(sum(c * w for c, w in zip(coeffs, walked[-d:])))
+    for n in range(41):
+        assert seq.linear_term(coeffs, walked[:d], n) == walked[n]

@@ -14,7 +14,9 @@ The Fibonacci claims at x = +/-1 are named by their claim ids in binsum:
 one direct-sum oracle serves all sixteen value claims, the thm6/thm9 families
 share one bracket sum, and each congruence reads its identity's numerator.
 
-``recsums seq`` serves every index through the one doubling kernel; the walk
+One doubling kernel, ``seq.linear_term``, reads off a term of a rational
+recurrence of any order: ``recsums seq`` at every index, each Binet pair at
+order 2, and each pair's partial sum at order 3, one call per pair.  The walk
 ``seq.term`` is the tests' reference only.  Every command but ``audit`` is
 budgeted by one predicted-work limit, ``cli.WORK_LIMIT``, priced from the
 input alone, so a refusal costs no computation.  A prefix store
@@ -214,8 +216,42 @@ def test_a_negative_index_is_the_reflected_specs_forward_walk(monkeypatch):
     assert seq.term_fast(spec, 7) == seq.term(spec, 7)
     assert partsum.horadam_direct(2, 5, 6) == sum(seq.term(pell, i) for i in range(1, 7))
     assert seen == [spec, pell]
-    # no second backward formula: the kernel runs on a spec's own a
-    assert "lucas_term(-" not in inspect.getsource(seq.term_fast)
+    # no second backward formula: the kernel runs on a spec's own (b, a)
+    tree = ast.parse(inspect.getsource(seq.term_fast))
+    calls = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "linear_term"]
+    assert calls == ["linear_term((spec.b, spec.a), (spec.u0, spec.u1), n)"]
+
+
+def test_one_kernel_serves_every_order():
+    for module, names in ((seq, ("_fundamental_pair", "lucas_term")),
+                          (partsum, ("_pair_terms", "_geometric_pair_sum"))):
+        for name in names:
+            assert not hasattr(module, name), name
+
+
+@pytest.mark.parametrize("closed", (partsum.partial_sum_general_b,
+                                    binsum.binom_sum_closed))
+@pytest.mark.parametrize("spec, r, x", (
+    (RecurrenceSpec(1, 1, 0, 1), 5, Fraction(1, 2)),
+    (RecurrenceSpec(1, 2, 0, 1), 4, Fraction(1)),    # beta^4 x = 1: a root 1
+))
+def test_a_closed_sum_reads_each_binet_pair_with_one_kernel_call(
+        monkeypatch, closed, spec, r, x):
+    pairs = seq.binet_pairs(spec, r, x)      # built, and memoised, beforehand
+    calls = []
+    real = seq.linear_term
+
+    def counted(coeffs, initial, n):
+        calls.append(len(coeffs))
+        return real(coeffs, initial, n)
+
+    monkeypatch.setattr(seq, "linear_term", counted)
+    for n in (0, 1, 9):
+        calls.clear()
+        closed(spec, r, n, x)
+        order = 3 if closed is partsum.partial_sum_general_b else 2
+        assert calls == [order] * len(pairs)
 
 
 @pytest.mark.parametrize("build", (
