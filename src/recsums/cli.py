@@ -4,7 +4,9 @@ All user-facing numbers are exact (big-integer rationals rendered as ``p/q``
 or plain integers); no floating point anywhere.  Every exact value and gf
 coefficient goes through polyrat's one renderer, ``_text``, in subquadratic
 time in its digits, so a term or sum of 10^5 to 10^6 digits prints in under a
-second.  Structured output always uses the audit report schema, with one-off
+second; a ``seq`` value above ``polyrat._STR_BITS`` predicted bits, at
+n >= 0, is instead built and printed in exact Decimal (``seq.term_text``).
+Structured output always uses the audit report schema, with one-off
 computations (``seq``, ``gf``, ``sum``, ``binom-sum``) wrapped as single-cell
 claim runs.
 
@@ -28,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
 
-from . import audit, binsum, gfpow, partsum, seq
+from . import audit, binsum, gfpow, partsum, polyrat, seq
 from .polyrat import (EvalPoleError, Polynomial, RationalFunction, _text,
                       rf_renderings, rf_to_latex, rf_to_text)
 from .qfield import DegenerateSpecError, RecurrenceSpec
@@ -236,6 +238,9 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
     render = lambda k: 3 * _mul(k, k)   # `polyrat._text` joins halves in decimal
     g, h = _growth(spec, getattr(args, "n", 0)), _init_bits(spec)
     if args.command == "seq":
+        # priced as the int ring plus `_text` at every n; above the
+        # `polyrat._STR_BITS` cut `_cmd_seq` runs the cheaper Decimal ring, so
+        # these terms over-price it there, and are kept as they are on purpose
         n = abs(args.n)
         k = n * (2 * g + 1) // 4 + h                # U_n, numerator and denominator
         terms = [(2 * _mul(k, k), "--n", f"the doubling to index {n}"),
@@ -270,18 +275,19 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
                   (gcd(bits, n * hx + r * h) + render(bits), "--n",
                    "the direct reduction and rendering")]
     if not args.direct:
-        # one kernel call per pair, priced as `each` (an order-2 doubling, 3
-        # products per squaring) times order (order + 1) / 6: 1 for the pairs
-        # of binom-sum, 2 for sum's order-3 pair partial sums (6 products)
+        # one kernel call per pair: order (order + 1) / 2 products per
+        # squaring, 3 for the pairs of binom-sum and 6 for sum's order-3 pair
+        # partial sums, then one reduction of the same size at either order
         pairs, order = r // 2 + 1, 3 if args.command == "sum" else 2
         kp = r * (g + 1 + 2 * h + hx)               # a Binet-pair table entry
         kn = n * r * (2 * g + 1) // 4 + 2 * n * hx + kw   # a pair's growth to n
         kd = 2 * n * (x.denominator - 1).bit_length()     # and its denominator's
         bits = max(bits, kn + kp)
-        each = 3 * _mul(kn, kn) + 2 * gcd(kn + kp, kd) + gcd(kn + kp, kp)
+        each = (order * (order + 1) // 2 * _mul(kn, kn)
+                + 2 * gcd(kn + kp, kd) + gcd(kn + kp, kp))
         terms += [(pairs * 3 * (2 * _mul(kp, kp) + gcd(kp, kp)), "--power",
                    f"the Binet-pair table of {pairs} entries"),
-                  (pairs * order * (order + 1) // 6 * each + render(kn + kp), "--n",
+                  (pairs * each + render(kn + kp), "--n",
                    f"{pairs} pair doublings of order {order} to index {n}, and rendering")]
     return bits, terms
 
@@ -304,12 +310,18 @@ def _budgeted_spec(args) -> RecurrenceSpec:
 
 def _cmd_seq(args) -> int:
     spec = _budgeted_spec(args)
-    term = seq.term_fast(spec, args.n)
+    # Above the bits where `_text` leaves str(), U_n is built in Decimal and
+    # printed as it is (seq.term_text); below them, and at n < 0, whose
+    # reduction over b^|n| needs an int gcd, it is built in ints.
+    if args.n >= 0 and _predict(args, spec)[0] > polyrat._STR_BITS:
+        value = seq.term_text(spec, args.n)
+    else:
+        value = _text(seq.term_fast(spec, args.n))
     if args.format == "structured":
         print(_single_cell_report("seq", {"spec": str(spec), "n": args.n},
-                                  "pass", {"value": _text(term)}), end="")
+                                  "pass", {"value": value}), end="")
     else:
-        print(_text(term))
+        print(value)
     return 0
 
 

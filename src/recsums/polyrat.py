@@ -14,7 +14,10 @@ Every exact value recsums prints (CLI values, audit witnesses, printed
 coefficients) goes through ``_text``: the bytes of str(), in subquadratic time.
 The printers take the magnitudes already rendered, so ``rf_renderings`` gives
 the text, LaTeX, numerator and denominator forms from one ``_text`` call per
-nonzero coefficient.
+nonzero coefficient.  The one exception is ``seq``'s value above
+``_STR_BITS`` predicted bits and at n >= 0: :func:`recsums.seq.term_text`
+builds it as exact Decimal integers, so U_n itself is never converted.  Both
+compute in ``_exact_decimal()``, the one exact decimal context.
 """
 
 from __future__ import annotations
@@ -296,26 +299,33 @@ class RationalFunction:
 # count on CPython 3.11; above it `_text` goes through decimal, whose
 # multiplication is subquadratic.  On a 2-core Xeon host the two meet between
 # 3 * 2^13 and 2^15 bits (about 1 ms); at 694,000 bits, F(10^6), str() takes
-# 0.84 s and `_text` 0.07 s.
+# 0.84 s and `_text` 0.07 s.  The CLI's `seq` switches to the Decimal ring
+# (`seq.term_text`) where it predicts this many bits: against ints plus
+# `_text`, that ring is 1.4 times slower at 700 bits, within 10% from 7,000
+# to 30,000, and 1.4 times faster from 42,000 (F(60000)) on.
 _STR_BITS = 1 << 15
 # Width in bits of the pieces `_text` hands to Decimal() directly.
 _PIECE_BITS = 2048
+# Decimal arithmetic on integers that is exact or raises: digits for any
+# operand, and every rounding (Inexact) trapped beside the default traps.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         traps=[decimal.Inexact, decimal.InvalidOperation,
+                                decimal.DivisionByZero, decimal.Overflow])
 
 
-def _text(value) -> str:
-    """str(value) for an int or a Fraction, in subquadratic time.
+def _exact_decimal():
+    """A ``with`` block computing in a copy of ``_EXACT``: a localcontext, so
+    the caller's decimal context is back in place on exit."""
+    return decimal.localcontext(_EXACT)
 
-    |value| is split at half its width by shifts, with no int division; the
+
+def _decimal(m: int) -> decimal.Decimal:
+    """The int m as an exact Decimal, in subquadratic time, inside
+    ``_exact_decimal()``; Decimal(m) itself takes time quadratic in m's digits.
+
+    |m| is split at half its width by shifts, with no int division; the
     pieces are joined as lo + hi * 2^h in decimal, exactly: the Inexact trap
-    would raise on any rounding.  Private: tracers time public functions."""
-    num, den = value.numerator, value.denominator
-    if num.bit_length() <= _STR_BITS and den.bit_length() <= _STR_BITS:
-        try:
-            return str(value)
-        except ValueError:   # over the interpreter's int-to-str digit limit
-            pass
-    if den != 1:
-        return f"{_text(num)}/{_text(den)}"
+    would raise on any rounding."""
     powers = {}
 
     def two_to(w):
@@ -331,11 +341,24 @@ def _text(value) -> str:
         hi = m >> h
         return join(m - (hi << h), h) + join(hi, w - h) * two_to(h)
 
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        digits = str(join(abs(num), num.bit_length()))
-    return "-" + digits if num < 0 else digits
+    d = join(abs(m), m.bit_length())
+    return -d if m < 0 else d
+
+
+def _text(value) -> str:
+    """str(value) for an int or a Fraction, in subquadratic time: str() up to
+    ``_STR_BITS`` bits, else str() of ``_decimal``.  Private: tracers time
+    public functions."""
+    num, den = value.numerator, value.denominator
+    if num.bit_length() <= _STR_BITS and den.bit_length() <= _STR_BITS:
+        try:
+            return str(value)
+        except ValueError:   # over the interpreter's int-to-str digit limit
+            pass
+    if den != 1:
+        return f"{_text(num)}/{_text(den)}"
+    with _exact_decimal():
+        return str(_decimal(num))
 
 
 def _magnitudes(p: Polynomial) -> list[str]:

@@ -15,12 +15,17 @@ ones, so the number of live stores stays bounded in a long-lived process.
 
 ``term`` is the plain walk in exact rational arithmetic: the tests' trusted
 reference for the store and the kernel, called by no CLI path.
-``linear_term`` is the one log-time doubling kernel, for a rational linear
+``_doubling`` is the one log-time doubling kernel, for a rational linear
 recurrence of any order d with constant coefficients and any initial values:
-it doubles z^n modulo the characteristic polynomial in integers (Fiduccia's
-method) and reduces once.  ``term_fast`` is that kernel at order 2 at every
-integer index (on the reflected spec at n < 0), checked against ``term``; it
-fills no store.
+it doubles z^n modulo the characteristic polynomial (Fiduccia's method) in
+one of two rings, with one loop body.  Over ints, ``linear_term`` reduces its
+result once to a Fraction, for every exact caller; ``term_fast`` is that at
+order 2 at every integer index (on the reflected spec at n < 0), checked
+against ``term``.  Over exact Decimal integers, ``term_text`` returns the
+printed U_n at n >= 0 without ever holding it as an int: the CLI's ``seq``
+calls it above ``polyrat._STR_BITS`` predicted bits (n of about 43,690 for
+growth-1 specs such as Fibonacci), where it is faster than the int ring plus
+``polyrat._text``, and ``term_fast`` below.  Neither fills a store.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
@@ -35,8 +40,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, isqrt, lcm
 
+from .polyrat import _decimal, _exact_decimal
 from .qfield import RecurrenceSpec
 
 
@@ -183,27 +189,40 @@ STORE_CAP = 16
 store = lru_cache(maxsize=STORE_CAP)(PrefixStore)
 
 
-def linear_term(coeffs, initial, n: int) -> Fraction:
-    """w_n for w_{j+d} = c_0 w_j + c_1 w_{j+1} + ... + c_{d-1} w_{j+d-1}, from
-    the rational coefficients c_i and initial values w_0 .. w_{d-1}, n >= 0.
+def _scale(coeffs) -> int:
+    """An s making every a_i = c_i s^{d-i} an integer, built from the top
+    coefficient down: a denominator s^{d-i} already clears adds nothing, a
+    square one at d - i = 2 adds its root (so x = p/q's q^2 in a Binet pair's
+    Q adds q, not q^2), and any other adds itself."""
+    s, d = 1, len(coeffs)
+    for i in range(d - 1, -1, -1):
+        den = coeffs[i].denominator
+        if s ** (d - i) % den:
+            root = isqrt(den)
+            s = lcm(s, root if d - i == 2 and root * root == den else den)
+    return s
 
-    v_j = s^j w_j, with s the common denominator of the c_i, runs on the
-    integer recurrence with coefficients a_i = c_i s^{d-i}.  Fiduccia's
-    method doubles z^n modulo z^d - sum_i a_i z^i in integers: square, shift
-    by z where the bit of n is set, and fold the top degrees down.  If the
-    remainder is sum_i r_i z^i, v_n = sum_i r_i v_i; with e the common
-    denominator of the initial values, w_n is the integer
-    sum_i r_i s^i (e w_i) over e s^n, reduced once.  Nothing here needs
-    distinct or nonzero roots.
+
+def _doubling(coeffs, initial, n: int, ring=int):
+    """(v, e s^n) with w_n = v / (e s^n), v in the ring ``ring`` maps ints
+    into: ``int`` itself, or ``polyrat._decimal`` for exact Decimal integers
+    (inside ``polyrat._exact_decimal()``, and for integer c_i only).
+
+    v_j = s^j w_j, with s from ``_scale``, runs on the integer recurrence with
+    coefficients a_i = c_i s^{d-i}.  Fiduccia's method doubles z^n modulo
+    z^d - sum_i a_i z^i in the ring: square, shift by z where the bit of n is
+    set, and fold the top degrees down.  If the remainder is sum_i r_i z^i,
+    v_n = sum_i r_i v_i; with e the common denominator of the initial values,
+    v = sum_i r_i s^i (e w_i).  Nothing here needs distinct or nonzero roots.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     d = len(coeffs)
-    s = lcm(*[c.denominator for c in coeffs])
+    s = _scale(coeffs)
     e = lcm(*[w.denominator for w in initial])
-    a = [c.numerator * (s // c.denominator) * s ** (d - 1 - i)
+    a = [ring(c.numerator * (s ** (d - i) // c.denominator))
          for i, c in enumerate(coeffs)]
-    rem = [1] + [0] * (d - 1)
+    rem = [1] + [0] * (d - 1)         # int 0 and 1 mix exactly with Decimals
     for bit in bin(n)[2:]:
         o = bit == "1"
         sq = [0] * (2 * d)
@@ -211,16 +230,23 @@ def linear_term(coeffs, initial, n: int) -> Fraction:
             if ri:
                 sq[2 * i + o] += ri * ri
                 for j in range(i + 1, d):
-                    sq[i + j + o] += ri * rem[j] << 1
+                    sq[i + j + o] += 2 * ri * rem[j]
         for k in range(2 * d - 1, d - 1, -1):
             top = sq[k]
             if top:
                 for i, ai in enumerate(a, k - d):
                     sq[i] += top * ai
         rem = sq[:d]
-    num = sum(r * s**i * w.numerator * (e // w.denominator)
-              for i, (r, w) in enumerate(zip(rem, initial)))
-    return Fraction(num, e * s**n)
+    v = sum(r * ring(s**i * w.numerator * (e // w.denominator))
+            for i, (r, w) in enumerate(zip(rem, initial)))
+    return v, e * s**n
+
+
+def linear_term(coeffs, initial, n: int) -> Fraction:
+    """w_n for w_{j+d} = c_0 w_j + c_1 w_{j+1} + ... + c_{d-1} w_{j+d-1}, from
+    the rational coefficients c_i and initial values w_0 .. w_{d-1}, n >= 0:
+    ``_doubling`` in ints, reduced once."""
+    return Fraction(*_doubling(coeffs, initial, n))
 
 
 def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
@@ -229,6 +255,22 @@ def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
     if n < 0:
         return term_fast(reflected(spec), -n) / Fraction(spec.b) ** -n
     return linear_term((spec.b, spec.a), (spec.u0, spec.u1), n)
+
+
+def term_text(spec: RecurrenceSpec, n: int) -> str:
+    """str(term_fast(spec, n)) for n >= 0, with ``_doubling`` run over exact
+    Decimal integers: the coefficients b, a are integers, so s = 1 and
+    U_n = v / e.  v is reduced by g = gcd(v mod e, e), divided exactly, and
+    printed by str(), which libmpdec does in linear time.  No int ever holds
+    U_n, so it is never converted to decimal; only the initial values (and
+    v mod e, below e) cross between the rings.  The CLI calls it where U_n is
+    predicted above ``polyrat._STR_BITS`` bits; below that the int ring and
+    ``polyrat._text`` are faster."""
+    with _exact_decimal():
+        v, e = _doubling((spec.b, spec.a), (spec.u0, spec.u1), n, _decimal)
+        g = gcd(int(v % _decimal(e)), e)
+        num = str(v // _decimal(g))
+        return num if g == e else num + "/" + str(_decimal(e // g))
 
 
 # Binet-pair tables kept at once, keyed by (spec, r, x); at least the number

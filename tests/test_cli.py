@@ -125,6 +125,12 @@ def _patch_every_sum(monkeypatch, fn):
         monkeypatch.setattr(module, name, fn)
 
 
+def _patch_every_term(monkeypatch, fn):
+    """Stub both ways `seq` computes U_n: in ints, and in Decimal as text."""
+    monkeypatch.setattr(seq, "term_fast", fn)
+    monkeypatch.setattr(seq, "term_text", lambda *args: str(fn(*args)))
+
+
 def _bits(*argv) -> int:
     """The prediction's bits for the largest operand of argv."""
     return cli._predict(*_args(argv))[0]
@@ -218,7 +224,7 @@ def test_seq_budget_counts_the_spec_growth(capsys, monkeypatch, flags, n, fast,
     monkeypatch.setattr(seq, "term", _refuse)
     err = _served_then_refused(
         capsys, argv, _boundary(argv, abs(n)), "--n",
-        lambda fn: monkeypatch.setattr(seq, "term_fast", fn))
+        lambda fn: _patch_every_term(monkeypatch, fn))
     assert f"spec growth {g}," in err
 
 
@@ -352,7 +358,7 @@ def test_seq_negative_index_and_fast(capsys):
 def test_seq_prints_the_same_bytes_with_and_without_fast(capsys, monkeypatch, n):
     flags = ["--a", "2", "--b", "-3", "--u0", "1/3", "--u1", "-5/2", "--n", str(n)]
     if abs(n) > 2000:
-        monkeypatch.setattr(seq, "term_fast", lambda *args: 7)
+        _patch_every_term(monkeypatch, lambda *args: 7)
     plain = run_cli(capsys, "seq", *flags)
     assert run_cli(capsys, "seq", *flags, "--fast") == plain
     spec = RecurrenceSpec(2, -3, Fraction(1, 3), Fraction(-5, 2))
