@@ -4,8 +4,8 @@ All user-facing numbers are exact (big-integer rationals rendered as ``p/q``
 or plain integers); no floating point anywhere.  Every exact value and gf
 coefficient goes through polyrat's one renderer, ``_text``, in subquadratic
 time in its digits, so a term or sum of 10^5 to 10^6 digits prints in under a
-second; a ``seq`` value above ``polyrat._STR_BITS`` predicted bits, at
-n >= 0, is instead built and printed in exact Decimal (``seq.term_text``).
+second; a large ``seq`` value is instead built and printed in exact Decimal
+(``_cmd_seq`` says where).
 Structured output always uses the audit report schema, with one-off
 computations (``seq``, ``gf``, ``sum``, ``binom-sum``) wrapped as single-cell
 claim runs.
@@ -238,9 +238,9 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
     render = lambda k: 3 * _mul(k, k)   # `polyrat._text` joins halves in decimal
     g, h = _growth(spec, getattr(args, "n", 0)), _init_bits(spec)
     if args.command == "seq":
-        # priced as the int ring plus `_text` at every n; above the
-        # `polyrat._STR_BITS` cut `_cmd_seq` runs the cheaper Decimal ring, so
-        # these terms over-price it there, and are kept as they are on purpose
+        # priced as the int ring plus `_text` at every n; above its cut
+        # `_cmd_seq` runs the cheaper Decimal ring, so these terms over-price
+        # it there, and are kept as they are on purpose
         n = abs(args.n)
         k = n * (2 * g + 1) // 4 + h                # U_n, numerator and denominator
         terms = [(2 * _mul(k, k), "--n", f"the doubling to index {n}"),
@@ -292,11 +292,12 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
     return bits, terms
 
 
-def _budgeted_spec(args) -> RecurrenceSpec:
-    """The spec of args; a ValueError (exit 2) names the largest term and its
-    flag when the predicted work exceeds WORK_LIMIT."""
+def _budgeted_spec(args) -> tuple[RecurrenceSpec, int]:
+    """The spec of args and the predicted bits of its largest operand; a
+    ValueError (exit 2) names the largest term and its flag when the
+    predicted work exceeds WORK_LIMIT."""
     spec = _spec_from_args(args)
-    terms = _predict(args, spec)[1]
+    bits, terms = _predict(args, spec)
     total = sum(w for w, _, _ in terms)
     if total > WORK_LIMIT:
         work, flag, phase = max(terms)
@@ -305,23 +306,29 @@ def _budgeted_spec(args) -> RecurrenceSpec:
             f"largest term, {work}, is {phase}, set by {flag} (spec growth "
             f"{_growth(spec, getattr(args, 'n', 0))}, initial values of "
             f"{_init_bits(spec)} bits)")
-    return spec
+    return spec, bits
 
 
 def _cmd_seq(args) -> int:
-    spec = _budgeted_spec(args)
-    # Above the bits where `_text` leaves str(), U_n is built in Decimal and
-    # printed as it is (seq.term_text); below them, and at n < 0, whose
-    # reduction over b^|n| needs an int gcd, it is built in ints.
-    if args.n >= 0 and _predict(args, spec)[0] > polyrat._STR_BITS:
-        value = seq.term_text(spec, args.n)
-    else:
-        value = _text(seq.term_fast(spec, args.n))
+    """Print U_n, built in the ring its predicted bits choose.  At n >= 0 and
+    above ``polyrat._STR_BITS`` bits, where ``_text`` leaves str(), U_n is
+    built in exact Decimal and printed as it is (``seq.term_text``); below
+    that, and at every n < 0, whose reduction over b^|n| needs an int gcd, it
+    is built in ints (``seq.term_fast``) and rendered by ``_text``.  The cut
+    reuses ``_STR_BITS`` (n = 43,691 for Fibonacci) and the two rings break
+    even a little above it, because the prediction (3n/4 bits for growth 1)
+    runs ahead of the true 0.694n: on a 2-core Xeon host, against ints plus
+    ``_text``, the Decimal ring is 1.1 times slower at F(43,691) and 1.4
+    times faster from F(60,000) on."""
+    spec, bits = _budgeted_spec(args)
+    text = lambda: (seq.term_text(spec, args.n)
+                    if args.n >= 0 and bits > polyrat._STR_BITS
+                    else _text(seq.term_fast(spec, args.n)))
     if args.format == "structured":
         print(_single_cell_report("seq", {"spec": str(spec), "n": args.n},
-                                  "pass", {"value": value}), end="")
+                                  "pass", {"value": text()}), end="")
     else:
-        print(value)
+        print(text())
     return 0
 
 
@@ -330,7 +337,7 @@ def _cmd_gf(args) -> int:
                              ("--check-terms", args.check_terms, 0)):
         if value < low:
             raise ValueError(f"{flag} {value} is below {low}")
-    spec = _budgeted_spec(args)
+    spec, _ = _budgeted_spec(args)
     f = gfpow.gf_power(spec, args.power)
     order = args.check_terms
     if order and not gfpow.check_series(f, spec, args.power, order):
@@ -357,7 +364,7 @@ def _sum_like(args, direct_fn, closed_fn) -> int:
     for flag, value, low in (("--n", args.n, 0), ("--power", args.power, 1)):
         if value < low:
             raise ValueError(f"{flag} {value} is below {low}")
-    spec = _budgeted_spec(args)
+    spec, _ = _budgeted_spec(args)
     mode = "direct" if args.direct else "closed" if args.closed else "both"
     if args.command == "sum" and mode != "direct" and spec.u0 != 0:
         raise ValueError(f"--u0 {spec.u0}: the closed partial sum needs u0 = 0; "

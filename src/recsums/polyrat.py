@@ -14,8 +14,8 @@ Every exact value recsums prints (CLI values, audit witnesses, printed
 coefficients) goes through ``_text``: the bytes of str(), in subquadratic time.
 The printers take the magnitudes already rendered, so ``rf_renderings`` gives
 the text, LaTeX, numerator and denominator forms from one ``_text`` call per
-nonzero coefficient.  The one exception is ``seq``'s value above
-``_STR_BITS`` predicted bits and at n >= 0: :func:`recsums.seq.term_text`
+nonzero coefficient.  The one exception is a large ``seq`` value
+(``recsums.cli._cmd_seq`` holds the cut): :func:`recsums.seq.term_text`
 builds it as exact Decimal integers, so U_n itself is never converted.  Both
 compute in ``_exact_decimal()``, the one exact decimal context.
 """
@@ -299,10 +299,8 @@ class RationalFunction:
 # count on CPython 3.11; above it `_text` goes through decimal, whose
 # multiplication is subquadratic.  On a 2-core Xeon host the two meet between
 # 3 * 2^13 and 2^15 bits (about 1 ms); at 694,000 bits, F(10^6), str() takes
-# 0.84 s and `_text` 0.07 s.  The CLI's `seq` switches to the Decimal ring
-# (`seq.term_text`) where it predicts this many bits: against ints plus
-# `_text`, that ring is 1.4 times slower at 700 bits, within 10% from 7,000
-# to 30,000, and 1.4 times faster from 42,000 (F(60000)) on.
+# 0.84 s and `_text` 0.07 s.  `cli._cmd_seq` reuses it as its cut between
+# the int and the Decimal ring.
 _STR_BITS = 1 << 15
 # Width in bits of the pieces `_text` hands to Decimal() directly.
 _PIECE_BITS = 2048

@@ -22,10 +22,8 @@ one of two rings, with one loop body.  Over ints, ``linear_term`` reduces its
 result once to a Fraction, for every exact caller; ``term_fast`` is that at
 order 2 at every integer index (on the reflected spec at n < 0), checked
 against ``term``.  Over exact Decimal integers, ``term_text`` returns the
-printed U_n at n >= 0 without ever holding it as an int: the CLI's ``seq``
-calls it above ``polyrat._STR_BITS`` predicted bits (n of about 43,690 for
-growth-1 specs such as Fibonacci), where it is faster than the int ring plus
-``polyrat._text``, and ``term_fast`` below.  Neither fills a store.
+printed U_n at n >= 0 without ever holding it as an int, for a large value
+(``cli._cmd_seq`` holds the cut between the two).  Neither fills a store.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
@@ -263,13 +261,12 @@ def term_text(spec: RecurrenceSpec, n: int) -> str:
     U_n = v / e.  v is reduced by g = gcd(v mod e, e), divided exactly, and
     printed by str(), which libmpdec does in linear time.  No int ever holds
     U_n, so it is never converted to decimal; only the initial values (and
-    v mod e, below e) cross between the rings.  The CLI calls it where U_n is
-    predicted above ``polyrat._STR_BITS`` bits; below that the int ring and
-    ``polyrat._text`` are faster."""
+    v mod e, below e) cross between the rings.  ``cli._cmd_seq`` says where
+    the CLI calls it."""
     with _exact_decimal():
         v, e = _doubling((spec.b, spec.a), (spec.u0, spec.u1), n, _decimal)
         g = gcd(int(v % _decimal(e)), e)
-        num = str(v // _decimal(g))
+        num = str(v if g == 1 else v // _decimal(g))
         return num if g == e else num + "/" + str(_decimal(e // g))
 
 

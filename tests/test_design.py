@@ -141,33 +141,17 @@ def _str_calls(fn):
             and node.func.id == "str"]
 
 
-def _rendered_names(fn):
-    """The names fn binds only to rendered text: every binding of each is an
-    assignment of a `_text` or a `seq.term_text` call."""
-    from_renderer = {id(target) for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                     and isinstance(node.value, ast.Call)
-                     and ast.unparse(node.value.func) in {"_text", "seq.term_text"}
-                     for target in node.targets}
-    rendered, other = set(), set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            (rendered if id(node) in from_renderer else other).add(node.id)
-    return rendered - other
-
-
 def test_the_cli_prints_exact_values_only_through_text():
     calls_text = set()
     for fn in _functions("cli.py"):
-        rendered = _rendered_names(fn)
         for node in ast.walk(fn):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 name, args = node.func.id, node.args
                 if name == "_text":
                     calls_text.add(fn.name)
-                # print(value): a bare name printed as it is, unless the name
-                # only ever holds rendered text
-                assert not (name == "print" and args and isinstance(args[0], ast.Name)
-                            and args[0].id not in rendered), ast.unparse(node)
+                # print(value): a bare name printed as it is
+                assert not (name == "print" and args
+                            and isinstance(args[0], ast.Name)), ast.unparse(node)
                 # str(v): only the spec, the inputs and errors are stringified
                 if name == "str":
                     assert ast.unparse(args[0]) in {"spec", "order", "args.x",
