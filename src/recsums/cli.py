@@ -232,7 +232,11 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
     bits once per power; x = p/q adds hx bits per index.  A direct term
     U_i^r counts one squaring even at r = 1, which bounds the n + 1
     numerators the prefix store keeps; a closed sum prices every Binet pair
-    at the dominant pair's size.
+    at the dominant pair's size.  `gf` builds and checks its series in one
+    pass, priced as one phase over max(2r + 2, N) terms for --check-terms N,
+    set by --check-terms when N is the longer, else by --power.  A `seq`
+    whose initial values have a denominator e > 1 also pays a reduction of
+    U_n's numerator by e, in either ring.
     """
     gcd = lambda a, b: max(a, _DIGIT) * max(b, _DIGIT)   # Euclid: a Fraction's
     render = lambda k: 3 * _mul(k, k)   # `polyrat._text` joins halves in decimal
@@ -247,22 +251,28 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
                  (render(k), "--n", f"rendering {k} bits")]
         if args.n < 0 and abs(spec.b) > 1:          # k / 2 bits over k / 2
             terms.append((gcd(k // 2, k - k // 2), "--n", f"the reduction over b^{n}"))
+        e = lcm(spec.u0.denominator, spec.u1.denominator)
+        if e > 1:
+            # U_n = v / e, reduced by gcd(v, e) in ints, or in Decimal by
+            # int(v mod e), about 4 m^2 for m = min(v, e) bits, and a gcd of
+            # m by e bits; v carries the initial numerators' bits, not H's
+            kv = k - h + max(abs(int(e * spec.u0)), abs(int(e * spec.u1))).bit_length()
+            ke = e.bit_length()
+            m = min(kv, ke)
+            terms.append((gcd(kv, ke) + 4 * m * m, "--u0/--u1",
+                          f"the reduction over the initial denominator of {ke} bits"))
         return k, terms
     r = args.power
     if args.command == "gf":
-        def series(t: int) -> tuple[int, int]:
-            # two products per term N_i^r and pole factor, half the last's size
-            kt = r * (t * (2 * g + 1) // 4 + h)
-            return kt, t * (_mul(kt, kt) // 2 + (r // 2 + 1) * _mul(r * (g + 1), kt))
-
-        bits, work = series(2 * r + 2)
-        terms = [(work, "--power", f"{r // 2 + 1} pole factors over {2 * r + 2} terms"),
-                 ((r + 1) * render(series(r)[0]), "--power", f"rendering {r + 1} coefficients")]
-        if args.check_terms:
-            kt, work = series(args.check_terms)
-            bits = max(bits, kt)
-            terms.append((work, "--check-terms", f"the check of {args.check_terms} terms"))
-        return bits, terms
+        # one pass builds and checks: two products per term N_i^r and pole
+        # factor, half the last's size, over the longer of the two series
+        t = max(2 * r + 2, args.check_terms)
+        kt = r * (t * (2 * g + 1) // 4 + h)
+        work = t * (_mul(kt, kt) // 2 + (r // 2 + 1) * _mul(r * (g + 1), kt))
+        flag = "--check-terms" if t > 2 * r + 2 else "--power"
+        kr = r * (r * (2 * g + 1) // 4 + h)         # a numerator coefficient
+        return kt, [(work, flag, f"{r // 2 + 1} pole factors over {t} terms"),
+                    ((r + 1) * render(kr), "--power", f"rendering {r + 1} coefficients")]
     n, x = args.n, args.x
     hx = (abs(x.numerator) * x.denominator).bit_length() - 1 if x else 0
     kt = r * (n * (2 * g + 1) // 4 + h)             # U_n^r's numerator
@@ -338,12 +348,8 @@ def _cmd_gf(args) -> int:
         if value < low:
             raise ValueError(f"{flag} {value} is below {low}")
     spec, _ = _budgeted_spec(args)
-    f = gfpow.gf_power(spec, args.power)
     order = args.check_terms
-    if order and not gfpow.check_series(f, spec, args.power, order):
-        print(f"oracle mismatch over the first {order} coefficients",
-              file=sys.stderr)
-        return 3
+    f = gfpow.gf_power(spec, args.power, order)
     fmt = args.format or "text"
     if fmt == "latex":
         print(rf_to_latex(f))
@@ -459,8 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_flags(p_gf)
     p_gf.add_argument("--power", type=int, required=True)
     p_gf.add_argument("--check-terms", type=int, default=0,
-                      help="verify this many coefficients against the "
-                           "series oracle before printing")
+                      help="check this many coefficients of the series, "
+                           "not just the 2r+2 the build reads, in the same "
+                           "pass and before printing")
     p_gf.set_defaults(func=_cmd_gf)
 
     for name, handler, help_text in (

@@ -10,22 +10,20 @@ is (1 - alpha^k beta^{r-k} x)(1 - alpha^{r-k} beta^k x).  That product is the
 recurrence U_n^r satisfies, and each factor 1 + c1 x + c2 x^2 acts on a
 series t as the three-term operator t_i += c1 t_{i-1} + c2 t_{i-2}.  Applied
 to the impulse 1, 0, 0, ... the factors give D.  Applied to the brute-force
-integer series N_0^r .. N_{2r+1}^r, with N_i = d U_i from the spec's prefix
-store, they give d^r times D * series mod x^{2r+2}.  Every step multiplies
-big terms by a factor's small coefficients, and the dominant pair (k = 0)
-runs first, so with real roots the terms shrink as the operators run.
-Entries 0 .. r over d^r are the numerator; entries r+1 .. 2r+1 must vanish,
-and a nonzero one raises ``SelfCheckError``.  Two fractions with numerators
-of degree <= r and denominators of degree <= r+1 are equal once they agree
-mod x^{2r+2}, so the check proves the result equals the series, and the
-truth stays derived from brute force rather than from the Binet closed form.
-
-``check_series`` tests any f against the first N terms of that series the
-same way: since den(0) = 1, expanding f to N terms gives the series exactly
-when den * series = num mod x^N, so when f.den is the product D it applies
-the factors to N terms and compares with d^r f.num.  A den reduced by a
-common factor (root ratio a root of unity) is checked by ``expand`` against
-``gf_oracle``.
+integer series N_0^r .. N_{M-1}^r, with N_i = d U_i from the spec's prefix
+store and M = max(2r+2, check_terms), they give d^r times D * series mod x^M.
+Every step multiplies big terms by a factor's small coefficients, and the
+dominant pair (k = 0) runs first, so with real roots the terms shrink as the
+operators run.  Entries 0 .. r over d^r are the numerator; every entry past r
+must vanish, and a nonzero one raises ``SelfCheckError``.  Since D(0) = 1,
+num / D then expands to the series exactly, to M terms; and two fractions
+with numerators of degree <= r and denominators of degree <= r+1 are equal
+once they agree mod x^{2r+2}, so the result is the series' generating
+function, derived from brute force rather than from the Binet closed form.
+Checking more terms is the same annihilation run further, in the same pass.
+Canonicalising num / D divides out a common factor when the root ratio is a
+root of unity; the reduced f is then checked against num / D by one cross
+product, so the f returned is the one whose terms were checked.
 
 ``paired_form`` evaluates the paired-term closed form itself, over Q: each
 Galois-conjugate pair of Binet terms is one rational second-order sequence
@@ -71,35 +69,29 @@ def _annihilate(factors, t: list[int]) -> list[int]:
     return t
 
 
-def gf_power(spec: RecurrenceSpec, r: int) -> RationalFunction:
-    """Rational function over Q whose Maclaurin coefficients are U_n^r."""
+def gf_power(spec: RecurrenceSpec, r: int, check_terms: int = 0) -> RationalFunction:
+    """Rational function over Q whose Maclaurin coefficients are U_n^r,
+    checked against the first max(2r+2, check_terms) of them."""
     if r < 1:
         raise ValueError("power must be >= 1")
     factors = _pole_factors(spec, r)
     st = seq.store(spec)
-    t = _annihilate(factors, [n**r for n in st.numerators(2 * r + 2)])
+    count = max(2 * r + 2, check_terms)
+    t = _annihilate(factors, [n**r for n in st.numerators(count)])
     if any(t[r + 1:]):
+        bad = next(i for i in range(r + 1, count) if t[i])
         raise SelfCheckError(
-            f"gf_power({spec}, r={r}): denominator times the series is not a "
-            f"polynomial of degree <= {r}")
+            f"gf_power({spec}, r={r}), checked over {count} terms: denominator "
+            f"times the series is nonzero at index {bad}, past the numerator's "
+            f"degree {r}")
     scale = st.den**r
-    return RationalFunction(Polynomial([Fraction(c, scale) for c in t[:r + 1]]),
-                            Polynomial(_annihilate(factors, [1] + [0] * (r + 1))))
-
-
-def check_series(f: RationalFunction, spec: RecurrenceSpec, r: int,
-                 order: int) -> bool:
-    """True when the first `order` Maclaurin coefficients of f are
-    U_0^r .. U_{order-1}^r; equals f.expand(order) == gf_oracle(spec, r, order)."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    factors = _pole_factors(spec, r)
-    if f.den != Polynomial(_annihilate(factors, [1] + [0] * (r + 1))):
-        return f.expand(order) == gf_oracle(spec, r, order)
-    st = seq.store(spec)
-    t = _annihilate(factors, [n**r for n in st.numerators(order)])
-    scale = st.den**r
-    return all(c == scale * f.num.coeff(i) for i, c in enumerate(t))
+    num = Polynomial([Fraction(c, scale) for c in t[:r + 1]])
+    den = Polynomial(_annihilate(factors, [1] + [0] * (r + 1)))
+    f = RationalFunction(num, den)
+    if (f.num, f.den) != (num, den) and f.num * den != num * f.den:
+        raise SelfCheckError(f"gf_power({spec}, r={r}), checked over {count} "
+                             f"terms: the reduced form changed the value")
+    return f
 
 
 def gf_oracle(spec: RecurrenceSpec, r: int, order: int) -> tuple[Fraction, ...]:

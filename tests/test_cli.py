@@ -228,6 +228,25 @@ def test_seq_budget_counts_the_spec_growth(capsys, monkeypatch, flags, n, fast,
     assert f"spec growth {g}," in err
 
 
+def test_seq_prices_the_reduction_over_a_huge_initial_denominator(capsys,
+                                                                 monkeypatch):
+    # U_n = 7 F_n / 10^286000, over a 950,072-bit denominator: either ring's
+    # reduction by it (a gcd in ints, int(v mod e) in Decimal) was unpriced,
+    # and such an input at n = 3,000,000 ran for 5.7 to 6.8 s.  The argument
+    # is too long for one shell argument, so the argv goes to main directly.
+    _patch_every_term(monkeypatch, _refuse)
+    big = ["--a", "1", "--b", "1", "--u0", "0", "--u1", "7/1" + "0" * 286000]
+    code, out, err = run_cli(capsys, "seq", *big, "--n", "3000000")
+    assert (code, out) == (2, "")
+    assert ("is the reduction over the initial denominator of 950072 bits, set "
+            "by --u0/--u1" in err)
+    # integer initial values have no such phase
+    for flags in (big[:-2] + ["--u1", "7"], ["--preset", "fibonacci"]):
+        for n in ("3000000", "-3000000"):
+            _, terms = cli._predict(*_args(("seq", *flags, "--n", n)))
+            assert not [phase for _, _, phase in terms if "initial" in phase]
+
+
 @pytest.mark.parametrize("command", ("sum", "binom-sum"))
 def test_sum_budget_counts_the_spec_growth(capsys, monkeypatch, command):
     # (1000, 1) has g = 19; n = 1,052 was the last index an earlier size
@@ -489,11 +508,11 @@ def test_gf_structured_renders_each_coefficient_once(capsys, monkeypatch):
 
 
 def _patch_gf(monkeypatch, fn):
-    """gf_power calls fn, which may raise, and returns x/(1 - x - x^2); every
-    check passes."""
+    """gf_power calls fn, which may raise, and returns x/(1 - x - x^2)
+    without building or checking anything."""
     f = gf_power(seq.fibonacci(), 1)
-    monkeypatch.setattr(gfpow, "gf_power", lambda spec, r: fn(spec, r) and f)
-    monkeypatch.setattr(gfpow, "check_series", lambda f, spec, r, n: True)
+    monkeypatch.setattr(gfpow, "gf_power",
+                        lambda spec, r, check_terms: fn(spec, r) and f)
 
 
 def _gf_served_then_refused(capsys, monkeypatch, argv, last, flag):
@@ -597,23 +616,44 @@ def test_gf_serves_big_initial_values_at_a_small_power(capsys):
 
 def test_gf_check_never_expands_an_unreduced_denominator(capsys, monkeypatch):
     def no_expand(self, order):
-        raise AssertionError("expand ran on the Theorem 1 denominator")
+        raise AssertionError("expand ran on a built generating function")
 
-    expected = rf_to_text(gf_power(seq.fibonacci(), 20))
+    # Fibonacci keeps Theorem 1's denominator; (1, -1) reduces it by a gcd
+    flags = (["--preset", "fibonacci"], _spec_flags(1, -1))
+    expected = [rf_to_text(gf_power(spec, 20))
+                for spec in (seq.fibonacci(), RecurrenceSpec(1, -1, 0, 1))]
     monkeypatch.setattr(RationalFunction, "expand", no_expand)
-    code, out, _ = run_cli(capsys, "gf", "--preset", "fibonacci", "--power", "20",
-                           "--check-terms", "60")
-    assert (code, out.strip()) == (0, expected)
+    for spec_flags, text in zip(flags, expected):
+        code, out, _ = run_cli(capsys, "gf", *spec_flags, "--power", "20",
+                               "--check-terms", "60")
+        assert (code, out.strip()) == (0, text)
 
 
 def test_gf_check_mismatch_exits_three(capsys, monkeypatch):
-    f = gf_power(seq.fibonacci(), 3)
-    wrong = RationalFunction(f.num + Polynomial([0, 0, 1]), f.den)
-    monkeypatch.setattr(gfpow, "gf_power", lambda spec, r: wrong)
+    real = gfpow.RationalFunction
+
+    def wrong(num, den):   # canonicalisation that moves a coefficient
+        f = real(num, den)
+        return real(f.num + Polynomial([0, 0, 1]), f.den)
+
+    monkeypatch.setattr(gfpow, "RationalFunction", wrong)
     code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci", "--power", "3",
                              "--check-terms", "9")
     assert (code, out) == (3, "")
-    assert "oracle mismatch" in err
+    assert "gf_power(" in err and "r=3), checked over 9 terms" in err
+    assert "the reduced form changed the value" in err
+
+
+def test_gf_check_terms_reach_past_the_built_series(capsys, monkeypatch,
+                                                    corrupt_store):
+    # r = 3 builds from 8 terms; a term moved at index 8 is read only by a
+    # check of 9 or more
+    corrupt_store(monkeypatch, seq.fibonacci(), 8)
+    argv = ("gf", "--preset", "fibonacci", "--power", "3")
+    assert run_cli(capsys, *argv, "--check-terms", "8")[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--check-terms", "9")
+    assert (code, out) == (3, "")
+    assert "checked over 9 terms" in err and "nonzero at index 8," in err
 
 
 def test_parser_is_built_once():
@@ -627,7 +667,7 @@ def test_parser_is_built_once():
     (["seq", "--preset", "fibonacci"], SystemExit),   # argparse: --n missing
 ), ids=("served", "failed", "refused", "usage"))
 def test_main_restores_the_int_str_digit_limit(capsys, monkeypatch, argv, code):
-    def fail(spec, r):
+    def fail(spec, r, check_terms):
         raise gfpow.SelfCheckError("series does not fit")
 
     monkeypatch.setattr(gfpow, "gf_power", fail)
@@ -747,7 +787,7 @@ def test_audit_cell_error_exits_three(capsys, monkeypatch):
 
 
 def test_gf_self_check_failure_exits_three(capsys, monkeypatch):
-    def fail(spec, r):
+    def fail(spec, r, check_terms):
         raise gfpow.SelfCheckError("series does not fit")
 
     monkeypatch.setattr(gfpow, "gf_power", fail)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from recsums import seq  # noqa: E402
 from recsums.binsum import binom_sum_closed, binom_sum_direct  # noqa: E402
-from recsums.gfpow import check_series, gf_oracle, gf_power, paired_form  # noqa: E402
+from recsums.gfpow import (SelfCheckError, gf_oracle, gf_power,  # noqa: E402
+                           paired_form)
 from recsums.cli import parse_rational_function  # noqa: E402
 from recsums.partsum import (partial_sum_closed, partial_sum_direct,  # noqa: E402
                              partial_sum_general_b)
@@ -97,29 +98,33 @@ def test_rendered_gf_parses_back(spec, r):
     assert parse_rational_function(rf_to_latex(f)) == f
 
 
-# square and negative D run the factor-wise check; a = 0 and (1, -1) have
-# gcd-reduced denominators, so they run expand
+# one series term moved, at k: the check of gf_power(spec, r, order) runs over
+# max(2r+2, order) terms, and raises exactly when expanding its result that
+# far disagrees with the moved series; a = 0 and (1, -1) reduce their
+# denominators, square and negative D do not
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(spec=specs(), r=st.integers(1, 8), order=st.integers(1, 30),
-       where=st.sampled_from(("none", "num", "den")), k=st.integers(0, 9))
-@example(spec=RecurrenceSpec(1, 2, 0, 1), r=4, order=15, where="num", k=2)
-@example(spec=RecurrenceSpec(2, -3, F(1, 2), 1), r=5, order=18, where="den", k=3)
-@example(spec=RecurrenceSpec(0, 2, 0, 1), r=4, order=12, where="num", k=1)
-@example(spec=RecurrenceSpec(1, -1, 1, 2), r=6, order=20, where="den", k=1)
-def test_factor_wise_check_agrees_with_expand(spec, r, order, where, k):
-    f = gf_power(spec, r)
+       k=st.integers(0, 36))
+@example(spec=RecurrenceSpec(1, 2, 0, 1), r=4, order=15, k=2)
+@example(spec=RecurrenceSpec(2, -3, F(1, 2), 1), r=5, order=18, k=17)
+@example(spec=RecurrenceSpec(0, 2, 0, 1), r=4, order=12, k=12)
+@example(spec=RecurrenceSpec(1, -1, 1, 2), r=6, order=20, k=21)
+def test_factor_wise_check_agrees_with_expand(corrupt_store, spec, r, order, k):
+    f = gf_power(spec, r, order)
     assert f.expand(order) == gf_oracle(spec, r, order)
-    assert check_series(f, spec, r, order)
-    # one coefficient moved: both checks still give the same verdict
-    num, den = list(f.num.coeffs), list(f.den.coeffs)
-    if where != "none":
-        coeffs = num if where == "num" else den
-        j = k % (len(coeffs) + 1)
-        coeffs.extend([F(0)] * (j + 1 - len(coeffs)))
-        coeffs[j] += 1
-    g = RationalFunction(Polynomial(num), Polynomial(den))
-    assert check_series(g, spec, r, order) == (
-        g.expand(order) == gf_oracle(spec, r, order))
+    assert f == gf_power(spec, r)
+    count = max(2 * r + 2, order)
+    moved = list(gf_oracle(spec, r, max(count, k + 1)))
+    store = seq.store(spec)
+    moved[k] = F(store.numerators(k + 1)[k] + 1, store.den) ** r
+    with pytest.MonkeyPatch.context() as patch:
+        corrupt_store(patch, spec, k)
+        try:
+            gf_power(spec, r, order)
+            raised = False
+        except SelfCheckError:
+            raised = True
+    assert raised == (f.expand(count) != tuple(moved[:count]))
 
 
 @st.composite

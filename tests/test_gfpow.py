@@ -6,8 +6,8 @@ import pytest
 
 from recsums import seq
 from recsums import gfpow
-from recsums.gfpow import (SelfCheckError, check_series, display_r1, display_r2,
-                           display_r3, gf_oracle, gf_power, paired_form)
+from recsums.gfpow import (SelfCheckError, display_r1, display_r2, display_r3,
+                           gf_oracle, gf_power, paired_form)
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
 
@@ -99,16 +99,36 @@ def test_pole_factors_give_the_polynomial_product(spec):
     (RecurrenceSpec(1, -1, 0, 1), 6, True),
     (RecurrenceSpec(0, 2, 0, 1), 5, True),
 ))
-def test_a_moved_coefficient_fails_the_series_check(spec, r, reduced):
-    f = gf_power(spec, r)
+def test_a_moved_coefficient_fails_the_series_check(monkeypatch, spec, r, reduced):
+    f = gf_power(spec, r, 3 * r)
     assert (f.den.degree < r + 1) == reduced
-    assert check_series(f, spec, r, 3 * r)
+    real = gfpow.RationalFunction
     for part in ("num", "den"):
         for j in range(len(getattr(f, part).coeffs)):
-            num, den = list(f.num.coeffs), list(f.den.coeffs)
-            (num if part == "num" else den)[j] += 1
-            g = RationalFunction(Polynomial(num), Polynomial(den))
-            assert not check_series(g, spec, r, 3 * r), (part, j)
+            def moved(num, den, part=part, j=j):
+                g = real(num, den)
+                coeffs = {"num": list(g.num.coeffs), "den": list(g.den.coeffs)}
+                coeffs[part][j] += 1
+                return real(Polynomial(coeffs["num"]), Polynomial(coeffs["den"]))
+
+            monkeypatch.setattr(gfpow, "RationalFunction", moved)
+            with pytest.raises(SelfCheckError, match="the reduced form changed"):
+                gf_power(spec, r, 3 * r)
+
+
+@pytest.mark.parametrize("spec, r", ((FIB, 3), (RecurrenceSpec(1, -1, 0, 1), 4)))
+def test_a_term_past_the_built_series_fails_only_a_longer_check(
+        monkeypatch, corrupt_store, spec, r):
+    f = gf_power(spec, r)
+    index = 2 * r + 5
+    corrupt_store(monkeypatch, spec, index)
+    assert gf_power(spec, r) == f
+    assert gf_power(spec, r, index) == f
+    with pytest.raises(SelfCheckError) as err:
+        gf_power(spec, r, index + 1)
+    assert f"r={r}" in str(err.value) and str(spec) in str(err.value)
+    assert f"checked over {index + 1} terms" in str(err.value)
+    assert f"nonzero at index {index}," in str(err.value)
 
 
 @pytest.mark.parametrize("wrong", (
