@@ -1,8 +1,7 @@
 """Exact closed forms and brute-force audits for powers of second-order recurrences."""
 
-from .qfield import (DegenerateSpecError, NotRationalError, QuadElem,
-                     RecurrenceSpec, binet_coeffs, is_perfect_square,
-                     rationalize, roots)
+from .qfield import (DegenerateSpecError, QuadElem, RecurrenceSpec,
+                     is_perfect_square, roots)
 from .polyrat import (EvalPoleError, Polynomial, RationalFunction, poly_gcd,
                       poly_to_text, rf_to_latex, rf_to_text)
 from .seq import (PrefixStore, binet_pairs, companion, fibonacci,

@@ -31,8 +31,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from . import audit, binsum, gfpow, partsum, polyrat, seq
-from .polyrat import (EvalPoleError, Polynomial, RationalFunction, _text,
-                      rf_renderings, rf_to_latex, rf_to_text)
+from .polyrat import (EvalPoleError, _text, rf_renderings, rf_to_latex,
+                      rf_to_text)
 from .qfield import DegenerateSpecError, RecurrenceSpec
 
 # Every command but `audit` predicts its work from its input (`_predict`), in
@@ -111,74 +111,6 @@ def _single_cell_report(claim_id: str, params: dict, verdict: str,
                         witness: dict) -> str:
     result = audit.AuditResult(claim_id, params, verdict, None, witness)
     return audit.structured_report_text([result], selection=[claim_id])
-
-
-# --- rendering-grammar parser (round-trips the CLI's own output) -------------
-
-
-def parse_polynomial(text: str) -> Polynomial:
-    """Parse the CLI polynomial grammar: signed terms in ascending degree,
-    integer or (p/q) coefficients, x^k powers (optional LaTeX braces)."""
-    text = text.replace(" ", "")
-    if not text:
-        raise ValueError("empty polynomial text")
-    term_re = re.compile(
-        r"(?P<sign>[+-]?)"
-        r"(?P<coef>\(\d+/\d+\)|\d+(?:/\d+)?)?"
-        r"(?P<x>x(?:\^\{?(?P<exp>\d+)\}?)?)?"
-    )
-    coeffs: dict[int, Fraction] = {}
-    pos = 0
-    while pos < len(text):
-        m = term_re.match(text, pos)
-        if not m or m.end() == pos or (m.group("coef") is None and m.group("x") is None):
-            raise ValueError(f"cannot parse polynomial at ...{text[pos:]!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coef_text = m.group("coef")
-        coef = Fraction(coef_text.strip("()")) if coef_text else Fraction(1)
-        if m.group("x"):
-            k = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            k = 0
-        coeffs[k] = coeffs.get(k, Fraction(0)) + sign * coef
-        pos = m.end()
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return Polynomial(out)
-
-
-def parse_rational_function(text: str) -> RationalFunction:
-    """Parse text or LaTeX output of the gf renderer back to canonical form."""
-    text = text.strip()
-    if text.startswith("\\frac"):
-        body = text[len("\\frac"):]
-        parts = []
-        depth = 0
-        start = None
-        for i, ch in enumerate(body):
-            if ch == "{":
-                if depth == 0:
-                    start = i + 1
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    parts.append(body[start:i])
-        if len(parts) != 2:
-            raise ValueError("malformed \\frac expression")
-        return RationalFunction(parse_polynomial(parts[0]),
-                                parse_polynomial(parts[1]))
-    if "/(" in text:
-        num_text, den_text = text.split("/(", 1)
-        if not den_text.endswith(")"):
-            raise ValueError("malformed rational function text")
-        num_text = num_text.strip()
-        if num_text.startswith("(") and num_text.endswith(")"):
-            num_text = num_text[1:-1]
-        return RationalFunction(parse_polynomial(num_text),
-                                parse_polynomial(den_text[:-1]))
-    return RationalFunction(parse_polynomial(text), Polynomial([1]))
 
 
 # --- subcommand handlers ------------------------------------------------------

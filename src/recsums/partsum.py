@@ -206,6 +206,8 @@ def horadam_sums(p, q, variant: str, n: int, corrected: bool = False) -> Fractio
 
 def horadam_direct(p, q, idx: int) -> Fraction:
     """sum_{i=1}^{idx} P_i for idx > 0, sum_{i=1}^{|idx|} P_{-i} for idx < 0,
-    read as the reflected spec's b^i P_{-i}, with b = 1."""
+    read as the reflected spec's b^i P_{-i}, with b = 1: the store's
+    numerators 1 .. |idx| summed, over one division."""
     spec = seq.generalized_pell(p, q)
-    return seq.store(seq.reflected(spec) if idx < 0 else spec).prefix_sum(abs(idx))
+    store = seq.store(seq.reflected(spec) if idx < 0 else spec)
+    return Fraction(sum(store.numerators(abs(idx) + 1)[1:]), store.den)

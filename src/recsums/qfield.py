@@ -2,18 +2,20 @@
 
 ``RecurrenceSpec`` holds the parameters every other module works from.
 ``QuadElem`` holds values p + q*sqrt(D) with D a non-square integer, and
-``roots``/``binet_coeffs`` give the Binet data alpha, beta, A and B in it.
+``roots`` gives the characteristic roots alpha, beta in it.
 The closed forms do not compute here: with rational initial values, Binet
 terms come in Galois-conjugate pairs whose sums are rational, and
 :func:`recsums.seq.binet_pairs` evaluates them over Q.  QuadElem remains for
 statements that are themselves about Q(sqrt(5)) (``binsum.root_power_collapse``)
-and as the independent Binet reference the tests compare the pairs against.
+and for the tests' independent Binet reference, which builds the coefficients
+A, B from ``roots``.  A QuadElem equals a rational only when its sqrt(D) part
+is 0, so comparing one with a Fraction by ``==`` checks that it is rational.
 
 Square discriminants never construct a QuadElem: Q[t]/(t^2 - D) has zero
 divisors when D is a perfect square, so inversion would fail there.  Specs
 with a square discriminant get rational roots as plain Fractions.
 Negative discriminants are allowed; the arithmetic is formally identical and
-every sequence value still rationalizes.
+every sequence value is still rational.
 """
 
 from __future__ import annotations
@@ -25,14 +27,6 @@ from fractions import Fraction
 
 class DegenerateSpecError(ValueError):
     """Recurrence parameters outside the contract (b = 0 or a^2 + 4b = 0)."""
-
-
-class NotRationalError(ValueError):
-    """A value expected to be rational carries a nonzero sqrt(D) part."""
-
-    def __init__(self, value):
-        super().__init__(f"value is not rational: {value}")
-        self.value = value
 
 
 def is_perfect_square(d: int) -> tuple[bool, int | None]:
@@ -165,15 +159,6 @@ class QuadElem:
         return f"QuadElem({self.rat!r}, {self.coef!r}, {self.disc})"
 
 
-def rationalize(x: Fraction | QuadElem | int) -> Fraction:
-    """Return x as a Fraction; raise NotRationalError if the sqrt part is nonzero."""
-    if isinstance(x, QuadElem):
-        if x.coef:
-            raise NotRationalError(x)
-        return x.rat
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class RecurrenceSpec:
     """Parameters of U_{n+1} = a*U_n + b*U_{n-1} with initial values U_0, U_1.
@@ -223,11 +208,3 @@ def roots(spec: RecurrenceSpec) -> tuple[Fraction | QuadElem, Fraction | QuadEle
     beta = QuadElem(Fraction(spec.a, 2), -half, d)
     return alpha, beta
 
-
-def binet_coeffs(spec: RecurrenceSpec) -> tuple[Fraction | QuadElem, Fraction | QuadElem]:
-    """Coefficients (A, B) with U_n = A*alpha^n - B*beta^n; A = B when U_0 = 0."""
-    alpha, beta = roots(spec)
-    delta = alpha - beta
-    a_coef = (spec.u1 - spec.u0 * beta) / delta
-    b_coef = (spec.u1 - spec.u0 * alpha) / delta
-    return a_coef, b_coef

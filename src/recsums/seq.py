@@ -6,9 +6,10 @@ spec with those initial values.
 
 Every brute-force oracle reads its terms from the spec's ``PrefixStore``:
 integer numerators d U_k over the common denominator d = lcm(den U_0, den U_1),
-for k >= 0 only, with their running sums beside them.  A store only grows, by
-extension, and only as far as a lookup asks.  A negative index is the
-``reflected`` spec read forward, since its k-th term is b^k U_{-k}.  ``store``
+for k >= 0 only; a sum over them stays in integers until one division.  A
+store only grows, by extension, and only as far as a lookup asks; a negative
+index or count is refused.  A negative index is the ``reflected`` spec read
+forward, since its k-th term is b^k U_{-k}.  ``store``
 hands out the store of a spec, keyed by the spec (frozen and hashable, so
 equal specs share one store), and keeps the ``STORE_CAP`` most recently used
 ones, so the number of live stores stays bounded in a long-lived process.
@@ -112,19 +113,18 @@ def terms(spec: RecurrenceSpec, count: int) -> list[Fraction]:
 class PrefixStore:
     """Integer numerators of one sequence over its common denominator ``den``.
 
-    ``_fwd[k]`` is N_k = d U_k, from N_{k+1} = a N_k + b N_{k-1}, and
-    ``_fsum[k]`` is sum_{i=1}^k N_i, for k >= 0 only; a negative index is
-    read from the store of ``reflected(spec)``.
+    ``_fwd[k]`` is N_k = d U_k, from N_{k+1} = a N_k + b N_{k-1}, for k >= 0
+    only; a negative index is read from the store of ``reflected(spec)``.
+    Sums read the numerators and divide once, by a power of ``den``.
     """
 
-    __slots__ = ("a", "b", "den", "_fwd", "_fsum")
+    __slots__ = ("a", "b", "den", "_fwd")
 
     def __init__(self, spec: RecurrenceSpec):
         u0, u1 = spec.u0, spec.u1
         d = lcm(u0.denominator, u1.denominator)
         self.a, self.b, self.den = spec.a, spec.b, d
         self._fwd = [int(d * u0), int(d * u1)]
-        self._fsum = [0]
 
     def _grow(self, count: int):
         fwd, a, b = self._fwd, self.a, self.b
@@ -135,6 +135,8 @@ class PrefixStore:
 
     def numerators(self, count: int) -> list[int]:
         """N_0 .. N_{count-1}: the terms U_0 .. U_{count-1} times ``den``."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         self._grow(count)
         return self._fwd[:count]
 
@@ -169,21 +171,11 @@ class PrefixStore:
             pp *= p
         return Fraction(total, self.den**r * q**n)
 
-    def prefix_sum(self, idx: int) -> Fraction:
-        """sum_{i=1}^{idx} U_i for idx >= 0."""
-        if idx < 0:
-            raise ValueError(f"index must be >= 0, got {idx}")
-        self._grow(idx + 1)
-        fwd, sums = self._fwd, self._fsum
-        for i in range(len(sums), idx + 1):
-            sums.append(sums[-1] + fwd[i])
-        return Fraction(sums[idx], self.den)
-
 
 # Stores kept alive at once; the least recently used one is dropped beyond it.
 STORE_CAP = 16
 
-# The store of a spec, made on first use: store(spec).term(n), .prefix_sum(idx).
+# The store of a spec, made on first use: store(spec).term(n), .numerators(count).
 store = lru_cache(maxsize=STORE_CAP)(PrefixStore)
 
 

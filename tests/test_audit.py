@@ -15,7 +15,6 @@ from recsums.audit import (REGISTRY, AuditCellError, UnknownClaimError,
 from recsums.cli import main
 from recsums.gfpow import gf_power
 from recsums.polyrat import Polynomial, RationalFunction
-from recsums.qfield import NotRationalError
 
 
 def test_every_claim_has_a_nonempty_default_grid():
@@ -66,12 +65,12 @@ def test_unknown_claim_rejected():
 
 
 def _break_cell(monkeypatch, cid, n):
-    """Make claim `cid` raise NotRationalError on its cell with params n."""
+    """Make claim `cid` raise a plain ValueError on its cell with params n."""
     claim = REGISTRY[cid]
 
     def check(params):
         if params["n"] == n:
-            raise NotRationalError("sqrt(5) part left over")
+            raise ValueError("sqrt(5) part left over")
         return claim.check(params)
 
     monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(claim, check=check))
@@ -84,7 +83,7 @@ def test_check_error_names_claim_and_cell(monkeypatch):
     err = info.value
     assert not isinstance(err, ValueError)
     assert (err.claim_id, err.params) == ("cor7-1", {"n": 2})
-    assert isinstance(err.__cause__, NotRationalError)
+    assert type(err.__cause__) is ValueError
     assert "cor7-1" in str(err) and "'n': 2" in str(err)
     assert "sqrt(5) part left over" in str(err)
 
@@ -167,6 +166,20 @@ def test_closed_form_claims_report_hash_at_max_n_60_is_pinned():
     text = structured_report_text(results, BINET_CLAIMS, 60)
     assert _sha256(text) == (
         "3d2ee1f4de6eef1a5c879d39023476dddff77b332a91738c6d2831f769ed2fec")
+
+
+HORADAM_CLAIMS = sorted(cid for cid in REGISTRY if cid.startswith("thm2-"))
+
+
+def test_horadam_claims_report_hash_at_max_n_120_is_pinned():
+    # the oracle horadam_direct sums up to index 4n + 1 = 481 here, on both
+    # signs; the default grid stops at 101
+    assert len(HORADAM_CLAIMS) == 8
+    results = run_audit(HORADAM_CLAIMS, max_n=120)
+    assert len(results) == 2880
+    text = structured_report_text(results, HORADAM_CLAIMS, 120)
+    assert _sha256(text) == (
+        "49245e694209aa2a66b2bffd0e3bccc9e06cf7f0ba759486bab7c62841a7a8d2")
 
 
 def test_no_claim_reads_more_binet_tables_than_the_cache_keeps(monkeypatch):

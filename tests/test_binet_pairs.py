@@ -1,10 +1,11 @@
 """The rational Binet-pair table and the doubling kernel behind the closed forms.
 
 ``seq.binet_pairs`` is checked against the Q(sqrt(D)) Binet expansion built
-from ``roots``/``binet_coeffs``, ``seq.linear_term`` against a plain Fraction
-walk (a Binet pair at order 2, its partial sums at order 3, and any
-recurrence of order 1 to 4), and the t_k = 1 cases of the sums against their
-oracles.
+from ``roots`` and ``references.binet_coeffs`` (compared by ``==``, which
+also checks that each value is rational), ``seq.linear_term`` against a
+plain Fraction walk (a Binet pair at order 2, its partial sums at order 3,
+and any recurrence of order 1 to 4), and the t_k = 1 cases of the sums
+against their oracles.
 """
 
 from fractions import Fraction
@@ -16,7 +17,8 @@ from recsums import seq
 from recsums.binsum import binom_sum_closed, binom_sum_direct
 from recsums.partsum import (partial_sum_closed, partial_sum_direct,
                              partial_sum_general_b)
-from recsums.qfield import RecurrenceSpec, binet_coeffs, rationalize, roots
+from recsums.qfield import RecurrenceSpec, roots
+from references import binet_coeffs
 
 F = Fraction
 
@@ -82,15 +84,15 @@ def test_binet_pairs_equal_the_quadratic_field_expansion(spec, r):
         pairs = seq.binet_pairs(spec, r, x)
         assert len(pairs) == r // 2 + 1
         if r % 2 == 0:
-            c_mid, t_mid = rationalize(c[r // 2]), rationalize(t[r // 2])
+            c_mid, t_mid = c[r // 2], t[r // 2]
             *pairs, middle = pairs
             assert middle == (c_mid, c_mid * t_mid, t_mid, 0)
         for k, (w0, w1, p, q) in enumerate(pairs):
             j = r - k
-            assert p == rationalize(t[k] + t[j]) and q == rationalize(t[k] * t[j])
+            assert p == t[k] + t[j] and q == t[k] * t[j]
             for i in range(7):
-                assert seq.linear_term((-q, p), (w0, w1), i) == rationalize(
-                    c[k] * t[k] ** i + c[j] * t[j] ** i)
+                assert (seq.linear_term((-q, p), (w0, w1), i)
+                        == c[k] * t[k] ** i + c[j] * t[j] ** i)
 
 
 @pytest.mark.parametrize("spec, r, x", (

@@ -9,11 +9,12 @@ import pytest
 
 from recsums import audit, binsum, cli, gfpow, partsum, polyrat, seq
 from recsums.cli import (AUDIT_MAX_N_LIMIT, WORK_LIMIT, _growth, _init_bits,
-                         main, parse_polynomial, parse_rational_function)
+                         main)
 from recsums.gfpow import gf_power
 from recsums.polyrat import (Polynomial, RationalFunction, poly_to_text,
                              rf_to_latex, rf_to_text)
 from recsums.qfield import RecurrenceSpec
+from references import parse_polynomial, parse_rational_function
 
 
 def run_cli(capsys, *argv):

@@ -18,12 +18,12 @@ from recsums import seq  # noqa: E402
 from recsums.binsum import binom_sum_closed, binom_sum_direct  # noqa: E402
 from recsums.gfpow import (SelfCheckError, gf_oracle, gf_power,  # noqa: E402
                            paired_form)
-from recsums.cli import parse_rational_function  # noqa: E402
 from recsums.partsum import (partial_sum_closed, partial_sum_direct,  # noqa: E402
                              partial_sum_general_b)
 from recsums.polyrat import (Polynomial, RationalFunction,  # noqa: E402
                              rf_to_latex, rf_to_text)
 from recsums.qfield import RecurrenceSpec  # noqa: E402
+from references import parse_rational_function  # noqa: E402
 
 F = Fraction
 

@@ -6,6 +6,9 @@ statement about Q(sqrt(5))) and the tests' Binet reference.  Every closed form
 reaches Q through ``seq.binet_pairs``, so polynomials and rational functions
 hold Fractions only.
 
+Every public function, class and method of src is used somewhere else in
+src, bar three named for their users outside it.
+
 Every audit claim that compares a value with a printed form is one
 ``audit._compare`` check, and a sequence is named by its ``RecurrenceSpec``.
 Every sum of U_i^r x^i, weighted or not, takes ``(spec, r, n, ...)``.
@@ -38,6 +41,7 @@ import ast
 import inspect
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,6 +54,28 @@ from recsums.polyrat import Polynomial
 from recsums.qfield import QuadElem, RecurrenceSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "recsums"
+
+
+def _named(tree) -> Counter:
+    """How often each name is read, as a bare name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_definition_is_named_elsewhere_in_src():
+    # a re-export in __init__.py is no use, nor is a definition's own body;
+    # the three names allowed are used by the README's library example
+    # (gf_oracle, RationalFunction.expand) and bench/spans.py (all three)
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    named = sum(map(_named, trees.values()), Counter())
+    unused = {f"{module}.{node.name}" for module, tree in trees.items()
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and named[node.name] == _named(node)[node.name]}
+    assert unused == {"gfpow.gf_oracle", "polyrat.expand", "polyrat.evaluate"}
 
 
 def test_quadelem_is_named_only_where_it_is_the_subject():
@@ -203,7 +229,7 @@ def test_printers_and_witnesses_stringify_no_computed_value():
 
 
 def test_a_negative_index_is_the_reflected_specs_forward_walk(monkeypatch):
-    assert seq.PrefixStore.__slots__ == ("a", "b", "den", "_fwd", "_fsum")
+    assert seq.PrefixStore.__slots__ == ("a", "b", "den", "_fwd")
     seen = []
     real = seq.reflected
     monkeypatch.setattr(seq, "reflected", lambda spec: seen.append(spec) or real(spec))

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from recsums import seq
-from recsums.qfield import (DegenerateSpecError, NotRationalError, QuadElem,
-                            RecurrenceSpec, binet_coeffs, is_perfect_square,
-                            rationalize, roots)
+from recsums.qfield import (DegenerateSpecError, QuadElem, RecurrenceSpec,
+                            is_perfect_square, roots)
+from references import binet_coeffs
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
 PELL = RecurrenceSpec(2, 1, 0, 1)
@@ -123,13 +123,6 @@ def test_scalar_equality_and_coercion():
     assert QuadElem(1, 1, 5) != Fraction(1)
 
 
-def test_rationalize():
-    assert rationalize(QuadElem(7, 0, 5)) == 7
-    assert rationalize(Fraction(2, 3)) == Fraction(2, 3)
-    with pytest.raises(NotRationalError):
-        rationalize(QuadElem(1, 1, 5))
-
-
 def _random_elem(rng, disc):
     return QuadElem(
         Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
@@ -165,4 +158,4 @@ def test_binet_matches_recurrence(spec):
     a_coef, b_coef = binet_coeffs(spec)
     values = seq.terms(spec, 65)
     for n in range(65):
-        assert rationalize(a_coef * alpha**n - b_coef * beta**n) == values[n]
+        assert a_coef * alpha**n - b_coef * beta**n == values[n]

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from recsums import seq
-from recsums.qfield import (RecurrenceSpec, binet_coeffs, rationalize, roots)
+from recsums import partsum, seq
+from recsums.qfield import RecurrenceSpec, roots
+from references import binet_coeffs
 
 
 def test_fibonacci_term():
@@ -82,7 +83,7 @@ def test_companion_identity_rationalizes(spec):
     alpha, beta = roots(spec)
     v = seq.companion(spec)
     for n in range(65):
-        assert rationalize(alpha**n + beta**n) == seq.term(v, n)
+        assert alpha**n + beta**n == seq.term(v, n)
 
 
 @pytest.mark.parametrize("spec", FAST_GRID)
@@ -98,7 +99,7 @@ def test_binet_check_on_rational_initial_values():
     alpha, beta = roots(spec)
     a_coef, b_coef = binet_coeffs(spec)
     for n, value in enumerate(seq.terms(spec, 30)):
-        assert rationalize(a_coef * alpha**n - b_coef * beta**n) == value
+        assert a_coef * alpha**n - b_coef * beta**n == value
 
 
 # a = 0, (1, -1), square D = 9 and D = 1, negative D = -3 and -8, rational u0/u1
@@ -132,6 +133,11 @@ def test_store_term_equals_walk_from_minus_60_to_300(spec, kind):
             store.term(-1)
 
 
+def _prefix_sum(store, k):
+    """sum_{i=1}^k U_i as horadam_direct reads it: numerators 1 .. k over den."""
+    return Fraction(sum(store.numerators(k + 1)[1:]), store.den)
+
+
 @pytest.mark.parametrize("spec", STORE_SPECS)
 def test_store_prefix_sums_equal_summed_walk(spec):
     forward = seq.PrefixStore(spec)
@@ -141,17 +147,32 @@ def test_store_prefix_sums_equal_summed_walk(spec):
         k = abs(idx)
         if idx >= 0:
             expected = sum((seq.term(spec, i) for i in range(1, k + 1)), Fraction(0))
-            assert forward.prefix_sum(idx) == expected, idx
+            assert _prefix_sum(forward, idx) == expected, idx
             continue
         # the reflected spec sums b^i U_{-i}: the sum of U_{-i} when b = 1
         walk = [seq.term(spec, -i) for i in range(1, k + 1)]
         expected = sum((b**i * u for i, u in enumerate(walk, 1)), Fraction(0))
-        assert backward.prefix_sum(k) == expected, idx
+        assert _prefix_sum(backward, k) == expected, idx
         if b == 1:
-            assert backward.prefix_sum(k) == sum(walk, Fraction(0)), idx
-    for store in (forward, backward):
-        with pytest.raises(ValueError):
-            store.prefix_sum(-1)
+            assert _prefix_sum(backward, k) == sum(walk, Fraction(0)), idx
+    # horadam_direct is that sum on a generalized Pell spec (P_1 = u0,
+    # P_2 = u1), read from the reflected spec's store for idx < 0
+    pell = seq.generalized_pell(spec.u0, spec.u1)
+    for idx in (0, 9, -9, 40, -40):
+        sign = -1 if idx < 0 else 1
+        walk = (seq.term(pell, sign * i) for i in range(1, abs(idx) + 1))
+        assert partsum.horadam_direct(spec.u0, spec.u1, idx) == sum(
+            walk, Fraction(0)), idx
+
+
+def test_a_negative_count_is_refused():
+    fib = seq.fibonacci()
+    seq.store(fib).term(10)          # a store already holding terms
+    for read in (seq.store(fib).numerators, seq.store(fib).terms,
+                 lambda count: seq.terms(fib, count)):
+        with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+            read(-1)
+        assert read(0) == []
 
 
 @pytest.mark.parametrize("spec", STORE_SPECS)

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from recsums import seq  # noqa: E402
+from recsums import partsum, seq  # noqa: E402
 from recsums.qfield import RecurrenceSpec  # noqa: E402
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -41,19 +41,25 @@ def test_store_equals_walk(spec, kind, indices):
             assert forward.term(n) == seq.term(sequence, n)
         else:
             assert backward.term(-n) == b**-n * seq.term(sequence, n)
+    # a prefix sum is the numerators 1 .. k summed over den, as horadam_direct
+    # reads it from a generalized Pell spec's store (here P_1 = u0, P_2 = u1)
     k = max(abs(n) for n in indices) % 12
-    assert forward.prefix_sum(k) == sum(
-        (seq.term(sequence, i) for i in range(1, k + 1)), Fraction(0))
+    fsum, bsum = (Fraction(sum(s.numerators(k + 1)[1:]), s.den)
+                  for s in (forward, backward))
+    assert fsum == sum((seq.term(sequence, i) for i in range(1, k + 1)), Fraction(0))
     walk = [seq.term(sequence, -i) for i in range(1, k + 1)]
-    assert backward.prefix_sum(k) == sum(
-        (b**i * u for i, u in enumerate(walk, 1)), Fraction(0))
+    assert bsum == sum((b**i * u for i, u in enumerate(walk, 1)), Fraction(0))
     if b == 1:
-        assert backward.prefix_sum(k) == sum(walk, Fraction(0))
+        assert bsum == sum(walk, Fraction(0))
+    pell = seq.generalized_pell(spec.u0, spec.u1)
+    for sign in (1, -1):
+        assert partsum.horadam_direct(spec.u0, spec.u1, sign * k) == sum(
+            (seq.term(pell, sign * i) for i in range(1, k + 1)), Fraction(0))
     for store in (forward, backward):
         with pytest.raises(ValueError):
             store.term(-1)
         with pytest.raises(ValueError):
-            store.prefix_sum(-1)
+            store.numerators(-1)
 
 
 @st.composite

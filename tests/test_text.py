@@ -5,8 +5,8 @@ in decimal, down to pieces of at most `polyrat._PIECE_BITS` bits; the edges
 below sit where a split, a piece or a carry into the next power of ten could go
 wrong.  With `_STR_BITS` set to 0 the decimal path also runs on small values.
 The polynomial and rational-function printers render every coefficient
-through it, so they print big coefficients as str() would, and the CLI's
-parser reads them back.
+through it, so they print big coefficients as str() would, and the tests'
+parser (`references.parse_rational_function`) reads them back.
 """
 
 import random
@@ -20,9 +20,9 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from recsums import polyrat  # noqa: E402
-from recsums.cli import parse_rational_function  # noqa: E402
 from recsums.polyrat import (Polynomial, RationalFunction,  # noqa: E402
                              poly_to_text, rf_to_latex, rf_to_text)
+from references import parse_rational_function  # noqa: E402
 
 pytestmark = pytest.mark.usefixtures("unlimited_str")
 CROSS, PIECE = polyrat._STR_BITS, polyrat._PIECE_BITS
