@@ -211,6 +211,8 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
     kw = n if args.command == "binom-sum" else 0    # C(n, i)
     bits, terms = 0, []
     if not args.closed:
+        # n + 1 products even for binom-sum's cheaper split, on purpose: this bounds
+        # the n + 1 numerators a store keeps (19 MB for Fibonacci at n = 20,001)
         bits = kt + kw + n * hx
         each = _mul(kt // 2, kt // 2) + _mul(kw, kt) + _mul(kw + kt, n * hx)
         terms += [((n + 1) * each, "--n", f"the {n + 1} direct terms of {bits} bits"),

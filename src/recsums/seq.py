@@ -7,7 +7,10 @@ spec with those initial values.
 Every brute-force oracle reads its terms from the spec's ``PrefixStore``:
 integer numerators d U_k over the common denominator d = lcm(den U_0, den U_1),
 for k >= 0 only; a sum over them stays in integers until one division.  A
-store only grows, by extension, and only as far as a lookup asks; a negative
+plain sum, and a binomial one below n = ``SPLIT_CUTOFF``, is one Horner loop;
+from there a binomial sum is n! times that integer by binary splitting over
+its term ratio (n - i) x / (i + 1), divided exactly by n!.  A store only
+grows, by extension, and only as far as a lookup asks; a negative
 index or count is refused.  A negative index is the ``reflected`` spec read
 forward, since its k-th term is b^k U_{-k}.  ``store``
 hands out the store of a spec, keyed by the spec (frozen and hashable, so
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 
 from .polyrat import _decimal, _exact_decimal
 from .qfield import RecurrenceSpec
@@ -156,20 +159,48 @@ class PrefixStore:
         """sum_{i=0}^n w_i U_i^r x^i, with w_i = C(n,i) if binomial, else 1.
 
         With x = p / q the sum is sum_i w_i N_i^r p^i q^(n-i) over
-        den^r q^n: integers until one division.
+        den^r q^n: integers until one division.  From n = SPLIT_CUTOFF a
+        binomial sum is that integer times n! by ``_binomial_split``.
         """
         x = Fraction(x)
         p, q = x.numerator, x.denominator
-        total = 0
-        c = 1
-        pp = 1
-        for i, num in enumerate(self.numerators(n + 1)):
-            # Horner in q: after step i, total = sum_{j<=i} w_j N_j^r p^j q^(i-j)
-            total = total * q + c * num**r * pp
-            if binomial:
-                c = c * (n - i) // (i + 1)
-            pp *= p
+        nums = self.numerators(n + 1)
+        if binomial and n >= SPLIT_CUTOFF:
+            total = _binomial_split(nums, r, n, p, q, 0, n + 1)[2] // factorial(n)
+        else:
+            total = 0
+            c = 1
+            pp = 1
+            for i, num in enumerate(nums):
+                # Horner in q: after step i, total = sum_{j<=i} w_j N_j^r p^j q^(i-j)
+                total = total * q + c * num**r * pp
+                if binomial:
+                    c = c * (n - i) // (i + 1)
+                pp *= p
         return Fraction(total, self.den**r * q**n)
+
+
+# From this n a binomial sum is split (below, the n! it carries costs more than
+# its short products save), down to leaves of SPLIT_LEAF terms.
+SPLIT_CUTOFF, SPLIT_LEAF = 256, 16
+
+
+def _binomial_split(nums, r: int, n: int, p: int, q: int, lo: int, hi: int):
+    """(P, Q, T) for terms lo .. hi-1 of sum_i C(n,i) N_i^r (p/q)^i, whose
+    ratio from term j to j+1 is (n - j) p / ((j + 1) q): P / Q is the product
+    of the ratios inside the range, T is Q times its sum over term lo's
+    weight.  At the root T = n! sum_i C(n,i) N_i^r p^i q^(n-i)."""
+    if hi - lo <= SPLIT_LEAF:
+        P, Q, T = 1, 1, nums[lo] ** r
+        for i in range(lo + 1, hi):
+            P, Q = P * (n - i + 1) * p, Q * i * q
+            T = T * i * q + nums[i] ** r * P
+        return P, Q, T
+    m = (lo + hi) // 2
+    PL, QL, TL = _binomial_split(nums, r, n, p, q, lo, m)
+    PR, QR, TR = _binomial_split(nums, r, n, p, q, m, hi)
+    pm, qm = (n - m + 1) * p, m * q            # the ratio linking the halves
+    return PL * pm * PR, QL * qm * QR, TL * qm * QR + PL * pm * TR
 
 
 # Stores kept alive at once; the least recently used one is dropped beyond it.
@@ -177,6 +208,9 @@ STORE_CAP = 16
 
 # The store of a spec, made on first use: store(spec).term(n), .numerators(count).
 store = lru_cache(maxsize=STORE_CAP)(PrefixStore)
+# The spec constructors a lookup starts from keep as many specs, and no store.
+generalized_pell, reflected = (lru_cache(maxsize=STORE_CAP)(f)
+                               for f in (generalized_pell, reflected))
 
 
 def _scale(coeffs) -> int:

@@ -1,5 +1,6 @@
 """Test-only references: the parser of the rendering grammar, which reads the
-CLI's text and LaTeX output back, and the Binet coefficients in Q(sqrt(D))."""
+CLI's text and LaTeX output back, the Binet coefficients in Q(sqrt(D)), and
+the store's power sum as one plain loop."""
 
 from __future__ import annotations
 
@@ -83,3 +84,25 @@ def binet_coeffs(spec: RecurrenceSpec) -> tuple[Fraction | QuadElem, Fraction | 
     a_coef = (spec.u1 - spec.u0 * beta) / delta
     b_coef = (spec.u1 - spec.u0 * alpha) / delta
     return a_coef, b_coef
+
+
+def power_sum_loop(store, r: int, n: int, x, binomial: bool) -> Fraction:
+    """``PrefixStore.power_sum`` as one loop over the store's numerators at
+    every n, the reference for its binary splitting of binomial sums.
+
+    sum_{i=0}^n w_i U_i^r x^i, with w_i = C(n,i) if binomial, else 1.  With
+    x = p / q the sum is sum_i w_i N_i^r p^i q^(n-i) over den^r q^n:
+    integers until one division.
+    """
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    total = 0
+    c = 1
+    pp = 1
+    for i, num in enumerate(store.numerators(n + 1)):
+        # Horner in q: after step i, total = sum_{j<=i} w_j N_j^r p^j q^(i-j)
+        total = total * q + c * num**r * pp
+        if binomial:
+            c = c * (n - i) // (i + 1)
+        pp *= p
+    return Fraction(total, store.den**r * q**n)

@@ -197,6 +197,22 @@ def test_horadam_direct_equals_summed_walk(pq):
             assert horadam_direct(*pq, sign * idx) == plain
 
 
+def test_horadam_cells_keep_the_store_cap():
+    # the spec constructors are memoised; the stores stay evictable
+    seq.store.cache_clear()
+    pairs = [(p, q) for p in range(1, 4) for q in range(1, seq.STORE_CAP)]
+    for p, q in pairs:
+        for sign in (1, -1):
+            horadam_direct(p, q, sign * 9)
+            assert seq.store.cache_info().currsize <= seq.STORE_CAP
+        horadam_sums(p, q, "S-4n", 3)
+    assert seq.store.cache_info().currsize == seq.STORE_CAP
+    for memo in (seq.generalized_pell, seq.reflected):
+        assert memo.cache_info().currsize <= seq.STORE_CAP
+    assert seq.pell_q() is seq.pell_q() == seq.generalized_pell(1, 3)
+    assert seq.reflected(seq.pell_q()) is seq.reflected(seq.pell_q())
+
+
 def test_horadam_rejects_bad_input():
     with pytest.raises(ValueError):
         horadam_sums(1, 2, "S4n", 0)
