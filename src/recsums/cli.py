@@ -174,9 +174,10 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
     render = lambda k: 3 * _mul(k, k)   # `polyrat._text` joins halves in decimal
     g, h = _growth(spec, getattr(args, "n", 0)), _init_bits(spec)
     if args.command == "seq":
-        # priced as the int ring plus `_text` at every n; above its cut
-        # `_cmd_seq` runs the cheaper Decimal ring, so these terms over-price
-        # it there, and are kept as they are on purpose
+        # priced as the int ring plus `_text` at every n, and the kernel's
+        # last step like its other doublings, though it takes two squarings;
+        # above its cut `_cmd_seq` runs the cheaper Decimal ring.  So these
+        # terms over-price the work, and are kept as they are on purpose
         n = abs(args.n)
         k = n * (2 * g + 1) // 4 + h                # U_n, numerator and denominator
         terms = [(2 * _mul(k, k), "--n", f"the doubling to index {n}"),
@@ -221,7 +222,9 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
     if not args.direct:
         # one kernel call per pair: order (order + 1) / 2 products per
         # squaring, 3 for the pairs of binom-sum and 6 for sum's order-3 pair
-        # partial sums, then one reduction of the same size at either order
+        # partial sums, then one reduction of the same size at either order;
+        # the kernel's last step takes `order` squarings instead, so this
+        # over-prices it, on purpose: no served boundary moves
         pairs, order = r // 2 + 1, 3 if args.command == "sum" else 2
         kp = r * (g + 1 + 2 * h + hx)               # a Binet-pair table entry
         kn = n * r * (2 * g + 1) // 4 + 2 * n * hx + kw   # a pair's growth to n

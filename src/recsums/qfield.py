@@ -21,7 +21,7 @@ every sequence value is still rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -166,12 +166,16 @@ class RecurrenceSpec:
     Non-degenerate: a^2 + 4b != 0 so the characteristic roots are distinct,
     and b != 0 so the recurrence is genuinely second order.  Initial values
     may be arbitrary rationals.
+
+    A spec keys every store and memo, so its hash, the dataclass's
+    hash((a, b, u0, u1)), is computed once, on construction.
     """
 
     a: int
     b: int
     u0: Fraction
     u1: Fraction
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u0", Fraction(self.u0))
@@ -182,6 +186,10 @@ class RecurrenceSpec:
             raise DegenerateSpecError(
                 f"a^2 + 4b = 0 for a={self.a}, b={self.b}: double root"
             )
+        object.__setattr__(self, "_hash", hash((self.a, self.b, self.u0, self.u1)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def discriminant(self) -> int:

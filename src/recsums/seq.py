@@ -21,13 +21,16 @@ ones, so the number of live stores stays bounded in a long-lived process.
 reference for the store and the kernel, called by no CLI path.
 ``_doubling`` is the one log-time doubling kernel, for a rational linear
 recurrence of any order d with constant coefficients and any initial values:
-it doubles z^n modulo the characteristic polynomial (Fiduccia's method) in
-one of two rings, with one loop body.  Over ints, ``linear_term`` reduces its
-result once to a Fraction, for every exact caller; ``term_fast`` is that at
-order 2 at every integer index (on the reflected spec at n < 0), checked
-against ``term``.  Over exact Decimal integers, ``term_text`` returns the
-printed U_n at n >= 0 without ever holding it as an int, for a large value
-(``cli._cmd_seq`` holds the cut between the two).  Neither fills a store.
+it doubles z^m modulo the characteristic polynomial (Fiduccia's method) in
+one of two rings, with one loop body, up to m = n // 2.  The last step is a
+quadratic form in that remainder, whose matrix is the Hankel matrix of the
+first 2d terms; completing squares evaluates it with d squarings.  Over ints,
+``linear_term`` reduces its result once to a Fraction, for every exact
+caller; ``term_fast`` is that at order 2 at every integer index (on the
+reflected spec at n < 0), checked against ``term``.  Over exact Decimal
+integers, ``term_text`` returns the printed U_n at n >= 0 without ever
+holding it as an int, for a large value (``cli._cmd_seq`` holds the cut
+between the two).  Neither fills a store.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
@@ -43,6 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, isqrt, lcm
+from operator import mul
 
 from .polyrat import _decimal, _exact_decimal
 from .qfield import RecurrenceSpec
@@ -232,12 +236,24 @@ def _doubling(coeffs, initial, n: int, ring=int):
     into: ``int`` itself, or ``polyrat._decimal`` for exact Decimal integers
     (inside ``polyrat._exact_decimal()``, and for integer c_i only).
 
-    v_j = s^j w_j, with s from ``_scale``, runs on the integer recurrence with
-    coefficients a_i = c_i s^{d-i}.  Fiduccia's method doubles z^n modulo
-    z^d - sum_i a_i z^i in the ring: square, shift by z where the bit of n is
-    set, and fold the top degrees down.  If the remainder is sum_i r_i z^i,
-    v_n = sum_i r_i v_i; with e the common denominator of the initial values,
-    v = sum_i r_i s^i (e w_i).  Nothing here needs distinct or nonzero roots.
+    h_j = e s^j w_j, with s from ``_scale`` and e the common denominator of
+    the initial values, is an integer sequence with coefficients
+    a_i = c_i s^{d-i}.  Its first 2d terms come from the recurrence, and an
+    index below 2d is read off them.  Above, Fiduccia's method doubles z^m
+    modulo z^d - sum_i a_i z^i in the ring, starting from z after n's leading
+    bit: square, shift by z where the bit of n is set, and fold the top
+    degrees down.  It stops one bit early, at m = n // 2.  If z^m leaves
+    sum_i r_i z^i and n = 2m + o, then h_n = sum_{i,j} h_{i+j+o} r_i r_j, a
+    quadratic form Q in r whose matrix G is the Hankel matrix of h_o ..
+    h_{o+2d-2}.  Lagrange's completion of squares evaluates it with d
+    squarings, where a last doubling would take d(d+1)/2 products.  Row by
+    row, a pivot p = G_ii != 0 gives p Q = t^2 + Q', with t = sum_j G_ij r_j
+    and Q' the form on the later rows, G'_kl = p G_kl - G_ik G_il.  A zero
+    pivot gives the one product 2 r_i sum_{j>i} G_ij r_j, and a row with
+    r_i = 0 drops out.  The parts are summed over the product of the pivots,
+    which divides the sum exactly in both rings (Decimal's truncating // is
+    exact here; Inexact stays trapped).  Nothing here needs distinct or
+    nonzero roots.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
@@ -246,8 +262,14 @@ def _doubling(coeffs, initial, n: int, ring=int):
     e = lcm(*[w.denominator for w in initial])
     a = [ring(c.numerator * (s ** (d - i) // c.denominator))
          for i, c in enumerate(coeffs)]
-    rem = [1] + [0] * (d - 1)         # int 0 and 1 mix exactly with Decimals
-    for bit in bin(n)[2:]:
+    h = [ring(s**i * w.numerator * (e // w.denominator)) for i, w in enumerate(initial)]
+    for j in range(d):
+        h.append(sum(map(mul, a, h[j:])))
+    if n < 2 * d:
+        return h[n], e * s**n
+    # z mod the characteristic polynomial; int 0 and 1 mix exactly with Decimals
+    rem = [0, 1] + [0] * (d - 2) if d > 1 else [a[0]]
+    for bit in bin(n >> 1)[3:]:
         o = bit == "1"
         sq = [0] * (2 * d)
         for i, ri in enumerate(rem):
@@ -261,9 +283,25 @@ def _doubling(coeffs, initial, n: int, ring=int):
                 for i, ai in enumerate(a, k - d):
                     sq[i] += top * ai
         rem = sq[:d]
-    v = sum(r * ring(s**i * w.numerator * (e // w.denominator))
-            for i, (r, w) in enumerate(zip(rem, initial)))
-    return v, e * s**n
+    o = n & 1
+    G = [h[i:i + d] for i in range(o, o + d)]
+    v, den = 0, 1                   # den Q = v + (the form on the rows left)
+    for i, ri in enumerate(rem):
+        if ri:
+            row = G[i]
+            p = row[i]
+            t = sum(map(mul, row, rem))     # rows before i are zeroed in rem
+            rem[i] = 0
+            if p:
+                v = v * p + t * t
+                den *= p
+                for k in range(i + 1, d):
+                    gk, later = row[k], G[k]
+                    for j in range(k, d):
+                        later[j] = p * later[j] - gk * row[j]
+            else:
+                v += 2 * ri * t
+    return +(v // den), e * s**n    # + turns a Decimal -0 into 0
 
 
 def linear_term(coeffs, initial, n: int) -> Fraction:

@@ -1,14 +1,17 @@
 """Test-only references: the parser of the rendering grammar, which reads the
-CLI's text and LaTeX output back, the Binet coefficients in Q(sqrt(D)), and
-the store's power sum as one plain loop."""
+CLI's text and LaTeX output back, the Binet coefficients in Q(sqrt(D)), the
+store's power sum as one plain loop, and the doubling kernel ending in a
+plain last doubling."""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import QuadElem, RecurrenceSpec, roots
+from recsums.seq import _scale
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -106,3 +109,42 @@ def power_sum_loop(store, r: int, n: int, x, binomial: bool) -> Fraction:
             c = c * (n - i) // (i + 1)
         pp *= p
     return Fraction(total, store.den**r * q**n)
+
+
+def doubling_loop(coeffs, initial, n: int, ring=int):
+    """``seq._doubling`` with a last doubling and a dot product in place of
+    its Hankel form, the reference for that final step: (v, e s^n) with
+    w_n = v / (e s^n), in the ring ``ring`` maps ints into.
+
+    v_j = s^j w_j, with s from ``seq._scale``, runs on the integer recurrence
+    with coefficients a_i = c_i s^{d-i}.  Fiduccia's method doubles z^n modulo
+    z^d - sum_i a_i z^i in the ring: square, shift by z where the bit of n is
+    set, and fold the top degrees down.  If the remainder is sum_i r_i z^i,
+    v_n = sum_i r_i v_i; with e the common denominator of the initial values,
+    v = sum_i r_i s^i (e w_i).
+    """
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    d = len(coeffs)
+    s = _scale(coeffs)
+    e = lcm(*[w.denominator for w in initial])
+    a = [ring(c.numerator * (s ** (d - i) // c.denominator))
+         for i, c in enumerate(coeffs)]
+    rem = [1] + [0] * (d - 1)         # int 0 and 1 mix exactly with Decimals
+    for bit in bin(n)[2:]:
+        o = bit == "1"
+        sq = [0] * (2 * d)
+        for i, ri in enumerate(rem):
+            if ri:
+                sq[2 * i + o] += ri * ri
+                for j in range(i + 1, d):
+                    sq[i + j + o] += 2 * ri * rem[j]
+        for k in range(2 * d - 1, d - 1, -1):
+            top = sq[k]
+            if top:
+                for i, ai in enumerate(a, k - d):
+                    sq[i] += top * ai
+        rem = sq[:d]
+    v = sum(r * ring(s**i * w.numerator * (e // w.denominator))
+            for i, (r, w) in enumerate(zip(rem, initial)))
+    return v, e * s**n

@@ -17,12 +17,13 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from recsums import cli, polyrat, seq  # noqa: E402
 from recsums.polyrat import _text  # noqa: E402
 from recsums.qfield import DegenerateSpecError, RecurrenceSpec  # noqa: E402
+from references import doubling_loop  # noqa: E402
 
 INITIAL = [Fraction(v) for v in ("0", "1", "-1", "2", "1/2", "-1/2", "2/3", "-1/3",
                                  "5/6", "-4/9")]
@@ -49,6 +50,10 @@ def test_the_decimal_ring_prints_the_int_rings_value(a, b, u0, u1, n):
     (RecurrenceSpec(1, 1, 0, Fraction(-1, 3)), 10, "-55/3"),
     (RecurrenceSpec(1, 1, 0, Fraction(-1, 5)), 10, "-11"),   # 5 | F_10
     (RecurrenceSpec(2, -3, Fraction(1, 3), Fraction(-5, 2)), 7, "-45/2"),
+    # period 6, U_n = 0 at n = 1 mod 3: the Hankel step's last division is
+    # 0 by a negative pivot, a Decimal -0 unless normalised
+    (RecurrenceSpec(1, -1, 1, 0), 4, "0"),
+    (RecurrenceSpec(1, -1, 1, 0), 100_000, "0"),
 ))
 def test_the_decimal_ring_at_zero_and_negative_values(spec, n, text):
     assert _text(seq.term_fast(spec, n)) == text
@@ -115,6 +120,43 @@ def test_exact_decimal_work_leaves_the_callers_context_alone():
         assert value.bit_length() > 3 * polyrat._STR_BITS
         _text(value)
         assert _context() == before
+
+
+# --- the last step: the Hankel form of the first 2d terms --------------------
+
+# zeros often, so pivots (h_o = 0, a Schur entry 0) and rows (r_i = 0) drop
+# out; the fractions make s > 1 and e > 1
+COEFF = [Fraction(v) for v in ("0", "0", "1", "-1", "2", "-3", "1/2", "-5/3", "3/4")]
+START = [Fraction(v) for v in ("0", "0", "1", "-1", "2", "1/3", "-1/2")]
+
+
+@st.composite
+def _kernel_inputs(draw):
+    d = draw(st.integers(1, 4))
+    coeffs = draw(st.lists(st.sampled_from(COEFF), min_size=d, max_size=d))
+    initial = draw(st.lists(st.sampled_from(START), min_size=d, max_size=d))
+    n = draw(st.integers(0, 2 * d + 1) | st.integers(0, 3000))
+    return coeffs, initial, n
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(_kernel_inputs())
+@example(([Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)], 10))    # h_0 = 0
+@example(([Fraction(3), Fraction(0)], [Fraction(0), Fraction(1)], 2001))  # a = 0: r_i = 0
+@example(([Fraction(0), Fraction(2)], [Fraction(1), Fraction(2)], 100))   # Schur entry 0
+@example(([Fraction(0), Fraction(5)], [Fraction(3), Fraction(-1)], 37))   # a root 0
+@example(([Fraction(0), Fraction(0)], [Fraction(3), Fraction(-1)], 9))    # z^m = 0
+@example(([Fraction(-2, 9), Fraction(4, 3)], [Fraction(1), Fraction(1, 3)], 999))
+@example(([Fraction(-1)], [Fraction(1, 2)], 2))
+@example(([Fraction(0)] * 3 + [Fraction(1)], [Fraction(0)] * 4, 3000))
+def test_the_hankel_step_gives_the_last_doublings_value(inputs):
+    coeffs, initial, n = inputs
+    assert seq._doubling(coeffs, initial, n) == doubling_loop(coeffs, initial, n)
+    if all(c.denominator == 1 for c in coeffs):
+        with polyrat._exact_decimal():
+            v, e = seq._doubling(coeffs, initial, n, polyrat._decimal)
+            ref, e_ref = doubling_loop(coeffs, initial, n, polyrat._decimal)
+        assert (str(v), e) == (str(ref), e_ref)
 
 
 # --- the scale s: every a_i = c_i s^{d-i} an integer -------------------------

@@ -58,6 +58,18 @@ def test_degenerate_specs_rejected():
         RecurrenceSpec(1, 0, 0, 1)
 
 
+def test_equal_specs_hash_equal_whatever_their_input_types():
+    specs = [RecurrenceSpec(2, -3, Fraction(1, 2), 1),
+             RecurrenceSpec(2, -3, "1/2", "1"),
+             RecurrenceSpec(Fraction(2), Fraction(-3), "0.5", Fraction(3, 3))]
+    for spec in specs:
+        assert spec == specs[0]
+        assert hash(spec) == hash(specs[0]) == hash((2, -3, Fraction(1, 2), Fraction(1)))
+        assert seq.store(spec) is seq.store(specs[0])
+    assert repr(specs[1]) == "RecurrenceSpec(a=2, b=-3, u0=Fraction(1, 2), u1=Fraction(1, 1))"
+    assert RecurrenceSpec(2, -3, "1/2", 2) != specs[0]
+
+
 def test_binet_coeffs_fibonacci():
     a_coef, b_coef = binet_coeffs(FIB)
     # A = B = 1/sqrt(5) = (1/5) sqrt(5)
