@@ -85,10 +85,17 @@ def gf_power(spec: RecurrenceSpec, r: int, check_terms: int = 0) -> RationalFunc
             f"times the series is nonzero at index {bad}, past the numerator's "
             f"degree {r}")
     scale = st.den**r
-    num = Polynomial([Fraction(c, scale) for c in t[:r + 1]])
-    den = Polynomial(_annihilate(factors, [1] + [0] * (r + 1)))
-    f = RationalFunction(num, den)
-    if (f.num, f.den) != (num, den) and f.num * den != num * f.den:
+    num, den = t[:r + 1], _annihilate(factors, [1] + [0] * (r + 1))
+    f = RationalFunction(num, [scale * c for c in den])
+    # f must be num / (scale den): coefficient by coefficient when it kept
+    # den (den(0) = 1), else by one cross product
+    fn = f.num.coeffs
+    if f.den.coeffs == tuple(den):
+        same = (len(fn) <= len(num) and not any(num[len(fn):]) and all(
+            c.numerator * scale == n * c.denominator for c, n in zip(fn, num)))
+    else:
+        same = f.num * Polynomial(den).scale(scale) == f.den * Polynomial(num)
+    if not same:
         raise SelfCheckError(f"gf_power({spec}, r={r}), checked over {count} "
                              f"terms: the reduced form changed the value")
     return f

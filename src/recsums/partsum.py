@@ -127,12 +127,11 @@ def corollary_r1(spec: RecurrenceSpec, n: int, variant: str = "printed") -> Rati
         raise ValueError(f"unknown variant {variant!r}")
     u = seq.store(spec).term
     last = n + 2 if variant == "printed" else n + 1
-    inner = (
-        Polynomial([spec.u1])
-        - Polynomial([u(n + 1)]).shift(n)
-        - Polynomial([u(n)]).shift(last)
-    )
-    return RationalFunction(inner.shift(1), Polynomial([1, -spec.a, -1]))
+    # x times the parenthesis; at n = 0 the U_1 and U_{n+1} terms share a degree
+    num = [0] * (last + 2)
+    for k, c in ((1, spec.u1), (n + 1, -u(n + 1)), (last + 1, -u(n))):
+        num[k] += c
+    return RationalFunction(num, [1, -spec.a, -1])
 
 
 def partial_sum_general_b(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:

@@ -7,8 +7,13 @@ canonical reduced form: gcd(num, den) is a unit, and the denominator is scaled
 so its constant term is 1 when possible (monic otherwise), so
 generating-function denominators print in the familiar ``1 - x - x^2`` shape.
 
-A sum of rational functions, one per Binet pair, is put over the product of
-their denominators and canonicalised once (``RationalFunction.sum``).
+Canonicalisation runs over Z.  num and den are cleared once to integer
+polynomials over one common denominator; their gcd is taken over Z (a
+coprimality proof mod a large prime, else Euclid on integer remainders made
+primitive, Knuth's TAOCP vol. 2, section 4.6.1) and divided out exactly; only
+then is each coefficient made a Fraction, once.  A sum of rational functions,
+one per Binet pair, is put over the product of their denominators as integer
+polynomials and canonicalised once (``RationalFunction.sum``).
 
 Every exact value recsums prints (CLI values, audit witnesses, printed
 coefficients) goes through ``_text``: the bytes of str(), in subquadratic time.
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class EvalPoleError(ValueError):
@@ -105,12 +111,6 @@ class Polynomial:
     def scale(self, c) -> Polynomial:
         return Polynomial([a * c for a in self.coeffs])
 
-    def shift(self, k: int) -> Polynomial:
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Polynomial([Fraction(0)] * k + list(self.coeffs))
-
     def __call__(self, x):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
@@ -142,14 +142,54 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def monic(self) -> Polynomial:
-        if not self.coeffs:
-            return self
-        lead = self.coeffs[-1]
-        return Polynomial([c / lead for c in self.coeffs])
-
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
+
+
+class _IntPolynomial(Polynomial):
+    """Integer coefficients kept as ints, with no trailing zeros: the
+    canonicaliser's cleared operands, which ``poly_gcd`` reads as they are."""
+
+    __slots__ = ()
+
+    def __init__(self, ints):
+        object.__setattr__(self, "coeffs", tuple(ints))
+
+
+def _cleared(*seqs) -> list[list[int]]:
+    """L s for each sequence s of ints and Fractions, as integer lists with
+    no trailing zeros; L is the lcm of every denominator, one scale for all,
+    so the ratio of any two is kept."""
+    scale = lcm(*[c.denominator for s in seqs for c in s])
+    out = []
+    for s in seqs:
+        ints = [c.numerator * (scale // c.denominator) for c in s]
+        while ints and not ints[-1]:
+            ints.pop()
+        out.append(ints)
+    return out
+
+
+def _mul(u: list[int], v: list[int]) -> list[int]:
+    if not u or not v:
+        return []
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v, i):
+                out[j] += a * b
+    return out
+
+
+def _add(u: list[int], v: list[int]) -> list[int]:
+    if len(u) < len(v):
+        u, v = v, u
+    out = list(u)
+    for i, b in enumerate(v):
+        out[i] += b
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 # Modulus of the coprimality fast path in poly_gcd.  A pair whose leading
@@ -157,30 +197,20 @@ class Polynomial:
 GCD_PRIME = 2**61 - 1
 
 
-def _coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
-    """True when p and q are proven coprime over Q by Euclid mod GCD_PRIME.
+def _coprime_mod_prime(u: list[int], v: list[int]) -> bool:
+    """True when the integer polynomials u and v are proven coprime over Q by
+    Euclid mod GCD_PRIME.
 
-    Clearing the denominators of f gives an integer polynomial F = L f.  If
-    the prime divides neither leading coefficient, the gcd over Q (a
-    primitive integer divisor of both) keeps its degree mod the prime, so a
-    constant gcd mod the prime proves a constant gcd over Q.  F mod the prime
-    is L times f with each n/d read as n * d^-1; as L is a unit there, f is
-    reduced directly, without forming L.  A prime that divides a denominator
-    or a leading coefficient leaves the pair unproven.  False means "not
-    proven", never "not coprime".
+    If the prime divides neither leading coefficient, a common factor over Q,
+    taken as a primitive integer divisor of both, has a leading coefficient
+    the prime does not divide either, so it keeps its degree mod the prime:
+    a constant gcd mod the prime proves a constant gcd over Q.  False means
+    "not proven", never "not coprime".
     """
-    polys = []
-    for f in (p, q):
-        if not f:
-            return False
-        if any(c.denominator % GCD_PRIME == 0 for c in f.coeffs):
-            return False
-        residues = [c.numerator * pow(c.denominator, -1, GCD_PRIME) % GCD_PRIME
-                    for c in f.coeffs]
-        if not residues[-1]:
-            return False
-        polys.append(residues)
-    u, v = polys
+    if not u or not v or not u[-1] % GCD_PRIME or not v[-1] % GCD_PRIME:
+        return False
+    u = [c % GCD_PRIME for c in u]
+    v = [c % GCD_PRIME for c in v]
     while len(v) > 1:
         inv = pow(v[-1], -1, GCD_PRIME)
         while len(u) >= len(v):
@@ -196,56 +226,106 @@ def _coprime_mod_prime(p: Polynomial, q: Polynomial) -> bool:
     return True
 
 
-def _euclid_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    while q:
-        p, q = q, p % q
-    return p.monic() if p else p
+def _primitive(f: list[int]) -> list[int]:
+    """f over its content, leading coefficient positive; f nonzero."""
+    c = gcd(*f)
+    if f[-1] < 0:
+        c = -c
+    return f if c == 1 else [a // c for a in f]
+
+
+def _euclid_z(u: list[int], v: list[int]) -> list[int]:
+    """The primitive gcd over Z of integer polynomials u and v, leading
+    coefficient positive; [] when both are zero.
+
+    Each remainder step removes the top term c of r by g with m =
+    gcd(lc(g), c): r <- (lc(g)/m) r - (c/m) x^k g, exactly over Z; each
+    remainder is made primitive once, when it is complete.  Every remainder
+    is an integer multiple of the remainder over Q, so the last nonzero one
+    is the gcd over Q up to a unit, and primitive it is the gcd over Z.
+    """
+    while v:
+        r = list(u)
+        lead, dv = v[-1], len(v)
+        while len(r) >= dv:
+            c = r.pop()
+            m = gcd(lead, c)
+            a, b = lead // m, c // m
+            k = len(r) + 1 - dv
+            if a != 1:
+                r = [a * x for x in r]
+            for i in range(dv - 1):
+                r[k + i] -= b * v[i]
+            while r and not r[-1]:
+                r.pop()
+        u, v = v, _primitive(r) if r else r
+    return _primitive(u) if u else u
+
+
+def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
+    """f / g over Z, for integer polynomials g dividing f."""
+    f = list(f)
+    lead, dg = g[-1], len(g)
+    quot = [0] * (len(f) - dg + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = f[k + dg - 1] // lead
+        if c:
+            for i in range(dg - 1):
+                f[k + i] -= c * g[i]
+    return quot
 
 
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Gcd over Q, returned monic.
+    """Gcd over Q, returned monic, computed over Z.
 
-    Pairs proven coprime mod a large prime return 1 at once; every other pair
-    runs Euclid.
+    Each operand is cleared to an integer polynomial (the canonicaliser hands
+    them over already cleared).  Pairs proven coprime mod a large prime
+    return 1 at once; every other pair runs Euclid over Z
+    (``_euclid_z``), whose primitive gcd is then made monic.
     """
-    if _coprime_mod_prime(p, q):
+    u, v = (list(f.coeffs) if type(f) is _IntPolynomial else _cleared(f.coeffs)[0]
+            for f in (p, q))
+    if _coprime_mod_prime(u, v):
         return Polynomial([1])
-    return _euclid_gcd(p, q)
+    g = _euclid_z(u, v)
+    return Polynomial([Fraction(c, g[-1]) for c in g])
 
 
 class RationalFunction:
-    """num/den in canonical form: gcd-reduced, den(0) = 1 when den(0) != 0."""
+    """num/den in canonical form: gcd-reduced, den(0) = 1 when den(0) != 0.
+
+    Canonicalisation runs over Z: num and den are cleared to integers over
+    one common denominator, their gcd is taken over Z (``poly_gcd``) and
+    divided out exactly, and each coefficient becomes one Fraction c / s,
+    where s is den(0), or den's leading coefficient when den(0) = 0.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den):
-        if not isinstance(num, Polynomial):
-            num = Polynomial(num)
-        if not isinstance(den, Polynomial):
-            den = Polynomial(den)
-        if not den:
+        """num and den are Polynomials, or iterables of ints and Fractions
+        in ascending degree."""
+        n, d = _cleared(*(f.coeffs if isinstance(f, Polynomial) else tuple(f)
+                          for f in (num, den)))
+        if not d:
             raise ZeroDivisionError("zero denominator polynomial")
-        g = poly_gcd(num, den)
-        if g and g.degree > 0:
-            num, den = num // g, den // g
-        c0 = den.coeff(0)
-        scale = c0 if c0 else den.coeffs[-1]
-        if scale != 1:
-            inv = 1 / scale
-            num = num.scale(inv)
-            den = den.scale(inv)
-        if not num:
-            den = Polynomial([1])
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        g = poly_gcd(_IntPolynomial(n), _IntPolynomial(d))
+        if g.degree > 0:
+            (g,) = _cleared(g.coeffs)
+            n, d = _exact_quotient(n, g), _exact_quotient(d, g)
+        scale = d[0] or d[-1]
+        object.__setattr__(self, "num", Polynomial([Fraction(c, scale) for c in n]))
+        object.__setattr__(self, "den", Polynomial([Fraction(c, scale) for c in d]))
 
     @classmethod
     def sum(cls, parts) -> RationalFunction:
         """The sum of num/den over the (num, den) Polynomial pairs in
-        ``parts``, put over the product of the dens and canonicalised once."""
-        num, den = Polynomial(), Polynomial([1])
+        ``parts``, put over the product of the dens as integer polynomials
+        and canonicalised once."""
+        num, den = [], [1]
         for n, d in parts:
-            num, den = num * d + n * den, den * d
+            n, d = _cleared(n.coeffs, d.coeffs)
+            num, den = _add(_mul(num, d), _mul(n, den)), _mul(den, d)
         return cls(num, den)
 
     def __bool__(self):

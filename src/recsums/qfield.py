@@ -72,7 +72,7 @@ class QuadElem:
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElem(Fraction(other), Fraction(0), self.disc)
+            return _quad(Fraction(other), _ZERO, self.disc)
         return None
 
     def __bool__(self):
@@ -92,18 +92,18 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.rat + o.rat, self.coef + o.coef, self.disc)
+        return _quad(self.rat + o.rat, self.coef + o.coef, self.disc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadElem(-self.rat, -self.coef, self.disc)
+        return _quad(-self.rat, -self.coef, self.disc)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.rat - o.rat, self.coef - o.coef, self.disc)
+        return _quad(self.rat - o.rat, self.coef - o.coef, self.disc)
 
     def __rsub__(self, other):
         return -self + other
@@ -112,7 +112,7 @@ class QuadElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadElem(
+        return _quad(
             self.rat * o.rat + self.coef * o.coef * self.disc,
             self.rat * o.coef + self.coef * o.rat,
             self.disc,
@@ -126,7 +126,7 @@ class QuadElem:
         norm = self.rat * self.rat - self.coef * self.coef * self.disc
         if not norm:
             raise ZeroDivisionError("inversion of zero element")
-        return QuadElem(self.rat / norm, -self.coef / norm, self.disc)
+        return _quad(self.rat / norm, -self.coef / norm, self.disc)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -143,7 +143,7 @@ class QuadElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
-        result = QuadElem(Fraction(1), Fraction(0), self.disc)
+        result = _quad(Fraction(1), _ZERO, self.disc)
         base = self
         while n:
             if n & 1:
@@ -157,6 +157,18 @@ class QuadElem:
 
     def __repr__(self):
         return f"QuadElem({self.rat!r}, {self.coef!r}, {self.disc})"
+
+
+_ZERO = Fraction(0)
+
+
+def _quad(rat: Fraction, coef: Fraction, disc: int) -> QuadElem:
+    """QuadElem(rat, coef, disc) without the checks, for results over the
+    discriminant of an element already checked: rat and coef are Fractions,
+    disc a nonzero non-square."""
+    elem = object.__new__(QuadElem)
+    elem.__dict__.update(rat=rat, coef=coef, disc=disc)
+    return elem
 
 
 @dataclass(frozen=True)

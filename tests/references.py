@@ -1,7 +1,8 @@
 """Test-only references: the parser of the rendering grammar, which reads the
 CLI's text and LaTeX output back, the Binet coefficients in Q(sqrt(D)), the
-store's power sum as one plain loop, and the doubling kernel ending in a
-plain last doubling."""
+store's power sum as one plain loop, the doubling kernel ending in a
+plain last doubling, the canonical form of a rational function computed over
+Q by Euclid, and the first-power corollary built from shifted monomials."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from recsums.polyrat import Polynomial, RationalFunction
+from recsums import seq
 from recsums.qfield import QuadElem, RecurrenceSpec, roots
 from recsums.seq import _scale
 
@@ -148,3 +150,39 @@ def doubling_loop(coeffs, initial, n: int, ring=int):
     v = sum(r * ring(s**i * w.numerator * (e // w.denominator))
             for i, (r, w) in enumerate(zip(rem, initial)))
     return v, e * s**n
+
+
+def euclid_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
+    """Gcd over Q by Euclid on Fraction coefficients, returned monic: the
+    reference for ``polyrat.poly_gcd``, which runs over Z."""
+    while q:
+        p, q = q, p % q
+    return p.scale(1 / p.coeffs[-1]) if p else p
+
+
+def canonical_form(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(num, den) of ``RationalFunction(num, den)``, computed over Q: divide
+    both by ``euclid_gcd``, then scale den(0) to 1, or den's leading
+    coefficient when den(0) = 0."""
+    g = euclid_gcd(num, den)
+    num, den = num // g, den // g
+    scale = den.coeff(0) or den.coeffs[-1]
+    return num.scale(1 / scale), den.scale(1 / scale)
+
+
+def monomial(c, k: int) -> Polynomial:
+    """c x^k."""
+    return Polynomial([0] * k + [c])
+
+
+def corollary_r1_shifted(spec: RecurrenceSpec, n: int, variant: str) -> RationalFunction:
+    """``partsum.corollary_r1`` built as x (U_1 - U_{n+1} x^n - U_n x^last)
+    from Polynomial differences of shifted monomials."""
+    u = seq.store(spec).term
+    last = n + 2 if variant == "printed" else n + 1
+    inner = (
+        Polynomial([spec.u1])
+        - monomial(u(n + 1), n)
+        - monomial(u(n), last)
+    )
+    return RationalFunction(inner * monomial(1, 1), Polynomial([1, -spec.a, -1]))

@@ -7,12 +7,14 @@ from math import comb
 import pytest
 
 from recsums import partsum, seq
+from recsums.audit import B1_SPECS
 from recsums.partsum import (HORADAM_VARIANTS, corollary_r1, horadam_direct,
                              horadam_index, horadam_sums,
                              partial_sum_closed, partial_sum_direct,
                              partial_sum_general_b, partial_sum_printed)
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
+from references import corollary_r1_shifted, monomial
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
 PELL = RecurrenceSpec(2, 1, 0, 1)
@@ -106,8 +108,8 @@ def test_printed_even_form_at_small_n(n):
             for k in range(r // 2):
                 m = r - 2 * k
                 num = (Polynomial([0, seq.term(v, m)])
-                       - Polynomial([(-1) ** (k * n) * seq.term(v, m * (n + 1))]).shift(n + 1)
-                       - Polynomial([(-1) ** (k * (n + 1)) * seq.term(v, m * n)]).shift(n + 2))
+                       - monomial((-1) ** (k * n) * seq.term(v, m * (n + 1)), n + 1)
+                       - monomial((-1) ** (k * (n + 1)) * seq.term(v, m * n), n + 2))
                 den = Polynomial([1, -(-1) ** k * seq.term(v, m), 1])
                 total = total + RationalFunction(num.scale(comb(r, k)), den)
             eps = (-1) ** (r // 2)
@@ -162,6 +164,14 @@ def test_corollary_r1_printed_vs_shifted():
             assert corollary_r1(spec, n, "shifted-exponent") == direct
             if n >= 1:
                 assert corollary_r1(spec, n, "printed") != direct
+
+
+@pytest.mark.parametrize("variant", ("printed", "shifted-exponent"))
+@pytest.mark.parametrize("spec", B1_SPECS)
+def test_corollary_r1_equals_the_shifted_monomial_construction(spec, variant):
+    # n = 0 and 1 put two of the three terms in one degree
+    for n in range(0, 31):
+        assert corollary_r1(spec, n, variant) == corollary_r1_shifted(spec, n, variant)
 
 
 def test_horadam_examples():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from recsums.polyrat import (GCD_PRIME, EvalPoleError, Polynomial,
-                             RationalFunction, _coprime_mod_prime, _euclid_gcd,
+                             RationalFunction, _cleared, _coprime_mod_prime,
                              poly_gcd, poly_to_text, rf_to_latex, rf_to_text)
+from references import euclid_gcd
 
 X = Polynomial([0, 1])
 
@@ -83,6 +84,11 @@ def test_equal_polynomials_hash_equal():
     assert len({f, RationalFunction(p.scale(2), Polynomial([2, -4]))}) == 1
 
 
+def _coprime_cleared(p, q):
+    """The fast path on p and q, each cleared to an integer polynomial."""
+    return _coprime_mod_prime(*_cleared(p.coeffs), *_cleared(q.coeffs))
+
+
 def test_gcd_fast_path_equals_euclid():
     rng = random.Random(17)
     proven = 0
@@ -90,8 +96,8 @@ def test_gcd_fast_path_equals_euclid():
         p, q = _random_poly(rng), _random_poly(rng)
         common = _random_poly(rng, max_deg=2) if rng.random() < 0.5 else 1
         p, q = p * common, q * common
-        proven += _coprime_mod_prime(p, q)
-        assert poly_gcd(p, q) == _euclid_gcd(p, q)
+        proven += _coprime_cleared(p, q)
+        assert poly_gcd(p, q) == euclid_gcd(p, q)
     assert proven > 10
 
 
@@ -100,12 +106,18 @@ def test_prime_dividing_a_leading_coefficient_takes_euclid():
     shared = Polynomial([1, GCD_PRIME])
     p = shared * Polynomial([1, 1])
     q = shared * Polynomial([2, 1])
-    assert not _coprime_mod_prime(p, q)
-    assert poly_gcd(p, q) == shared.monic()
-    # a denominator the prime divides has no residue there: Euclid again
-    r = Polynomial([1, Fraction(1, GCD_PRIME)])
-    assert not _coprime_mod_prime(r, q)
-    assert poly_gcd(r, q) == _euclid_gcd(r, q) == Polynomial([1])
+    assert not _coprime_cleared(p, q)
+    assert poly_gcd(p, q) == Polynomial([Fraction(1, GCD_PRIME), 1])
+    # a cleared leading coefficient the prime divides (2 + P x) has no
+    # inverse there, though the pair is coprime: Euclid again
+    r = Polynomial([1, Fraction(GCD_PRIME, 2)])
+    assert not _coprime_cleared(r, Polynomial([2, 1]))
+    assert poly_gcd(r, q) == euclid_gcd(r, q) == Polynomial([1])
+    # a denominator the prime divides clears away: 1 + x/P is P + x, whose
+    # leading coefficient is 1, so the pair is proven coprime
+    s = Polynomial([1, Fraction(1, GCD_PRIME)])
+    assert _coprime_cleared(s, Polynomial([2, 1]))
+    assert poly_gcd(s, q) == euclid_gcd(s, q) == Polynomial([1])
 
 
 def test_expand_of_product_is_cauchy_product():

@@ -155,6 +155,36 @@ def test_field_axioms_on_random_sample():
                 assert x * x.invert() == 1
 
 
+def test_results_equal_the_checked_construction():
+    # results skip QuadElem's checks; each must be the element the public
+    # constructor builds from the same parts, with Fraction parts
+    rng = random.Random(24)
+    for disc in (5, 8, -3, -11):
+        for _ in range(30):
+            x, y = _random_elem(rng, disc), _random_elem(rng, disc)
+            (p, q), (r, s) = (x.rat, x.coef), (y.rat, y.coef)
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            cases = [
+                (x + y, (p + r, q + s)), (x - y, (p - r, q - s)), (-x, (-p, -q)),
+                (x * y, (p * r + q * s * disc, p * s + q * r)),
+                (x * x * x, (p**3 + 3 * p * q * q * disc, 3 * p * p * q + q**3 * disc)),
+                (x**3, (p**3 + 3 * p * q * q * disc, 3 * p * p * q + q**3 * disc)),
+                (x**0, (1, 0)), (x + 2, (p + 2, q)), (c * x, (c * p, c * q)),
+                (c - x, (c - p, -q)),
+            ]
+            if x:
+                norm = p * p - q * q * disc
+                cases.append((x.invert(), (p / norm, -q / norm)))
+            for result, (rat, coef) in cases:
+                checked = QuadElem(rat, coef, disc)
+                assert type(result.rat) is Fraction and type(result.coef) is Fraction
+                assert ((result.rat, result.coef, result.disc)
+                        == (checked.rat, checked.coef, checked.disc))
+    for disc in (4, 0):
+        with pytest.raises(ValueError):
+            QuadElem(1, 1, disc)
+
+
 def test_powers_match_repeated_multiplication():
     alpha, _ = roots(FIB)
     acc = QuadElem(1, 0, 5)
