@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import binsum, gfpow, partsum, seq
-from .polyrat import Polynomial, RationalFunction, _text, rf_to_text
+from .polyrat import RationalFunction, _text, rf_to_text
 from .qfield import RecurrenceSpec
 
 
@@ -132,8 +132,7 @@ def _thm1_form(cell, vid):
 def _partial_sum_truth(cell):
     # cor-sn1 cells carry no r: that corollary sums first powers
     return RationalFunction(
-        partsum.partial_sum_direct(cell["spec"], cell.get("r", 1), cell["n"]),
-        Polynomial([1]))
+        partsum.partial_sum_direct(cell["spec"], cell.get("r", 1), cell["n"]), [1])
 
 
 def _thm3_form(cell, vid):

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import seq
-from .polyrat import Polynomial, RationalFunction
+from .polyrat import RationalFunction, _cleared, _mul
 from .qfield import RecurrenceSpec
 
 
@@ -88,13 +88,15 @@ def gf_power(spec: RecurrenceSpec, r: int, check_terms: int = 0) -> RationalFunc
     num, den = t[:r + 1], _annihilate(factors, [1] + [0] * (r + 1))
     f = RationalFunction(num, [scale * c for c in den])
     # f must be num / (scale den): coefficient by coefficient when it kept
-    # den (den(0) = 1), else by one cross product
+    # den (den(0) = 1), else by one cross product of integer lists with no
+    # trailing zeros, compared whole
     fn = f.num.coeffs
     if f.den.coeffs == tuple(den):
         same = (len(fn) <= len(num) and not any(num[len(fn):]) and all(
             c.numerator * scale == n * c.denominator for c, n in zip(fn, num)))
     else:
-        same = f.num * Polynomial(den).scale(scale) == f.den * Polynomial(num)
+        (fn, fd), (n,) = _cleared(fn, f.den.coeffs), _cleared(num)
+        same = _mul(fn, [scale * c for c in den]) == _mul(fd, n)
     if not same:
         raise SelfCheckError(f"gf_power({spec}, r={r}), checked over {count} "
                              f"terms: the reduced form changed the value")
@@ -141,7 +143,7 @@ def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
             den = [1, -p, -1]
         else:
             den = [1 - p, 0, -1]
-        parts.append((Polynomial([w0, w1 - p * w0]), Polynomial(den)))
+        parts.append(([w0, w1 - p * w0], den))
     return RationalFunction.sum(parts)
 
 
@@ -166,7 +168,7 @@ def display_r1(spec: RecurrenceSpec, variant: str = "printed") -> RationalFuncti
         raise ValueError(f"unknown variant {variant!r}")
     v1 = spec.a
     pref = _a_squared(spec) * spec.u1 if variant == "printed" else spec.u1
-    return RationalFunction(Polynomial([0, pref]), Polynomial([1, -v1, -1]))
+    return RationalFunction([0, pref], [1, -v1, -1])
 
 
 def display_r2(spec: RecurrenceSpec) -> RationalFunction:
@@ -174,9 +176,7 @@ def display_r2(spec: RecurrenceSpec) -> RationalFunction:
     _require_u0_zero(spec)
     v2 = seq.store(seq.companion(spec)).term(2)
     c = _a_squared(spec) * (v2 + 2)
-    num = Polynomial([0, -c]) * Polynomial([-1, 1])
-    den = Polynomial([1, 1]) * Polynomial([1, -v2, 1])
-    return RationalFunction(num, den)
+    return RationalFunction(_mul([0, -c], [-1, 1]), _mul([1, 1], [1, -v2, 1]))
 
 
 def display_r3(spec: RecurrenceSpec, variant: str = "printed") -> RationalFunction:
@@ -190,14 +190,13 @@ def display_r3(spec: RecurrenceSpec, variant: str = "printed") -> RationalFuncti
     a, b, u1 = spec.a, spec.b, spec.u1
     v = seq.store(seq.companion(spec)).term
     v1, v3 = v(1), v(3)
-    den = Polynomial([1, -v3, -1]) * Polynomial([1, b * v1, -1])
+    den = _mul([1, -v3, -1], [1, b * v1, -1])
     if variant == "printed":
         a4 = _a_squared(spec) ** 2
         c0 = Fraction(a * a + 2 * b)
-        num = Polynomial([0, a4 * u1 * c0, a4 * u1 * Fraction(-2 * a * a * b),
-                          a4 * u1 * (-c0)])
+        num = [0, a4 * u1 * c0, a4 * u1 * Fraction(-2 * a * a * b), a4 * u1 * (-c0)]
     elif variant == "proof-consistent":
-        num = Polynomial([0, u1**3, u1**3 * Fraction(-2 * a * b), -(u1**3)])
+        num = [0, u1**3, u1**3 * Fraction(-2 * a * b), -(u1**3)]
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return RationalFunction(num, den)

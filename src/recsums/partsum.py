@@ -74,8 +74,7 @@ def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
     for w0, w1, p, q in seq.binet_pairs(spec, r, 1):
         if not q:
             c = w0 * (-1) ** (r // 2) if printed else w0
-            parts.append((Polynomial([c * p**i for i in range(n + 1)]),
-                          Polynomial([1])))
+            parts.append(([c * p**i for i in range(n + 1)], [1]))
             continue
         # the pair's generating function minus x^{n+1} times that of the
         # shifted pair: w0 + (w1 - p w0) x - w_{n+1} x^{n+1} + q w_n x^{n+2},
@@ -88,7 +87,7 @@ def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
         num = [Fraction(0)] * (n + 3)
         for k, c in terms:
             num[k] += c
-        parts.append((Polynomial(num), Polynomial([1, -p, q])))
+        parts.append((num, [1, -p, q]))
     return RationalFunction.sum(parts)
 
 

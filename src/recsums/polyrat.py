@@ -1,11 +1,15 @@
 """Polynomials over Q and canonical rational functions.
 
-Every coefficient is a Fraction: the closed forms reach their rational
-functions through rational Binet pairs (:func:`recsums.seq.binet_pairs`), so
-nothing here is generic over a field.  Rational functions are kept in a
-canonical reduced form: gcd(num, den) is a unit, and the denominator is scaled
-so its constant term is 1 when possible (monic otherwise), so
-generating-function denominators print in the familiar ``1 - x - x^2`` shape.
+The closed forms reach their rational functions through rational Binet pairs
+(:func:`recsums.seq.binet_pairs`), so nothing here is generic over a field.
+``Polynomial`` is a value, not an algebra: it holds a result's coefficients,
+ints and Fractions, and its only arithmetic is evaluation.  The polynomial
+arithmetic lives in this module's functions on integer coefficient lists
+(``_cleared``, ``_mul``, ``_add``, ``_euclid_z``, ``_exact_quotient``).
+Rational functions are kept in a canonical reduced form: gcd(num, den) is a
+unit, and the denominator is scaled so its constant term is 1 when possible
+(monic otherwise), so generating-function denominators print in the familiar
+``1 - x - x^2`` shape.
 
 Canonicalisation runs over Z.  num and den are cleared once to integer
 polynomials over one common denominator; their gcd is taken over Z (a
@@ -37,12 +41,14 @@ class EvalPoleError(ValueError):
 
 
 class Polynomial:
-    """Dense univariate polynomial; index = degree; no trailing zeros."""
+    """Dense univariate polynomial; index = degree; no trailing zeros.  An
+    int coefficient stays an int; anything else is made a Fraction."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int or type(c) is Fraction else Fraction(c)
+              for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -74,86 +80,14 @@ class Polynomial:
     def coeff(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Polynomial([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> Polynomial:
-        return Polynomial([a * c for a in self.coeffs])
-
     def __call__(self, x):
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
 
-    def __divmod__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dn = len(other.coeffs)
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(0, len(rem) - dn + 1)
-        while len(rem) >= dn:
-            c = rem[-1] / lead
-            k = len(rem) - dn
-            quot[k] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * oc
-            while rem and not rem[-1]:
-                rem.pop()
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)!r})"
-
-
-class _IntPolynomial(Polynomial):
-    """Integer coefficients kept as ints, with no trailing zeros: the
-    canonicaliser's cleared operands, which ``poly_gcd`` reads as they are."""
-
-    __slots__ = ()
-
-    def __init__(self, ints):
-        object.__setattr__(self, "coeffs", tuple(ints))
 
 
 def _cleared(*seqs) -> list[list[int]]:
@@ -171,6 +105,7 @@ def _cleared(*seqs) -> list[list[int]]:
 
 
 def _mul(u: list[int], v: list[int]) -> list[int]:
+    """u v; also over Fractions, for the displayed forms' factors."""
     if not u or not v:
         return []
     out = [0] * (len(u) + len(v) - 1)
@@ -278,13 +213,13 @@ def _exact_quotient(f: list[int], g: list[int]) -> list[int]:
 def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Gcd over Q, returned monic, computed over Z.
 
-    Each operand is cleared to an integer polynomial (the canonicaliser hands
-    them over already cleared).  Pairs proven coprime mod a large prime
-    return 1 at once; every other pair runs Euclid over Z
-    (``_euclid_z``), whose primitive gcd is then made monic.
+    Each operand is cleared to an integer polynomial unless its coefficients
+    are ints already, as the canonicaliser hands them over.  Pairs proven
+    coprime mod a large prime return 1 at once; every other pair runs Euclid
+    over Z (``_euclid_z``), whose primitive gcd is then made monic.
     """
-    u, v = (list(f.coeffs) if type(f) is _IntPolynomial else _cleared(f.coeffs)[0]
-            for f in (p, q))
+    u, v = (list(f.coeffs) if all(type(c) is int for c in f.coeffs)
+            else _cleared(f.coeffs)[0] for f in (p, q))
     if _coprime_mod_prime(u, v):
         return Polynomial([1])
     g = _euclid_z(u, v)
@@ -309,7 +244,7 @@ class RationalFunction:
                           for f in (num, den)))
         if not d:
             raise ZeroDivisionError("zero denominator polynomial")
-        g = poly_gcd(_IntPolynomial(n), _IntPolynomial(d))
+        g = poly_gcd(Polynomial(n), Polynomial(d))
         if g.degree > 0:
             (g,) = _cleared(g.coeffs)
             n, d = _exact_quotient(n, g), _exact_quotient(d, g)
@@ -319,12 +254,13 @@ class RationalFunction:
 
     @classmethod
     def sum(cls, parts) -> RationalFunction:
-        """The sum of num/den over the (num, den) Polynomial pairs in
-        ``parts``, put over the product of the dens as integer polynomials
-        and canonicalised once."""
+        """The sum of num/den over the (num, den) pairs in ``parts``, each a
+        sequence of ints and Fractions in ascending degree: put over the
+        product of the dens as integer lists and canonicalised once.  The one
+        way to add rational functions."""
         num, den = [], [1]
         for n, d in parts:
-            n, d = _cleared(n.coeffs, d.coeffs)
+            n, d = _cleared(n, d)
             num, den = _add(_mul(num, d), _mul(n, den)), _mul(den, d)
         return cls(num, den)
 
@@ -338,13 +274,6 @@ class RationalFunction:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
 
     def evaluate(self, x):
         dv = self.den(x)

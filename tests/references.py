@@ -1,8 +1,10 @@
 """Test-only references: the parser of the rendering grammar, which reads the
 CLI's text and LaTeX output back, the Binet coefficients in Q(sqrt(D)), the
 store's power sum as one plain loop, the doubling kernel ending in a
-plain last doubling, the canonical form of a rational function computed over
-Q by Euclid, and the first-power corollary built from shifted monomials."""
+plain last doubling, polynomial arithmetic over Q on Polynomial values (which
+have none of their own; it shares no code with ``recsums.polyrat``), the
+canonical form of a rational function computed over Q by Euclid, and the
+first-power corollary built from shifted monomials."""
 
 from __future__ import annotations
 
@@ -152,12 +154,58 @@ def doubling_loop(coeffs, initial, n: int, ring=int):
     return v, e * s**n
 
 
+def poly_add(*ps: Polynomial) -> Polynomial:
+    """The sum of the Polynomials ps over Q."""
+    n = max((len(p.coeffs) for p in ps), default=0)
+    return Polynomial([sum(p.coeff(i) for p in ps) for i in range(n)])
+
+
+def poly_scale(p: Polynomial, c) -> Polynomial:
+    """c p for a scalar c."""
+    return Polynomial([a * c for a in p.coeffs])
+
+
+def poly_mul(*ps: Polynomial) -> Polynomial:
+    """The product of the Polynomials ps over Q, schoolbook."""
+    out = Polynomial([1])
+    for p in ps:
+        prod = [Fraction(0)] * (len(out.coeffs) + len(p.coeffs))
+        for i, a in enumerate(out.coeffs):
+            for j, b in enumerate(p.coeffs):
+                prod[i + j] += a * b
+        out = Polynomial(prod)
+    return out
+
+
+def poly_divmod(p: Polynomial, q: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """(quotient, remainder) of p by a nonzero q over Q, by long division."""
+    rem = list(p.coeffs)
+    dq, lead = len(q.coeffs), q.coeffs[-1]
+    quot = [Fraction(0)] * max(0, len(rem) - dq + 1)
+    while len(rem) >= dq:
+        c = Fraction(rem[-1]) / lead
+        k = len(rem) - dq
+        quot[k] = c
+        for i, qc in enumerate(q.coeffs):
+            rem[k + i] -= c * qc
+        while rem and not rem[-1]:
+            rem.pop()
+    return Polynomial(quot), Polynomial(rem)
+
+
+def rf_add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
+    """f + g as (f.num g.den + g.num f.den) / (f.den g.den) over Q, then
+    canonicalised: the pairwise reference for ``RationalFunction.sum``."""
+    return RationalFunction(poly_add(poly_mul(f.num, g.den), poly_mul(g.num, f.den)),
+                            poly_mul(f.den, g.den))
+
+
 def euclid_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     """Gcd over Q by Euclid on Fraction coefficients, returned monic: the
     reference for ``polyrat.poly_gcd``, which runs over Z."""
     while q:
-        p, q = q, p % q
-    return p.scale(1 / p.coeffs[-1]) if p else p
+        p, q = q, poly_divmod(p, q)[1]
+    return poly_scale(p, 1 / Fraction(p.coeffs[-1])) if p else p
 
 
 def canonical_form(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -165,9 +213,9 @@ def canonical_form(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polyno
     both by ``euclid_gcd``, then scale den(0) to 1, or den's leading
     coefficient when den(0) = 0."""
     g = euclid_gcd(num, den)
-    num, den = num // g, den // g
-    scale = den.coeff(0) or den.coeffs[-1]
-    return num.scale(1 / scale), den.scale(1 / scale)
+    num, den = poly_divmod(num, g)[0], poly_divmod(den, g)[0]
+    scale = Fraction(den.coeff(0) or den.coeffs[-1])
+    return poly_scale(num, 1 / scale), poly_scale(den, 1 / scale)
 
 
 def monomial(c, k: int) -> Polynomial:
@@ -177,12 +225,12 @@ def monomial(c, k: int) -> Polynomial:
 
 def corollary_r1_shifted(spec: RecurrenceSpec, n: int, variant: str) -> RationalFunction:
     """``partsum.corollary_r1`` built as x (U_1 - U_{n+1} x^n - U_n x^last)
-    from Polynomial differences of shifted monomials."""
+    from differences of shifted monomials."""
     u = seq.store(spec).term
     last = n + 2 if variant == "printed" else n + 1
-    inner = (
-        Polynomial([spec.u1])
-        - monomial(u(n + 1), n)
-        - monomial(u(n), last)
+    inner = poly_add(
+        Polynomial([spec.u1]),
+        monomial(-u(n + 1), n),
+        monomial(-u(n), last),
     )
-    return RationalFunction(inner * monomial(1, 1), Polynomial([1, -spec.a, -1]))
+    return RationalFunction(poly_mul(inner, monomial(1, 1)), Polynomial([1, -spec.a, -1]))

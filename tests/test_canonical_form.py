@@ -11,7 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from recsums.polyrat import (GCD_PRIME, Polynomial, RationalFunction,  # noqa: E402
                              _cleared, _euclid_z)
-from references import canonical_form, euclid_gcd  # noqa: E402
+from references import canonical_form, euclid_gcd, poly_mul, rf_add  # noqa: E402
 
 # one coefficient in eight is the prime of poly_gcd's fast path, whole or over
 # a denominator, so that some cleared leading coefficients are multiples of it
@@ -24,10 +24,6 @@ def polys(max_degree):
     return st.lists(coefficients, max_size=max_degree + 1).map(Polynomial)
 
 
-def _power(p, k):
-    return reduce(Polynomial.__mul__, [p] * k, Polynomial([1]))
-
-
 @st.composite
 def fractions_in_x(draw):
     """(num, den): random cofactors times planted common factors, repeated
@@ -35,10 +31,10 @@ def fractions_in_x(draw):
     num, den = draw(polys(4)), draw(polys(4).filter(bool))
     for _ in range(draw(st.integers(0, 2))):
         factor = draw(polys(2).filter(bool))
-        shared = _power(factor, draw(st.integers(1, 3)))
-        num, den = num * shared, den * shared
+        shared = poly_mul(*[factor] * draw(st.integers(1, 3)))
+        num, den = poly_mul(num, shared), poly_mul(den, shared)
     origin = Polynomial([0] * draw(st.integers(0, 2)) + [1])   # x^k
-    return num * origin if draw(st.booleans()) else num, den * origin
+    return poly_mul(num, origin) if draw(st.booleans()) else num, poly_mul(den, origin)
 
 
 X = Polynomial([0, 1])
@@ -49,10 +45,10 @@ P_X = Polynomial([1, GCD_PRIME])
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(pair=fractions_in_x())
 @example(pair=(Polynomial(), Polynomial([0, 0, 3])))                     # zero num
-@example(pair=(Polynomial([2]) * ONE_MINUS_X, X * X * ONE_MINUS_X))     # den(0) = 0
-@example(pair=(Polynomial([1, -3]) * ONE_MINUS_X * ONE_MINUS_X,
-               Polynomial([5, 0, -2]) * ONE_MINUS_X * ONE_MINUS_X))     # repeated
-@example(pair=(Polynomial([1, 1]) * P_X, Polynomial([2, 1]) * P_X))     # lc P
+@example(pair=(poly_mul(Polynomial([2]), ONE_MINUS_X), poly_mul(X, X, ONE_MINUS_X)))  # den(0) = 0
+@example(pair=(poly_mul(Polynomial([1, -3]), ONE_MINUS_X, ONE_MINUS_X),
+               poly_mul(Polynomial([5, 0, -2]), ONE_MINUS_X, ONE_MINUS_X)))  # repeated
+@example(pair=(poly_mul(Polynomial([1, 1]), P_X), poly_mul(Polynomial([2, 1]), P_X)))  # lc P
 @example(pair=(Polynomial([1, Fraction(GCD_PRIME, 2)]),
                Polynomial([Fraction(-1, 3), 0, -GCD_PRIME])))            # cleared lcs 3P, -6P
 def test_canonical_form_equals_the_reference_over_q(pair):
@@ -67,7 +63,6 @@ def test_canonical_form_equals_the_reference_over_q(pair):
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(parts=st.lists(st.tuples(polys(3), polys(2).filter(bool)), max_size=4))
 def test_sum_equals_the_fold_of_pairwise_addition(parts):
-    folded = RationalFunction(Polynomial(), Polynomial([1]))
-    for n, d in parts:
-        folded = folded + RationalFunction(n, d)
-    assert RationalFunction.sum(parts) == folded
+    folded = reduce(rf_add, (RationalFunction(n, d) for n, d in parts),
+                    RationalFunction(Polynomial(), Polynomial([1])))
+    assert RationalFunction.sum((n.coeffs, d.coeffs) for n, d in parts) == folded

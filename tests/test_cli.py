@@ -14,7 +14,7 @@ from recsums.gfpow import gf_power
 from recsums.polyrat import (Polynomial, RationalFunction, poly_to_text,
                              rf_to_latex, rf_to_text)
 from recsums.qfield import RecurrenceSpec
-from references import parse_polynomial, parse_rational_function
+from references import parse_polynomial, parse_rational_function, poly_add
 
 
 def run_cli(capsys, *argv):
@@ -635,7 +635,7 @@ def test_gf_check_mismatch_exits_three(capsys, monkeypatch):
 
     def wrong(num, den):   # canonicalisation that moves a coefficient
         f = real(num, den)
-        return real(f.num + Polynomial([0, 0, 1]), f.den)
+        return real(poly_add(f.num, Polynomial([0, 0, 1])), f.den)
 
     monkeypatch.setattr(gfpow, "RationalFunction", wrong)
     code, out, err = run_cli(capsys, "gf", "--preset", "fibonacci", "--power", "3",

@@ -7,6 +7,7 @@ a = 0, |b| = 1 and rational initial values among them.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -23,7 +24,7 @@ from recsums.partsum import (partial_sum_closed, partial_sum_direct,  # noqa: E4
 from recsums.polyrat import (Polynomial, RationalFunction,  # noqa: E402
                              rf_to_latex, rf_to_text)
 from recsums.qfield import RecurrenceSpec  # noqa: E402
-from references import parse_rational_function  # noqa: E402
+from references import parse_rational_function, rf_add  # noqa: E402
 
 F = Fraction
 
@@ -59,10 +60,8 @@ def test_closed_forms_equal_their_oracles(spec, r, n, x):
 
 
 def _fold(parts):
-    total = RationalFunction(Polynomial(), Polynomial([1]))
-    for num, den in parts:
-        total = total + RationalFunction(num, den)
-    return total
+    return reduce(rf_add, (RationalFunction(num, den) for num, den in parts),
+                  RationalFunction(Polynomial(), Polynomial([1])))
 
 
 NUMS = [[1], [0, 1], [F(1, 2), -1], [2, 0, F(-1, 3)]]
@@ -79,10 +78,9 @@ NUMS = [[1], [0, 1], [F(1, 2), -1], [2, 0, F(-1, 3)]]
 @example(spec=RecurrenceSpec(1, -3, 2, 1), r=4, nums=NUMS)          # negative D
 def test_rational_function_sum_equals_the_pairwise_fold(spec, r, nums):
     pairs = seq.binet_pairs(spec, r, 1)
-    dens = [Polynomial([1, -p, q]) for *_, p, q in pairs]
-    paired = [(Polynomial([w0, w1 - p * w0]), den)
-              for (w0, w1, p, _), den in zip(pairs, dens)]
-    drawn = [(Polynomial(c), den) for c, den in zip(nums, [Polynomial([1]), *dens])]
+    dens = [[1, -p, q] for *_, p, q in pairs]
+    paired = [([w0, w1 - p * w0], den) for (w0, w1, p, _), den in zip(pairs, dens)]
+    drawn = list(zip(nums, [[1], *dens]))
     for parts in ([], paired, drawn, paired + drawn):
         assert RationalFunction.sum(parts) == _fold(parts)
     assert RationalFunction.sum(paired) == gf_power(spec, r)

@@ -4,7 +4,11 @@ Closed forms compute over Q; QuadElem stays where Q(sqrt(D)) is the subject.
 QuadElem is the arithmetic of ``lemma5`` (``binsum.root_power_collapse``, a
 statement about Q(sqrt(5))) and the tests' Binet reference.  Every closed form
 reaches Q through ``seq.binet_pairs``, so polynomials and rational functions
-hold Fractions only.
+hold rationals only.
+
+``Polynomial`` is a value, not an algebra: its only arithmetic is evaluation.
+Every sum, product and gcd of polynomials runs on polyrat's integer lists, and
+rational functions are added only by ``RationalFunction.sum``.
 
 Every public function, class and method of src is used somewhere else in
 src, bar three named for their users outside it.
@@ -94,6 +98,18 @@ def test_polynomials_are_rational_only():
     assert "qfield" not in (SRC / "polyrat.py").read_text(encoding="utf-8")
     with pytest.raises(TypeError):
         Polynomial([QuadElem(1, 1, 5)])
+
+
+def test_polynomial_is_a_value_and_polyrat_lists_are_the_arithmetic():
+    dunders = {name for name, attr in vars(Polynomial).items()
+               if name.startswith("__") and callable(attr)}
+    assert dunders == {"__init__", "__repr__", "__bool__", "__call__", "__eq__", "__hash__"}
+    assert not hasattr(polyrat.RationalFunction, "__add__")
+    assert not hasattr(polyrat, "_IntPolynomial")
+    tree = ast.parse((SRC / "gfpow.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "Polynomial" not in imported
 
 
 def test_every_value_claim_is_one_comparison():

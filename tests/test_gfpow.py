@@ -10,6 +10,7 @@ from recsums.gfpow import (SelfCheckError, display_r1, display_r2, display_r3,
                            gf_oracle, gf_power, paired_form)
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
+from references import poly_divmod, poly_mul
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
 PELL = RecurrenceSpec(2, 1, 0, 1)
@@ -35,8 +36,8 @@ def test_first_power_is_the_defining_rational_function():
 
 def test_square_power_matches_product_form():
     expected = RationalFunction(
-        Polynomial([0, 1]) * Polynomial([1, -1]),
-        Polynomial([1, 1]) * Polynomial([1, -3, 1]),
+        poly_mul(Polynomial([0, 1]), Polynomial([1, -1])),
+        poly_mul(Polynomial([1, 1]), Polynomial([1, -3, 1])),
     )
     assert gf_power(FIB, 2) == expected
 
@@ -80,10 +81,10 @@ def _reference_gf_power(spec, r):
     v = [seq.term(seq.companion(spec), i) for i in range(r + 1)]
     den = Polynomial([1])
     for k in range((r + 1) // 2):
-        den = den * Polynomial([1, -(-b) ** k * v[r - 2 * k], (-b) ** r])
+        den = poly_mul(den, Polynomial([1, -(-b) ** k * v[r - 2 * k], (-b) ** r]))
     if r % 2 == 0:
-        den = den * Polynomial([1, -((-b) ** (r // 2))])
-    num = den * Polynomial(gf_oracle(spec, r, r + 1))
+        den = poly_mul(den, Polynomial([1, -((-b) ** (r // 2))]))
+    num = poly_mul(den, Polynomial(gf_oracle(spec, r, r + 1)))
     return RationalFunction(Polynomial(num.coeffs[:r + 1]), den)
 
 
@@ -104,10 +105,13 @@ def test_a_moved_coefficient_fails_the_series_check(monkeypatch, spec, r, reduce
     assert (f.den.degree < r + 1) == reduced
     real = gfpow.RationalFunction
     for part in ("num", "den"):
-        for j in range(len(getattr(f, part).coeffs)):
+        # each coefficient moved; then a term one degree past the top, and
+        # one at degree 2r + 2, past both of the check's cross products
+        for j in (*range(len(getattr(f, part).coeffs) + 1), 2 * r + 2):
             def moved(num, den, part=part, j=j):
                 g = real(num, den)
                 coeffs = {"num": list(g.num.coeffs), "den": list(g.den.coeffs)}
+                coeffs[part] += [0] * (j + 1 - len(coeffs[part]))
                 coeffs[part][j] += 1
                 return real(Polynomial(coeffs["num"]), Polynomial(coeffs["den"]))
 
@@ -160,7 +164,7 @@ def test_denominator_divides_the_pole_product(spec, r):
     # a QuadElem equals its rational part only when its sqrt(D) part is 0
     rational = [getattr(c, "rat", c) for c in product]
     assert product == rational
-    assert Polynomial(rational) % f.den == Polynomial()
+    assert poly_divmod(Polynomial(rational), f.den)[1] == Polynomial()
 
 
 @pytest.mark.parametrize("spec", (FIB, PELL))
@@ -213,7 +217,7 @@ def test_display_r3_printed_fails_even_for_fibonacci():
 def test_display_r3_uses_the_printed_denominator_product():
     v_spec = seq.companion(FIB)
     v1, v3 = seq.term(v_spec, 1), seq.term(v_spec, 3)
-    den = Polynomial([1, -v3, -1]) * Polynomial([1, v1, -1])
+    den = poly_mul(Polynomial([1, -v3, -1]), Polynomial([1, v1, -1]))
     f = display_r3(FIB, "proof-consistent")
     # canonical form keeps the full degree-4 denominator (no common factor)
     assert f.den == den

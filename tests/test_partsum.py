@@ -14,7 +14,8 @@ from recsums.partsum import (HORADAM_VARIANTS, corollary_r1, horadam_direct,
                              partial_sum_general_b, partial_sum_printed)
 from recsums.polyrat import Polynomial, RationalFunction
 from recsums.qfield import RecurrenceSpec
-from references import corollary_r1_shifted, monomial
+from references import (corollary_r1_shifted, monomial, poly_add, poly_scale,
+                        rf_add)
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
 PELL = RecurrenceSpec(2, 1, 0, 1)
@@ -107,15 +108,16 @@ def test_printed_even_form_at_small_n(n):
             total = RationalFunction(Polynomial(), Polynomial([1]))
             for k in range(r // 2):
                 m = r - 2 * k
-                num = (Polynomial([0, seq.term(v, m)])
-                       - monomial((-1) ** (k * n) * seq.term(v, m * (n + 1)), n + 1)
-                       - monomial((-1) ** (k * (n + 1)) * seq.term(v, m * n), n + 2))
+                num = poly_add(
+                    Polynomial([0, seq.term(v, m)]),
+                    monomial(-(-1) ** (k * n) * seq.term(v, m * (n + 1)), n + 1),
+                    monomial(-(-1) ** (k * (n + 1)) * seq.term(v, m * n), n + 2))
                 den = Polynomial([1, -(-1) ** k * seq.term(v, m), 1])
-                total = total + RationalFunction(num.scale(comb(r, k)), den)
+                total = rf_add(total, RationalFunction(poly_scale(num, comb(r, k)), den))
             eps = (-1) ** (r // 2)
             middle = Polynomial([comb(r, r // 2) * eps**i for i in range(n + 1)])
-            total = total + RationalFunction(middle, Polynomial([1]))
-            expected = RationalFunction(total.num.scale(a2 ** (r // 2)), total.den)
+            total = rf_add(total, RationalFunction(middle, Polynomial([1])))
+            expected = RationalFunction(poly_scale(total.num, a2 ** (r // 2)), total.den)
             assert partial_sum_printed(spec, r, n) == expected
 
 
