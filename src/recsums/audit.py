@@ -17,10 +17,10 @@ structured output (no timestamps, sorted keys, stable cell ordering).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 from . import binsum, gfpow, partsum, seq
@@ -110,7 +110,7 @@ def _compare(truth, form, variants=()):
         for vid in variants:
             value = form(cell, vid)
             if value == lhs:
-                witness["variant_rhs"] = _fmt(value)
+                witness["variant_rhs"] = witness["lhs"]   # value == lhs
                 return "variant-pass", vid, witness
         return "fail", None, witness
 
@@ -535,11 +535,29 @@ def structured_report(results: list[AuditResult], selection="all",
     }
 
 
+_JSON_LEAVES = {str: _quote, int: repr, type(None): lambda _: "null"}
+
+
+def _json(value, pad: str = "\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for dict, list, str, int and
+    None only (CPython indents only in its pure-Python encoder)."""
+    kind = type(value)
+    if kind in _JSON_LEAVES:
+        return _JSON_LEAVES[kind](value)
+    if kind is list:
+        inner = pad + "  "
+        items = [inner + _json(v, inner) for v in value]
+        return "[" + ",".join(items) + pad + "]" if items else "[]"
+    if kind is dict:
+        inner = pad + "  "
+        items = [f"{inner}{_quote(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items())]
+        return "{" + ",".join(items) + pad + "}" if items else "{}"
+    raise TypeError(f"{kind.__name__} is not a report value")
+
+
 def structured_report_text(results, selection="all", max_n=None) -> str:
-    return json.dumps(
-        structured_report(results, selection, max_n),
-        sort_keys=True, indent=2,
-    ) + "\n"
+    return _json(structured_report(results, selection, max_n)) + "\n"
 
 
 def text_report(results: list[AuditResult]) -> str:

@@ -1,7 +1,8 @@
 """Recurrence specs, and exact arithmetic in quadratic extensions Q(sqrt(D)).
 
 ``RecurrenceSpec`` holds the parameters every other module works from.
-``QuadElem`` holds values p + q*sqrt(D) with D a non-square integer, and
+``QuadElem`` holds values (p + q*sqrt(D))/e, D a non-square integer, as one
+integer triple over one common denominator (Cohen, GTM 138, 4.2), and
 ``roots`` gives the characteristic roots alpha, beta in it.
 The closed forms do not compute here: with rational initial values, Binet
 terms come in Galois-conjugate pairs whose sums are rational, and
@@ -39,135 +40,137 @@ def is_perfect_square(d: int) -> tuple[bool, int | None]:
     return False, None
 
 
-@dataclass(frozen=True, eq=False)
 class QuadElem:
-    """Element rat + coef*sqrt(disc) of Q(sqrt(disc)), disc a non-square integer.
+    """Element (p + q*sqrt(disc))/e of Q(sqrt(disc)), disc a non-square integer.
 
-    Immutable; all operations return new values.  Two QuadElems compose only
-    when their discriminants match.  Plain ints and Fractions coerce into the
+    One integer triple with gcd(p, q, e) = 1 and e > 0, so equal elements have
+    equal triples: each operation does its integer products and one gcd, and
+    a power squares raw triples, one gcd a step.  ``rat`` = p/e, ``coef``
+    = q/e (Fractions) and ``disc`` are read-only.  Two QuadElems compose only
+    when their discriminants match; ints and Fractions coerce into the
     rational part, so mixed expressions like ``1 - alpha * x`` work directly.
     """
 
-    rat: Fraction
-    coef: Fraction
-    disc: int
+    __slots__ = ("_pqe", "_disc")
 
-    def __post_init__(self):
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(self, "coef", Fraction(self.coef))
-        if self.disc == 0:
+    def __new__(cls, rat, coef, disc: int):
+        rat, coef = Fraction(rat), Fraction(coef)
+        if disc == 0:
             raise ValueError("discriminant must be nonzero")
-        square, root = is_perfect_square(self.disc)
+        square, root = is_perfect_square(disc)
         if square:
-            raise ValueError(
-                f"discriminant {self.disc} = {root}^2 is a perfect square; "
-                "use plain rational arithmetic"
-            )
+            raise ValueError(f"discriminant {disc} = {root}^2 is a perfect square; "
+                             "use plain rational arithmetic")
+        d, f = rat.denominator, coef.denominator
+        return _reduced(rat.numerator * f, coef.numerator * d, d * f, disc)
 
-    def _coerce(self, other):
+    def __reduce__(self):   # copy and pickle through the checked constructor
+        return QuadElem, (self.rat, self.coef, self._disc)
+
+    rat = property(lambda self: Fraction(self._pqe[0], self._pqe[2]), doc="p/e")
+    coef = property(lambda self: Fraction(self._pqe[1], self._pqe[2]), doc="q/e")
+    disc = property(lambda self: self._disc)
+
+    def _triple(self, other):
+        """other's reduced (p, q, e) over this disc; None for a foreign type."""
         if isinstance(other, QuadElem):
-            if other.disc != self.disc:
-                raise ValueError(
-                    f"discriminant mismatch: {self.disc} vs {other.disc}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return _quad(Fraction(other), _ZERO, self.disc)
+            if other._disc != self._disc:
+                raise ValueError(f"discriminant mismatch: {self._disc} vs {other.disc}")
+            return other._pqe
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
         return None
 
     def __bool__(self):
-        return bool(self.rat) or bool(self.coef)
+        return self._pqe[0] != 0 or self._pqe[1] != 0
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):
-            if other.disc != self.disc:
-                return (not self.coef and not other.coef
-                        and self.rat == other.rat)
-            return self.rat == other.rat and self.coef == other.coef
-        if isinstance(other, (int, Fraction)):
-            return not self.coef and self.rat == other
-        return NotImplemented
+            # over different discriminants only rationals can be equal
+            return self._pqe == other._pqe and (
+                other._disc == self._disc or self._pqe[1] == 0)
+        o = self._triple(other)
+        return NotImplemented if o is None else self._pqe == o
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._triple(other)
         if o is None:
             return NotImplemented
-        return _quad(self.rat + o.rat, self.coef + o.coef, self.disc)
+        (p, q, e), (r, s, f) = self._pqe, o
+        return _reduced(p * f + r * e, q * f + s * e, e * f, self._disc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _quad(-self.rat, -self.coef, self.disc)
+        p, q, e = self._pqe
+        return _reduced(-p, -q, e, self._disc)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _quad(self.rat - o.rat, self.coef - o.coef, self.disc)
+        return self + -other
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._triple(other)
         if o is None:
             return NotImplemented
-        return _quad(
-            self.rat * o.rat + self.coef * o.coef * self.disc,
-            self.rat * o.coef + self.coef * o.rat,
-            self.disc,
-        )
+        (p, q, e), (r, s, f) = self._pqe, o
+        return _reduced(p * r + q * s * self._disc, p * s + q * r, e * f, self._disc)
 
     __rmul__ = __mul__
 
     def invert(self) -> QuadElem:
-        # (p + q*sqrt(D))^-1 = (p - q*sqrt(D)) / (p^2 - q^2 D); the norm is
-        # nonzero for nonzero elements because D is not a square.
-        norm = self.rat * self.rat - self.coef * self.coef * self.disc
+        # e/(p + q*sqrt(D)) = e*(p - q*sqrt(D)) / (p^2 - q^2 D), the norm
+        # nonzero as D is not a square; _reduced moves the norm's sign to p, q
+        p, q, e = self._pqe
+        norm = p * p - q * q * self._disc
         if not norm:
             raise ZeroDivisionError("inversion of zero element")
-        return _quad(self.rat / norm, -self.coef / norm, self.disc)
+        return _reduced(e * p, -e * q, norm, self._disc)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.invert()
+        o = self._triple(other)
+        return NotImplemented if o is None else self * _reduced(*o, self._disc).invert()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.invert()
+        o = self._triple(other)
+        return NotImplemented if o is None else _reduced(*o, self._disc) * self.invert()
 
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
-        result = _quad(Fraction(1), _ZERO, self.disc)
-        base = self
+        d = self._disc
+        p, q, e = self._pqe
+        x, y, z = 1, 0, 1
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                x, y, z = _lowest(x * p + y * q * d, x * q + y * p, z * e)
             n >>= 1
-        return result
+            if n:
+                p, q, e = _lowest(p * p + q * q * d, 2 * p * q, e * e)
+        return _reduced(x, y, z, d)
 
     def __str__(self):
-        return f"{self.rat} + {self.coef}*sqrt({self.disc})"
+        return f"{self.rat} + {self.coef}*sqrt({self._disc})"
 
     def __repr__(self):
-        return f"QuadElem({self.rat!r}, {self.coef!r}, {self.disc})"
+        return f"QuadElem({self.rat!r}, {self.coef!r}, {self._disc})"
 
 
-_ZERO = Fraction(0)
+def _lowest(p: int, q: int, e: int) -> tuple[int, int, int]:
+    """(p, q, e) over gcd(e, p, q), e > 0; a small e first keeps the gcd linear."""
+    g = math.gcd(e, p, q) if e > 0 else -math.gcd(e, p, q)
+    return (p // g, q // g, e // g) if g != 1 else (p, q, e)
 
 
-def _quad(rat: Fraction, coef: Fraction, disc: int) -> QuadElem:
-    """QuadElem(rat, coef, disc) without the checks, for results over the
-    discriminant of an element already checked: rat and coef are Fractions,
-    disc a nonzero non-square."""
+def _reduced(p: int, q: int, e: int, disc: int) -> QuadElem:
+    """(p + q*sqrt(disc))/e, e != 0, without the checks: disc is already checked."""
     elem = object.__new__(QuadElem)
-    elem.__dict__.update(rat=rat, coef=coef, disc=disc)
+    elem._pqe = _lowest(p, q, e)
+    elem._disc = disc
     return elem
 
 
@@ -177,7 +180,8 @@ class RecurrenceSpec:
 
     Non-degenerate: a^2 + 4b != 0 so the characteristic roots are distinct,
     and b != 0 so the recurrence is genuinely second order.  Initial values
-    may be arbitrary rationals.
+    may be arbitrary rationals.  Parameters are ints or Fractions, u0 and u1
+    also rational text such as "1/2"; a float raises TypeError.
 
     A spec keys every store and memo, so its hash, the dataclass's
     hash((a, b, u0, u1)), is computed once, on construction.
@@ -190,6 +194,9 @@ class RecurrenceSpec:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("a", "b", "u0", "u1"):
+            if not isinstance(value := getattr(self, name), (int, Fraction, str)):
+                raise TypeError(f"{name}={value!r} is not an int or a Fraction")
         object.__setattr__(self, "u0", Fraction(self.u0))
         object.__setattr__(self, "u1", Fraction(self.u1))
         if self.b == 0:

@@ -6,11 +6,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from recsums import gfpow, seq
 from recsums.audit import (REGISTRY, AuditCellError, UnknownClaimError,
-                           has_unexplained_failure, report, run_audit,
-                           structured_report, structured_report_text,
+                           _json, has_unexplained_failure, report,
+                           run_audit, structured_report, structured_report_text,
                            text_report)
 from recsums.cli import main
 from recsums.gfpow import gf_power
@@ -111,6 +113,31 @@ def test_structured_report_schema():
     assert json.loads(text) == doc
 
 
+# strings with quotes, backslashes, control characters and non-ASCII
+_AWKWARD = ["", "\"", "\\", "\x00\x1f\x7f", "\u00e9\u2028\U0001d11e", "a\tb\nc\r"]
+_REPORT_VALUES = st.recursive(
+    st.none() | st.integers() | st.integers(min_value=-10**80, max_value=10**80)
+    | st.text() | st.sampled_from(_AWKWARD),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_REPORT_VALUES)
+@example({"b": [], "a": {}, "c": [{}, [None, -0, 10**60, -(10**60)]],
+          "\u00e9": "\"\\/"})
+def test_report_writer_is_json_dumps_sorted_with_indent_2(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, True, (1, 2), {"k": [0.0]}, {1: "int key"}])
+def test_report_writer_refuses_what_a_report_never_holds(value):
+    with pytest.raises(TypeError):
+        _json(value)
+
+
 def test_structured_report_is_deterministic():
     selection = ["eq1", "eq3", "thm2-S4n-1", "cor8-iii", "lemma5"]
     first = structured_report_text(run_audit(selection, max_n=9), selection, 9)
@@ -199,6 +226,15 @@ def test_no_claim_reads_more_binet_tables_than_the_cache_keeps(monkeypatch):
     assert len(keys["thm4"]) == 64
     for cid, tables in keys.items():
         assert len(tables) <= seq.BINET_CAP, cid
+
+
+def test_a_variant_pass_witness_shows_the_variant_as_the_left_side(default_results):
+    # the congruences' implied-exponent variant-passes carry no value witness
+    witnesses = [r.witness for r in default_results if r.verdict == "variant-pass"
+                 and REGISTRY[r.claim_id].check.__qualname__.startswith("_compare.")]
+    assert len(witnesses) == 309
+    for witness in witnesses:
+        assert witness["variant_rhs"] == witness["lhs"] != witness["rhs"]
 
 
 def test_report_dispatch():

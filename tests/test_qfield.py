@@ -1,5 +1,8 @@
 """Tests for rational and quadratic-field arithmetic."""
 
+import copy
+import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -49,6 +52,14 @@ def test_square_discriminant_gives_rational_roots():
     alpha, beta = roots(RecurrenceSpec(3, -2, 0, 1))
     assert isinstance(alpha, Fraction) and isinstance(beta, Fraction)
     assert (alpha, beta) == (2, 1)
+
+
+@pytest.mark.parametrize("field", ("a", "b", "u0", "u1"))
+def test_a_float_parameter_is_refused(field):
+    params = {"a": 1, "b": 1, "u0": 0, "u1": 1}
+    params[field] = {"a": 1.5, "b": 1.0, "u0": 0.1, "u1": 1.0}[field]
+    with pytest.raises(TypeError, match=f"^{field}="):
+        RecurrenceSpec(**params)
 
 
 def test_degenerate_specs_rejected():
@@ -180,18 +191,82 @@ def test_results_equal_the_checked_construction():
                 assert type(result.rat) is Fraction and type(result.coef) is Fraction
                 assert ((result.rat, result.coef, result.disc)
                         == (checked.rat, checked.coef, checked.disc))
+                # one reduced triple (p + q*sqrt(D))/e per element
+                p_, q_, e_ = result._pqe
+                assert math.gcd(p_, q_, e_) == 1 and e_ > 0
+                assert result._pqe == checked._pqe
+                assert p_ * Fraction(1, e_) == rat and q_ * Fraction(1, e_) == coef
     for disc in (4, 0):
         with pytest.raises(ValueError):
             QuadElem(1, 1, disc)
 
 
 def test_powers_match_repeated_multiplication():
+    rng = random.Random(200)
+    for disc in (5, 8, -3, -11):
+        bases = [QuadElem(Fraction(1, 2), Fraction(1, 2), disc),
+                 QuadElem(0, 1, disc), QuadElem(Fraction(-3, 4), Fraction(2, 9), disc),
+                 _random_elem(rng, disc)]
+        for x in filter(None, bases):
+            inverse = x.invert()
+            acc, inv_acc = QuadElem(1, 0, disc), QuadElem(1, 0, disc)
+            for k in range(201):
+                assert x**k == acc and (x**k)._pqe == acc._pqe
+                assert x**-k == inv_acc and (x**-k)._pqe == inv_acc._pqe
+                acc, inv_acc = acc * x, inv_acc * inverse
+            assert x**-2 == (x**2).invert() == 1 / x**2
+        with pytest.raises(ZeroDivisionError):
+            QuadElem(0, 0, disc) ** -1
+
+
+def test_golden_powers_are_lucas_and_fibonacci_halves():
     alpha, _ = roots(FIB)
-    acc = QuadElem(1, 0, 5)
-    for k in range(12):
-        assert alpha**k == acc
-        acc = acc * alpha
-    assert alpha**-2 == (alpha**2).invert()
+    fib, luc = seq.terms(FIB, 201), seq.terms(seq.companion(FIB), 201)
+    for k in range(201):
+        assert alpha**k == QuadElem(luc[k] / 2, fib[k] / 2, 5)
+        assert (alpha**k)._pqe[2] == (1 if k % 3 == 0 else 2)
+    # far past the grid: each squaring is reduced, so its gcd stays small
+    k = 10**5 + 1
+    assert (alpha**k)._pqe == (seq.term_fast(seq.companion(FIB), k),
+                               seq.term_fast(FIB, k), 2)
+
+
+def test_str_and_repr_are_pinned():
+    alpha, beta = roots(FIB)
+    cases = [
+        (alpha, "1/2 + 1/2*sqrt(5)", "QuadElem(Fraction(1, 2), Fraction(1, 2), 5)"),
+        (alpha**10, "123/2 + 55/2*sqrt(5)",
+         "QuadElem(Fraction(123, 2), Fraction(55, 2), 5)"),
+        (beta**6, "9 + -4*sqrt(5)", "QuadElem(Fraction(9, 1), Fraction(-4, 1), 5)"),
+        (QuadElem(3, 0, -3), "3 + 0*sqrt(-3)",
+         "QuadElem(Fraction(3, 1), Fraction(0, 1), -3)"),
+        (QuadElem(Fraction(2, 6), Fraction(-5, 10), 8), "1/3 + -1/2*sqrt(8)",
+         "QuadElem(Fraction(1, 3), Fraction(-1, 2), 8)"),
+    ]
+    for value, text, rep in cases:
+        assert (str(value), repr(value)) == (text, rep)
+
+
+def test_quadelem_is_read_only_and_unhashable():
+    x = QuadElem(Fraction(1, 2), Fraction(1, 3), 5)
+    for name in ("rat", "coef", "disc", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    for name in ("rat", "coef", "disc"):
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert (x.rat, x.coef, x.disc) == (Fraction(1, 2), Fraction(1, 3), 5)
+    with pytest.raises(TypeError):
+        hash(x)
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert clone == x and clone._pqe == x._pqe == (3, 2, 6)
+
+
+def test_eq_across_discriminants_only_for_rationals():
+    assert QuadElem(Fraction(3, 2), 0, 5) == QuadElem(Fraction(3, 2), 0, -3)
+    assert QuadElem(1, 1, 5) != QuadElem(1, 1, 8)
+    assert QuadElem(1, 0, 5) == 1 and 1 == QuadElem(1, 0, 5)
+    assert QuadElem(1, 0, 5) != 1.0   # a float is no exact value
 
 
 @pytest.mark.parametrize("spec", SPEC_GRID)
