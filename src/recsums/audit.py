@@ -11,6 +11,11 @@ failing witness attached, so the corrected-identity table is itself a
 deliverable.  ``lemma5`` (an identity in Q(sqrt(5))) and the 5-adic
 congruences (valuations, not values) have checks of their own.
 
+A claim whose cells differ in n along rows (thm4, and the Fibonacci sums at
+x = +/-1) declares the params that fix a row, and its oracle (and thm4's
+closed form) is evaluated a row at a time: each row once per side, held
+only while the claim runs.
+
 Reports are fully deterministic: same selection and grid, byte-identical
 structured output (no timestamps, sorted keys, stable cell ordering).
 """
@@ -45,6 +50,42 @@ class AuditCellError(RuntimeError):
         self.params = params
 
 
+class _RowCell(dict):
+    """A cell's params as ``run_audit`` hands them to the check of a claim
+    walked by rows, with its row: the n of the row's cells, ascending, and
+    each side's values along the row, filled at the first cell checked."""
+
+    def __init__(self, params: dict, ns: list[int], values: dict):
+        super().__init__(params)
+        self.row_ns, self.row_values = ns, values
+
+
+def _row_cells(keys: tuple[str, ...], cells: list[dict]) -> list[_RowCell]:
+    """Each cell with the row that its params named by ``keys`` fix."""
+    rows: dict[tuple, tuple[list, dict]] = {}
+    out = []
+    for params in cells:
+        ns, values = rows.setdefault(tuple(params[k] for k in keys), ([], {}))
+        ns.append(params["n"])
+        out.append(_RowCell(params, ns, values))
+    return out
+
+
+def _by_row(fn):
+    """A side evaluated a row at a time: fn(cell, ns) is the side at each n
+    of ns, the other params as in cell.  A cell handed over without its row
+    (a check called on its own) is a row of its own."""
+    def side(cell):
+        if not isinstance(cell, _RowCell):
+            return fn(cell, [cell["n"]])[0]
+        values = cell.row_values.get(fn)
+        if values is None:
+            values = cell.row_values[fn] = dict(zip(cell.row_ns, fn(cell, cell.row_ns)))
+        return values[cell["n"]]
+
+    return side
+
+
 @dataclass(frozen=True)
 class Claim:
     id: str
@@ -52,6 +93,8 @@ class Claim:
     hypotheses: tuple[str, ...]
     grid: Callable[[int | None], list[dict]]
     check: Callable[[dict], tuple[str, str | None, dict | None]]
+    # the params that fix a row, every one but n, for a claim walked by rows
+    row: tuple[str, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -142,7 +185,7 @@ def _thm3_form(cell, vid):
 
 
 def _fib_sum_truth(cid):
-    return lambda c: binsum.corollary_lhs(cid, c["n"], c.get("r", 0))
+    return _by_row(lambda c, ns: binsum.corollary_lhs(cid, ns, c.get("r", 0)))
 
 
 def _check_lemma5(cell):
@@ -292,6 +335,7 @@ def _build_registry() -> dict[str, Claim]:
                  ("shifted-exponent",)),
     ))
 
+    closed = _by_row(lambda c, ns: binsum.binom_row_closed(c["spec"], c["r"], ns, c["x"]))
     claims.append(Claim(
         "thm4",
         "binomial-weighted sum equals sum_k C(r,k) A^k (-B)^{r-k} "
@@ -305,8 +349,9 @@ def _build_registry() -> dict[str, Claim]:
             for x in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2))
         ],
         _compare(
-            lambda c: binsum.binom_sum_direct(c["spec"], c["r"], c["n"], c["x"]),
-            lambda c, _: binsum.binom_sum_closed(c["spec"], c["r"], c["n"], c["x"])),
+            _by_row(lambda c, ns: binsum.binom_row_direct(c["spec"], c["r"], ns, c["x"])),
+            lambda c, _: closed(c)),
+        ("spec", "r", "x"),
     ))
     claims.append(Claim(
         "lemma5",
@@ -360,6 +405,7 @@ def _build_registry() -> dict[str, Claim]:
                 lambda c, v, cid=cid: binsum.fib_weighted_closed(
                     cid, c["r"], c["n"], v),
                 variants),
+            ("r",),
         ))
 
     corollaries = (
@@ -393,6 +439,7 @@ def _build_registry() -> dict[str, Claim]:
                 _fib_sum_truth(cid),
                 lambda c, v, cid=cid: binsum.corollary_rhs(cid, c["n"], v),
                 variants),
+            (),
         ))
 
     congruences = (
@@ -470,16 +517,25 @@ def run_audit(selection="all", max_n: int | None = None,
                 raise UnknownClaimError(f"unknown claim id {cid!r}")
     results = []
     for cid in ids:
-        claim = REGISTRY[cid]
         start = time.perf_counter()
-        for params in sorted(claim.grid(max_n), key=_cell_key):
-            try:
-                verdict, variant, witness = claim.check(params)
-            except Exception as exc:
-                raise AuditCellError(cid, params, exc) from exc
-            results.append(AuditResult(cid, params, verdict, variant, witness))
+        results += _run_claim(cid, REGISTRY[cid], max_n)
         if timings is not None:
             timings[cid] = time.perf_counter() - start
+    return results
+
+
+def _run_claim(cid: str, claim: Claim, max_n: int | None) -> list[AuditResult]:
+    """One claim's cells in sorted order; a claim walked by rows checks each
+    cell with its row, and its rows go when this returns."""
+    cells = sorted(claim.grid(max_n), key=_cell_key)
+    checked = cells if claim.row is None else _row_cells(claim.row, cells)
+    results = []
+    for params, cell in zip(cells, checked):
+        try:
+            verdict, variant, witness = claim.check(cell)
+        except Exception as exc:
+            raise AuditCellError(cid, params, exc) from exc
+        results.append(AuditResult(cid, params, verdict, variant, witness))
     return results
 
 

@@ -7,11 +7,14 @@
 over Q, one Galois-conjugate pair of terms at a time: each entry of
 :func:`recsums.seq.binet_pairs` gives a rational second-order sequence in n,
 read off by one call of the doubling kernel ``seq.linear_term``.  Both sums take
-``(spec, r, n, x)``, as ``partsum``'s do.  It carries no b = 1 caveat.
+``(spec, r, n, x)``, as ``partsum``'s do.  It carries no b = 1 caveat.  Each
+sum is its row function at a row of one n: ``binom_row_direct`` sweeps the
+store's numerators for a longer row, and ``binom_row_closed`` steps the
+pairs along it (``seq.linear_row``).
 Only ``root_power_collapse``, a statement about Q(sqrt(5)) itself, computes
 with ``QuadElem``.  The Fibonacci specializations at x = +/-1 are named by
 their claim ids: the six thm6/thm9 families and the ten cor7/cor10 displayed
-identities share one oracle, ``corollary_lhs``, the direct sum, and the
+identities share one oracle, ``corollary_lhs``, the direct row, and the
 families share one sum, ``_bracket``.  Each 5-adic congruence reads the
 printed numerator of the identity it comes from.  The nearest
 derivation-consistent variant is evaluated wherever a printed subscript or
@@ -33,13 +36,23 @@ _term_prefix = seq.store
 
 def binom_sum_direct(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
     """sum_{i=0}^n C(n,i) U_i^r x^i by direct exact summation over the store."""
-    if r < 1 or n < 0:
-        raise ValueError("need r >= 1 and n >= 0")
-    return seq.store(spec).power_sum(r, n, x, binomial=True)
+    return binom_row_direct(spec, r, [n], x)[0]
+
+
+def binom_row_direct(spec: RecurrenceSpec, r: int, ns, x) -> list[Fraction]:
+    """``binom_sum_direct`` at each n of ns, ascending: one Pascal sweep of
+    the store's numerators for a row, the pointwise sum for one n."""
+    _check(r, ns)
+    return seq.store(spec).binomial_row(r, ns, x)
 
 
 def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
-    """Closed-form value; equals binom_sum_direct exactly for every spec.
+    """Closed-form value; equals binom_sum_direct exactly for every spec."""
+    return binom_row_closed(spec, r, [n], x)[0]
+
+
+def binom_row_closed(spec: RecurrenceSpec, r: int, ns, x) -> list[Fraction]:
+    """``binom_sum_closed`` at each n of ns, ascending, by ``seq.linear_row``.
 
     Entry k of ``seq.binet_pairs`` contributes c_k (1 + t_k)^n plus its
     conjugate: a rational sequence with roots 1 + t_k, 1 + t_{r-k}, so
@@ -47,10 +60,14 @@ def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
     entry (c, c t, t, 0) of even r gives roots 1 and 1 + t with initial
     values c, c (1 + t): the sequence c (1 + t)^n, also at t = 0 or -1.
     """
-    if r < 1 or n < 0:
+    _check(r, ns)
+    return seq.linear_row([((-1 - p - q, 2 + p), (w0, w0 + w1))
+                           for w0, w1, p, q in seq.binet_pairs(spec, r, x)], ns)
+
+
+def _check(r: int, ns):
+    if r < 1 or ns[0] < 0:
         raise ValueError("need r >= 1 and n >= 0")
-    return sum((seq.linear_term((-1 - p - q, 2 + p), (w0, w0 + w1), n)
-                for w0, w1, p, q in seq.binet_pairs(spec, r, x)), Fraction(0))
 
 
 # --- Fibonacci/Lucas scalar helpers -----------------------------------------
@@ -107,12 +124,13 @@ _FIB_SUMS = {
 }
 
 
-def corollary_lhs(claim: str, n: int, r: int = 0) -> Fraction:
-    """Left side of one Fibonacci identity, by direct summation."""
+def corollary_lhs(claim: str, ns, r: int = 0) -> list[Fraction]:
+    """Left side of one Fibonacci identity at each n of ns, ascending, by
+    direct summation."""
     if claim not in _FIB_SUMS:
         raise ValueError(f"unknown identity {claim!r}")
     p, q, x = _FIB_SUMS[claim]
-    return binom_sum_direct(_FIB, p * r + q, n, x)
+    return binom_row_direct(_FIB, p * r + q, ns, x)
 
 
 def _bracket(m: int, n: int, x, y, sign, scale: int = 1) -> int:

@@ -74,6 +74,11 @@ def gf_power(spec: RecurrenceSpec, r: int, check_terms: int = 0) -> RationalFunc
     checked against the first max(2r+2, check_terms) of them."""
     if r < 1:
         raise ValueError("power must be >= 1")
+    if Fraction(spec.a).denominator != 1:
+        # _pole_factors reads the companion store's numerators as V_k itself
+        raise ValueError(f"gf_power({spec}, r={r}): a = {spec.a} is not an "
+                         f"integer; Theorem 1's pole factors are served for an "
+                         f"integer a only")
     factors = _pole_factors(spec, r)
     st = seq.store(spec)
     count = max(2 * r + 2, check_terms)

@@ -9,7 +9,9 @@ integer numerators d U_k over the common denominator d = lcm(den U_0, den U_1),
 for k >= 0 only; a sum over them stays in integers until one division.  A
 plain sum, and a binomial one below n = ``SPLIT_CUTOFF``, is one Horner loop;
 from there a binomial sum is n! times that integer by binary splitting over
-its term ratio (n - i) x / (i + 1), divided exactly by n!.  A store only
+its term ratio (n - i) x / (i + 1), divided exactly by n!.  A row of
+binomial sums, at several n with the same (r, x), is one Pascal sweep of
+additions over the same integers (``PrefixStore.binomial_row``).  A store only
 grows, by extension, and only as far as a lookup asks; a negative
 index or count is refused.  A negative index is the ``reflected`` spec read
 forward, since its k-th term is b^k U_{-k}.  ``store``
@@ -27,10 +29,12 @@ quadratic form in that remainder, whose matrix is the Hankel matrix of the
 first 2d terms; completing squares evaluates it with d squarings.  Over ints,
 ``linear_term`` reduces its result once to a Fraction, for every exact
 caller; ``term_fast`` is that at order 2 at every integer index (on the
-reflected spec at n < 0), checked against ``term``.  Over exact Decimal
-integers, ``term_text`` returns the printed U_n at n >= 0 without ever
-holding it as an int, for a large value (``cli._cmd_seq`` holds the cut
-between the two).  Neither fills a store.
+reflected spec at n < 0), checked against ``term``.  ``linear_row`` sums
+several recurrences along a row of n: the kernel starts each one, and ints
+step it.  Over exact Decimal integers, ``term_text`` returns the printed
+U_n at n >= 0 without ever holding it as an int, for a large value
+(``cli._cmd_seq`` holds the cut between the two).  None of these fills a
+store.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
@@ -45,8 +49,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import factorial, gcd, isqrt, lcm
-from operator import mul
+from operator import add, mul
 
 from .polyrat import _decimal, _exact_decimal
 from .qfield import RecurrenceSpec
@@ -183,6 +188,36 @@ class PrefixStore:
                 pp *= p
         return Fraction(total, self.den**r * q**n)
 
+    def binomial_row(self, r: int, ns, x) -> list[Fraction]:
+        """power_sum(r, n, x, binomial=True) at each n of ns, ascending.
+
+        One n is ``power_sum``'s Horner loop or binary split.  More are one
+        Pascal sweep to N = ns[-1]: from z_i = N_i^r p^i q^(N-i), n passes
+        of z_j <- z_j + z_{j+1} leave sum_i C(n,i) z_i in z_0, over
+        den^r q^N.  It adds and never multiplies, but makes O(N^2)
+        additions, so it serves rows, not a single large n.
+        """
+        if len(ns) == 1:
+            return [self.power_sum(r, ns[0], x, binomial=True)]
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
+        top = ns[-1]
+        z, pp = [], 1
+        for num in self.numerators(top + 1):
+            z.append(num**r * pp)
+            pp *= p
+        if q != 1:
+            qq = 1
+            for i in range(top, -1, -1):
+                z[i] *= qq
+                qq *= q
+        sums = [z[0]]
+        for _ in range(top):
+            z = list(map(add, z, islice(z, 1, None)))
+            sums.append(z[0])
+        scale = self.den**r * q**top
+        return [Fraction(sums[n], scale) for n in ns]
+
 
 # From this n a binomial sum is split (below, the n! it carries costs more than
 # its short products save), down to leaves of SPLIT_LEAF terms.
@@ -311,6 +346,37 @@ def linear_term(coeffs, initial, n: int) -> Fraction:
     return Fraction(*_doubling(coeffs, initial, n))
 
 
+def linear_row(recurrences, ns) -> list[Fraction]:
+    """The sum over ``recurrences``, each (coeffs, initial) as ``linear_term``
+    takes them, of w_n at each n of ns, ascending.
+
+    One n is one ``linear_term`` call per recurrence.  A longer row starts
+    each recurrence's integer state at n0 = ns[0] by ``_doubling`` (which
+    reads n0 < 2d off its initial terms) and steps it one n at a time, over
+    a scale common to the recurrences: with E the lcm of their initial
+    values' denominators and S of their ``_scale``, g_n = E S^n w_n has
+    integer coefficients c_i S^(d-i), and the row's value at n is the
+    recurrences' g_n summed, over E S^n.
+    """
+    n0 = ns[0]
+    if len(ns) == 1:
+        return [sum((linear_term(c, w, n0) for c, w in recurrences), Fraction(0))]
+    e = lcm(*[v.denominator for _, w in recurrences for v in w])
+    s = lcm(*[_scale(c) for c, _ in recurrences])
+    total = [0] * (ns[-1] - n0 + 1)
+    for c, w in recurrences:
+        d = len(c)
+        a = [ci.numerator * (s ** (d - i) // ci.denominator) for i, ci in enumerate(c)]
+        h = []
+        for n in range(n0, n0 + min(d, len(total))):
+            v, den = _doubling(c, w, n)
+            h.append(v * (e * s**n // den))
+        for j in range(d, len(total)):
+            h.append(sum(map(mul, a, h[j - d:j])))
+        total = list(map(add, total, h))
+    return [Fraction(total[n - n0], e * s**n) for n in ns]
+
+
 def term_fast(spec: RecurrenceSpec, n: int) -> Fraction:
     """U_n for any integer n in log time; identical value to term(spec, n).
     For n = -k < 0 it is term k of ``reflected(spec)``, b^k U_{-k}, over b^k."""
@@ -334,9 +400,12 @@ def term_text(spec: RecurrenceSpec, n: int) -> str:
         return num if g == e else num + "/" + str(_decimal(e // g))
 
 
-# Binet-pair tables kept at once, keyed by (spec, r, x); at least the number
-# of distinct keys one audit claim walks round (thm4 has 64), or its cells,
-# sorted by n first, would never hit.
+# Binet-pair tables kept at once, keyed by (spec, r, x), so a long-lived
+# process holds a bounded number.  Cell order no longer needs many: thm4
+# reads each of its 64 tables once, for its row, thm1 reads one table a cell
+# (again for a variant), and thm3's cells, sorted by n first, come round its
+# 4 tables.  The cap still holds every table of the claim with the most,
+# thm4, so a claim run again in one process builds none of them again.
 BINET_CAP = 128
 
 

@@ -210,8 +210,9 @@ def test_horadam_claims_report_hash_at_max_n_120_is_pinned():
 
 
 def test_no_claim_reads_more_binet_tables_than_the_cache_keeps(monkeypatch):
-    # cells run sorted by n first, so a claim's tables come round once per
-    # sweep of its other parameters: more of them than BINET_CAP never hit
+    # a claim whose cells, sorted by n first, read a table a cell has them
+    # come round once per sweep of its other parameters, and more of them
+    # than BINET_CAP would never hit; thm4 reads each table once, for its row
     real, keys, current = seq.binet_pairs, {}, [None]
 
     def spy(spec, r, x):

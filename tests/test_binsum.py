@@ -93,21 +93,20 @@ def test_weighted_families_match_direct():
         ("thm9-4r2", (0, 1, 2, 3), 1, 1),
     ):
         for r in rs:
-            for n in range(n_lo, 51, step):
-                assert fib_weighted_closed(family, r, n) == \
-                    corollary_lhs(family, n, r)
+            ns = range(n_lo, 51, step)
+            assert [fib_weighted_closed(family, r, n) for n in ns] == \
+                corollary_lhs(family, ns, r)
 
 
 def test_weighted_t9_4r_printed_vs_half_subscript():
     # the printed doubled subscript disagrees with the direct sum
-    lhs = corollary_lhs("thm9-4r-even", 2, 1)
-    assert lhs == -1
+    assert corollary_lhs("thm9-4r-even", [2], 1) == [-1]
     assert fib_weighted_closed("thm9-4r-even", 1, 2, "printed") == Fraction(19, 5)
     assert fib_weighted_closed("thm9-4r-even", 1, 2, "half-subscript") == -1
     for family, n_lo in (("thm9-4r-even", 2), ("thm9-4r-odd", 1)):
         for r in (1, 2):
-            for n in range(n_lo, 14, 2):
-                lhs = corollary_lhs(family, n, r)
+            ns = range(n_lo, 14, 2)
+            for n, lhs in zip(ns, corollary_lhs(family, ns, r)):
                 assert fib_weighted_closed(family, r, n, "half-subscript") == lhs
                 assert fib_weighted_closed(family, r, n, "printed") != lhs
 
@@ -122,27 +121,25 @@ def test_weighted_family_parity_enforced():
 
 
 def test_corollary_examples():
-    lhs, rhs = corollary_lhs("cor7-1", 4), corollary_rhs("cor7-1", 4)
+    [lhs], rhs = corollary_lhs("cor7-1", [4]), corollary_rhs("cor7-1", 4)
     assert (lhs, rhs, lhs == rhs) == (21, 21, True)
-    lhs, rhs = corollary_lhs("cor10-3", 2), corollary_rhs("cor10-3", 2)
+    [lhs], rhs = corollary_lhs("cor10-3", [2]), corollary_rhs("cor10-3", 2)
     assert lhs == -1 and rhs == -1 and lhs == rhs
-    lhs, rhs = corollary_lhs("cor10-4", 2), corollary_rhs("cor10-4", 2)
+    [lhs], rhs = corollary_lhs("cor10-4", [2]), corollary_rhs("cor10-4", 2)
     assert lhs == -1 and rhs == Fraction(4, 5) and lhs != rhs
-    assert corollary_lhs("cor10-4", 2) == corollary_rhs("cor10-4", 2, "times-4")
+    assert corollary_lhs("cor10-4", [2]) == [corollary_rhs("cor10-4", 2, "times-4")]
 
 
 def test_corollary_small_sweeps():
-    for n in range(0, 40):
-        for family in ("cor7-1", "cor7-4", "cor7-5", "cor10-1", "cor10-2", "cor10-3"):
-            assert corollary_lhs(family, n) == corollary_rhs(family, n)
-    for n in range(2, 40, 2):
-        assert corollary_lhs("cor7-2", n) == corollary_rhs("cor7-2", n)
-        lhs = corollary_lhs("cor10-4", n)
+    every, even, odd = range(0, 40), range(2, 40, 2), range(1, 40, 2)
+    for family in ("cor7-1", "cor7-4", "cor7-5", "cor10-1", "cor10-2", "cor10-3"):
+        assert corollary_lhs(family, every) == [corollary_rhs(family, n) for n in every]
+    assert corollary_lhs("cor7-2", even) == [corollary_rhs("cor7-2", n) for n in even]
+    for n, lhs in zip(even, corollary_lhs("cor10-4", even)):
         assert lhs == corollary_rhs("cor10-4", n, "times-4")
         assert lhs != corollary_rhs("cor10-4", n, "printed")
-    for n in range(1, 40, 2):
-        assert corollary_lhs("cor7-3", n) == corollary_rhs("cor7-3", n)
-        assert corollary_lhs("cor10-5", n) == corollary_rhs("cor10-5", n)
+    for family in ("cor7-3", "cor10-5"):
+        assert corollary_lhs(family, odd) == [corollary_rhs(family, n) for n in odd]
 
 
 def test_cor7_2_fails_at_index_zero():
@@ -216,12 +213,12 @@ def test_each_congruence_integer_is_its_identity_scaled_by_five():
         for cong, source, den in (("cor8-i", "cor7-4", 5), ("cor8-ii", "cor7-5", 25),
                                   ("cor11-i", "cor10-2", 5),
                                   ("cor11-ii", "cor10-3", 5)):
-            assert Fraction(congruence_lhs(cong, n), den) == corollary_lhs(source, n)
+            assert [Fraction(congruence_lhs(cong, n), den)] == corollary_lhs(source, [n])
         for r in (1, 2):
-            assert Fraction(congruence_lhs("cor8-v", n, r), 5 ** (2 * r)) == \
-                corollary_lhs("thm6-4r", n, r)
+            assert [Fraction(congruence_lhs("cor8-v", n, r), 5 ** (2 * r))] == \
+                corollary_lhs("thm6-4r", [n], r)
         cong, source = (("cor8-iii", "thm6-4r2-odd") if n % 2
                         else ("cor8-iv", "thm6-4r2-even"))
         for r in (0, 1, 2):
             five = Fraction(5) ** ((n + 1) // 2 - (2 * r + 1))
-            assert five * congruence_lhs(cong, n, r) == corollary_lhs(source, n, r)
+            assert [five * congruence_lhs(cong, n, r)] == corollary_lhs(source, [n], r)

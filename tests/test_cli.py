@@ -740,6 +740,17 @@ def test_audit_timings_go_to_stderr_and_leave_stdout_alone(capsys):
     assert ", 37 cells, " in lines[2] and lines[2].endswith(" cells/s")
 
 
+def test_audit_timings_count_the_rows_a_claim_walks(capsys):
+    code, _, err = run_cli(capsys, "audit", "--claims", "thm4,thm6-4r,cor7-1,eq2",
+                           "--timings")
+    assert code == 0
+    lines = dict(line.split(": ", 1) for line in err.splitlines())
+    assert lines["timing thm4"].split(", ")[1:3] == ["704 cells", "64 rows"]
+    assert lines["timing thm6-4r"].split(", ")[1:3] == ["40 cells", "2 rows"]
+    assert lines["timing cor7-1"].split(", ")[1:3] == ["101 cells", "1 row"]
+    assert "row" not in lines["timing eq2"] + lines["timing total"]
+
+
 @pytest.mark.parametrize("fmt", ("text", "structured"))
 def test_audit_claims_named_twice_run_once(capsys, fmt):
     code, once, _ = run_cli(capsys, "audit", "--claims", "eq2", "--format", fmt)

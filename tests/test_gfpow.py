@@ -229,3 +229,21 @@ def test_rejects_bad_power():
         gf_power(FIB, 0)
     with pytest.raises(ValueError):
         gf_oracle(FIB, 1, 0)
+
+
+@pytest.mark.parametrize("a, b", ((Fraction(1, 2), 1), (Fraction(3, 2), Fraction(-1, 3))))
+def test_a_non_integer_a_is_refused_naming_the_spec_and_a(a, b):
+    # the pole factors read V_k off the companion store as if over 1
+    spec = RecurrenceSpec(a, b, 0, 1)
+    for r in (1, 2, 3):
+        with pytest.raises(ValueError, match=rf"{spec}.*a = {a} is not an integer"):
+            gf_power(spec, r)
+
+
+@pytest.mark.parametrize("spec", (RecurrenceSpec(1, Fraction(1, 3), Fraction(1, 2), 1),
+                                  RecurrenceSpec(2, Fraction(-3, 2), 0, 1),
+                                  RecurrenceSpec(Fraction(4), 1, 0, 1)), ids=str)
+def test_a_rational_b_alone_is_served(spec):
+    for r in (1, 2, 3, 4, 5):
+        assert gf_power(spec, r, 30).expand(30) == tuple(
+            seq.term(spec, i) ** r for i in range(30))

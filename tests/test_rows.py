@@ -1,0 +1,127 @@
+"""Rows of binomial sums against their pointwise values, and the audit's rows.
+
+A row fixes (spec, r, x) and walks n.  The oracle's row is one Pascal sweep
+over the store's numerators (``PrefixStore.binomial_row``), the closed form's
+row steps each Binet pair's integer state (``seq.linear_row``); a single n is
+the pointwise sum on both sides.  The audit evaluates each row of a claim
+walked by rows once per side and drops the rows when the claim ends.
+"""
+
+import ast
+import dataclasses
+import gc
+import inspect
+import textwrap
+import weakref
+from fractions import Fraction as F
+
+import pytest
+
+from recsums import audit, binsum, seq
+from recsums.audit import REGISTRY, AuditCellError, run_audit
+from recsums.qfield import RecurrenceSpec
+
+XS = (F(0), F(1), F(-1), F(2), F(-1, 2), F(1, 3))
+# rational initial values throughout; complex roots (1, -3) and the root
+# ratios of finite order of (1, -1) and a = 0
+SPECS = (RecurrenceSpec(1, -3, F(1, 2), F(-2, 3)),
+         RecurrenceSpec(1, -1, F(2, 3), F(-1, 2)),
+         RecurrenceSpec(0, 2, 1, F(1, 3)))
+TOP = 300
+assert seq.SPLIT_CUTOFF < TOP
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_the_sweep_equals_the_pointwise_sum_on_every_n_to_300(spec):
+    # below SPLIT_CUTOFF the pointwise sum is the Horner loop, from it the split
+    for r in (1, 2, 3, 4):
+        for x in XS:
+            pointwise = [binsum.binom_sum_direct(spec, r, n, x) for n in range(TOP + 1)]
+            assert binsum.binom_row_direct(spec, r, range(TOP + 1), x) == pointwise
+            for start in (1, 2):
+                ns = range(start, TOP + 1, 2)
+                assert binsum.binom_row_direct(spec, r, ns, x) == pointwise[start::2]
+
+
+@pytest.mark.parametrize("spec", (*SPECS, RecurrenceSpec(1, 1, 0, 1),
+                                  RecurrenceSpec(3, -2, 2, 1)), ids=str)
+def test_the_stepped_closed_row_equals_the_closed_sum(spec):
+    for r in (1, 2, 3, 4):
+        for x in XS:
+            for ns in (range(0, 40), range(1, 30), range(2, 40), range(7, 60, 3)):
+                assert binsum.binom_row_closed(spec, r, ns, x) == [
+                    binsum.binom_sum_closed(spec, r, n, x) for n in ns]
+
+
+def test_a_row_of_one_cell_is_the_pointwise_sum(monkeypatch):
+    spec = RecurrenceSpec(1, 1, 0, 1)
+    monkeypatch.setattr(seq.PrefixStore, "power_sum",
+                        lambda self, r, n, x, binomial: ("pointwise", n))
+    assert binsum.binom_row_direct(spec, 2, [300], 3) == [("pointwise", 300)]
+
+
+def test_the_sweep_reads_only_the_store():
+    # the oracle stays independent of the closed form it audits
+    for fn in (seq.PrefixStore.binomial_row, binsum.binom_row_direct, binsum.corollary_lhs):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        named = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+        assert not named & {"binet_pairs", "linear_term", "linear_row", "_doubling"}, fn
+
+
+def _spy_rows(monkeypatch):
+    """Weak references to every cell ``run_audit`` hands over with its row,
+    the only holder of the row's values, from here on."""
+    made, real = [], audit._RowCell.__init__
+
+    def spy(self, params, ns, values):
+        made.append(weakref.ref(self))
+        real(self, params, ns, values)
+
+    monkeypatch.setattr(audit._RowCell, "__init__", spy)
+    return made
+
+
+def test_each_row_is_walked_once_a_side_and_dropped_with_its_claim(monkeypatch):
+    made, calls = _spy_rows(monkeypatch), []
+    for name in ("binom_row_direct", "binom_row_closed"):
+        real = getattr(binsum, name)
+        monkeypatch.setattr(binsum, name, lambda spec, r, ns, x, real=real: calls.append(
+            len(ns)) or real(spec, r, ns, x))
+    results = run_audit(["thm4"], 120)
+    assert len(results) == len(made) == 64 * 121 and calls == [121] * 128
+    gc.collect()
+    assert all(cell() is None for cell in made)
+
+
+def test_rows_are_dropped_when_a_cell_raises(monkeypatch):
+    made, claim = _spy_rows(monkeypatch), REGISTRY["cor7-1"]
+
+    def check(params):
+        if params["n"] == 3:
+            raise ValueError("broken")
+        return claim.check(params)
+
+    monkeypatch.setitem(REGISTRY, "cor7-1", dataclasses.replace(claim, check=check))
+    with pytest.raises(AuditCellError):
+        run_audit(["cor7-1"], max_n=6)
+    gc.collect()
+    assert len(made) == 7 and all(cell() is None for cell in made)
+
+
+def test_a_check_called_on_its_own_reads_a_row_of_one_cell():
+    for cid, params in (("thm4", {"spec": RecurrenceSpec(1, 1, 0, 1), "r": 3, "n": 9,
+                                  "x": F(-1, 2)}),
+                        ("cor10-4", {"n": 6})):
+        [result] = [r for r in run_audit([cid]) if r.params == params]
+        assert REGISTRY[cid].check(params) == (result.verdict, result.variant,
+                                               result.witness)
+
+
+def test_rows_are_declared_for_the_binomial_claims():
+    walked = {cid: claim.row for cid, claim in REGISTRY.items() if claim.row is not None}
+    assert walked["thm4"] == ("spec", "r", "x")
+    assert set(walked) == {"thm4", *binsum._FIB_SUMS}
+    for cid, keys in walked.items():
+        for cell in REGISTRY[cid].grid(None):
+            assert set(cell) == {*keys, "n"}, cid
