@@ -6,11 +6,13 @@
 
 over Q, one Galois-conjugate pair of terms at a time: each entry of
 :func:`recsums.seq.binet_pairs` gives a rational second-order sequence in n,
-read off by one call of the doubling kernel ``seq.linear_term``.  Both sums take
+read off by ``seq.linear_row``: one call of the doubling kernel
+``seq.linear_term`` per pair at a single n, and along a longer row one
+doubling to its first n and then a step per n.  Both sums take
 ``(spec, r, n, x)``, as ``partsum``'s do.  It carries no b = 1 caveat.  Each
 sum is its row function at a row of one n: ``binom_row_direct`` sweeps the
 store's numerators for a longer row, and ``binom_row_closed`` steps the
-pairs along it (``seq.linear_row``).
+pairs along it.
 Only ``root_power_collapse``, a statement about Q(sqrt(5)) itself, computes
 with ``QuadElem``.  The Fibonacci specializations at x = +/-1 are named by
 their claim ids: the six thm6/thm9 families and the ten cor7/cor10 displayed

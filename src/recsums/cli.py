@@ -310,9 +310,6 @@ def _sum_like(args, direct_fn, closed_fn) -> int:
             raise ValueError(f"{flag} {value} is below {low}")
     spec, _ = _budgeted_spec(args)
     mode = "direct" if args.direct else "closed" if args.closed else "both"
-    if args.command == "sum" and mode != "direct" and spec.u0 != 0:
-        raise ValueError(f"--u0 {spec.u0}: the closed partial sum needs u0 = 0; "
-                         f"use --direct")
     values = {m: fn(spec, args.power, args.n, args.x)
               for m, fn in (("direct", direct_fn), ("closed", closed_fn))
               if mode in (m, "both")}

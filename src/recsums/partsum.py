@@ -2,14 +2,15 @@
 
 Every sum function takes ``(spec, r, n, x)``, as ``binsum``'s do: the power
 before the upper index.  x = None selects symbolic mode (a polynomial or
-rational function in x, n <= SYMBOLIC_LIMIT), a rational x a value.
+rational function in x), a rational x a value.
 
-The closed forms assume U_0 = 0 and hold for every nonzero b.  Both come from
-the list of :func:`recsums.seq.binet_pairs`, each entry a rational sequence
-of order at most two: the symbolic form adds one rational function per
-entry, and the pointwise evaluator ``partial_sum_general_b`` reads each
-entry's partial sums as one term of an order-3 recurrence, with no division,
-so a vanishing pair denominator 1 - P + Q (a root 1) needs no special case.
+The closed forms hold for every initial value, every nonzero b and every n.
+Both come from the list of :func:`recsums.seq.binet_pairs`, built from any
+U_0 and U_1, each entry a rational sequence of order at most two: the
+symbolic form adds one rational function per entry, and the pointwise
+evaluator ``partial_sum_general_b`` reads each entry's partial sums as one
+term of an order-3 recurrence, with no division, so a vanishing pair
+denominator 1 - P + Q (a root 1) needs no special case.
 The paper states the form for b = 1, where the pair denominators are
 1 - (-1)^k V_{r-2k} x + x^2.  The published even-power form is garbled (sign
 flips and a dropped constant term); ``partial_sum_closed`` uses the
@@ -31,20 +32,13 @@ from . import seq
 from .polyrat import Polynomial, RationalFunction
 from .qfield import RecurrenceSpec
 
-SYMBOLIC_LIMIT = 32
 
-
-def _check(spec: RecurrenceSpec, r: int, n: int, x, closed: bool = True):
-    """Reject what no sum serves: n < 0, r < 1; and for the closed forms
-    u0 != 0, or a symbolic sum (x = None) past SYMBOLIC_LIMIT."""
+def _check(r: int, n: int):
+    """Reject what no sum serves: n < 0 or r < 1."""
     if n < 0:
         raise ValueError("upper index must be >= 0")
     if r < 1:
         raise ValueError("power must be >= 1")
-    if closed and spec.u0 != 0:
-        raise ValueError("closed forms require u0 = 0")
-    if closed and x is None and n > SYMBOLIC_LIMIT:
-        raise ValueError(f"symbolic mode supports n <= {SYMBOLIC_LIMIT}")
 
 
 def partial_sum_direct(spec: RecurrenceSpec, r: int, n: int, x=None):
@@ -52,7 +46,7 @@ def partial_sum_direct(spec: RecurrenceSpec, r: int, n: int, x=None):
 
     x = None gives the polynomial sum_i U_i^r x^i, a rational x its value.
     """
-    _check(spec, r, n, x, closed=False)
+    _check(r, n)
     if x is None:
         return Polynomial([t**r for t in seq.terms(spec, n + 1)])
     return seq.store(spec).power_sum(r, n, x, binomial=False)
@@ -94,13 +88,13 @@ def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
 def partial_sum_closed(spec: RecurrenceSpec, r: int, n: int, x=None):
     """Closed-form value of the partial sum; equals partial_sum_direct exactly.
 
-    Requires u0 = 0.  Symbolic sums (x = None) get the rational function
-    built pair by pair; pointwise sums are partial_sum_general_b.  Both
-    hold for every nonzero b.
+    Symbolic sums (x = None) get the rational function built pair by pair;
+    pointwise sums are partial_sum_general_b.  Both hold for every initial
+    value and every nonzero b.
     """
     if x is not None:
         return partial_sum_general_b(spec, r, n, x)
-    _check(spec, r, n, x)
+    _check(r, n)
     return _symbolic_sum(spec, r, n)
 
 
@@ -109,10 +103,12 @@ def partial_sum_printed(spec: RecurrenceSpec, r: int, n: int) -> RationalFunctio
 
     Identical to partial_sum_closed for odd r; for even r it keeps the
     published numerator signs, dropped constant, and unsigned middle term.
+    b = 1 and u0 = 0 are the published claim's hypotheses, so nothing else
+    is served here.
     """
-    _check(spec, r, n, None)
-    if spec.b != 1:
-        raise ValueError("published form is a b = 1 claim")
+    _check(r, n)
+    if spec.b != 1 or spec.u0 != 0:
+        raise ValueError("the published form is a claim for b = 1 and u0 = 0")
     return _symbolic_sum(spec, r, n, printed=True)
 
 
@@ -139,8 +135,7 @@ def partial_sum_general_b(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
         S = sum_k C(r,k) A^k (-B)^{r-k} sum_{i=0}^n t_k^i,
         t_k = alpha^k beta^{r-k} x,
 
-    summed over Q one entry of ``seq.binet_pairs`` at a time.  Requires
-    u0 = 0.
+    summed over Q one entry of ``seq.binet_pairs`` at a time.
 
     An entry's partial sums S_j = w_0 + ... + w_j have the roots 1, t_k and
     t_{r-k}: S_{j+3} = (1 + P) S_{j+2} - (P + Q) S_{j+1} + Q S_j, read off at
@@ -149,7 +144,7 @@ def partial_sum_general_b(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
     """
     if x is None:
         raise ValueError("general-b evaluator is pointwise; pass x")
-    _check(spec, r, n, x)
+    _check(r, n)
     return sum((seq.linear_term((q, -p - q, 1 + p),
                                 (w0, w0 + w1, w0 + w1 + p * w1 - q * w0), n)
                 for w0, w1, p, q in seq.binet_pairs(spec, r, x)), Fraction(0))

@@ -112,9 +112,8 @@ def test_closed_sums_at_x_zero_where_every_q_is_zero(spec, r):
     assert all(q == 0 for *_, q in seq.binet_pairs(spec, r, 0))
     for n in range(6):
         assert binom_sum_closed(spec, r, n, F(0)) == binom_sum_direct(spec, r, n, F(0))
-        if spec.u0 == 0:   # the closed partial sum's hypothesis
-            assert (partial_sum_closed(spec, r, n, F(0))
-                    == partial_sum_direct(spec, r, n, F(0)))
+        assert (partial_sum_closed(spec, r, n, F(0))
+                == partial_sum_direct(spec, r, n, F(0)))
 
 
 def test_binet_pairs_is_a_memoised_tuple():

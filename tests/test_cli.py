@@ -350,13 +350,17 @@ def test_the_binet_pair_table_counts_against_the_budget(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("mode", ((), ("--both",), ("--closed",)))
-def test_closed_partial_sum_with_nonzero_u0_is_refused_first(capsys,
-                                                             monkeypatch, mode):
-    _patch_every_sum(monkeypatch, _refuse)
-    code, out, err = run_cli(capsys, "sum", "--preset", "lucas", "--n", "18000",
-                             "--power", "1", "--x", "1", *mode)
-    assert (code, out) == (2, "")
-    assert "--u0 2" in err and "--direct" in err
+def test_closed_partial_sum_serves_a_nonzero_u0(capsys, mode):
+    # Lucas, u0 = 2: 2^3 - 1/2 + 3^3 / 4 - 4^3 / 8 = 25/4
+    code, out, err = run_cli(capsys, "sum", "--preset", "lucas", "--n", "3",
+                             "--power", "3", "--x=-1/2", *mode)
+    assert (code, err) == (0, "")
+    assert out == ("25/4\n" if mode == ("--closed",)
+                   else "direct=25/4 closed=25/4 match\n")
+    if mode != ("--closed",):
+        code, out, _ = run_cli(capsys, "sum", "--preset", "lucas", "--n", "300",
+                               "--power", "3", "--x=-1/2", *mode)
+        assert code == 0 and out.endswith(" match\n")
 
 
 def test_seq_negative_index_and_fast(capsys):

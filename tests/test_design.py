@@ -39,6 +39,11 @@ defines no renderer of its own.
 factors to one integer series (``gf --check-terms`` only lengthens it): no
 Polynomial product builds the denominator, and neither gfpow nor the CLI
 expands a rational function.
+
+The closed partial sums serve every initial value at every n: partsum holds
+no size cap and refuses only n < 0 and r < 1, and the CLI reads no initial
+value to choose a sum mode.  Only ``partial_sum_printed`` tests b = 1 and
+u0 = 0, the published claim's hypotheses.
 """
 
 import ast
@@ -135,6 +140,13 @@ def test_every_sum_takes_spec_power_then_upper_index():
     assert len(sums) == 6, sorted(sums)
     for name, fn in sums.items():
         assert list(inspect.signature(fn).parameters)[:3] == ["spec", "r", "n"], name
+
+
+def test_the_closed_partial_sums_serve_every_initial_value_and_n():
+    assert [name for name in vars(partsum) if name.endswith("_LIMIT")] == []
+    assert list(inspect.signature(partsum._check).parameters) == ["r", "n"]
+    (sum_like,) = [fn for fn in _functions("cli.py") if fn.name == "_sum_like"]
+    assert "u0" not in _named(sum_like)
 
 
 def test_the_cli_serves_seq_through_the_kernel_under_one_limit():

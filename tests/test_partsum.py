@@ -66,9 +66,37 @@ def test_printed_even_form_fails_but_odd_passes(spec):
     assert even != RationalFunction(partial_sum_direct(spec, 2, n), Polynomial([1]))
 
 
-def test_closed_requires_u0_zero():
-    with pytest.raises(ValueError):
-        partial_sum_closed(RecurrenceSpec(1, 1, 2, 1), 1, 3, Fraction(1))
+def test_closed_serves_every_initial_value():
+    # u0 != 0: Lucas, a rational u0, complex roots, the root-of-unity ratio
+    # (1, -1), and a = 0
+    for spec in (RecurrenceSpec(1, 1, 2, 1), RecurrenceSpec(1, 2, Fraction(-1, 3), 1),
+                 RecurrenceSpec(1, -3, 2, 1), RecurrenceSpec(1, -1, 1, 0),
+                 RecurrenceSpec(0, 3, Fraction(1, 2), -1)):
+        for r in range(1, 5):
+            for n in range(12):
+                direct = partial_sum_direct(spec, r, n)
+                closed = partial_sum_closed(spec, r, n)
+                assert closed == RationalFunction(direct, Polynomial([1])), (spec, r, n)
+                for x in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2),
+                          Fraction(1, 3)):
+                    assert (partial_sum_closed(spec, r, n, x)
+                            == partial_sum_direct(spec, r, n, x)), (spec, r, n, x)
+
+
+@pytest.mark.parametrize("n", (33, 120))
+def test_closed_symbolic_serves_every_n(n):
+    assert partial_sum_closed(FIB, 1, n) == RationalFunction(
+        partial_sum_direct(FIB, 1, n), Polynomial([1]))
+
+
+@pytest.mark.parametrize("spec", (RecurrenceSpec(1, 1, 2, 1),
+                                  RecurrenceSpec(1, 2, 0, 1)), ids=("u0", "b"))
+def test_printed_form_keeps_its_hypotheses(spec):
+    # b = 1 and u0 = 0 are hypotheses of the published claim, not of the sum
+    with pytest.raises(ValueError, match="b = 1 and u0 = 0"):
+        partial_sum_printed(spec, 2, 4)
+    assert partial_sum_closed(spec, 2, 4) == RationalFunction(
+        partial_sum_direct(spec, 2, 4), Polynomial([1]))
 
 
 def test_closed_routes_general_b_pointwise():
@@ -90,8 +118,6 @@ def test_closed_reports_denominator_zero():
 def test_printed_form_is_symbolic_only():
     # the published form is a b = 1 rational function: it takes no x
     assert list(inspect.signature(partial_sum_printed).parameters) == ["spec", "r", "n"]
-    with pytest.raises(ValueError):
-        partial_sum_printed(RecurrenceSpec(1, 2, 0, 1), 2, 4)
 
 
 @pytest.mark.parametrize("n", (0, 1, 2, 7))
@@ -240,11 +266,3 @@ def test_query_validation():
             fn(FIB, 1, -1, *x)
         with pytest.raises(ValueError, match="power"):
             fn(FIB, 0, 1, *x)
-        if fn is not partial_sum_direct:
-            with pytest.raises(ValueError, match="u0 = 0"):
-                fn(RecurrenceSpec(1, 1, 2, 1), 1, 1, *x)
-        if not x or fn is partial_sum_closed:
-            with pytest.raises(ValueError, match="symbolic mode"):
-                fn(FIB, 1, 33)   # symbolic cap
-            assert fn(FIB, 1, 32) == RationalFunction(
-                partial_sum_direct(FIB, 1, 32), Polynomial([1]))

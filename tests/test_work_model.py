@@ -63,6 +63,8 @@ BIG_INITIAL_VALUES = (
      "--x=1", "--both"],
     ["binom-sum", "--a=1", "--b=1", "--u0=1", f"--u1={2**40}", "--n=2",
      "--power=3", "--x=1/2", "--both"],
+    ["sum", "--a=1", "--b=1", f"--u0={2**40}", "--u1=1", "--n=2", "--power=3",
+     "--x=1", "--closed"],
 )
 
 
@@ -73,6 +75,7 @@ BIG_INITIAL_VALUES = (
 @example(BIG_INITIAL_VALUES[2])
 @example(BIG_INITIAL_VALUES[3])
 @example(BIG_INITIAL_VALUES[4])
+@example(BIG_INITIAL_VALUES[5])
 def test_every_printed_number_fits_the_predicted_operand(argv):
     assert _within_model(argv), argv
 
