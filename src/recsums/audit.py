@@ -11,10 +11,13 @@ failing witness attached, so the corrected-identity table is itself a
 deliverable.  ``lemma5`` (an identity in Q(sqrt(5))) and the 5-adic
 congruences (valuations, not values) have checks of their own.
 
-A claim whose cells differ in n along rows (thm4, and the Fibonacci sums at
-x = +/-1) declares the params that fix a row, and its oracle (and thm4's
-closed form) is evaluated a row at a time: each row once per side, held
-only while the claim runs.
+Every claim declares its grid as data: its axes, the params that fix a row,
+each with its values, and, for a claim whose cells walk an index along each
+row, that index's first and last value, stride and ceiling.  One builder,
+``Claim.grid``, reads every grid off its declaration and hands each cell over
+with its row.  The oracles of thm4 and of the Fibonacci sums at x = +/-1 (and
+thm4's closed form) are evaluated a row at a time: each row once per side,
+held only while the claim runs.
 
 Reports are fully deterministic: same selection and grid, byte-identical
 structured output (no timestamps, sorted keys, stable cell ordering).
@@ -25,6 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
@@ -52,23 +56,12 @@ class AuditCellError(RuntimeError):
 
 class _RowCell(dict):
     """A cell's params as ``run_audit`` hands them to the check of a claim
-    walked by rows, with its row: the n of the row's cells, ascending, and
-    each side's values along the row, filled at the first cell checked."""
+    with an index, with its row: the index of the row's cells, ascending,
+    and each side's values along the row, filled at the first cell checked."""
 
     def __init__(self, params: dict, ns: list[int], values: dict):
         super().__init__(params)
         self.row_ns, self.row_values = ns, values
-
-
-def _row_cells(keys: tuple[str, ...], cells: list[dict]) -> list[_RowCell]:
-    """Each cell with the row that its params named by ``keys`` fix."""
-    rows: dict[tuple, tuple[list, dict]] = {}
-    out = []
-    for params in cells:
-        ns, values = rows.setdefault(tuple(params[k] for k in keys), ([], {}))
-        ns.append(params["n"])
-        out.append(_RowCell(params, ns, values))
-    return out
 
 
 def _by_row(fn):
@@ -88,13 +81,39 @@ def _by_row(fn):
 
 @dataclass(frozen=True)
 class Claim:
+    """A printed identity and its grid.  ``axes`` pairs each param that fixes
+    a row with its values, in cell-key order; ``index`` is the param walked
+    along each row, as (name, first, last, stride, ceiling).  ``--max-n`` replaces
+    ``last`` but never passes ``ceiling``; either may be a function of the
+    row's axes."""
     id: str
     description: str
     hypotheses: tuple[str, ...]
-    grid: Callable[[int | None], list[dict]]
+    axes: tuple[tuple[str, tuple], ...]
+    index: tuple | None
     check: Callable[[dict], tuple[str, str | None, dict | None]]
-    # the params that fix a row, every one but n, for a claim walked by rows
-    row: tuple[str, ...] | None = None
+
+    def grid(self, max_n: int | None = None) -> list[dict]:
+        """Every cell: the product of the axes, times the index's range, each
+        cell with its row when the claim has an index."""
+        cells, names = [], [name for name, _ in self.axes]
+        for point in product(*(values for _, values in self.axes)):
+            row = dict(zip(names, point))
+            if self.index is None:
+                cells.append(row)
+                continue
+            name, first, last, stride, ceiling = self.index
+            top = _at(last, row) if max_n is None else max_n
+            if ceiling is not None:
+                top = min(top, _at(ceiling, row))
+            ns, values = list(range(first, top + 1, stride)), {}
+            cells += [_RowCell({**row, name: n}, ns, values) for n in ns]
+        return cells
+
+
+def _at(bound, row: dict) -> int:
+    """An index bound: a number, or a function of the row's axes."""
+    return bound(**row) if callable(bound) else bound
 
 
 @dataclass(frozen=True)
@@ -114,24 +133,14 @@ def _fmt(value) -> str:
 
 # --- grids -------------------------------------------------------------------
 
-GF_AB = ((1, 1), (2, 1), (1, 2), (3, -2), (1, -3))
-GF_INITS = ((0, 1), (2, 1))
+GF_SPECS = tuple(RecurrenceSpec(a, b, u0, u1)
+                 for a, b in ((1, 1), (2, 1), (1, 2), (3, -2), (1, -3))
+                 for u0, u1 in ((0, 1), (2, 1)))
 FIB = RecurrenceSpec(1, 1, 0, 1)
 PELL = RecurrenceSpec(2, 1, 0, 1)
 B1_SPECS = (FIB, PELL)
 THM4_SPECS = (FIB, PELL, RecurrenceSpec(1, 2, 0, 1), RecurrenceSpec(3, -2, 2, 1))
 HORADAM_PQ = ((1, 2), (1, 3), (2, 5))
-
-
-def _cap(default: int, max_n: int | None, hard: int | None = None) -> int:
-    n = default if max_n is None else max_n
-    if hard is not None:
-        n = min(n, hard)
-    return n
-
-
-def _n_range(lo: int, default_hi: int, max_n, step: int = 1, hard=None):
-    return list(range(lo, _cap(default_hi, max_n, hard) + 1, step))
 
 
 # --- checkers ----------------------------------------------------------------
@@ -220,10 +229,6 @@ def _check_congruence(claim):
 # --- registry ----------------------------------------------------------------
 
 
-def _gf_specs():
-    return [RecurrenceSpec(a, b, u0, u1) for a, b in GF_AB for u0, u1 in GF_INITS]
-
-
 def _build_registry() -> dict[str, Claim]:
     claims: list[Claim] = []
 
@@ -233,7 +238,7 @@ def _build_registry() -> dict[str, Claim]:
         "denominators; printed middle term lacks x and the x^2 coefficient "
         "is a bare -1 (exact pair product has (-b)^r x^2)",
         ("r odd",),
-        lambda max_n: [{"spec": s, "r": r} for s in _gf_specs() for r in (1, 3, 5)],
+        (("spec", GF_SPECS), ("r", (1, 3, 5))), None,
         _compare(_thm1_truth, _thm1_form, ("with-x", "general-b")),
     ))
     claims.append(Claim(
@@ -242,7 +247,7 @@ def _build_registry() -> dict[str, Claim]:
         "pole; printed x^2 coefficient +1 and middle pole 1/(1-(-1)^{r/2}x) "
         "(exact values are (-b)^r and (-b)^{r/2})",
         ("r even",),
-        lambda max_n: [{"spec": s, "r": r} for s in _gf_specs() for r in (2, 4, 6)],
+        (("spec", GF_SPECS), ("r", (2, 4, 6))), None,
         _compare(_thm1_truth, _thm1_form, ("general-b",)),
     ))
     claims.append(Claim(
@@ -250,7 +255,7 @@ def _build_registry() -> dict[str, Claim]:
         "first-power display A^2 U_1 x/(1 - V_1 x - x^2); the closed form's "
         "r = 1 prefactor is A^0 = 1, so the printed A^2 is spurious",
         ("b=1", "u0=0"),
-        lambda max_n: [{"spec": s} for s in B1_SPECS],
+        (("spec", B1_SPECS),), None,
         _compare(lambda c: gfpow.gf_power(c["spec"], 1),
                  lambda c, v: gfpow.display_r1(c["spec"], v), ("unit-prefactor",)),
     ))
@@ -258,7 +263,7 @@ def _build_registry() -> dict[str, Claim]:
         "eq2",
         "square display -A^2(V_2+2) x (x-1) / ((x+1)(x^2 - V_2 x + 1))",
         ("b=1", "u0=0"),
-        lambda max_n: [{"spec": s} for s in B1_SPECS],
+        (("spec", B1_SPECS),), None,
         _compare(lambda c: gfpow.gf_power(c["spec"], 2),
                  lambda c, _: gfpow.display_r2(c["spec"])),
     ))
@@ -269,7 +274,7 @@ def _build_registry() -> dict[str, Claim]:
         "(prefactor should be A^2 with the binomial weight 3 kept, giving "
         "U_1^3 x (1 - 2ab x - x^2) over the same denominator)",
         ("b=1", "u0=0"),
-        lambda max_n: [{"spec": s} for s in B1_SPECS],
+        (("spec", B1_SPECS),), None,
         _compare(lambda c: gfpow.gf_power(c["spec"], 3),
                  lambda c, v: gfpow.display_r3(c["spec"], v), ("proof-consistent",)),
     ))
@@ -282,11 +287,7 @@ def _build_registry() -> dict[str, Claim]:
             variants = ("minus-p",)
         claims.append(Claim(
             f"thm2-{name}", desc, ("n>=1",),
-            lambda max_n: [
-                {"pq": pq, "n": n}
-                for pq in HORADAM_PQ
-                for n in _n_range(1, 25, max_n)
-            ],
+            (("pq", HORADAM_PQ),), ("n", 1, 25, 1, None),
             _compare(
                 lambda c, name=name: partsum.horadam_direct(
                     *c["pq"], partsum.horadam_index(name, c["n"])),
@@ -296,18 +297,14 @@ def _build_registry() -> dict[str, Claim]:
         ))
 
     # the symbolic partial sums serve every n, but the thm3 and cor-sn1 rows
-    # stop at n = 30 whatever --max-n is: this is grid data, kept so that the
-    # --max-n reports do not change until the audit grid is priced
+    # stop at n = 30 whatever --max-n is: this ceiling is grid data, kept so
+    # that the --max-n reports do not change until the audit grid is priced
     claims.append(Claim(
         "thm3-odd",
         "odd-power partial sum: numerators U_{r-2k} x - (-1)^{kn} "
         "U_{(r-2k)(n+1)} x^{n+1} - (-1)^{k(n+1)} U_{(r-2k)n} x^{n+2}",
         ("b=1", "u0=0"),
-        lambda max_n: [
-            {"spec": s, "r": r, "n": n}
-            for s in B1_SPECS for r in (1, 3)
-            for n in _n_range(0, 12, max_n, hard=30)
-        ],
+        (("spec", B1_SPECS), ("r", (1, 3))), ("n", 0, 12, 1, 30),
         _compare(_partial_sum_truth, _thm3_form),
     ))
     claims.append(Claim(
@@ -316,11 +313,7 @@ def _build_registry() -> dict[str, Claim]:
         "the constant 2(-1)^k, and omits (-1)^{r/2} on the middle term; the "
         "derivation-consistent form passes",
         ("b=1", "u0=0"),
-        lambda max_n: [
-            {"spec": s, "r": r, "n": n}
-            for s in B1_SPECS for r in (2, 4)
-            for n in _n_range(0, 12, max_n, hard=30)
-        ],
+        (("spec", B1_SPECS), ("r", (2, 4))), ("n", 0, 12, 1, 30),
         _compare(_partial_sum_truth, _thm3_form, ("proof-derived",)),
     ))
     claims.append(Claim(
@@ -328,11 +321,7 @@ def _build_registry() -> dict[str, Claim]:
         "first-power partial sum display x(U_1 - U_{n+1} x^n - U_n x^{n+2}) / "
         "(1 - V_1 x - x^2); the last inner exponent should be n+1",
         ("b=1", "u0=0"),
-        lambda max_n: [
-            {"spec": s, "n": n}
-            for s in B1_SPECS
-            for n in _n_range(0, 20, max_n, hard=30)
-        ],
+        (("spec", B1_SPECS),), ("n", 0, 20, 1, 30),
         _compare(_partial_sum_truth,
                  lambda c, v: partsum.corollary_r1(c["spec"], c["n"], v),
                  ("shifted-exponent",)),
@@ -344,28 +333,19 @@ def _build_registry() -> dict[str, Claim]:
         "binomial-weighted sum equals sum_k C(r,k) A^k (-B)^{r-k} "
         "(1 + alpha^k beta^{r-k} x)^n for every nondegenerate spec",
         (),
-        lambda max_n: [
-            {"spec": s, "r": r, "n": n, "x": x}
-            for s in THM4_SPECS
-            for r in (1, 2, 3, 4)
-            for n in _n_range(0, 10, max_n)
-            for x in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2))
-        ],
+        (("spec", THM4_SPECS), ("r", (1, 2, 3, 4)),
+         ("x", (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)))),
+        ("n", 0, 10, 1, None),
         _compare(
             _by_row(lambda c, ns: binsum.binom_row_direct(c["spec"], c["r"], ns, c["x"])),
             lambda c, _: closed(c)),
-        ("spec", "r", "x"),
     ))
     claims.append(Claim(
         "lemma5",
         "golden-root power collapses alpha^{2s} -+ (-1)^s = sqrt(5) alpha^s F_s "
         "/ L_s alpha^s and the beta companions, exact in Q(sqrt(5))",
         (),
-        lambda max_n: [
-            {"s": s, "sign": sign}
-            for s in _n_range(0, 64, max_n)
-            for sign in (1, -1)
-        ],
+        (("sign", (1, -1)),), ("s", 0, 64, 1, None),
         _check_lemma5,
     ))
 
@@ -398,17 +378,12 @@ def _build_registry() -> dict[str, Claim]:
     for cid, desc, hyp, rs, n_lo, n_step, variants in weighted:
         claims.append(Claim(
             cid, desc, hyp,
-            (lambda rs=rs, n_lo=n_lo, n_step=n_step: lambda max_n: [
-                {"r": r, "n": n}
-                for r in rs
-                for n in _n_range(n_lo, 20, max_n, step=n_step)
-            ])(),
+            (("r", rs),), ("n", n_lo, 20, n_step, None),
             _compare(
                 _fib_sum_truth(cid),
                 lambda c, v, cid=cid: binsum.fib_weighted_closed(
                     cid, c["r"], c["n"], v),
                 variants),
-            ("r",),
         ))
 
     corollaries = (
@@ -435,57 +410,35 @@ def _build_registry() -> dict[str, Claim]:
         variants = ("times-4",) if cid == "cor10-4" else ()
         claims.append(Claim(
             cid, desc, hyp,
-            (lambda lo=lo, step=step: lambda max_n: [
-                {"n": n} for n in _n_range(lo, 100, max_n, step=step)
-            ])(),
+            (), ("n", lo, 100, step, None),
             _compare(
                 _fib_sum_truth(cid),
                 lambda c, v, cid=cid: binsum.corollary_rhs(cid, c["n"], v),
                 variants),
-            (),
         ))
 
+    to_100 = ("n", 0, 100, 1, None)
+    odd_top, even_top = (lambda r: 8 * r + 3), (lambda r: 8 * r + 2)
     congruences = (
-        ("cor8-i", "2^n F_{2n} + 3 F_n == 0 mod 5", ()),
-        ("cor8-ii", "3^n L_{2n} - 4(-1)^n L_n + 6*2^n == 0 mod 25", ()),
+        ("cor8-i", "2^n F_{2n} + 3 F_n == 0 mod 5", (), (), to_100),
+        ("cor8-ii", "3^n L_{2n} - 4(-1)^n L_n + 6*2^n == 0 mod 25", (), (), to_100),
         ("cor8-v", "the L-power sum with its 2^n middle binomial is divisible "
-                   "by 5^{2r}", ("r in 1..3",)),
-        ("cor11-i", "(-1)^n L_n - 2^{n+1} == 0 mod 5", ()),
-        ("cor11-ii", "(-2)^n F_n - 3 F_{2n} == 0 mod 5", ()),
+                   "by 5^{2r}", ("r in 1..3",), (("r", (1, 2, 3)),), to_100),
+        ("cor11-i", "(-1)^n L_n - 2^{n+1} == 0 mod 5", (), (), to_100),
+        ("cor11-ii", "(-2)^n F_n - 3 F_{2n} == 0 mod 5", (), (), to_100),
+        ("cor8-iii",
+         "F-power sum divisibility for odd n <= 8r+3: printed exponent "
+         "4r+2-(n-1)/2 vs the integrality-implied 2r+1-(n+1)/2",
+         ("n odd", "n<=8r+3"), (("r", (0, 1, 2, 3)),),
+         ("n", 1, odd_top, 2, odd_top)),
+        ("cor8-iv",
+         "L-power sum divisibility for even n <= 8r+2: printed exponent "
+         "4r+2-n/2 vs the integrality-implied 2r+1-n/2",
+         ("n even", "n>=2", "n<=8r+2"), (("r", (0, 1, 2, 3)),),
+         ("n", 2, even_top, 2, even_top)),
     )
-    for cid, desc, hyp in congruences:
-        if cid == "cor8-v":
-            grid = lambda max_n: [
-                {"r": r, "n": n} for r in (1, 2, 3) for n in _n_range(0, 100, max_n)
-            ]
-        else:
-            grid = lambda max_n: [{"n": n} for n in _n_range(0, 100, max_n)]
-        claims.append(Claim(cid, desc, hyp, grid, _check_congruence(cid)))
-
-    claims.append(Claim(
-        "cor8-iii",
-        "F-power sum divisibility for odd n <= 8r+3: printed exponent "
-        "4r+2-(n-1)/2 vs the integrality-implied 2r+1-(n+1)/2",
-        ("n odd", "n<=8r+3"),
-        lambda max_n: [
-            {"r": r, "n": n}
-            for r in (0, 1, 2, 3)
-            for n in _n_range(1, 8 * r + 3, max_n, step=2, hard=8 * r + 3)
-        ],
-        _check_congruence("cor8-iii"),
-    ))
-    claims.append(Claim(
-        "cor8-iv",
-        "L-power sum divisibility for even n <= 8r+2: printed exponent "
-        "4r+2-n/2 vs the integrality-implied 2r+1-n/2",
-        ("n even", "n>=2", "n<=8r+2"),
-        lambda max_n: [
-            {"r": r, "n": n}
-            for r in (0, 1, 2, 3)
-            for n in _n_range(2, 8 * r + 2, max_n, step=2, hard=8 * r + 2)
-        ],
-        _check_congruence("cor8-iv"),
-    ))
+    for cid, desc, hyp, axes, index in congruences:
+        claims.append(Claim(cid, desc, hyp, axes, index, _check_congruence(cid)))
 
     return {c.id: c for c in claims}
 
@@ -528,12 +481,11 @@ def run_audit(selection="all", max_n: int | None = None,
 
 
 def _run_claim(cid: str, claim: Claim, max_n: int | None) -> list[AuditResult]:
-    """One claim's cells in sorted order; a claim walked by rows checks each
-    cell with its row, and its rows go when this returns."""
-    cells = sorted(claim.grid(max_n), key=_cell_key)
-    checked = cells if claim.row is None else _row_cells(claim.row, cells)
+    """One claim's cells in sorted order, each checked with its row; the rows
+    go when this returns."""
     results = []
-    for params, cell in zip(cells, checked):
+    for cell in sorted(claim.grid(max_n), key=_cell_key):
+        params = dict(cell)   # a result keeps no row
         try:
             verdict, variant, witness = claim.check(cell)
         except Exception as exc:

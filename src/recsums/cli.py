@@ -43,9 +43,10 @@ from .qfield import DegenerateSpecError, RecurrenceSpec
 # Xeon host the worst inputs it serves take 2.6 to 4.7 s as one process.
 WORK_LIMIT = 29 * 10**11
 # Largest `audit --max-n` served, from the flag or a --config file.  On a
-# 2-core Xeon host with CPython 3.11, `audit --claims all` takes about 0.8 s
-# at 60 and at 120 as one process, and 1.4 s at 240 with this limit lifted,
-# `thm4` growing fastest; the limit stays until the grid is priced.
+# 2-core Xeon host with CPython 3.11, `audit --claims all` takes about 0.45 s
+# at 60 and 0.65 s at 120 as one process; with this limit lifted,
+# `run_audit("all")` takes 1.1-1.2 s at 240 and 3.1-4.1 s at 480, `thm4`
+# growing fastest.  The limit stays until the grid is priced.
 AUDIT_MAX_N_LIMIT = 120
 FORMATS = ("text", "latex", "structured")
 # The keys a --config file may set, each read like the flag of the same name.
@@ -364,14 +365,15 @@ def _cmd_audit(args) -> int:
 
 
 def _print_timings(timings: dict, results) -> None:
-    """Seconds, cells, rows walked (for a claim walked by rows) and cells/s of
-    each claim run, and their total, to stderr."""
+    """Seconds, cells, rows (for a claim with an index) and cells/s of each
+    claim run, and their total, to stderr."""
     cells = Counter(r.claim_id for r in results)
     rows: dict[str, set] = {}
     for r in results:
-        keys = audit.REGISTRY[r.claim_id].row
-        if keys is not None:
-            rows.setdefault(r.claim_id, set()).add(tuple(r.params[k] for k in keys))
+        claim = audit.REGISTRY[r.claim_id]
+        if claim.index is not None:
+            row = tuple(r.params[name] for name, _ in claim.axes)
+            rows.setdefault(r.claim_id, set()).add(row)
     cells["total"] = len(results)
     for cid, secs in [*timings.items(), ("total", sum(timings.values()))]:
         rate = f"{cells[cid] / secs:.0f}" if secs else "-"
@@ -434,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--max-n", type=int, default=None, dest="max_n")
     p_audit.add_argument("--out", help="write the report to this path")
     p_audit.add_argument("--timings", action="store_true",
-                         help="print each claim's seconds, cells and cells/s "
-                              "to stderr")
+                         help="print each claim's seconds, cells, rows and "
+                              "cells/s to stderr")
     p_audit.set_defaults(func=_cmd_audit)
     return parser
 

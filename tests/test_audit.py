@@ -30,6 +30,35 @@ def test_registry_ids_are_unique_and_documented():
         assert claim.description
 
 
+# every hypothesis a claim prints, as a test of one cell's params
+HYPOTHESES = {
+    "b=1": lambda c: c["spec"].b == 1,
+    "u0=0": lambda c: c["spec"].u0 == 0,
+    "n even": lambda c: c["n"] % 2 == 0,
+    "n odd": lambda c: c["n"] % 2 == 1,
+    "n>=1": lambda c: c["n"] >= 1,
+    "n>=2": lambda c: c["n"] >= 2,
+    "n<=8r+2": lambda c: c["n"] <= 8 * c["r"] + 2,
+    "n<=8r+3": lambda c: c["n"] <= 8 * c["r"] + 3,
+    "r even": lambda c: c["r"] % 2 == 0,
+    "r odd": lambda c: c["r"] % 2 == 1,
+    "r>=1": lambda c: c["r"] >= 1,
+    "r in 1..3": lambda c: c["r"] in (1, 2, 3),
+}
+
+
+@pytest.mark.parametrize("max_n", (None, 0, 3, 60, 120))
+def test_every_cell_meets_the_hypotheses_its_claim_prints(max_n):
+    for claim in REGISTRY.values():
+        keys = [name for name, _ in claim.axes]
+        if claim.index:
+            keys.append(claim.index[0])
+        for cell in claim.grid(max_n):
+            assert list(cell) == keys, claim.id
+            for hypothesis in claim.hypotheses:
+                assert HYPOTHESES[hypothesis](cell), (claim.id, hypothesis, cell)
+
+
 def test_cor7_1_small_grid_all_pass():
     results = run_audit(["cor7-1"], max_n=10)
     assert len(results) == 11

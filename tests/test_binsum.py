@@ -15,7 +15,6 @@ from recsums.binsum import (binom_sum_closed, binom_sum_direct,
 from recsums.qfield import QuadElem, RecurrenceSpec, roots
 
 FIB = RecurrenceSpec(1, 1, 0, 1)
-PELL = RecurrenceSpec(2, 1, 0, 1)
 
 
 def _valuation_at_least(value: int, e: int) -> bool:
@@ -37,17 +36,6 @@ def test_closed_examples():
     assert binom_sum_closed(FIB, 3, 2, 1) == Fraction(4 * 3 + 3 * 1, 5)
     spec = RecurrenceSpec(1, 2, 0, 1)
     assert binom_sum_closed(spec, 2, 3, 1) == binom_sum_direct(spec, 2, 3, 1)
-
-
-GRID_SPECS = (FIB, PELL, RecurrenceSpec(1, 2, 0, 1), RecurrenceSpec(3, -2, 2, 1))
-
-
-@pytest.mark.parametrize("spec", GRID_SPECS)
-@pytest.mark.parametrize("r", (1, 2, 3))
-def test_closed_equals_direct_small_grid(spec, r):
-    for n in range(0, 13):
-        for x in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)):
-            assert binom_sum_closed(spec, r, n, x) == binom_sum_direct(spec, r, n, x)
 
 
 @pytest.mark.parametrize("spec", (
@@ -76,13 +64,6 @@ def test_root_power_collapse_examples():
     assert ok
     sqrt5 = QuadElem(0, 1, 5)
     assert value == alpha**6 + 1 == sqrt5 * alpha**3 * 2   # sqrt5 alpha^3 F_3
-
-
-def test_root_power_collapse_full_range():
-    for s in range(0, 65):
-        for sign in (1, -1):
-            ok, _ = root_power_collapse(s, sign)
-            assert ok
 
 
 def test_weighted_families_match_direct():
@@ -173,17 +154,6 @@ def test_congruence_examples():
     assert cell.witness["implied_exponent"] == "0"
     # printed exponent fails, the implied one holds
     assert (cell.verdict, cell.variant) == ("variant-pass", "implied-exponent")
-
-
-def test_congruence_sweeps():
-    for n in range(0, 120):
-        assert _valuation_at_least(congruence_lhs("cor8-i", n), 1)
-        assert _valuation_at_least(congruence_lhs("cor8-ii", n), 2)
-        assert _valuation_at_least(congruence_lhs("cor11-i", n), 1)
-        assert _valuation_at_least(congruence_lhs("cor11-ii", n), 1)
-    for r in (1, 2, 3):
-        for n in range(0, 40):
-            assert _valuation_at_least(congruence_lhs("cor8-v", n, r), 2 * r)
 
 
 def test_congruence_implied_exponent_holds_in_stated_ranges():

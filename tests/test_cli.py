@@ -745,11 +745,12 @@ def test_audit_timings_go_to_stderr_and_leave_stdout_alone(capsys):
 
 
 def test_audit_timings_count_the_rows_a_claim_walks(capsys):
-    code, _, err = run_cli(capsys, "audit", "--claims", "thm4,thm6-4r,cor7-1,eq2",
-                           "--timings")
+    code, _, err = run_cli(capsys, "audit", "--claims",
+                           "thm4,thm6-4r,cor7-1,thm2-S4n,eq2", "--timings")
     assert code == 0
     lines = dict(line.split(": ", 1) for line in err.splitlines())
     assert lines["timing thm4"].split(", ")[1:3] == ["704 cells", "64 rows"]
+    assert lines["timing thm2-S4n"].split(", ")[1:3] == ["75 cells", "3 rows"]
     assert lines["timing thm6-4r"].split(", ")[1:3] == ["40 cells", "2 rows"]
     assert lines["timing cor7-1"].split(", ")[1:3] == ["101 cells", "1 row"]
     assert "row" not in lines["timing eq2"] + lines["timing total"]

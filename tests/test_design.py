@@ -40,6 +40,10 @@ factors to one integer series (``gf --check-terms`` only lengthens it): no
 Polynomial product builds the denominator, and neither gfpow nor the CLI
 expands a rational function.
 
+Every audit claim declares its grid as data, its axes and its index, and one
+builder, ``Claim.grid``, reads every claim's cells and rows off that
+declaration.
+
 The closed partial sums serve every initial value at every n: partsum holds
 no size cap and refuses only n < 0 and r < 1, and the CLI reads no initial
 value to choose a sum mode.  Only ``partial_sum_printed`` tests b = 1 and
@@ -47,6 +51,7 @@ u0 = 0, the published claim's hypotheses.
 """
 
 import ast
+import dataclasses
 import inspect
 import re
 import time
@@ -57,7 +62,7 @@ from pathlib import Path
 import pytest
 
 from recsums import binsum, cli, gfpow, partsum, polyrat, seq
-from recsums.audit import REGISTRY
+from recsums.audit import REGISTRY, Claim
 from recsums.binsum import CONGRUENCE_CLAIMS
 from recsums.polyrat import Polynomial
 from recsums.qfield import QuadElem, RecurrenceSpec
@@ -123,6 +128,17 @@ def test_every_value_claim_is_one_comparison():
     for cid, claim in REGISTRY.items():
         compared = claim.check.__qualname__.startswith("_compare.")
         assert compared == (cid not in own_checks), cid
+
+
+def test_every_claim_declares_its_grid_as_data():
+    assert [f.name for f in dataclasses.fields(Claim)] == [
+        "id", "description", "hypotheses", "axes", "index", "check"]
+    for cid, claim in REGISTRY.items():
+        # a declaration is a frozen value: hashable, like the parts it holds
+        assert all(type(values) is tuple for _, values in claim.axes), cid
+        assert claim.index is None or len(claim.index) == 5, cid
+        hash(claim)
+    assert "lambda max_n" not in (SRC / "audit.py").read_text(encoding="utf-8")
 
 
 def test_a_sequence_is_named_by_its_spec():
