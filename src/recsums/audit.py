@@ -349,72 +349,58 @@ def _build_registry() -> dict[str, Claim]:
         _check_lemma5,
     ))
 
-    weighted = (
+    # the sixteen Fibonacci sums at x = +/-1: binsum.FIB_SUMS states each one's
+    # first n, parity and variants; a row in r stops at n = 20, a lone row at 100
+    fib_sums = (
         ("thm6-4r",
          "sum C(n,i) F_i^{4r} = 5^{-2r}(sum_k (-1)^{k(n+1)} C(4r,k) L_{2r-k}^n "
          "L_{(2r-k)n} + C(4r,2r) 2^n)",
-         ("r>=1", "n>=1"), (1, 2), 1, 1, ()),
+         ("r>=1", "n>=1"), (1, 2)),
         ("thm6-4r2-odd",
          "sum C(n,i) F_i^{4r+2} = 5^{(n+1)/2-(2r+1)} sum_k C(4r+2,k) "
          "F_{2r+1-k}^n F_{n(2r+1-k)} for odd n",
-         ("n odd", "n>=1"), (0, 1, 2), 1, 2, ()),
+         ("n odd", "n>=1"), (0, 1, 2)),
         ("thm6-4r2-even",
          "sum C(n,i) F_i^{4r+2} = 5^{n/2-(2r+1)} sum_k (-1)^k C(4r+2,k) "
          "F_{2r+1-k}^n L_{n(2r+1-k)} for even n",
-         ("n even", "n>=2"), (0, 1, 2), 2, 2, ()),
+         ("n even", "n>=2"), (0, 1, 2)),
         ("thm9-4r-even",
          "alternating sum of F_i^{4r}: printed subscript L_{(4r-2k)n} doubles "
          "the derivation's (2r-k)n",
-         ("n even", "n>=2", "r>=1"), (1, 2), 2, 2, ("half-subscript",)),
+         ("n even", "n>=2", "r>=1"), (1, 2)),
         ("thm9-4r-odd",
          "alternating sum of F_i^{4r}: printed subscript F_{(4r-2k)n} doubles "
          "the derivation's (2r-k)n",
-         ("n odd", "n>=1", "r>=1"), (1, 2), 1, 2, ("half-subscript",)),
+         ("n odd", "n>=1", "r>=1"), (1, 2)),
         ("thm9-4r2",
          "alternating sum of F_i^{4r+2} via L_{2r+1-k}^n L_{(2r+1-k)n} minus "
          "the 2^n middle binomial",
-         ("n>=1",), (0, 1, 2), 1, 1, ()),
-    )
-    for cid, desc, hyp, rs, n_lo, n_step, variants in weighted:
-        claims.append(Claim(
-            cid, desc, hyp,
-            (("r", rs),), ("n", n_lo, 20, n_step, None),
-            _compare(
-                _fib_sum_truth(cid),
-                lambda c, v, cid=cid: binsum.fib_weighted_closed(
-                    cid, c["r"], c["n"], v),
-                variants),
-        ))
-
-    corollaries = (
-        ("cor7-1", "sum C(n,i) F_i = F_{2n}", (), 0, 1),
+         ("n>=1",), (0, 1, 2)),
+        ("cor7-1", "sum C(n,i) F_i = F_{2n}", (), ()),
         ("cor7-2", "sum_{i<=n} C(n,i) F_i^2 = 5^{n/2-1} L_n for even n "
-                   "(fails at n = 0: 0 vs 2/5)", ("n even", "n>=2"), 2, 2),
+                   "(fails at n = 0: 0 vs 2/5)", ("n even", "n>=2"), ()),
         ("cor7-3", "sum_{i<=n} C(n,i) F_i^2 = 5^{(n-1)/2} F_n for odd n",
-         ("n odd",), 1, 2),
-        ("cor7-4", "sum C(n,i) F_i^3 = (2^n F_{2n} + 3 F_n)/5", (), 0, 1),
+         ("n odd",), ()),
+        ("cor7-4", "sum C(n,i) F_i^3 = (2^n F_{2n} + 3 F_n)/5", (), ()),
         ("cor7-5", "sum C(n,i) F_i^4 = (3^n L_{2n} - 4(-1)^n L_n + 6*2^n)/25",
-         (), 0, 1),
-        ("cor10-1", "sum (-1)^i C(n,i) F_i = -F_n", (), 0, 1),
-        ("cor10-2", "sum (-1)^i C(n,i) F_i^2 = ((-1)^n L_n - 2^{n+1})/5",
-         (), 0, 1),
-        ("cor10-3", "sum (-1)^i C(n,i) F_i^3 = ((-2)^n F_n - 3 F_{2n})/5",
-         (), 0, 1),
+         (), ()),
+        ("cor10-1", "sum (-1)^i C(n,i) F_i = -F_n", (), ()),
+        ("cor10-2", "sum (-1)^i C(n,i) F_i^2 = ((-1)^n L_n - 2^{n+1})/5", (), ()),
+        ("cor10-3", "sum (-1)^i C(n,i) F_i^3 = ((-2)^n F_n - 3 F_{2n})/5", (), ()),
         ("cor10-4", "sum (-1)^i C(n,i) F_i^4 for even n: printed "
                     "5^{n/2-2}(L_{2n} - L_n); the consistent coefficient is 4",
-         ("n even", "n>=2"), 2, 2),
+         ("n even", "n>=2"), ()),
         ("cor10-5", "sum (-1)^i C(n,i) F_i^4 = -5^{(n+1)/2-2}(F_{2n} + 4 F_n) "
-                    "for odd n", ("n odd",), 1, 2),
+                    "for odd n", ("n odd",), ()),
     )
-    for cid, desc, hyp, lo, step in corollaries:
-        variants = ("times-4",) if cid == "cor10-4" else ()
+    for cid, desc, hyp, rs in fib_sums:
+        *_, parity, first, variants = binsum.FIB_SUMS[cid]
         claims.append(Claim(
-            cid, desc, hyp,
-            (), ("n", lo, 100, step, None),
-            _compare(
-                _fib_sum_truth(cid),
-                lambda c, v, cid=cid: binsum.corollary_rhs(cid, c["n"], v),
-                variants),
+            cid, desc, hyp, (("r", rs),) if rs else (),
+            ("n", first, 20 if rs else 100, 1 if parity is None else 2, None),
+            _compare(_fib_sum_truth(cid), lambda c, v, cid=cid: (
+                binsum.fib_weighted_closed(cid, c["r"], c["n"], v) if "r" in c
+                else binsum.corollary_rhs(cid, c["n"], v)), variants),
         ))
 
     to_100 = ("n", 0, 100, 1, None)

@@ -15,10 +15,12 @@ store's numerators for a longer row, and ``binom_row_closed`` steps the
 pairs along it.
 Only ``root_power_collapse``, a statement about Q(sqrt(5)) itself, computes
 with ``QuadElem``.  The Fibonacci specializations at x = +/-1 are named by
-their claim ids: the six thm6/thm9 families and the ten cor7/cor10 displayed
-identities share one oracle, ``corollary_lhs``, the direct row, and the
-families share one sum, ``_bracket``.  Each 5-adic congruence reads the
-printed numerator of the identity it comes from.  The nearest
+their claim ids, and ``FIB_SUMS`` states each once: its sum, the n its
+printed form is stated for and its variant ids.  The six thm6/thm9 families
+and the ten cor7/cor10 displayed identities share one oracle,
+``corollary_lhs``, the direct row, and one guard; the families share one
+sum, ``_bracket``.  ``CONGRUENCE_CLAIMS`` gives each 5-adic congruence the
+identity whose printed numerator it reads and its exponents.  The nearest
 derivation-consistent variant is evaluated wherever a printed subscript or
 coefficient fails the oracle.
 """
@@ -114,25 +116,48 @@ def root_power_collapse(s: int, sign: int) -> tuple[bool, QuadElem]:
 
 # --- the sixteen Fibonacci identities at x = +/-1 ----------------------------
 
-# claim id -> (p, q, x): the claim's left side is
-# sum_{i<=n} C(n,i) F_i^(p r + q) x^i
-_FIB_SUMS = {
-    "thm6-4r": (4, 0, 1), "thm6-4r2-odd": (4, 2, 1), "thm6-4r2-even": (4, 2, 1),
-    "thm9-4r-even": (4, 0, -1), "thm9-4r-odd": (4, 0, -1), "thm9-4r2": (4, 2, -1),
-    "cor7-1": (0, 1, 1), "cor7-2": (0, 2, 1), "cor7-3": (0, 2, 1),
-    "cor7-4": (0, 3, 1), "cor7-5": (0, 4, 1),
-    "cor10-1": (0, 1, -1), "cor10-2": (0, 2, -1), "cor10-3": (0, 3, -1),
-    "cor10-4": (0, 4, -1), "cor10-5": (0, 4, -1),
+# claim id -> (p, q, x, parity, first, variants): the claim's left side is
+# sum_{i<=n} C(n,i) F_i^(p r + q) x^i, its printed form is stated for every
+# n >= first of that parity (None: either), and variants are the ids of its
+# corrected forms.  A claim with p = 4 is a thm6/thm9 family in r.
+FIB_SUMS = {
+    "thm6-4r": (4, 0, 1, None, 1, ()),
+    "thm6-4r2-odd": (4, 2, 1, 1, 1, ()),
+    "thm6-4r2-even": (4, 2, 1, 0, 2, ()),
+    "thm9-4r-even": (4, 0, -1, 0, 2, ("half-subscript",)),
+    "thm9-4r-odd": (4, 0, -1, 1, 1, ("half-subscript",)),
+    "thm9-4r2": (4, 2, -1, None, 1, ()),
+    "cor7-1": (0, 1, 1, None, 0, ()), "cor7-2": (0, 2, 1, 0, 2, ()),
+    "cor7-3": (0, 2, 1, 1, 1, ()), "cor7-4": (0, 3, 1, None, 0, ()),
+    "cor7-5": (0, 4, 1, None, 0, ()),
+    "cor10-1": (0, 1, -1, None, 0, ()), "cor10-2": (0, 2, -1, None, 0, ()),
+    "cor10-3": (0, 3, -1, None, 0, ()), "cor10-4": (0, 4, -1, 0, 2, ("times-4",)),
+    "cor10-5": (0, 4, -1, 1, 1, ()),
 }
 
 
 def corollary_lhs(claim: str, ns, r: int = 0) -> list[Fraction]:
     """Left side of one Fibonacci identity at each n of ns, ascending, by
     direct summation."""
-    if claim not in _FIB_SUMS:
+    if claim not in FIB_SUMS:
         raise ValueError(f"unknown identity {claim!r}")
-    p, q, x = _FIB_SUMS[claim]
+    p, q, x, *_ = FIB_SUMS[claim]
     return binom_row_direct(_FIB, p * r + q, ns, x)
+
+
+def _stated(claim: str, n: int, variant: str, family: bool) -> tuple:
+    """The FIB_SUMS row of a family (or of a displayed identity), once n is
+    one its printed form is stated for and variant one of its forms."""
+    row = FIB_SUMS.get(claim)
+    if row is None or bool(row[0]) != family:
+        raise ValueError(f"unknown {'family' if family else 'identity'} {claim!r}")
+    _, _, _, parity, first, variants = row
+    if n < first or parity not in (None, n % 2):
+        kind = {None: "", 0: "even ", 1: "odd "}[parity]
+        raise ValueError(f"{claim} is stated for {kind}n >= {first}")
+    if variant != "printed" and variant not in variants:
+        raise ValueError(f"unknown variant {variant!r} of {claim}")
+    return row
 
 
 def _bracket(m: int, n: int, x, y, sign, scale: int = 1) -> int:
@@ -159,12 +184,6 @@ _NUMERATORS = {
                                            lambda k: (-1) ** k),
 }
 
-# claim id -> the parity of n its printed form needs (None: every n)
-WEIGHTED_FAMILIES = {
-    "thm6-4r": None, "thm6-4r2-odd": 1, "thm6-4r2-even": 0,
-    "thm9-4r-even": 0, "thm9-4r-odd": 1, "thm9-4r2": None,
-}
-
 
 def fib_weighted_closed(family: str, r: int, n: int, variant: str = "printed") -> Fraction:
     """Printed right side of one thm6/thm9 family, exact in Q.
@@ -174,12 +193,7 @@ def fib_weighted_closed(family: str, r: int, n: int, variant: str = "printed") -
     "half-subscript" variant: the printed index L_{(4r-2k)n} / F_{(4r-2k)n}
     (scale 2 in ``_bracket``) against the derivation's (2r-k)n.
     """
-    if family not in WEIGHTED_FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    parity = WEIGHTED_FAMILIES[family]
-    if parity is not None and n % 2 != parity:
-        raise ValueError(f"this family needs {'odd' if parity else 'even'} n")
-    p, q, _ = _FIB_SUMS[family]
+    p, q, _, parity, _, _ = _stated(family, n, variant, True)
     m = (p * r + q) // 2
     five = Fraction(5) ** (-m if parity is None else (n + 1) // 2 - m)
     scale = 2 if variant == "printed" else 1
@@ -197,35 +211,27 @@ def fib_weighted_closed(family: str, r: int, n: int, variant: str = "printed") -
 def corollary_rhs(family: str, n: int, variant: str = "printed") -> Fraction:
     """Printed right side of one displayed identity; never asserts equality.
 
-    n is always the upper summation index; cor7-2 needs it even and >= 2
-    (the identity fails at index 0), cor7-3 odd, cor10-4 even >= 2, cor10-5
-    odd.  cor10-4 carries the "times-4" variant 5^{n/2-2}(L_{2n} - 4 L_n).
+    n is always the upper summation index, served where ``FIB_SUMS`` states
+    the identity (cor7-2 fails at index 0).  cor10-4 carries the "times-4"
+    variant 5^{n/2-2}(L_{2n} - 4 L_n).
     """
+    _stated(family, n, variant, False)
     five = Fraction(5)
+    if family in _NUMERATORS:
+        return Fraction(_NUMERATORS[family](n, 0), 25 if family == "cor7-5" else 5)
     if family == "cor7-1":
         return Fraction(_fib(2 * n))
     if family == "cor7-2":
-        if n % 2 == 1 or n < 2:
-            raise ValueError("needs even n >= 2 (the identity fails at index 0)")
         return five ** (n // 2 - 1) * _luc(n)
     if family == "cor7-3":
-        if n % 2 == 0:
-            raise ValueError("needs odd n")
         return five ** ((n - 1) // 2) * _fib(n)
-    if family in ("cor7-4", "cor7-5", "cor10-2", "cor10-3"):
-        return Fraction(_NUMERATORS[family](n, 0), 25 if family == "cor7-5" else 5)
     if family == "cor10-1":
         return Fraction(-_fib(n))
     if family == "cor10-4":
-        if n % 2 == 1 or n < 2:
-            raise ValueError("needs even n >= 2")
         mult = 1 if variant == "printed" else 4
         return five ** (n // 2 - 2) * (_luc(2 * n) - mult * _luc(n))
-    if family == "cor10-5":
-        if n % 2 == 0:
-            raise ValueError("needs odd n")
-        return -(five ** ((n + 1) // 2 - 2)) * (_fib(2 * n) + 4 * _fib(n))
-    raise ValueError(f"unknown identity {family!r}")
+    # cor10-5
+    return -(five ** ((n + 1) // 2 - 2)) * (_fib(2 * n) + 4 * _fib(n))
 
 
 # --- 5-adic congruence claims -------------------------------------------------
@@ -243,35 +249,34 @@ def padic_valuation(n: int, p: int = 5) -> int | None:
     return v
 
 
-# congruence claim id -> the identity whose integer it divides by a power of 5
+# congruence claim id -> (the identity whose integer it divides by a power of
+# 5, the required 5-exponents at (n, r)): the printed one, plus the
+# integrality-implied one for the two claims whose printed exponent fails
+# simple instances
 CONGRUENCE_CLAIMS = {
-    "cor8-i": "cor7-4", "cor8-ii": "cor7-5", "cor8-iii": "thm6-4r2-odd",
-    "cor8-iv": "thm6-4r2-even", "cor8-v": "thm6-4r",
-    "cor11-i": "cor10-2", "cor11-ii": "cor10-3",
+    "cor8-i": ("cor7-4", lambda n, r: {"printed": 1}),
+    "cor8-ii": ("cor7-5", lambda n, r: {"printed": 2}),
+    "cor8-iii": ("thm6-4r2-odd", lambda n, r: {
+        "printed": 4 * r + 2 - (n - 1) // 2, "implied": 2 * r + 1 - (n + 1) // 2}),
+    "cor8-iv": ("thm6-4r2-even", lambda n, r: {
+        "printed": 4 * r + 2 - n // 2, "implied": 2 * r + 1 - n // 2}),
+    "cor8-v": ("thm6-4r", lambda n, r: {"printed": 2 * r}),
+    "cor11-i": ("cor10-2", lambda n, r: {"printed": 1}),
+    "cor11-ii": ("cor10-3", lambda n, r: {"printed": 1}),
 }
+
+
+def _congruence(claim: str) -> tuple:
+    if claim not in CONGRUENCE_CLAIMS:
+        raise ValueError(f"unknown congruence claim {claim!r}")
+    return CONGRUENCE_CLAIMS[claim]
 
 
 def congruence_lhs(claim: str, n: int, r: int = 0) -> int:
     """The integer of one congruence: its identity's printed numerator."""
-    if claim not in CONGRUENCE_CLAIMS:
-        raise ValueError(f"unknown congruence claim {claim!r}")
-    return _NUMERATORS[CONGRUENCE_CLAIMS[claim]](n, r)
+    return _NUMERATORS[_congruence(claim)[0]](n, r)
 
 
 def congruence_exponents(claim: str, n: int, r: int = 0) -> dict[str, int]:
-    """Required 5-exponents: the printed one, plus the integrality-implied one
-    for the two claims whose printed exponent fails simple instances."""
-    if claim == "cor8-i":
-        return {"printed": 1}
-    if claim == "cor8-ii":
-        return {"printed": 2}
-    if claim == "cor8-iii":
-        return {"printed": 4 * r + 2 - (n - 1) // 2,
-                "implied": 2 * r + 1 - (n + 1) // 2}
-    if claim == "cor8-iv":
-        return {"printed": 4 * r + 2 - n // 2, "implied": 2 * r + 1 - n // 2}
-    if claim == "cor8-v":
-        return {"printed": 2 * r}
-    if claim in ("cor11-i", "cor11-ii"):
-        return {"printed": 1}
-    raise ValueError(f"unknown congruence claim {claim!r}")
+    """Required 5-exponents, read from ``CONGRUENCE_CLAIMS``."""
+    return _congruence(claim)[1](n, r)

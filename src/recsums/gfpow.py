@@ -155,11 +155,6 @@ def paired_form(spec: RecurrenceSpec, r: int, style: str) -> RationalFunction:
 # --- the three displayed first-power/square/cube forms (U_0 = 0, b = 1) -----
 
 
-def _require_u0_zero(spec: RecurrenceSpec):
-    if spec.u0 != 0:
-        raise ValueError("displayed forms assume U_0 = 0")
-
-
 def _a_squared(spec: RecurrenceSpec) -> Fraction:
     # A = B = u1 / sqrt(D) when u0 = 0, so A^2 = u1^2 / D is rational
     return spec.u1 * spec.u1 / Fraction(spec.discriminant)
@@ -168,7 +163,7 @@ def _a_squared(spec: RecurrenceSpec) -> Fraction:
 def display_r1(spec: RecurrenceSpec, variant: str = "printed") -> RationalFunction:
     """First-power display: A^2 U_1 x / (1 - V_1 x - x^2); the variant drops
     the A^2 prefactor (the r = 1 case of the paired form has prefactor A^0)."""
-    _require_u0_zero(spec)
+    seq.require_b1_u0(spec)
     if variant not in ("printed", "unit-prefactor"):
         raise ValueError(f"unknown variant {variant!r}")
     v1 = spec.a
@@ -178,7 +173,7 @@ def display_r1(spec: RecurrenceSpec, variant: str = "printed") -> RationalFuncti
 
 def display_r2(spec: RecurrenceSpec) -> RationalFunction:
     """Square display: -A^2 (V_2 + 2) x (x - 1) / ((x + 1)(x^2 - V_2 x + 1))."""
-    _require_u0_zero(spec)
+    seq.require_b1_u0(spec)
     v2 = seq.store(seq.companion(spec)).term(2)
     c = _a_squared(spec) * (v2 + 2)
     return RationalFunction(_mul([0, -c], [-1, 1]), _mul([1, 1], [1, -v2, 1]))
@@ -191,7 +186,7 @@ def display_r3(spec: RecurrenceSpec, variant: str = "printed") -> RationalFuncti
     proof-consistent: U_1^3 x (1 - 2 a b x - x^2), i.e. the pair sum
     A^2 (U_3 x / d0 + 3 b U_1 x / d1) with the binomial weight kept.
     """
-    _require_u0_zero(spec)
+    seq.require_b1_u0(spec)
     a, b, u1 = spec.a, spec.b, spec.u1
     v = seq.store(seq.companion(spec)).term
     v1, v3 = v(1), v(3)

@@ -107,8 +107,7 @@ def partial_sum_printed(spec: RecurrenceSpec, r: int, n: int) -> RationalFunctio
     is served here.
     """
     _check(r, n)
-    if spec.b != 1 or spec.u0 != 0:
-        raise ValueError("the published form is a claim for b = 1 and u0 = 0")
+    seq.require_b1_u0(spec)
     return _symbolic_sum(spec, r, n, printed=True)
 
 
@@ -117,7 +116,9 @@ def corollary_r1(spec: RecurrenceSpec, n: int, variant: str = "printed") -> Rati
 
     printed: exponents (n, n+2) inside the parentheses; the shifted variant
     uses (n, n+1), which matches the r = 1 case of the main closed form.
+    Both are claims for b = 1 and u0 = 0 only.
     """
+    seq.require_b1_u0(spec)
     if variant not in ("printed", "shifted-exponent"):
         raise ValueError(f"unknown variant {variant!r}")
     u = seq.store(spec).term

@@ -194,8 +194,9 @@ class RecurrenceSpec:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("a", "b", "u0", "u1"):
-            if not isinstance(value := getattr(self, name), (int, Fraction, str)):
+        for name, kinds in (("a", (int, Fraction)), ("b", (int, Fraction)),
+                            ("u0", (int, Fraction, str)), ("u1", (int, Fraction, str))):
+            if not isinstance(value := getattr(self, name), kinds):
                 raise TypeError(f"{name}={value!r} is not an int or a Fraction")
         object.__setattr__(self, "u0", Fraction(self.u0))
         object.__setattr__(self, "u1", Fraction(self.u1))

@@ -104,6 +104,13 @@ def reflected(spec: RecurrenceSpec) -> RecurrenceSpec:
     return RecurrenceSpec(-spec.a, spec.b, spec.u0, spec.u1 - spec.a * spec.u0)
 
 
+def require_b1_u0(spec: RecurrenceSpec) -> None:
+    """Refuse a spec outside b = 1 and u0 = 0: the hypotheses of the paper's
+    printed displays, though not of the sums they display."""
+    if spec.b != 1 or spec.u0 != 0:
+        raise ValueError("the published form is a claim for b = 1 and u0 = 0")
+
+
 def term(spec: RecurrenceSpec, n: int) -> Fraction:
     """Exact n-th term in O(|n|) steps, the tests' reference; negative n by the
     backward recurrence U_{n-1} = (U_{n+1} - a U_n) / b, in Q for b != 0."""

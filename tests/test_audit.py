@@ -211,6 +211,17 @@ def test_fibonacci_claims_report_hash_at_max_n_60_is_pinned():
         "04acce26a01db0d9a5ddce59c1ff7d75a054c6b3974590bc82423d051f2a997e")
 
 
+@pytest.mark.parametrize("max_n, digest", (
+    (0, "4bc23d3d6e53147ee3c72beb4b60e47bf89eb3b2a0e38e3330dff8499809c9a5"),
+    (3, "4ba5facca8e6a95738c643e0320f2b94de955542239bf33ba719f823f74ffaef"),
+    (60, "57c9808a45e14630d3a211783e5ac1cbdf33a4dd4197728afd5ddecc49734472"),
+))
+def test_small_grid_report_hashes_are_pinned(max_n, digest):
+    # a wrong first n or stride of a row shows on the smallest grids first
+    text = structured_report_text(run_audit("all", max_n=max_n), "all", max_n)
+    assert _sha256(text) == digest
+
+
 # the claims whose closed side reads seq.binet_pairs or builds a gf
 BINET_CLAIMS = ["cor-sn1", "eq1", "eq2", "eq3", "thm1-even", "thm1-odd",
                 "thm3-even", "thm3-odd", "thm4"]

@@ -6,8 +6,8 @@ from math import comb
 import pytest
 
 from recsums import seq
-from recsums.audit import run_audit
-from recsums.binsum import (binom_sum_closed, binom_sum_direct,
+from recsums.audit import REGISTRY, run_audit
+from recsums.binsum import (FIB_SUMS, binom_sum_closed, binom_sum_direct,
                             congruence_exponents, congruence_lhs,
                             corollary_lhs, corollary_rhs,
                             fib_weighted_closed, padic_valuation,
@@ -99,6 +99,48 @@ def test_weighted_family_parity_enforced():
         fib_weighted_closed("thm9-4r-even", 1, 3)
     with pytest.raises(ValueError):
         fib_weighted_closed("thm7-unknown", 1, 1)
+    # a displayed identity is no family, nor a family a displayed identity
+    with pytest.raises(ValueError, match="unknown family"):
+        fib_weighted_closed("cor7-1", 1, 1)
+    with pytest.raises(ValueError, match="unknown identity"):
+        corollary_rhs("thm6-4r", 1)
+    # a variant id is one its claim carries, not read as "not printed"
+    with pytest.raises(ValueError, match="unknown variant 'times-4' of thm9-4r-even"):
+        fib_weighted_closed("thm9-4r-even", 1, 2, "times-4")
+    with pytest.raises(ValueError, match="unknown variant 'half-subscript' of cor10-4"):
+        corollary_rhs("cor10-4", 2, "half-subscript")
+
+
+@pytest.mark.parametrize("family", ("thm6-4r", "thm6-4r2-even", "thm9-4r-even",
+                                    "thm9-4r2"))
+def test_weighted_families_refuse_n_0_which_they_do_not_state(family):
+    # the sum is 0 at n = 0, where the printed thm6-4r2-even gave 4/25 and
+    # thm9-4r-even -6/25 at r = 1; each family is printed for n >= 1 or 2
+    assert corollary_lhs(family, [0], 1) == [0]
+    with pytest.raises(ValueError, match=f"{family} is stated for .*n >= [12]"):
+        fib_weighted_closed(family, 1, 0)
+
+
+def test_each_fibonacci_sum_is_served_exactly_on_its_stated_n():
+    # every cell of the grid at --max-n 60 is served by its printed form; the
+    # n just below each row and an n of the wrong parity are refused
+    assert len(FIB_SUMS) == 16
+    for cid, (_, _, _, parity, first, _) in FIB_SUMS.items():
+        stride = 1 if parity is None else 2
+        rows = {}
+        for cell in REGISTRY[cid].grid(60):
+            rows.setdefault(cell.get("r"), []).append(cell["n"])
+        for r, ns in rows.items():
+            def form(n, cid=cid, r=r):
+                if r is None:
+                    return corollary_rhs(cid, n)
+                return fib_weighted_closed(cid, r, n)
+            assert ns == list(range(first, ns[-1] + 1, stride)) and ns[-1] >= 59
+            for n in ns:
+                form(n)
+            for n in (first - stride, first + 1) if parity is not None else (first - 1,):
+                with pytest.raises(ValueError, match=f"{cid} is stated for"):
+                    form(n)
 
 
 def test_corollary_examples():

@@ -17,9 +17,14 @@ Every audit claim that compares a value with a printed form is one
 ``audit._compare`` check, and a sequence is named by its ``RecurrenceSpec``.
 Every sum of U_i^r x^i, weighted or not, takes ``(spec, r, n, ...)``.
 
-The Fibonacci claims at x = +/-1 are named by their claim ids in binsum:
-one direct-sum oracle serves all sixteen value claims, the thm6/thm9 families
-share one bracket sum, and each congruence reads its identity's numerator.
+The Fibonacci claims at x = +/-1 are named by their claim ids in binsum,
+and each is stated once.  One table, ``binsum.FIB_SUMS``, gives each of the
+sixteen value claims its sum, the n its printed form is stated for and its
+variant ids; one guard serves a printed form on exactly those n, and the
+audit's grid reads its first n, stride and variants from the same table.
+One direct-sum oracle serves all sixteen, the thm6/thm9 families share one
+bracket sum, and ``binsum.CONGRUENCE_CLAIMS`` gives each congruence the
+identity whose numerator it reads and its exponents.
 
 One doubling kernel, ``seq.linear_term``, reads off a term of a rational
 recurrence of any order: ``recsums seq`` at every index, each Binet pair at
@@ -46,8 +51,10 @@ declaration.
 
 The closed partial sums serve every initial value at every n: partsum holds
 no size cap and refuses only n < 0 and r < 1, and the CLI reads no initial
-value to choose a sum mode.  Only ``partial_sum_printed`` tests b = 1 and
-u0 = 0, the published claim's hypotheses.
+value to choose a sum mode.  Only the printed displays test b = 1 and
+u0 = 0, the published claims' hypotheses, through one guard,
+``seq.require_b1_u0``: ``partial_sum_printed``, ``partsum.corollary_r1`` and
+``gfpow.display_r1/2/3``.
 """
 
 import ast
@@ -188,17 +195,29 @@ def test_a_huge_power_is_refused_without_computing(capsys, argv):
 
 
 def test_binsum_names_the_fibonacci_claims_by_claim_id():
-    tables = {"families": binsum.WEIGHTED_FAMILIES, "oracle": binsum._FIB_SUMS,
-              "numerators": binsum._NUMERATORS,
+    tables = {"sums": binsum.FIB_SUMS, "numerators": binsum._NUMERATORS,
               "congruences": binsum.CONGRUENCE_CLAIMS}
     for name, table in tables.items():
         assert set(table) <= set(REGISTRY), name
-    assert set(CONGRUENCE_CLAIMS.values()) <= set(binsum._NUMERATORS)
+    identities = {identity for identity, _ in CONGRUENCE_CLAIMS.values()}
+    assert identities <= set(binsum._NUMERATORS)
     value_claims = {cid for cid in REGISTRY
                     if cid.startswith(("thm6-", "thm9-", "cor7-", "cor10-"))}
-    assert set(binsum._FIB_SUMS) == value_claims and len(value_claims) == 16
+    assert set(binsum.FIB_SUMS) == value_claims and len(value_claims) == 16
     assert [name for name in vars(binsum) if name.startswith("_t6_")] == []
     assert not hasattr(binsum, "weighted_family_lhs")
+
+
+def test_each_fibonacci_claim_states_its_n_once():
+    # FIB_SUMS holds each sum's first n, parity and variants: no printed form
+    # tests n itself, and the audit's grid keeps no first n or stride of its own
+    for name in ("WEIGHTED_FAMILIES", "_FIB_SUMS"):
+        assert not hasattr(binsum, name), name
+    assert not re.search(r"\bn_(lo|step)\b", (SRC / "audit.py").read_text(encoding="utf-8"))
+    bodies = {fn.name: ast.unparse(fn) for fn in _functions("binsum.py")}
+    for name in ("fib_weighted_closed", "corollary_rhs"):
+        assert "n % 2" not in bodies[name] and "n < " not in bodies[name], name
+    assert " if " not in bodies["congruence_exponents"]
 
 
 def _functions(module: str):

@@ -214,6 +214,15 @@ def test_display_r3_printed_fails_even_for_fibonacci():
     assert display_r3(PELL, "proof-consistent") == gf_power(PELL, 3)
 
 
+@pytest.mark.parametrize("display", (display_r1, display_r2, display_r3))
+@pytest.mark.parametrize("spec", (RecurrenceSpec(1, 1, 2, 1),
+                                  RecurrenceSpec(1, 2, 0, 1)), ids=("u0", "b"))
+def test_displays_keep_their_hypotheses(spec, display):
+    # each display is printed for b = 1 and u0 = 0; gf_power serves every spec
+    with pytest.raises(ValueError, match="b = 1 and u0 = 0"):
+        display(spec)
+
+
 def test_display_r3_uses_the_printed_denominator_product():
     v_spec = seq.companion(FIB)
     v1, v3 = seq.term(v_spec, 1), seq.term(v_spec, 3)

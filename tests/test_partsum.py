@@ -194,6 +194,17 @@ def test_corollary_r1_printed_vs_shifted():
                 assert corollary_r1(spec, n, "printed") != direct
 
 
+@pytest.mark.parametrize("spec", (RecurrenceSpec(1, 1, 2, 1),
+                                  RecurrenceSpec(1, 2, 0, 1)), ids=("lucas", "b"))
+def test_corollary_r1_keeps_its_hypotheses(spec):
+    # outside b = 1 and u0 = 0 even the shifted form is not the partial sum
+    direct = RationalFunction(partial_sum_direct(spec, 1, 3), Polynomial([1]))
+    assert corollary_r1_shifted(spec, 3, "shifted-exponent") != direct
+    for variant in ("printed", "shifted-exponent"):
+        with pytest.raises(ValueError, match="b = 1 and u0 = 0"):
+            corollary_r1(spec, 3, variant)
+
+
 @pytest.mark.parametrize("variant", ("printed", "shifted-exponent"))
 @pytest.mark.parametrize("spec", B1_SPECS)
 def test_corollary_r1_equals_the_shifted_monomial_construction(spec, variant):

@@ -62,6 +62,14 @@ def test_a_float_parameter_is_refused(field):
         RecurrenceSpec(**params)
 
 
+@pytest.mark.parametrize("field", ("a", "b"))
+def test_text_is_read_for_the_initial_values_only(field):
+    # "1/2" is a rational u0 or u1; a and b are never parsed from text
+    params = {"a": 1, "b": 1, "u0": 0, "u1": 1, field: "1"}
+    with pytest.raises(TypeError, match=f"^{field}='1' is not an int or a Fraction"):
+        RecurrenceSpec(**params)
+
+
 def test_degenerate_specs_rejected():
     with pytest.raises(DegenerateSpecError):
         RecurrenceSpec(2, -1, 0, 1)   # a^2 + 4b = 0

@@ -120,7 +120,7 @@ def test_a_check_called_on_its_own_reads_a_row_of_one_cell():
 
 def test_rows_are_declared_for_the_binomial_claims():
     # a row fixes every param but n: (spec, r, x) for thm4, r or none for the others
-    walked = ("thm4", *binsum._FIB_SUMS)
+    walked = ("thm4", *binsum.FIB_SUMS)
     assert all(REGISTRY[cid].index[0] == "n" for cid in walked)
     axes = {cid: [name for name, _ in REGISTRY[cid].axes] for cid in walked}
     assert axes.pop("thm4") == ["spec", "r", "x"]
