@@ -2,10 +2,10 @@
 
 Every closed-form identity served by this package is registered here as a
 claim: an independent brute-force oracle, the printed form, and the ids of
-its corrected variants, compared over a parameter grid, cell by cell (one
-check, built by ``_compare``).  Where a printed subscript, sign, or prefactor
-is known to disagree with the oracle, the claim carries variant ids; they are
-tried in order, and only when the printed form fails.  A cell whose printed
+its corrected variants, compared over a parameter grid (one check, built by
+``_compare``).  Where a printed subscript, sign, or prefactor is known to
+disagree with the oracle, the claim carries variant ids; they are tried in
+order, and only for a cell whose printed form fails.  A cell whose printed
 form fails but whose variant matches reports ``variant-pass`` with the
 failing witness attached, so the corrected-identity table is itself a
 deliverable.  ``lemma5`` (an identity in Q(sqrt(5))) and the 5-adic
@@ -13,11 +13,12 @@ congruences (valuations, not values) have checks of their own.
 
 Every claim declares its grid as data: its axes, the params that fix a row,
 each with its values, and, for a claim whose cells walk an index along each
-row, that index's first and last value, stride and ceiling.  One builder,
-``Claim.grid``, reads every grid off its declaration and hands each cell over
-with its row.  The oracles of thm4 and of the Fibonacci sums at x = +/-1 (and
-thm4's closed form) are evaluated a row at a time: each row once per side,
-held only while the claim runs.
+row, that index's first and last value, stride and ceiling.  ``Claim.rows``
+reads every grid off its declaration as rows of cells (one cell a row for a
+claim without an index).  A check takes one row and yields its verdicts.  The
+sides of thm2, thm4 and the Fibonacci sums at x = +/-1 evaluate a whole row
+at once; a pointwise side is wrapped by ``_each``.  A row's values live only
+while its check runs.
 
 Reports are fully deterministic: same selection and grid, byte-identical
 structured output (no timestamps, sorted keys, stable cell ordering).
@@ -26,11 +27,11 @@ structured output (no timestamps, sorted keys, stable cell ordering).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import binsum, gfpow, partsum, seq
 from .polyrat import RationalFunction, _text, rf_to_text
@@ -54,61 +55,37 @@ class AuditCellError(RuntimeError):
         self.params = params
 
 
-class _RowCell(dict):
-    """A cell's params as ``run_audit`` hands them to the check of a claim
-    with an index, with its row: the index of the row's cells, ascending,
-    and each side's values along the row, filled at the first cell checked."""
-
-    def __init__(self, params: dict, ns: list[int], values: dict):
-        super().__init__(params)
-        self.row_ns, self.row_values = ns, values
-
-
-def _by_row(fn):
-    """A side evaluated a row at a time: fn(cell, ns) is the side at each n
-    of ns, the other params as in cell.  A cell handed over without its row
-    (a check called on its own) is a row of its own."""
-    def side(cell):
-        if not isinstance(cell, _RowCell):
-            return fn(cell, [cell["n"]])[0]
-        values = cell.row_values.get(fn)
-        if values is None:
-            values = cell.row_values[fn] = dict(zip(cell.row_ns, fn(cell, cell.row_ns)))
-        return values[cell["n"]]
-
-    return side
-
-
 @dataclass(frozen=True)
 class Claim:
     """A printed identity and its grid.  ``axes`` pairs each param that fixes
     a row with its values, in cell-key order; ``index`` is the param walked
     along each row, as (name, first, last, stride, ceiling).  ``--max-n`` replaces
     ``last`` but never passes ``ceiling``; either may be a function of the
-    row's axes."""
+    row's axes.  ``check`` takes one row of cells and is a generator of one
+    (verdict, variant, witness) per cell."""
     id: str
     description: str
     hypotheses: tuple[str, ...]
     axes: tuple[tuple[str, tuple], ...]
     index: tuple | None
-    check: Callable[[dict], tuple[str, str | None, dict | None]]
+    check: Callable[[list[dict]], Iterator[tuple[str, str | None, dict | None]]]
 
-    def grid(self, max_n: int | None = None) -> list[dict]:
-        """Every cell: the product of the axes, times the index's range, each
-        cell with its row when the claim has an index."""
-        cells, names = [], [name for name, _ in self.axes]
+    def rows(self, max_n: int | None = None) -> list[list[dict]]:
+        """Every row with a cell, as its cells: a point of the product of the
+        axes, with each value of the index's range when the claim has one."""
+        rows, names = [], [name for name, _ in self.axes]
         for point in product(*(values for _, values in self.axes)):
             row = dict(zip(names, point))
             if self.index is None:
-                cells.append(row)
+                rows.append([row])
                 continue
             name, first, last, stride, ceiling = self.index
             top = _at(last, row) if max_n is None else max_n
             if ceiling is not None:
                 top = min(top, _at(ceiling, row))
-            ns, values = list(range(first, top + 1, stride)), {}
-            cells += [_RowCell({**row, name: n}, ns, values) for n in ns]
-        return cells
+            if top >= first:
+                rows.append([{**row, name: n} for n in range(first, top + 1, stride)])
+        return rows
 
 
 def _at(bound, row: dict) -> int:
@@ -146,25 +123,33 @@ HORADAM_PQ = ((1, 2), (1, 3), (2, 5))
 # --- checkers ----------------------------------------------------------------
 
 
-def _compare(truth, form, variants=()):
-    """Check that compares truth(cell) with form(cell, "printed").
+def _each(fn):
+    """A pointwise side fn(cell, *args) as a row side, evaluated a cell at a
+    time as the row's verdicts are drawn."""
+    return lambda cells, *args: (fn(cell, *args) for cell in cells)
 
-    When they differ, form(cell, vid) is built for each variant id in turn,
-    and the first match gives ``variant-pass``; no variant is built for a
-    cell whose printed form holds.
+
+def _ns(cells) -> list[int]:
+    return [cell["n"] for cell in cells]
+
+
+def _compare(truth, form, variants=()):
+    """Check that compares truth(cells) with form(cells, "printed") along a row.
+
+    Where they differ at a cell, form([cell], vid) is built for each variant
+    id in turn, and the first match gives ``variant-pass``; no variant is
+    built for a cell whose printed form holds.
     """
-    def check(cell):
-        lhs = truth(cell)
-        printed = form(cell, "printed")
-        if lhs == printed:
-            return "pass", None, None
-        witness = {"lhs": _fmt(lhs), "rhs": _fmt(printed)}
-        for vid in variants:
-            value = form(cell, vid)
-            if value == lhs:
-                witness["variant_rhs"] = witness["lhs"]   # value == lhs
-                return "variant-pass", vid, witness
-        return "fail", None, witness
+    def check(cells):
+        for cell, lhs, printed in zip(cells, truth(cells), form(cells, "printed")):
+            if lhs == printed:
+                yield "pass", None, None
+                continue
+            witness = {"lhs": _fmt(lhs), "rhs": _fmt(printed)}
+            vid = next((vid for vid in variants if [*form([cell], vid)] == [lhs]), None)
+            if vid is not None:
+                witness["variant_rhs"] = witness["lhs"]   # the variant's value is lhs
+            yield "fail" if vid is None else "variant-pass", vid, witness
 
     return check
 
@@ -173,30 +158,36 @@ def _compare(truth, form, variants=()):
 _THM1_STYLES = {"printed": "printed", "with-x": "b1", "general-b": "general"}
 
 
+@_each
 def _thm1_truth(cell):
     return gfpow.gf_power(cell["spec"], cell["r"])
 
 
+@_each
 def _thm1_form(cell, vid):
     return gfpow.paired_form(cell["spec"], cell["r"], _THM1_STYLES[vid])
 
 
+@_each
 def _partial_sum_truth(cell):
     # cor-sn1 cells carry no r: that corollary sums first powers
     return RationalFunction(
         partsum.partial_sum_direct(cell["spec"], cell.get("r", 1), cell["n"]), [1])
 
 
+@_each
 def _thm3_form(cell, vid):
     # "proof-derived" is the corrected form
     fn = partsum.partial_sum_printed if vid == "printed" else partsum.partial_sum_closed
     return fn(cell["spec"], cell["r"], cell["n"])
 
 
-def _fib_sum_truth(cid):
-    return _by_row(lambda c, ns: binsum.corollary_lhs(cid, ns, c.get("r", 0)))
+def _thm4_args(cells) -> tuple:
+    """(spec, r, ns, x) of a thm4 row, as binsum's row functions take them."""
+    return cells[0]["spec"], cells[0]["r"], _ns(cells), cells[0]["x"]
 
 
+@_each
 def _check_lemma5(cell):
     ok, value = binsum.root_power_collapse(cell["s"], cell["sign"])
     if ok:
@@ -223,7 +214,7 @@ def _check_congruence(claim):
             return "variant-pass", "implied-exponent", witness
         return "fail", None, witness
 
-    return check
+    return _each(check)
 
 
 # --- registry ----------------------------------------------------------------
@@ -256,16 +247,16 @@ def _build_registry() -> dict[str, Claim]:
         "r = 1 prefactor is A^0 = 1, so the printed A^2 is spurious",
         ("b=1", "u0=0"),
         (("spec", B1_SPECS),), None,
-        _compare(lambda c: gfpow.gf_power(c["spec"], 1),
-                 lambda c, v: gfpow.display_r1(c["spec"], v), ("unit-prefactor",)),
+        _compare(_each(lambda c: gfpow.gf_power(c["spec"], 1)),
+                 _each(lambda c, v: gfpow.display_r1(c["spec"], v)), ("unit-prefactor",)),
     ))
     claims.append(Claim(
         "eq2",
         "square display -A^2(V_2+2) x (x-1) / ((x+1)(x^2 - V_2 x + 1))",
         ("b=1", "u0=0"),
         (("spec", B1_SPECS),), None,
-        _compare(lambda c: gfpow.gf_power(c["spec"], 2),
-                 lambda c, _: gfpow.display_r2(c["spec"])),
+        _compare(_each(lambda c: gfpow.gf_power(c["spec"], 2)),
+                 _each(lambda c, _: gfpow.display_r2(c["spec"]))),
     ))
     claims.append(Claim(
         "eq3",
@@ -275,8 +266,8 @@ def _build_registry() -> dict[str, Claim]:
         "U_1^3 x (1 - 2ab x - x^2) over the same denominator)",
         ("b=1", "u0=0"),
         (("spec", B1_SPECS),), None,
-        _compare(lambda c: gfpow.gf_power(c["spec"], 3),
-                 lambda c, v: gfpow.display_r3(c["spec"], v), ("proof-consistent",)),
+        _compare(_each(lambda c: gfpow.gf_power(c["spec"], 3)),
+                 _each(lambda c, v: gfpow.display_r3(c["spec"], v)), ("proof-consistent",)),
     ))
 
     for name in partsum.HORADAM_VARIANTS:
@@ -289,10 +280,10 @@ def _build_registry() -> dict[str, Claim]:
             f"thm2-{name}", desc, ("n>=1",),
             (("pq", HORADAM_PQ),), ("n", 1, 25, 1, None),
             _compare(
-                lambda c, name=name: partsum.horadam_direct(
-                    *c["pq"], partsum.horadam_index(name, c["n"])),
-                lambda c, v, name=name: partsum.horadam_sums(
-                    *c["pq"], name, c["n"], corrected=v == "minus-p"),
+                lambda cs, name=name: partsum.horadam_direct(
+                    *cs[0]["pq"], [partsum.horadam_index(name, n) for n in _ns(cs)]),
+                _each(lambda c, v, name=name: partsum.horadam_sums(
+                    *c["pq"], name, c["n"], corrected=v == "minus-p")),
                 variants),
         ))
 
@@ -323,11 +314,10 @@ def _build_registry() -> dict[str, Claim]:
         ("b=1", "u0=0"),
         (("spec", B1_SPECS),), ("n", 0, 20, 1, 30),
         _compare(_partial_sum_truth,
-                 lambda c, v: partsum.corollary_r1(c["spec"], c["n"], v),
+                 _each(lambda c, v: partsum.corollary_r1(c["spec"], c["n"], v)),
                  ("shifted-exponent",)),
     ))
 
-    closed = _by_row(lambda c, ns: binsum.binom_row_closed(c["spec"], c["r"], ns, c["x"]))
     claims.append(Claim(
         "thm4",
         "binomial-weighted sum equals sum_k C(r,k) A^k (-B)^{r-k} "
@@ -336,9 +326,8 @@ def _build_registry() -> dict[str, Claim]:
         (("spec", THM4_SPECS), ("r", (1, 2, 3, 4)),
          ("x", (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)))),
         ("n", 0, 10, 1, None),
-        _compare(
-            _by_row(lambda c, ns: binsum.binom_row_direct(c["spec"], c["r"], ns, c["x"])),
-            lambda c, _: closed(c)),
+        _compare(lambda cs: binsum.binom_row_direct(*_thm4_args(cs)),
+                 lambda cs, _: binsum.binom_row_closed(*_thm4_args(cs))),
     ))
     claims.append(Claim(
         "lemma5",
@@ -398,9 +387,10 @@ def _build_registry() -> dict[str, Claim]:
         claims.append(Claim(
             cid, desc, hyp, (("r", rs),) if rs else (),
             ("n", first, 20 if rs else 100, 1 if parity is None else 2, None),
-            _compare(_fib_sum_truth(cid), lambda c, v, cid=cid: (
-                binsum.fib_weighted_closed(cid, c["r"], c["n"], v) if "r" in c
-                else binsum.corollary_rhs(cid, c["n"], v)), variants),
+            _compare(lambda cs, cid=cid: binsum.corollary_lhs(cid, _ns(cs), cs[0].get("r", 0)),
+                     _each(lambda c, v, cid=cid: (
+                         binsum.fib_weighted_closed(cid, c["r"], c["n"], v) if "r" in c
+                         else binsum.corollary_rhs(cid, c["n"], v))), variants),
         ))
 
     to_100 = ("n", 0, 100, 1, None)
@@ -444,7 +434,7 @@ def _cell_key(params: dict):
 
 def run_audit(selection="all", max_n: int | None = None,
               timings: dict | None = None) -> list[AuditResult]:
-    """Evaluate the selected claims cell by cell; deterministic ordering.
+    """Evaluate the selected claims row by row; deterministic ordering.
 
     A ``timings`` dict gets each claim's id mapped to the seconds its cells
     took."""
@@ -467,17 +457,18 @@ def run_audit(selection="all", max_n: int | None = None,
 
 
 def _run_claim(cid: str, claim: Claim, max_n: int | None) -> list[AuditResult]:
-    """One claim's cells in sorted order, each checked with its row; the rows
-    go when this returns."""
+    """One claim's cells, checked a row at a time, in sorted order.  A raise
+    is reported against the cell whose verdict was due next."""
     results = []
-    for cell in sorted(claim.grid(max_n), key=_cell_key):
-        params = dict(cell)   # a result keeps no row
-        try:
-            verdict, variant, witness = claim.check(cell)
-        except Exception as exc:
-            raise AuditCellError(cid, params, exc) from exc
-        results.append(AuditResult(cid, params, verdict, variant, witness))
-    return results
+    for row in claim.rows(max_n):
+        verdicts = claim.check(row)
+        for cell in row:
+            try:
+                verdict, variant, witness = next(verdicts)
+            except Exception as exc:
+                raise AuditCellError(cid, cell, exc) from exc
+            results.append(AuditResult(cid, cell, verdict, variant, witness))
+    return sorted(results, key=lambda result: _cell_key(result.params))
 
 
 def _params_json(params: dict) -> dict:

@@ -194,6 +194,8 @@ def fib_weighted_closed(family: str, r: int, n: int, variant: str = "printed") -
     (scale 2 in ``_bracket``) against the derivation's (2r-k)n.
     """
     p, q, _, parity, _, _ = _stated(family, n, variant, True)
+    if p * r + q < 1:
+        raise ValueError(f"{family} at r = {r} sums F_i^{p * r + q}; the power must be >= 1")
     m = (p * r + q) // 2
     five = Fraction(5) ** (-m if parity is None else (n + 1) // 2 - m)
     scale = 2 if variant == "printed" else 1

@@ -27,6 +27,7 @@ read forward from the reflected spec's store.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from . import seq
 from .polyrat import Polynomial, RationalFunction
@@ -198,10 +199,14 @@ def horadam_sums(p, q, variant: str, n: int, corrected: bool = False) -> Fractio
     return qq(2 * n + 1) * (p * qq(2 * n + 2) - q * qq(2 * n + 1)) + 2 * p - q
 
 
-def horadam_direct(p, q, idx: int) -> Fraction:
-    """sum_{i=1}^{idx} P_i for idx > 0, sum_{i=1}^{|idx|} P_{-i} for idx < 0,
-    read as the reflected spec's b^i P_{-i}, with b = 1: the store's
-    numerators 1 .. |idx| summed, over one division."""
+def horadam_direct(p, q, idxs) -> list[Fraction]:
+    """sum_{i=1}^{idx} P_i for idx > 0, sum_{i=1}^{|idx|} P_{-i} for idx < 0
+    (the reflected spec's b^i P_{-i}, with b = 1), at each idx of idxs: one
+    running prefix over the store's numerators, each sum over one division."""
+    sizes = [abs(idx) for idx in idxs]
+    if min(idxs) < 0 < max(idxs) or sizes != sorted(sizes):
+        raise ValueError(f"a row of indices has one sign and |idx| ascending, not {idxs}")
     spec = seq.generalized_pell(p, q)
-    store = seq.store(seq.reflected(spec) if idx < 0 else spec)
-    return Fraction(sum(store.numerators(abs(idx) + 1)[1:]), store.den)
+    store = seq.store(seq.reflected(spec) if min(idxs) < 0 else spec)
+    prefix = list(accumulate(store.numerators(sizes[-1] + 1)[1:], initial=0))
+    return [Fraction(prefix[k], store.den) for k in sizes]

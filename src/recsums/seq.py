@@ -408,11 +408,11 @@ def term_text(spec: RecurrenceSpec, n: int) -> str:
 
 
 # Binet-pair tables kept at once, keyed by (spec, r, x), so a long-lived
-# process holds a bounded number.  Cell order no longer needs many: thm4
-# reads each of its 64 tables once, for its row, thm1 reads one table a cell
-# (again for a variant), and thm3's cells, sorted by n first, come round its
-# 4 tables.  The cap still holds every table of the claim with the most,
-# thm4, so a claim run again in one process builds none of them again.
+# process holds a bounded number.  The audit runs a claim a row at a time, so
+# it needs few at once: a thm3 or thm4 row reads its one table for all its
+# cells, and a thm1 cell reads one (again for a variant).  The cap still
+# holds every table of the claim with the most, thm4's 64, so a claim run
+# again in one process builds none of them again.
 BINET_CAP = 128
 
 

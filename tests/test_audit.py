@@ -21,7 +21,8 @@ from recsums.polyrat import Polynomial, RationalFunction
 
 def test_every_claim_has_a_nonempty_default_grid():
     for claim in REGISTRY.values():
-        assert claim.grid(None), claim.id
+        rows = claim.rows(None)
+        assert rows and all(rows), claim.id
 
 
 def test_registry_ids_are_unique_and_documented():
@@ -53,10 +54,11 @@ def test_every_cell_meets_the_hypotheses_its_claim_prints(max_n):
         keys = [name for name, _ in claim.axes]
         if claim.index:
             keys.append(claim.index[0])
-        for cell in claim.grid(max_n):
-            assert list(cell) == keys, claim.id
-            for hypothesis in claim.hypotheses:
-                assert HYPOTHESES[hypothesis](cell), (claim.id, hypothesis, cell)
+        for row in claim.rows(max_n):
+            for cell in row:
+                assert list(cell) == keys, claim.id
+                for hypothesis in claim.hypotheses:
+                    assert HYPOTHESES[hypothesis](cell), (claim.id, hypothesis, cell)
 
 
 def test_cor7_1_small_grid_all_pass():
@@ -99,10 +101,11 @@ def _break_cell(monkeypatch, cid, n):
     """Make claim `cid` raise a plain ValueError on its cell with params n."""
     claim = REGISTRY[cid]
 
-    def check(params):
-        if params["n"] == n:
-            raise ValueError("sqrt(5) part left over")
-        return claim.check(params)
+    def check(cells):
+        for cell, verdict in zip(cells, claim.check(cells)):
+            if cell["n"] == n:
+                raise ValueError("sqrt(5) part left over")
+            yield verdict
 
     monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(claim, check=check))
 
@@ -215,6 +218,8 @@ def test_fibonacci_claims_report_hash_at_max_n_60_is_pinned():
     (0, "4bc23d3d6e53147ee3c72beb4b60e47bf89eb3b2a0e38e3330dff8499809c9a5"),
     (3, "4ba5facca8e6a95738c643e0320f2b94de955542239bf33ba719f823f74ffaef"),
     (60, "57c9808a45e14630d3a211783e5ac1cbdf33a4dd4197728afd5ddecc49734472"),
+    # above the CLI's --max-n limit: served through the library only
+    (240, "9b2e40f09de6656ea30cb56390ebe6ec044e12fba94e801c9f739969ca92c314"),
 ))
 def test_small_grid_report_hashes_are_pinned(max_n, digest):
     # a wrong first n or stride of a row shows on the smallest grids first
@@ -239,8 +244,8 @@ HORADAM_CLAIMS = sorted(cid for cid in REGISTRY if cid.startswith("thm2-"))
 
 
 def test_horadam_claims_report_hash_at_max_n_120_is_pinned():
-    # the oracle horadam_direct sums up to index 4n + 1 = 481 here, on both
-    # signs; the default grid stops at 101
+    # the oracle horadam_direct runs one prefix per row up to index
+    # 4n + 1 = 481 here, on both signs; the default grid stops at 101
     assert len(HORADAM_CLAIMS) == 8
     results = run_audit(HORADAM_CLAIMS, max_n=120)
     assert len(results) == 2880
@@ -250,9 +255,9 @@ def test_horadam_claims_report_hash_at_max_n_120_is_pinned():
 
 
 def test_no_claim_reads_more_binet_tables_than_the_cache_keeps(monkeypatch):
-    # a claim whose cells, sorted by n first, read a table a cell has them
-    # come round once per sweep of its other parameters, and more of them
-    # than BINET_CAP would never hit; thm4 reads each table once, for its row
+    # a thm3 or thm4 row reads its one table for all its cells; a claim that
+    # reads more tables than BINET_CAP keeps builds them all again when it is
+    # run again in one process
     real, keys, current = seq.binet_pairs, {}, [None]
 
     def spy(spec, r, x):

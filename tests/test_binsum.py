@@ -121,16 +121,25 @@ def test_weighted_families_refuse_n_0_which_they_do_not_state(family):
         fib_weighted_closed(family, 1, 0)
 
 
+@pytest.mark.parametrize("family, r, n", (("thm9-4r-odd", 0, 1), ("thm9-4r-even", 0, 2),
+                                          ("thm6-4r", 0, 2), ("thm6-4r2-odd", -1, 1)))
+def test_weighted_families_refuse_an_r_with_no_power_to_sum(family, r, n):
+    # F_i^(p r + q) with p r + q < 1 is no sum the families state, and the
+    # oracle refuses it too; the printed forms gave 0, 0, 4 and 0
+    with pytest.raises(ValueError, match="need r >= 1"):
+        corollary_lhs(family, [n], r)
+    with pytest.raises(ValueError, match=f"{family} at r = {r} sums F_i"):
+        fib_weighted_closed(family, r, n)
+
+
 def test_each_fibonacci_sum_is_served_exactly_on_its_stated_n():
     # every cell of the grid at --max-n 60 is served by its printed form; the
     # n just below each row and an n of the wrong parity are refused
     assert len(FIB_SUMS) == 16
     for cid, (_, _, _, parity, first, _) in FIB_SUMS.items():
         stride = 1 if parity is None else 2
-        rows = {}
-        for cell in REGISTRY[cid].grid(60):
-            rows.setdefault(cell.get("r"), []).append(cell["n"])
-        for r, ns in rows.items():
+        for row in REGISTRY[cid].rows(60):
+            r, ns = row[0].get("r"), [cell["n"] for cell in row]
             def form(n, cid=cid, r=r):
                 if r is None:
                     return corollary_rhs(cid, n)

@@ -793,8 +793,11 @@ def test_audit_max_n_at_the_limit_is_served(capsys, monkeypatch):
 def test_audit_cell_error_exits_three(capsys, monkeypatch):
     claim = audit.REGISTRY["cor7-1"]
 
-    def check(params):
+    def broken(cell):
         raise ValueError("a check that breaks")
+
+    def check(cells):
+        return map(broken, cells)
 
     monkeypatch.setitem(audit.REGISTRY, "cor7-1",
                         dataclasses.replace(claim, check=check))

@@ -299,10 +299,10 @@ def test_a_negative_index_is_the_reflected_specs_forward_walk(monkeypatch):
     spec = RecurrenceSpec(2, -3, Fraction(1, 3), 1)
     assert seq.term_fast(spec, -7) == seq.term(spec, -7)
     pell = seq.generalized_pell(2, 5)
-    assert partsum.horadam_direct(2, 5, -6) == sum(seq.term(pell, -i) for i in range(1, 7))
+    assert partsum.horadam_direct(2, 5, [-6]) == [sum(seq.term(pell, -i) for i in range(1, 7))]
     assert seen == [spec, pell]
     assert seq.term_fast(spec, 7) == seq.term(spec, 7)
-    assert partsum.horadam_direct(2, 5, 6) == sum(seq.term(pell, i) for i in range(1, 7))
+    assert partsum.horadam_direct(2, 5, [6]) == [sum(seq.term(pell, i) for i in range(1, 7))]
     assert seen == [spec, pell]
     # no second backward formula: the kernel runs on a spec's own (b, a)
     tree = ast.parse(inspect.getsource(seq.term_fast))

@@ -216,17 +216,17 @@ def test_corollary_r1_equals_the_shifted_monomial_construction(spec, variant):
 def test_horadam_examples():
     # S_{4n-2} at n=1, (p,q)=(1,2): q_1 (p q_0 + q q_1) = 3 = P_1 + P_2
     assert horadam_sums(1, 2, "S4n-2", 1) == 3
-    assert horadam_direct(1, 2, 2) == 3
-    assert horadam_sums(1, 2, "S4n", 1) == horadam_direct(1, 2, 4) == 20
+    assert horadam_direct(1, 2, [2]) == [3]
+    assert [horadam_sums(1, 2, "S4n", 1)] == horadam_direct(1, 2, [4]) == [20]
     # negative side: S_{-4n+1} at n=1 is P_{-1} + P_{-2} + P_{-3}
-    assert horadam_sums(1, 2, "S-4n+1", 1) == horadam_direct(1, 2, -3) == 4
+    assert [horadam_sums(1, 2, "S-4n+1", 1)] == horadam_direct(1, 2, [-3]) == [4]
 
 
 def test_horadam_table_printed_and_corrected():
     for p, q in ((1, 2), (1, 3), (2, 5)):
         for n in range(1, 26):
             for name in HORADAM_VARIANTS:
-                direct = horadam_direct(p, q, horadam_index(name, n))
+                [direct] = horadam_direct(p, q, [horadam_index(name, n)])
                 printed = horadam_sums(p, q, name, n)
                 if name == "S4n-1":
                     assert printed != direct
@@ -243,7 +243,25 @@ def test_horadam_direct_equals_summed_walk(pq):
         for sign in (1, -1):
             plain = sum((seq.term(pell, sign * i) for i in range(1, idx + 1)),
                         Fraction(0))
-            assert horadam_direct(*pq, sign * idx) == plain
+            assert horadam_direct(*pq, [sign * idx]) == [plain]
+
+
+@pytest.mark.parametrize("pq", ((1, 2), (Fraction(1, 3), Fraction(-5, 2))))
+def test_a_horadam_row_is_its_sums_one_index_at_a_time(pq):
+    pell = seq.generalized_pell(*pq)
+    walks = {sign: [seq.term(pell, sign * i) for i in range(1, 170)] for sign in (1, -1)}
+    # the first index may be 0 on either side, and an index may repeat
+    rows = [[horadam_index(name, n) for n in range(1, 41)] for name in HORADAM_VARIANTS]
+    for idxs in (*rows, [0, -2, -2, -9], [0, 0, 7]):
+        walk = walks[-1 if min(idxs) < 0 else 1]
+        assert horadam_direct(*pq, idxs) == [
+            sum(walk[:abs(idx)], Fraction(0)) for idx in idxs], idxs
+
+
+def test_a_horadam_row_has_one_sign_and_ascending_indices():
+    for idxs in ([3, -5], [-1, 1], [4, 8, -12], [5, 3], [-6, -2], [0, 4, 2]):
+        with pytest.raises(ValueError, match=r"one sign and \|idx\| ascending"):
+            horadam_direct(1, 2, idxs)
 
 
 def test_horadam_cells_keep_the_store_cap():
@@ -252,7 +270,7 @@ def test_horadam_cells_keep_the_store_cap():
     pairs = [(p, q) for p in range(1, 4) for q in range(1, seq.STORE_CAP)]
     for p, q in pairs:
         for sign in (1, -1):
-            horadam_direct(p, q, sign * 9)
+            horadam_direct(p, q, [sign * 9])
             assert seq.store.cache_info().currsize <= seq.STORE_CAP
         horadam_sums(p, q, "S-4n", 3)
     assert seq.store.cache_info().currsize == seq.STORE_CAP

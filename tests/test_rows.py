@@ -3,8 +3,8 @@
 A row fixes (spec, r, x) and walks n.  The oracle's row is one Pascal sweep
 over the store's numerators (``PrefixStore.binomial_row``), the closed form's
 row steps each Binet pair's integer state (``seq.linear_row``); a single n is
-the pointwise sum on both sides.  The audit evaluates each row of a claim
-walked by rows once per side and drops the rows when the claim ends.
+the pointwise sum on both sides.  The audit hands each row of a claim to its
+check, which evaluates it once per side; no row's values outlive the claim.
 """
 
 import ast
@@ -17,8 +17,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from recsums import audit, binsum, seq
-from recsums.audit import REGISTRY, AuditCellError, run_audit
+from recsums import binsum, partsum, seq
+from recsums.audit import PELL, REGISTRY, AuditCellError, run_audit
+from recsums.cli import main
 from recsums.qfield import RecurrenceSpec
 
 XS = (F(0), F(1), F(-1), F(2), F(-1, 2), F(1, 3))
@@ -61,52 +62,78 @@ def test_a_row_of_one_cell_is_the_pointwise_sum(monkeypatch):
 
 
 def test_the_sweep_reads_only_the_store():
-    # the oracle stays independent of the closed form it audits
-    for fn in (seq.PrefixStore.binomial_row, binsum.binom_row_direct, binsum.corollary_lhs):
+    # the oracle stays independent of the closed form it audits; thm2's row,
+    # a prefix of the store's numerators, reads no half-companion sequence
+    for fn in (seq.PrefixStore.binomial_row, binsum.binom_row_direct, binsum.corollary_lhs,
+               partsum.horadam_direct):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         named = {node.id if isinstance(node, ast.Name) else node.attr
                  for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
-        assert not named & {"binet_pairs", "linear_term", "linear_row", "_doubling"}, fn
+        assert not named & {"binet_pairs", "linear_term", "linear_row", "_doubling",
+                            "horadam_sums", "pell_q"}, fn
 
 
-def _spy_rows(monkeypatch):
-    """Weak references to every cell ``run_audit`` hands over with its row,
-    the only holder of the row's values, from here on."""
-    made, real = [], audit._RowCell.__init__
+class _Values(list):
+    """A row side's values, in a list a weak reference can follow."""
 
-    def spy(self, params, ns, values):
-        made.append(weakref.ref(self))
-        real(self, params, ns, values)
 
-    monkeypatch.setattr(audit._RowCell, "__init__", spy)
-    return made
+def _spy_rows(monkeypatch, *names):
+    """Weak references to every row of values that binsum's row functions
+    ``names`` return from here on, and the length of each row."""
+    made, lengths = [], []
+    for name in names:
+        def spy(*args, real=getattr(binsum, name)):
+            values = _Values(real(*args))
+            made.append(weakref.ref(values))
+            lengths.append(len(values))
+            return values
+
+        monkeypatch.setattr(binsum, name, spy)
+    return made, lengths
 
 
 def test_each_row_is_walked_once_a_side_and_dropped_with_its_claim(monkeypatch):
-    made, calls = _spy_rows(monkeypatch), []
-    for name in ("binom_row_direct", "binom_row_closed"):
-        real = getattr(binsum, name)
-        monkeypatch.setattr(binsum, name, lambda spec, r, ns, x, real=real: calls.append(
-            len(ns)) or real(spec, r, ns, x))
+    made, lengths = _spy_rows(monkeypatch, "binom_row_direct", "binom_row_closed")
     results = run_audit(["thm4"], 120)
-    assert len(results) == len(made) == 64 * 121 and calls == [121] * 128
+    assert len(results) == 64 * 121 and lengths == [121] * 128
     gc.collect()
-    assert all(cell() is None for cell in made)
+    assert all(values() is None for values in made)
 
 
 def test_rows_are_dropped_when_a_cell_raises(monkeypatch):
-    made, claim = _spy_rows(monkeypatch), REGISTRY["cor7-1"]
+    made, lengths = _spy_rows(monkeypatch, "corollary_lhs")
+    claim = REGISTRY["cor7-1"]
 
-    def check(params):
-        if params["n"] == 3:
-            raise ValueError("broken")
-        return claim.check(params)
+    def check(cells):
+        for cell, verdict in zip(cells, claim.check(cells)):
+            if cell["n"] == 3:
+                raise ValueError("broken")
+            yield verdict
 
     monkeypatch.setitem(REGISTRY, "cor7-1", dataclasses.replace(claim, check=check))
     with pytest.raises(AuditCellError):
         run_audit(["cor7-1"], max_n=6)
     gc.collect()
-    assert len(made) == 7 and all(cell() is None for cell in made)
+    assert lengths == [7] and all(values() is None for values in made)
+
+
+def test_a_raise_in_a_row_side_names_the_rows_first_cell(monkeypatch, capsys):
+    # the sweep runs before any verdict of its row: the row's first cell is due
+    real, broken = binsum.binom_row_direct, (PELL, 3, F(-1, 2))
+
+    def row(spec, r, ns, x):
+        if (spec, r, x) == broken:
+            raise ValueError("a sweep that breaks")
+        return real(spec, r, ns, x)
+
+    monkeypatch.setattr(binsum, "binom_row_direct", row)
+    with pytest.raises(AuditCellError) as info:
+        run_audit(["thm4"])
+    assert (info.value.claim_id, info.value.params) == (
+        "thm4", {"spec": PELL, "r": 3, "x": F(-1, 2), "n": 0})
+    assert main(["audit", "--claims", "thm4"]) == 3
+    err = capsys.readouterr().err
+    assert "thm4" in err and "a sweep that breaks" in err
 
 
 def test_a_check_called_on_its_own_reads_a_row_of_one_cell():
@@ -114,8 +141,8 @@ def test_a_check_called_on_its_own_reads_a_row_of_one_cell():
                                   "x": F(-1, 2)}),
                         ("cor10-4", {"n": 6})):
         [result] = [r for r in run_audit([cid]) if r.params == params]
-        assert REGISTRY[cid].check(params) == (result.verdict, result.variant,
-                                               result.witness)
+        assert [*REGISTRY[cid].check([params])] == [(result.verdict, result.variant,
+                                                     result.witness)]
 
 
 def test_rows_are_declared_for_the_binomial_claims():

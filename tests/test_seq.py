@@ -161,8 +161,8 @@ def test_store_prefix_sums_equal_summed_walk(spec):
     for idx in (0, 9, -9, 40, -40):
         sign = -1 if idx < 0 else 1
         walk = (seq.term(pell, sign * i) for i in range(1, abs(idx) + 1))
-        assert partsum.horadam_direct(spec.u0, spec.u1, idx) == sum(
-            walk, Fraction(0)), idx
+        assert partsum.horadam_direct(spec.u0, spec.u1, [idx]) == [sum(
+            walk, Fraction(0))], idx
 
 
 def test_a_negative_count_is_refused():

@@ -53,8 +53,8 @@ def test_store_equals_walk(spec, kind, indices):
         assert bsum == sum(walk, Fraction(0))
     pell = seq.generalized_pell(spec.u0, spec.u1)
     for sign in (1, -1):
-        assert partsum.horadam_direct(spec.u0, spec.u1, sign * k) == sum(
-            (seq.term(pell, sign * i) for i in range(1, k + 1)), Fraction(0))
+        assert partsum.horadam_direct(spec.u0, spec.u1, [sign * k]) == [sum(
+            (seq.term(pell, sign * i) for i in range(1, k + 1)), Fraction(0))]
     for store in (forward, backward):
         with pytest.raises(ValueError):
             store.term(-1)
