@@ -16,9 +16,9 @@ each with its values, and, for a claim whose cells walk an index along each
 row, that index's first and last value, stride and ceiling.  ``Claim.rows``
 reads every grid off its declaration as rows of cells (one cell a row for a
 claim without an index).  A check takes one row and yields its verdicts.  The
-sides of thm2, thm4 and the Fibonacci sums at x = +/-1 evaluate a whole row
-at once; a pointwise side is wrapped by ``_each``.  A row's values live only
-while its check runs.
+oracles of thm2, thm3, cor-sn1, thm4 and the Fibonacci sums at x = +/-1, and
+thm4's closed form, evaluate a whole row at once; a pointwise side is wrapped
+by ``_each``.  A row's values live only while its check runs.
 
 Reports are fully deterministic: same selection and grid, byte-identical
 structured output (no timestamps, sorted keys, stable cell ordering).
@@ -168,11 +168,10 @@ def _thm1_form(cell, vid):
     return gfpow.paired_form(cell["spec"], cell["r"], _THM1_STYLES[vid])
 
 
-@_each
-def _partial_sum_truth(cell):
-    # cor-sn1 cells carry no r: that corollary sums first powers
-    return RationalFunction(
-        partsum.partial_sum_direct(cell["spec"], cell.get("r", 1), cell["n"]), [1])
+def _partial_sum_truth(cells):
+    # prefixes of one series of U_i^r; cor-sn1 cells carry no r: it sums U_i
+    series = gfpow.gf_oracle(cells[0]["spec"], cells[0].get("r", 1), cells[-1]["n"] + 1)
+    return [RationalFunction(series[:cell["n"] + 1], [1]) for cell in cells]
 
 
 @_each

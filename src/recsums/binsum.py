@@ -10,9 +10,8 @@ read off by ``seq.linear_row``: one call of the doubling kernel
 ``seq.linear_term`` per pair at a single n, and along a longer row one
 doubling to its first n and then a step per n.  Both sums take
 ``(spec, r, n, x)``, as ``partsum``'s do.  It carries no b = 1 caveat.  Each
-sum is its row function at a row of one n: ``binom_row_direct`` sweeps the
-store's numerators for a longer row, and ``binom_row_closed`` steps the
-pairs along it.
+sum is its row function at a row of one n: ``binom_row_direct`` reads the
+store's ``PrefixStore.power_row``, and ``binom_row_closed`` steps the pairs.
 Only ``root_power_collapse``, a statement about Q(sqrt(5)) itself, computes
 with ``QuadElem``.  The Fibonacci specializations at x = +/-1 are named by
 their claim ids, and ``FIB_SUMS`` states each once: its sum, the n its
@@ -44,10 +43,10 @@ def binom_sum_direct(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
 
 
 def binom_row_direct(spec: RecurrenceSpec, r: int, ns, x) -> list[Fraction]:
-    """``binom_sum_direct`` at each n of ns, ascending: one Pascal sweep of
-    the store's numerators for a row, the pointwise sum for one n."""
-    _check(r, ns)
-    return seq.store(spec).binomial_row(r, ns, x)
+    """``binom_sum_direct`` at each n of the row ns, by the store's
+    ``power_row``: a Pascal sweep for several n, the pointwise sum for one."""
+    _check(r)
+    return seq.store(spec).power_row(r, ns, x, True)
 
 
 def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
@@ -56,7 +55,7 @@ def binom_sum_closed(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
 
 
 def binom_row_closed(spec: RecurrenceSpec, r: int, ns, x) -> list[Fraction]:
-    """``binom_sum_closed`` at each n of ns, ascending, by ``seq.linear_row``.
+    """``binom_sum_closed`` at each n of the row ns, by ``seq.linear_row``.
 
     Entry k of ``seq.binet_pairs`` contributes c_k (1 + t_k)^n plus its
     conjugate: a rational sequence with roots 1 + t_k, 1 + t_{r-k}, so
@@ -64,14 +63,14 @@ def binom_row_closed(spec: RecurrenceSpec, r: int, ns, x) -> list[Fraction]:
     entry (c, c t, t, 0) of even r gives roots 1 and 1 + t with initial
     values c, c (1 + t): the sequence c (1 + t)^n, also at t = 0 or -1.
     """
-    _check(r, ns)
+    _check(r)
     return seq.linear_row([((-1 - p - q, 2 + p), (w0, w0 + w1))
                            for w0, w1, p, q in seq.binet_pairs(spec, r, x)], ns)
 
 
-def _check(r: int, ns):
-    if r < 1 or ns[0] < 0:
-        raise ValueError("need r >= 1 and n >= 0")
+def _check(r: int):
+    if r < 1:       # the row's n are checked where it is read
+        raise ValueError(f"need r >= 1, got {r}")
 
 
 # --- Fibonacci/Lucas scalar helpers -----------------------------------------
@@ -137,7 +136,7 @@ FIB_SUMS = {
 
 
 def corollary_lhs(claim: str, ns, r: int = 0) -> list[Fraction]:
-    """Left side of one Fibonacci identity at each n of ns, ascending, by
+    """Left side of one Fibonacci identity at each n of the row ns, by
     direct summation."""
     if claim not in FIB_SUMS:
         raise ValueError(f"unknown identity {claim!r}")

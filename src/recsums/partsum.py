@@ -27,7 +27,6 @@ read forward from the reflected spec's store.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 
 from . import seq
 from .polyrat import Polynomial, RationalFunction
@@ -50,7 +49,7 @@ def partial_sum_direct(spec: RecurrenceSpec, r: int, n: int, x=None):
     _check(r, n)
     if x is None:
         return Polynomial([t**r for t in seq.terms(spec, n + 1)])
-    return seq.store(spec).power_sum(r, n, x, binomial=False)
+    return seq.store(spec).power_row(r, [n], x, False)[0]
 
 
 def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
@@ -74,7 +73,7 @@ def _symbolic_sum(spec: RecurrenceSpec, r: int, n: int,
         # the pair's generating function minus x^{n+1} times that of the
         # shifted pair: w0 + (w1 - p w0) x - w_{n+1} x^{n+1} + q w_n x^{n+2},
         # where at n = 0 the x term and the x^{n+1} term share a degree
-        w_n, w_next = (seq.linear_term((-q, p), (w0, w1), i) for i in (n, n + 1))
+        w_n, w_next = seq.linear_row([((-q, p), (w0, w1))], [n, n + 1])
         terms = (0, w0), (1, w1 - p * w0), (n + 1, -w_next), (n + 2, q * w_n)
         if printed:
             _, (_, lin), high, (top, last) = terms
@@ -141,31 +140,29 @@ def partial_sum_general_b(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
 
     An entry's partial sums S_j = w_0 + ... + w_j have the roots 1, t_k and
     t_{r-k}: S_{j+3} = (1 + P) S_{j+2} - (P + Q) S_{j+1} + Q S_j, read off at
-    j = n by one call of the doubling kernel from S_0, S_1, S_2.  A root t_k
-    equal to 1, or to 0, is no special case.
+    j = n by ``seq.linear_row`` (one doubling kernel call per entry) from
+    S_0, S_1, S_2.  A root t_k equal to 1, or to 0, is no special case.
     """
     if x is None:
         raise ValueError("general-b evaluator is pointwise; pass x")
     _check(r, n)
-    return sum((seq.linear_term((q, -p - q, 1 + p),
-                                (w0, w0 + w1, w0 + w1 + p * w1 - q * w0), n)
-                for w0, w1, p, q in seq.binet_pairs(spec, r, x)), Fraction(0))
+    return seq.linear_row([((q, -p - q, 1 + p), (w0, w0 + w1, w0 + w1 + p * w1 - q * w0))
+                           for w0, w1, p, q in seq.binet_pairs(spec, r, x)], [n])[0]
 
 
 # --- generalized Pell partial-sum table -------------------------------------
 
-HORADAM_VARIANTS = (
-    "S4n", "S4n-2", "S4n+1", "S4n-1",
-    "S-4n", "S-4n+2", "S-4n+1", "S-4n-1",
-)
+# table entry -> (sign, offset) of its index sign 4n + offset
+_HORADAM_INDEX = {"S4n": (1, 0), "S4n-2": (1, -2), "S4n+1": (1, 1), "S4n-1": (1, -1),
+                  "S-4n": (-1, 0), "S-4n+2": (-1, 2), "S-4n+1": (-1, 1), "S-4n-1": (-1, -1)}
+HORADAM_VARIANTS = tuple(_HORADAM_INDEX)
 
 
 def horadam_index(variant: str, n: int) -> int:
-    return {
-        "S4n": 4 * n, "S4n-2": 4 * n - 2, "S4n+1": 4 * n + 1, "S4n-1": 4 * n - 1,
-        "S-4n": -4 * n, "S-4n+2": -4 * n + 2,
-        "S-4n+1": -4 * n + 1, "S-4n-1": -4 * n - 1,
-    }[variant]
+    if variant not in _HORADAM_INDEX:
+        raise ValueError(f"unknown table entry {variant!r}")
+    sign, offset = _HORADAM_INDEX[variant]
+    return sign * 4 * n + offset
 
 
 def horadam_sums(p, q, variant: str, n: int, corrected: bool = False) -> Fraction:
@@ -177,8 +174,7 @@ def horadam_sums(p, q, variant: str, n: int, corrected: bool = False) -> Fractio
     """
     if n < 1:
         raise ValueError("table index must be >= 1")
-    if variant not in HORADAM_VARIANTS:
-        raise ValueError(f"unknown table entry {variant!r}")
+    horadam_index(variant, n)       # refuses an unknown entry
     p, q = Fraction(p), Fraction(q)
     qq = seq.store(seq.pell_q()).term
     if variant == "S4n":
@@ -201,12 +197,14 @@ def horadam_sums(p, q, variant: str, n: int, corrected: bool = False) -> Fractio
 
 def horadam_direct(p, q, idxs) -> list[Fraction]:
     """sum_{i=1}^{idx} P_i for idx > 0, sum_{i=1}^{|idx|} P_{-i} for idx < 0
-    (the reflected spec's b^i P_{-i}, with b = 1), at each idx of idxs: one
-    running prefix over the store's numerators, each sum over one division."""
+    (the reflected spec's b^i P_{-i}, with b = 1), at each idx of idxs: the
+    store's plain row of first powers at x = 1, which starts at i = 0, less
+    its P_0."""
     sizes = [abs(idx) for idx in idxs]
-    if min(idxs) < 0 < max(idxs) or sizes != sorted(sizes):
+    signs = {idx > 0 for idx in idxs if idx}
+    if len(signs) > 1 or sizes != sorted(sizes):
         raise ValueError(f"a row of indices has one sign and |idx| ascending, not {idxs}")
     spec = seq.generalized_pell(p, q)
-    store = seq.store(seq.reflected(spec) if min(idxs) < 0 else spec)
-    prefix = list(accumulate(store.numerators(sizes[-1] + 1)[1:], initial=0))
-    return [Fraction(prefix[k], store.den) for k in sizes]
+    store = seq.store(seq.reflected(spec) if False in signs else spec)
+    first = store.term(0)
+    return [total - first for total in store.power_row(1, sizes, 1, False)]

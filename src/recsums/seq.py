@@ -6,15 +6,15 @@ spec with those initial values.
 
 Every brute-force oracle reads its terms from the spec's ``PrefixStore``:
 integer numerators d U_k over the common denominator d = lcm(den U_0, den U_1),
-for k >= 0 only; a sum over them stays in integers until one division.  A
-plain sum, and a binomial one below n = ``SPLIT_CUTOFF``, is one Horner loop;
-from there a binomial sum is n! times that integer by binary splitting over
-its term ratio (n - i) x / (i + 1), divided exactly by n!.  A row of
-binomial sums, at several n with the same (r, x), is one Pascal sweep of
-additions over the same integers (``PrefixStore.binomial_row``).  A store only
-grows, by extension, and only as far as a lookup asks; a negative
-index or count is refused.  A negative index is the ``reflected`` spec read
-forward, since its k-th term is b^k U_{-k}.  ``store``
+for k >= 0 only; a sum over them stays in integers until one division.  Every
+sum is a row, at one n or several with the same (r, x), read by
+``PrefixStore.power_row``: one Horner loop that records its total at each n;
+for a binomial sum at one n from n = ``SPLIT_CUTOFF``, n! times that integer
+by binary splitting over its term ratio (n - i) x / (i + 1); for a binomial
+row of several n, one Pascal sweep of additions.  A store only grows, by
+extension, and only as far as a lookup asks; a negative index or count is
+refused.  A negative index is the ``reflected`` spec read forward, since its
+k-th term is b^k U_{-k}.  ``store``
 hands out the store of a spec, keyed by the spec (frozen and hashable, so
 equal specs share one store), and keeps the ``STORE_CAP`` most recently used
 ones, so the number of live stores stays bounded in a long-lived process.
@@ -31,10 +31,10 @@ first 2d terms; completing squares evaluates it with d squarings.  Over ints,
 caller; ``term_fast`` is that at order 2 at every integer index (on the
 reflected spec at n < 0), checked against ``term``.  ``linear_row`` sums
 several recurrences along a row of n: the kernel starts each one, and ints
-step it.  Over exact Decimal integers, ``term_text`` returns the printed
-U_n at n >= 0 without ever holding it as an int, for a large value
-(``cli._cmd_seq`` holds the cut between the two).  None of these fills a
-store.
+step it; every Binet-pair sum in n reads it.  Over exact Decimal integers,
+``term_text`` returns the printed U_n at n >= 0 without ever holding it as
+an int, for a large value (``cli._cmd_seq`` holds the cut between the two).
+None of these fills a store.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
 Binet terms of U_i^r x^i grouped into Galois-conjugate pairs, each pair a
@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import factorial, gcd, isqrt, lcm
-from operator import add, mul
+from operator import add, gt, mul
 
 from .polyrat import _decimal, _exact_decimal
 from .qfield import RecurrenceSpec
@@ -171,59 +171,61 @@ class PrefixStore:
         d = self.den
         return [Fraction(v, d) for v in self.numerators(count)]
 
-    def power_sum(self, r: int, n: int, x, binomial: bool) -> Fraction:
-        """sum_{i=0}^n w_i U_i^r x^i, with w_i = C(n,i) if binomial, else 1.
+    def power_row(self, r: int, ns, x, binomial: bool) -> list[Fraction]:
+        """sum_{i=0}^n w_i U_i^r x^i, w_i = C(n,i) if binomial else 1, at each
+        n of the row ns: a non-empty, ascending list of n >= 0.
 
-        With x = p / q the sum is sum_i w_i N_i^r p^i q^(n-i) over
-        den^r q^n: integers until one division.  From n = SPLIT_CUTOFF a
-        binomial sum is that integer times n! by ``_binomial_split``.
+        With x = p / q the sum is sum_i w_i N_i^r p^i q^(n-i) over den^r q^n:
+        integers until one division.  A plain row is one Horner loop in q to
+        N = ns[-1], run from each n of ns to the next, that records its total
+        at each.  One binomial n is that loop with the weights C(n,i), or from
+        n = SPLIT_CUTOFF n! times its integer by ``_binomial_split``.  Several
+        are one Pascal sweep to N: from z_i = N_i^r p^i q^(N-i), n passes of
+        z_j <- z_j + z_{j+1} leave sum_i C(n,i) z_i in z_0, over den^r q^N.
+        It only adds, but makes O(N^2) additions, so it serves rows, not a
+        single large n.
         """
-        x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        nums = self.numerators(n + 1)
-        if binomial and n >= SPLIT_CUTOFF:
-            total = _binomial_split(nums, r, n, p, q, 0, n + 1)[2] // factorial(n)
-        else:
-            total = 0
-            c = 1
-            pp = 1
-            for i, num in enumerate(nums):
-                # Horner in q: after step i, total = sum_{j<=i} w_j N_j^r p^j q^(i-j)
-                total = total * q + c * num**r * pp
-                if binomial:
-                    c = c * (n - i) // (i + 1)
-                pp *= p
-        return Fraction(total, self.den**r * q**n)
-
-    def binomial_row(self, r: int, ns, x) -> list[Fraction]:
-        """power_sum(r, n, x, binomial=True) at each n of ns, ascending.
-
-        One n is ``power_sum``'s Horner loop or binary split.  More are one
-        Pascal sweep to N = ns[-1]: from z_i = N_i^r p^i q^(N-i), n passes
-        of z_j <- z_j + z_{j+1} leave sum_i C(n,i) z_i in z_0, over
-        den^r q^N.  It adds and never multiplies, but makes O(N^2)
-        additions, so it serves rows, not a single large n.
-        """
-        if len(ns) == 1:
-            return [self.power_sum(r, ns[0], x, binomial=True)]
+        _check_row(ns)
         x = Fraction(x)
         p, q = x.numerator, x.denominator
         top = ns[-1]
-        z, pp = [], 1
-        for num in self.numerators(top + 1):
-            z.append(num**r * pp)
-            pp *= p
-        if q != 1:
-            qq = 1
-            for i in range(top, -1, -1):
-                z[i] *= qq
-                qq *= q
-        sums = [z[0]]
-        for _ in range(top):
-            z = list(map(add, z, islice(z, 1, None)))
-            sums.append(z[0])
-        scale = self.den**r * q**top
-        return [Fraction(sums[n], scale) for n in ns]
+        nums = self.numerators(top + 1)
+        if binomial and len(ns) > 1:
+            z, pp = [], 1
+            for num in nums:
+                z.append(num**r * pp)
+                pp *= p
+            if q != 1:
+                qq = 1
+                for i in range(top, -1, -1):
+                    z[i] *= qq
+                    qq *= q
+            sums = [z[0]]
+            for _ in range(top):
+                z = list(map(add, z, islice(z, 1, None)))
+                sums.append(z[0])
+            scale = self.den**r * q**top
+            return [Fraction(sums[n], scale) for n in ns]
+        if binomial and top >= SPLIT_CUTOFF:
+            total = _binomial_split(nums, r, top, p, q, 0, top + 1)[2] // factorial(top)
+            return [Fraction(total, self.den**r * q**top)]
+        totals, total, c, pp, lo, scale = [], 0, 1, 1, 0, self.den**r
+        for n in ns:
+            for i in range(lo, n + 1):
+                # Horner in q: after step i, total = sum_{j<=i} w_j N_j^r p^j q^(i-j)
+                total = total * q + c * pp * nums[i]**r
+                if binomial:
+                    c = c * (top - i) // (i + 1)
+                pp *= p
+            lo = n + 1
+            totals.append(Fraction(total, scale * q**n))
+        return totals
+
+
+def _check_row(ns) -> None:
+    """Refuse a row that is not a non-empty, ascending list of n >= 0."""
+    if not ns or ns[0] < 0 or any(map(gt, ns, islice(ns, 1, None))):
+        raise ValueError(f"a row is a non-empty, ascending list of n >= 0, not {list(ns)}")
 
 
 # From this n a binomial sum is split (below, the n! it carries costs more than
@@ -355,7 +357,7 @@ def linear_term(coeffs, initial, n: int) -> Fraction:
 
 def linear_row(recurrences, ns) -> list[Fraction]:
     """The sum over ``recurrences``, each (coeffs, initial) as ``linear_term``
-    takes them, of w_n at each n of ns, ascending.
+    takes them, of w_n at each n of the row ns, as ``power_row`` takes it.
 
     One n is one ``linear_term`` call per recurrence.  A longer row starts
     each recurrence's integer state at n0 = ns[0] by ``_doubling`` (which
@@ -365,6 +367,7 @@ def linear_row(recurrences, ns) -> list[Fraction]:
     integer coefficients c_i S^(d-i), and the row's value at n is the
     recurrences' g_n summed, over E S^n.
     """
+    _check_row(ns)
     n0 = ns[0]
     if len(ns) == 1:
         return [sum((linear_term(c, w, n0) for c, w in recurrences), Fraction(0))]

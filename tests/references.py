@@ -94,8 +94,9 @@ def binet_coeffs(spec: RecurrenceSpec) -> tuple[Fraction | QuadElem, Fraction | 
 
 
 def power_sum_loop(store, r: int, n: int, x, binomial: bool) -> Fraction:
-    """``PrefixStore.power_sum`` as one loop over the store's numerators at
-    every n, the reference for its binary splitting of binomial sums.
+    """``PrefixStore.power_row`` at a row of one n as one loop over the
+    store's numerators at every n, the reference for its binary splitting of
+    binomial sums.
 
     sum_{i=0}^n w_i U_i^r x^i, with w_i = C(n,i) if binomial, else 1.  With
     x = p / q the sum is sum_i w_i N_i^r p^i q^(n-i) over den^r q^n:

@@ -11,7 +11,7 @@ Every sum, product and gcd of polynomials runs on polyrat's integer lists, and
 rational functions are added only by ``RationalFunction.sum``.
 
 Every public function, class and method of src is used somewhere else in
-src, bar three named for their users outside it.
+src, bar two named for their users outside it.
 
 Every audit claim that compares a value with a printed form is one
 ``audit._compare`` check, and a sequence is named by its ``RecurrenceSpec``.
@@ -86,8 +86,8 @@ def _named(tree) -> Counter:
 
 def test_every_public_definition_is_named_elsewhere_in_src():
     # a re-export in __init__.py is no use, nor is a definition's own body;
-    # the three names allowed are used by the README's library example
-    # (gf_oracle, RationalFunction.expand) and bench/spans.py (all three)
+    # the two names allowed are used by the README's library example
+    # (RationalFunction.expand) and bench/spans.py (both)
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in SRC.glob("*.py") if p.name != "__init__.py"}
     named = sum(map(_named, trees.values()), Counter())
@@ -96,7 +96,7 @@ def test_every_public_definition_is_named_elsewhere_in_src():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_")
               and named[node.name] == _named(node)[node.name]}
-    assert unused == {"gfpow.gf_oracle", "polyrat.expand", "polyrat.evaluate"}
+    assert unused == {"polyrat.expand", "polyrat.evaluate"}
 
 
 def test_quadelem_is_named_only_where_it_is_the_subject():

@@ -1,26 +1,31 @@
-"""Rows of binomial sums against their pointwise values, and the audit's rows.
+"""Rows of sums against their pointwise values, and the audit's rows.
 
-A row fixes (spec, r, x) and walks n.  The oracle's row is one Pascal sweep
-over the store's numerators (``PrefixStore.binomial_row``), the closed form's
-row steps each Binet pair's integer state (``seq.linear_row``); a single n is
-the pointwise sum on both sides.  The audit hands each row of a claim to its
-check, which evaluates it once per side; no row's values outlive the claim.
+A row fixes (spec, r, x) and walks n.  The oracle reads every row from the
+store's ``PrefixStore.power_row``: a binomial row of several n is one Pascal
+sweep over the store's numerators, a plain row one running Horner total.  The
+closed form's row steps each Binet pair's integer state (``seq.linear_row``);
+a single n is the pointwise sum on both sides, and both refuse a row that is
+not a non-empty, ascending list of n >= 0.  The audit hands each row of a
+claim to its check, which evaluates it once per side; no row's values outlive
+the claim.
 """
 
 import ast
 import dataclasses
 import gc
 import inspect
+import re
 import textwrap
 import weakref
 from fractions import Fraction as F
 
 import pytest
 
-from recsums import binsum, partsum, seq
+from recsums import audit, binsum, gfpow, partsum, seq
 from recsums.audit import PELL, REGISTRY, AuditCellError, run_audit
 from recsums.cli import main
 from recsums.qfield import RecurrenceSpec
+from references import power_sum_loop
 
 XS = (F(0), F(1), F(-1), F(2), F(-1, 2), F(1, 3))
 # rational initial values throughout; complex roots (1, -3) and the root
@@ -42,6 +47,12 @@ def test_the_sweep_equals_the_pointwise_sum_on_every_n_to_300(spec):
             for start in (1, 2):
                 ns = range(start, TOP + 1, 2)
                 assert binsum.binom_row_direct(spec, r, ns, x) == pointwise[start::2]
+            # the plain row, one running total, against the pointwise plain sum
+            plain = [partsum.partial_sum_direct(spec, r, n, x) for n in range(TOP + 1)]
+            store = seq.store(spec)
+            assert store.power_row(r, range(TOP + 1), x, False) == plain
+            for ns in (range(1, TOP + 1, 2), [0, 0, 7, 7, 7, 150, TOP, TOP]):
+                assert store.power_row(r, ns, x, False) == [plain[n] for n in ns]
 
 
 @pytest.mark.parametrize("spec", (*SPECS, RecurrenceSpec(1, 1, 0, 1),
@@ -55,17 +66,47 @@ def test_the_stepped_closed_row_equals_the_closed_sum(spec):
 
 
 def test_a_row_of_one_cell_is_the_pointwise_sum(monkeypatch):
+    # one n at or above SPLIT_CUTOFF is split, never swept: the Pascal sweep
+    # gives the same values, so only the path it takes shows the choice
     spec = RecurrenceSpec(1, 1, 0, 1)
-    monkeypatch.setattr(seq.PrefixStore, "power_sum",
-                        lambda self, r, n, x, binomial: ("pointwise", n))
-    assert binsum.binom_row_direct(spec, 2, [300], 3) == [("pointwise", 300)]
+    splits, additions = [], []
+    real_split, real_add = seq._binomial_split, seq.add
+
+    def split(nums, r, n, p, q, lo, hi):
+        splits.append((n, lo, hi))
+        return real_split(nums, r, n, p, q, lo, hi)
+
+    def add(a, b):
+        additions.append(1)
+        return real_add(a, b)
+
+    monkeypatch.setattr(seq, "_binomial_split", split)
+    monkeypatch.setattr(seq, "add", add)
+    store = seq.store(spec)
+    pointwise = power_sum_loop(store, 2, 300, 3, True)
+    assert binsum.binom_row_direct(spec, 2, [300], 3) == [pointwise]
+    assert [cut for cut in splits if cut[1:] == (0, 301)] == [(300, 0, 301)]
+    assert not additions
+    splits.clear()
+    assert binsum.binom_sum_direct(spec, 2, 300, 3) == pointwise
+    assert (300, 0, 301) in splits and not additions
+    # a row of several n is swept, and a single n below the cutoff is Horner's
+    splits.clear()
+    assert binsum.binom_row_direct(spec, 2, [299, 300], 3) == [
+        power_sum_loop(store, 2, 299, 3, True), pointwise]
+    assert not splits and additions
+    additions.clear()
+    assert binsum.binom_row_direct(spec, 2, [seq.SPLIT_CUTOFF - 1], 3) == [
+        power_sum_loop(store, 2, seq.SPLIT_CUTOFF - 1, 3, True)]
+    assert not splits and not additions
 
 
 def test_the_sweep_reads_only_the_store():
     # the oracle stays independent of the closed form it audits; thm2's row,
-    # a prefix of the store's numerators, reads no half-companion sequence
-    for fn in (seq.PrefixStore.binomial_row, binsum.binom_row_direct, binsum.corollary_lhs,
-               partsum.horadam_direct):
+    # a prefix of the store's numerators, reads no half-companion sequence,
+    # and thm3's, prefixes of one series of powers, no Binet pair
+    for fn in (seq.PrefixStore.power_row, binsum.binom_row_direct, binsum.corollary_lhs,
+               partsum.horadam_direct, audit._partial_sum_truth, gfpow.gf_oracle):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         named = {node.id if isinstance(node, ast.Name) else node.attr
                  for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
@@ -152,3 +193,17 @@ def test_rows_are_declared_for_the_binomial_claims():
     axes = {cid: [name for name, _ in REGISTRY[cid].axes] for cid in walked}
     assert axes.pop("thm4") == ["spec", "r", "x"]
     assert all(names in ([], ["r"]) for names in axes.values()), axes
+
+
+@pytest.mark.parametrize("ns", ([5, 3], [2, 4, 3], [], [-1, 2]), ids=str)
+def test_a_row_that_is_not_ascending_n_is_refused_by_name(ns):
+    fib = RecurrenceSpec(1, 1, 0, 1)
+    for row in (lambda: binsum.binom_row_direct(fib, 2, ns, 1),
+                lambda: binsum.binom_row_closed(fib, 2, ns, 1),
+                lambda: binsum.corollary_lhs("cor7-1", ns),
+                lambda: seq.store(fib).power_row(1, ns, 1, False),
+                lambda: seq.linear_row([((1, 1), (0, 1))], ns)):
+        with pytest.raises(ValueError, match=re.escape(f"ascending list of n >= 0, not {ns}")):
+            row()
+    with pytest.raises(ValueError, match=r"not \[\]"):
+        partsum.horadam_direct(1, 2, [])

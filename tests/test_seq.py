@@ -134,7 +134,8 @@ def test_store_term_equals_walk_from_minus_60_to_300(spec, kind):
 
 
 def _prefix_sum(store, k):
-    """sum_{i=1}^k U_i as horadam_direct reads it: numerators 1 .. k over den."""
+    """sum_{i=1}^k U_i as horadam_direct reads it, the plain first-power row
+    less U_0: numerators 1 .. k over den."""
     return Fraction(sum(store.numerators(k + 1)[1:]), store.den)
 
 
