@@ -27,11 +27,10 @@ structured output (no timestamps, sorted keys, stable cell ordering).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from _json import encode_basestring_ascii as _quote
+from collections import namedtuple
 from fractions import Fraction
 from itertools import product
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterator
 
 from . import binsum, gfpow, partsum, seq
 from .polyrat import RationalFunction, _text, rf_to_text
@@ -55,20 +54,16 @@ class AuditCellError(RuntimeError):
         self.params = params
 
 
-@dataclass(frozen=True)
-class Claim:
-    """A printed identity and its grid.  ``axes`` pairs each param that fixes
-    a row with its values, in cell-key order; ``index`` is the param walked
-    along each row, as (name, first, last, stride, ceiling).  ``--max-n`` replaces
+class Claim(namedtuple("Claim", "id description hypotheses axes index check")):
+    """A printed identity and its grid, a frozen value.  ``hypotheses`` is a
+    tuple of str.  ``axes`` pairs each param that fixes a row with its values
+    (a tuple), in cell-key order; ``index`` is None or the param walked along
+    each row, as (name, first, last, stride, ceiling).  ``--max-n`` replaces
     ``last`` but never passes ``ceiling``; either may be a function of the
     row's axes.  ``check`` takes one row of cells and is a generator of one
     (verdict, variant, witness) per cell."""
-    id: str
-    description: str
-    hypotheses: tuple[str, ...]
-    axes: tuple[tuple[str, tuple], ...]
-    index: tuple | None
-    check: Callable[[list[dict]], Iterator[tuple[str, str | None, dict | None]]]
+
+    __slots__ = ()
 
     def rows(self, max_n: int | None = None) -> list[list[dict]]:
         """Every row with a cell, as its cells: a point of the product of the
@@ -93,13 +88,10 @@ def _at(bound, row: dict) -> int:
     return bound(**row) if callable(bound) else bound
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    claim_id: str
-    params: dict
-    verdict: str  # "pass" | "fail" | "variant-pass"
-    variant: str | None = None
-    witness: dict | None = None
+# verdict is "pass", "fail" or "variant-pass"; variant and witness are None
+# or the variant id (str) and the witness (dict) of a cell that did not pass
+AuditResult = namedtuple("AuditResult", "claim_id params verdict variant witness",
+                         defaults=(None, None))
 
 
 def _fmt(value) -> str:

@@ -22,7 +22,6 @@ every sequence value is still rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -174,7 +173,6 @@ def _reduced(p: int, q: int, e: int, disc: int) -> QuadElem:
     return elem
 
 
-@dataclass(frozen=True)
 class RecurrenceSpec:
     """Parameters of U_{n+1} = a*U_n + b*U_{n-1} with initial values U_0, U_1.
 
@@ -183,33 +181,47 @@ class RecurrenceSpec:
     may be arbitrary rationals.  Parameters are ints or Fractions, u0 and u1
     also rational text such as "1/2"; a float raises TypeError.
 
-    A spec keys every store and memo, so its hash, the dataclass's
-    hash((a, b, u0, u1)), is computed once, on construction.
+    A spec is a frozen value, equal to a spec of the same (a, b, u0, u1).  It
+    keys every store and memo, so its hash, hash((a, b, u0, u1)), is computed
+    once, on construction.
     """
 
-    a: int
-    b: int
-    u0: Fraction
-    u1: Fraction
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "u0", "u1", "_hash")
 
-    def __post_init__(self):
-        for name, kinds in (("a", (int, Fraction)), ("b", (int, Fraction)),
-                            ("u0", (int, Fraction, str)), ("u1", (int, Fraction, str))):
-            if not isinstance(value := getattr(self, name), kinds):
+    def __init__(self, a, b, u0, u1):
+        for name, value, kinds in (("a", a, (int, Fraction)), ("b", b, (int, Fraction)),
+                                   ("u0", u0, (int, Fraction, str)),
+                                   ("u1", u1, (int, Fraction, str))):
+            if not isinstance(value, kinds):
                 raise TypeError(f"{name}={value!r} is not an int or a Fraction")
-        object.__setattr__(self, "u0", Fraction(self.u0))
-        object.__setattr__(self, "u1", Fraction(self.u1))
-        if self.b == 0:
+        u0, u1 = Fraction(u0), Fraction(u1)
+        if b == 0:
             raise DegenerateSpecError("b = 0 gives a first-order recurrence")
-        if self.a * self.a + 4 * self.b == 0:
-            raise DegenerateSpecError(
-                f"a^2 + 4b = 0 for a={self.a}, b={self.b}: double root"
-            )
-        object.__setattr__(self, "_hash", hash((self.a, self.b, self.u0, self.u1)))
+        if a * a + 4 * b == 0:
+            raise DegenerateSpecError(f"a^2 + 4b = 0 for a={a}, b={b}: double root")
+        for name, value in zip(self.__slots__, (a, b, u0, u1, hash((a, b, u0, u1)))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.a, self.b, self.u0, self.u1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.u0, self.u1) == (other.a, other.b, other.u0, other.u1)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(a={self.a!r}, b={self.b!r}, "
+                f"u0={self.u0!r}, u1={self.u1!r})")
 
     @property
     def discriminant(self) -> int:

@@ -1,6 +1,5 @@
 """Tests for the claim registry, grid runner, and report formats."""
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -107,7 +106,7 @@ def _break_cell(monkeypatch, cid, n):
                 raise ValueError("sqrt(5) part left over")
             yield verdict
 
-    monkeypatch.setitem(REGISTRY, cid, dataclasses.replace(claim, check=check))
+    monkeypatch.setitem(REGISTRY, cid, claim._replace(check=check))
 
 
 def test_check_error_names_claim_and_cell(monkeypatch):
@@ -120,6 +119,20 @@ def test_check_error_names_claim_and_cell(monkeypatch):
     assert type(err.__cause__) is ValueError
     assert "cor7-1" in str(err) and "'n': 2" in str(err)
     assert "sqrt(5) part left over" in str(err)
+
+
+def test_claims_are_hashable_and_results_immutable():
+    claim = REGISTRY["cor7-1"]
+    assert claim._replace() == claim and hash(claim._replace()) == hash(claim)
+    assert type(claim._replace()) is type(claim)
+    result = run_audit(["cor7-1"], max_n=2)[0]
+    for target in (claim, result):
+        for name in (*target._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(target, name, None)
+            with pytest.raises(AttributeError):
+                delattr(target, name)
+    assert (result.claim_id, result.verdict) == ("cor7-1", "pass")
 
 
 def test_empty_results_report():

@@ -1,6 +1,5 @@
 """Tests for the command-line interface: outputs, exit codes, round-trips."""
 
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -799,8 +798,7 @@ def test_audit_cell_error_exits_three(capsys, monkeypatch):
     def check(cells):
         return map(broken, cells)
 
-    monkeypatch.setitem(audit.REGISTRY, "cor7-1",
-                        dataclasses.replace(claim, check=check))
+    monkeypatch.setitem(audit.REGISTRY, "cor7-1", claim._replace(check=check))
     code, out, err = run_cli(capsys, "audit", "--claims", "cor7-1", "--max-n", "2")
     assert (code, out) == (3, "")
     assert "cor7-1" in err and "a check that breaks" in err

@@ -89,6 +89,26 @@ def test_equal_specs_hash_equal_whatever_their_input_types():
     assert RecurrenceSpec(2, -3, "1/2", 2) != specs[0]
 
 
+def test_a_spec_is_a_frozen_value_that_copies_and_pickles():
+    spec = RecurrenceSpec(2, -3, Fraction(1, 2), 1)
+    clones = [copy.copy(spec), copy.deepcopy(spec)]
+    clones += [pickle.loads(pickle.dumps(spec, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert type(clone) is RecurrenceSpec and clone == spec
+        assert hash(clone) == hash(spec) and repr(clone) == repr(spec)
+    for name in ("a", "b", "u0", "u1", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(spec, name)
+    assert (spec.a, spec.b, spec.u0, spec.u1) == (2, -3, Fraction(1, 2), 1)
+    assert hash(spec) == hash((2, -3, Fraction(1, 2), Fraction(1)))
+    # equal only to a spec, never to the tuple of its parameters
+    assert RecurrenceSpec(1, 1, 0, 1) != (1, 1, 0, 1)
+    assert RecurrenceSpec(1, 1, 0, 1).__eq__((1, 1, 0, 1)) is NotImplemented
+
+
 def test_binet_coeffs_fibonacci():
     a_coef, b_coef = binet_coeffs(FIB)
     # A = B = 1/sqrt(5) = (1/5) sqrt(5)

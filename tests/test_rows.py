@@ -11,7 +11,6 @@ the claim.
 """
 
 import ast
-import dataclasses
 import gc
 import inspect
 import re
@@ -151,7 +150,7 @@ def test_rows_are_dropped_when_a_cell_raises(monkeypatch):
                 raise ValueError("broken")
             yield verdict
 
-    monkeypatch.setitem(REGISTRY, "cor7-1", dataclasses.replace(claim, check=check))
+    monkeypatch.setitem(REGISTRY, "cor7-1", claim._replace(check=check))
     with pytest.raises(AuditCellError):
         run_audit(["cor7-1"], max_n=6)
     gc.collect()
