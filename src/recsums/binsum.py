@@ -6,9 +6,8 @@
 
 over Q, one Galois-conjugate pair of terms at a time: each entry of
 :func:`recsums.seq.binet_pairs` gives a rational second-order sequence in n,
-read off by ``seq.linear_row``: one call of the doubling kernel
-``seq.linear_term`` per pair at a single n, and along a longer row one
-doubling to its first n and then a step per n.  Both sums take
+read off by ``seq.linear_row``: one doubling to the row's first n per pair,
+a step per later n, and one reduction per sum.  Both sums take
 ``(spec, r, n, x)``, as ``partsum``'s do.  It carries no b = 1 caveat.  Each
 sum is its row function at a row of one n: ``binom_row_direct`` reads the
 store's ``PrefixStore.power_row``, and ``binom_row_closed`` steps the pairs.

@@ -224,9 +224,10 @@ def _predict(args, spec: RecurrenceSpec) -> tuple[int, list[tuple[int, str, str]
     if not args.direct:
         # one kernel call per pair: order (order + 1) / 2 products per
         # squaring, 3 for the pairs of binom-sum and 6 for sum's order-3 pair
-        # partial sums, then one reduction of the same size at either order;
-        # the kernel's last step takes `order` squarings instead, so this
-        # over-prices it, on purpose: no served boundary moves
+        # partial sums, then a reduction of the same size per pair; the sum is
+        # reduced once, not per pair, and the kernel's last step takes `order`
+        # squarings instead, so this over-prices both, on purpose: no served
+        # boundary moves
         pairs, order = r // 2 + 1, 3 if args.command == "sum" else 2
         kp = r * (g + 1 + 2 * h + hx)               # a Binet-pair table entry
         kn = n * r * (2 * g + 1) // 4 + 2 * n * hx + kw   # a pair's growth to n
@@ -349,7 +350,7 @@ def _cmd_audit(args) -> int:
     if args.timings:
         timings = {}
         results = audit.run_audit(selection, max_n=args.max_n, timings=timings)
-        _print_timings(timings, results)
+        _print_timings(timings, results, args.max_n)
     else:
         results = audit.run_audit(selection, max_n=args.max_n)
     fmt = args.format or "text"
@@ -359,26 +360,19 @@ def _cmd_audit(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if not results:
-        return 0
     return 1 if audit.has_unexplained_failure(results) else 0
 
 
-def _print_timings(timings: dict, results) -> None:
+def _print_timings(timings: dict, results, max_n) -> None:
     """Seconds, cells, rows (for a claim with an index) and cells/s of each
     claim run, and their total, to stderr."""
     cells = Counter(r.claim_id for r in results)
-    rows: dict[str, set] = {}
-    for r in results:
-        claim = audit.REGISTRY[r.claim_id]
-        if claim.index is not None:
-            row = tuple(r.params[name] for name, _ in claim.axes)
-            rows.setdefault(r.claim_id, set()).add(row)
+    rows = {cid: len(audit.REGISTRY[cid].rows(max_n)) for cid in timings
+            if audit.REGISTRY[cid].index is not None}
     cells["total"] = len(results)
     for cid, secs in [*timings.items(), ("total", sum(timings.values()))]:
         rate = f"{cells[cid] / secs:.0f}" if secs else "-"
-        walked = (f"{len(rows[cid])} row{'s' * (len(rows[cid]) != 1)}, "
-                  if cid in rows else "")
+        walked = f"{rows[cid]} row{'s' * (rows[cid] != 1)}, " if cid in rows else ""
         print(f"timing {cid}: {secs:.3f} s, {cells[cid]} cells, {walked}{rate} cells/s",
               file=sys.stderr)
 

@@ -156,6 +156,7 @@ def partial_sum_general_b(spec: RecurrenceSpec, r: int, n: int, x) -> Fraction:
 _HORADAM_INDEX = {"S4n": (1, 0), "S4n-2": (1, -2), "S4n+1": (1, 1), "S4n-1": (1, -1),
                   "S-4n": (-1, 0), "S-4n+2": (-1, 2), "S-4n+1": (-1, 1), "S-4n-1": (-1, -1)}
 HORADAM_VARIANTS = tuple(_HORADAM_INDEX)
+_PELL_Q = seq.pell_q()
 
 
 def horadam_index(variant: str, n: int) -> int:
@@ -176,7 +177,7 @@ def horadam_sums(p, q, variant: str, n: int, corrected: bool = False) -> Fractio
         raise ValueError("table index must be >= 1")
     horadam_index(variant, n)       # refuses an unknown entry
     p, q = Fraction(p), Fraction(q)
-    qq = seq.store(seq.pell_q()).term
+    qq = seq.store(_PELL_Q).term
     if variant == "S4n":
         return qq(2 * n) * (p * qq(2 * n - 1) + q * qq(2 * n)) + p - q
     if variant == "S4n-2":

@@ -27,13 +27,14 @@ it doubles z^m modulo the characteristic polynomial (Fiduccia's method) in
 one of two rings, with one loop body, up to m = n // 2.  The last step is a
 quadratic form in that remainder, whose matrix is the Hankel matrix of the
 first 2d terms; completing squares evaluates it with d squarings.  Over ints,
-``linear_term`` reduces its result once to a Fraction, for every exact
-caller; ``term_fast`` is that at order 2 at every integer index (on the
-reflected spec at n < 0), checked against ``term``.  ``linear_row`` sums
-several recurrences along a row of n: the kernel starts each one, and ints
-step it; every Binet-pair sum in n reads it.  Over exact Decimal integers,
-``term_text`` returns the printed U_n at n >= 0 without ever holding it as
-an int, for a large value (``cli._cmd_seq`` holds the cut between the two).
+``linear_term`` reduces its result once to a Fraction; ``term_fast`` is that
+at order 2 at every integer index (on the reflected spec at n < 0), checked
+against ``term``.  ``linear_row`` sums several recurrences along a row of n,
+one n or many: the kernel starts each one, ints step it over a common scale,
+and each sum is reduced once; every Binet-pair sum in n reads it.  Over
+exact Decimal integers, ``term_text`` returns the printed U_n at n >= 0
+without ever holding it as an int, for a large value (``cli._cmd_seq``
+holds the cut between the two).
 None of these fills a store.
 
 ``binet_pairs`` is the table every closed form is evaluated from, over Q: the
@@ -256,9 +257,6 @@ STORE_CAP = 16
 
 # The store of a spec, made on first use: store(spec).term(n), .numerators(count).
 store = lru_cache(maxsize=STORE_CAP)(PrefixStore)
-# The spec constructors a lookup starts from keep as many specs, and no store.
-generalized_pell, reflected = (lru_cache(maxsize=STORE_CAP)(f)
-                               for f in (generalized_pell, reflected))
 
 
 def _scale(coeffs) -> int:
@@ -359,18 +357,15 @@ def linear_row(recurrences, ns) -> list[Fraction]:
     """The sum over ``recurrences``, each (coeffs, initial) as ``linear_term``
     takes them, of w_n at each n of the row ns, as ``power_row`` takes it.
 
-    One n is one ``linear_term`` call per recurrence.  A longer row starts
-    each recurrence's integer state at n0 = ns[0] by ``_doubling`` (which
-    reads n0 < 2d off its initial terms) and steps it one n at a time, over
-    a scale common to the recurrences: with E the lcm of their initial
-    values' denominators and S of their ``_scale``, g_n = E S^n w_n has
-    integer coefficients c_i S^(d-i), and the row's value at n is the
-    recurrences' g_n summed, over E S^n.
+    Each recurrence's integer state starts at n0 = ns[0] by ``_doubling``
+    (which reads n0 < 2d off its initial terms) and steps one n at a time to
+    ns[-1], over a scale common to the recurrences: with E the lcm of their
+    initial values' denominators and S of their ``_scale``, g_n = E S^n w_n
+    has integer coefficients c_i S^(d-i), and the row's value at n is the
+    recurrences' g_n summed, over E S^n, reduced once.
     """
     _check_row(ns)
     n0 = ns[0]
-    if len(ns) == 1:
-        return [sum((linear_term(c, w, n0) for c, w in recurrences), Fraction(0))]
     e = lcm(*[v.denominator for _, w in recurrences for v in w])
     s = lcm(*[_scale(c) for c, _ in recurrences])
     total = [0] * (ns[-1] - n0 + 1)

@@ -776,6 +776,12 @@ def test_audit_max_n_zero_is_served(capsys):
                    "total: claims=1 cells=1 pass=1 variant-pass=0 fail=0\n")
 
 
+def test_audit_that_evaluates_no_cell_exits_zero(capsys):
+    # cor8-iii's index starts above 0, so --max-n 0 leaves it no row
+    assert run_cli(capsys, "audit", "--claims", "cor8-iii", "--max-n", "0") == (
+        0, "nothing run: no cells evaluated\n", "")
+
+
 def test_audit_max_n_at_the_limit_is_served(capsys, monkeypatch):
     seen = {}
 

@@ -46,7 +46,7 @@ Polynomial product builds the denominator, and neither gfpow nor the CLI
 expands a rational function.
 
 Every audit claim declares its grid as data, its axes and its index, and one
-builder, ``Claim.grid``, reads every claim's cells and rows off that
+builder, ``Claim.rows``, reads every claim's cells and rows off that
 declaration.
 
 The closed partial sums serve every initial value at every n: partsum holds
@@ -327,13 +327,13 @@ def test_a_closed_sum_reads_each_binet_pair_with_one_kernel_call(
         monkeypatch, closed, spec, r, x):
     pairs = seq.binet_pairs(spec, r, x)      # built, and memoised, beforehand
     calls = []
-    real = seq.linear_term
+    real = seq._doubling
 
     def counted(coeffs, initial, n):
         calls.append(len(coeffs))
         return real(coeffs, initial, n)
 
-    monkeypatch.setattr(seq, "linear_term", counted)
+    monkeypatch.setattr(seq, "_doubling", counted)
     for n in (0, 1, 9):
         calls.clear()
         closed(spec, r, n, x)

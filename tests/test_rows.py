@@ -3,11 +3,12 @@
 A row fixes (spec, r, x) and walks n.  The oracle reads every row from the
 store's ``PrefixStore.power_row``: a binomial row of several n is one Pascal
 sweep over the store's numerators, a plain row one running Horner total.  The
-closed form's row steps each Binet pair's integer state (``seq.linear_row``);
-a single n is the pointwise sum on both sides, and both refuse a row that is
-not a non-empty, ascending list of n >= 0.  The audit hands each row of a
-claim to its check, which evaluates it once per side; no row's values outlive
-the claim.
+closed form's row steps each Binet pair's integer state (``seq.linear_row``),
+for one n as for several, and reduces each sum once.  A single n of the
+direct side is the pointwise sum, and both sides refuse a row that is not a
+non-empty, ascending list of n >= 0.  The audit hands each row of a claim to
+its check, which evaluates it once per side; no row's values outlive the
+claim.
 """
 
 import ast
@@ -62,6 +63,47 @@ def test_the_stepped_closed_row_equals_the_closed_sum(spec):
             for ns in (range(0, 40), range(1, 30), range(2, 40), range(7, 60, 3)):
                 assert binsum.binom_row_closed(spec, r, ns, x) == [
                     binsum.binom_sum_closed(spec, r, n, x) for n in ns]
+
+
+# orders 2 and 3, whose _scale and initial denominators differ, so a row's
+# common scale E S^n is no recurrence's own
+MIXED = (((F(1, 2), F(1, 3)), (F(1), F(2, 5))),
+         ((F(0), F(-1, 4), F(3, 2)), (F(1), F(0), F(1, 7))),
+         ((F(-9, 4), F(3)), (F(2, 3), F(-1))))
+
+
+def _termwise(recurrences, n):
+    """The row's value at n as each recurrence's ``linear_term``, reduced on
+    its own, then added up."""
+    return sum((seq.linear_term(c, w, n) for c, w in recurrences), F(0))
+
+
+def test_a_linear_row_of_one_n_is_the_sum_of_its_terms():
+    for recurrences in (MIXED, MIXED[:1], MIXED[1:], MIXED[::2]):
+        for n in (*range(12), 50, 301):
+            assert seq.linear_row(recurrences, [n]) == [_termwise(recurrences, n)]
+        assert seq.linear_row(recurrences, range(3, 12)) == [
+            _termwise(recurrences, n) for n in range(3, 12)]
+
+
+def test_a_binet_row_of_one_n_is_the_sum_of_its_terms(monkeypatch):
+    # Fibonacci at r = 2, x = -1: the middle entry (Q = 0) has t = 1, so its
+    # binomial sequence has roots 1 and 2 and its partial sums a double root 1
+    seen, real = [], seq.linear_row
+    monkeypatch.setattr(seq, "linear_row",
+                        lambda recurrences, ns: seen.append(recurrences) or real(recurrences, ns))
+    fib = RecurrenceSpec(1, 1, 0, 1)
+    cases = [(fib, 2, F(-1)), (fib, 4, F(1, 2)), (fib, 2, F(0)),
+             (RecurrenceSpec(2, -3, F(1, 2), 1), 3, F(-1, 2))]
+    cases += [(spec, 2, x) for spec in SPECS for x in (F(1), F(-1, 2))]
+    for spec, r, x in cases:
+        binsum.binom_sum_closed(spec, r, 0, x)
+        partsum.partial_sum_general_b(spec, r, 0, x)
+    coeffs = [c for recurrences in seen for c, _ in recurrences]
+    assert (-2, 3) in coeffs and (0, -1, 2) in coeffs
+    for recurrences in seen:
+        for n in (*range(8), 50, 301):
+            assert real(recurrences, [n]) == [_termwise(recurrences, n)]
 
 
 def test_a_row_of_one_cell_is_the_pointwise_sum(monkeypatch):
